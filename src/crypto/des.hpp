@@ -26,8 +26,8 @@ namespace buscrypt::crypto {
 /// of 6 bits each, right-aligned in a byte. Chunk b of a round is bits
 /// [6b+1, 6b+6] of the FIPS 48-bit round key — exactly the bits XORed into
 /// S-box b's input. 128 bytes total, the same footprint as the packed
-/// 16 x u64 48-bit schedule it replaces, so key-schedule LRU cache entries
-/// in the block backend do not grow.
+/// 16 x u64 48-bit schedule it replaces, so a keyed DES instance (one per
+/// programmed keyslot) does not grow.
 struct des_schedule {
   std::array<std::array<u8, 8>, 16> k6{};
 };

@@ -34,14 +34,12 @@ void check_units(std::size_t unit_len, std::span<const u8> in, std::span<const u
     throw std::invalid_argument("keyed_cipher: run must be whole units");
 }
 
-/// Keyed block cipher + mode over data units. Holds its expanded core by
-/// shared_ptr: cores come from the backend's schedule cache, so several
-/// keyed instances of one key (slots, fallbacks, probes) share one
-/// expansion.
+/// Keyed block cipher + mode over data units. Owns its expanded core: each
+/// make_keyed() expands the key once for this instance alone.
 class block_keyed final : public keyed_cipher {
  public:
   block_keyed(std::string name, unit_mode mode, backend_cost cost,
-              std::shared_ptr<const crypto::block_cipher> cipher)
+              std::unique_ptr<const crypto::block_cipher> cipher)
       : name_(std::move(name)), mode_(mode), cost_(cost), cipher_(std::move(cipher)) {}
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
@@ -212,7 +210,7 @@ class block_keyed final : public keyed_cipher {
   std::string name_; // owned: keyed instances outlive their backend in keyslots
   unit_mode mode_;
   backend_cost cost_;
-  std::shared_ptr<const crypto::block_cipher> cipher_;
+  std::unique_ptr<const crypto::block_cipher> cipher_;
 };
 
 /// Keyed stream cipher: reseed(key, DUN-iv) per unit.
@@ -315,49 +313,10 @@ std::size_t block_backend::max_data_unit_size() const noexcept {
                                  : std::numeric_limits<std::size_t>::max();
 }
 
-std::shared_ptr<const crypto::block_cipher>
-block_backend::expanded_core(std::span<const u8> key) const {
-  // One lock covers lookup, insert and telemetry: the backend instance is
-  // shared process-wide (builtin()), so fleet worker threads race here.
-  // Expansion itself runs under the lock too — double expansion of one
-  // key would be functionally harmless (cores for a key are identical)
-  // but would make the hits+expansions == calls invariant flaky.
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  ++sched_tick_;
-  for (sched_entry& e : sched_cache_) {
-    if (e.key.size() == key.size() && std::equal(key.begin(), key.end(), e.key.begin())) {
-      e.tick = sched_tick_;
-      ++sched_hits_;
-      return e.core;
-    }
-  }
-  ++sched_expansions_;
-  std::shared_ptr<const crypto::block_cipher> core = make_(key);
-  if (sched_cache_.size() >= k_sched_cache_entries) {
-    auto lru = sched_cache_.begin();
-    for (auto it = sched_cache_.begin(); it != sched_cache_.end(); ++it)
-      if (it->tick < lru->tick) lru = it;
-    *lru = {bytes(key.begin(), key.end()), core, sched_tick_};
-  } else {
-    sched_cache_.push_back({bytes(key.begin(), key.end()), core, sched_tick_});
-  }
-  return core;
-}
-
-u64 block_backend::schedule_hits() const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  return sched_hits_;
-}
-
-u64 block_backend::schedule_expansions() const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  return sched_expansions_;
-}
-
 std::unique_ptr<keyed_cipher> block_backend::make_keyed(std::span<const u8> key) const {
   if (!key_len_ok(key.size()))
     throw std::invalid_argument("backend " + name_ + ": unsupported key length");
-  return std::make_unique<block_keyed>(name_, mode_, cost_, expanded_core(key));
+  return std::make_unique<block_keyed>(name_, mode_, cost_, make_(key));
 }
 
 // --- stream_backend ---------------------------------------------------------

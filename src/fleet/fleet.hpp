@@ -10,13 +10,12 @@
 /// pure function of its `fleet_cell` description. Every component a cell
 /// touches (DRAM, caches, EDU, keyslot pool, authenticator, RNG streams)
 /// is instantiated per cell inside run_cell(); the only process-wide
-/// state reachable from a run is engine::backend_registry::builtin(),
-/// which is immutable after construction with an internally locked
-/// key-schedule cache (see cipher_backend.hpp) — cache state can change
-/// host speed, never simulated results. Hence the determinism proof the
-/// tests enforce: a cell's cycles, DRAM image and engine stats are
-/// identical whether it runs alone, serially, or on a 16-thread fleet in
-/// randomized order.
+/// object reachable from a run is engine::backend_registry::builtin(),
+/// which is immutable after construction and whose backends hold no
+/// mutable state (see cipher_backend.hpp), so cells share nothing that
+/// could be written. Hence the determinism proof the tests enforce: a
+/// cell's cycles, DRAM image and engine stats are identical whether it
+/// runs alone, serially, or on a 16-thread fleet in randomized order.
 
 #include "common/fnv.hpp"
 #include "edu/edu.hpp"

@@ -23,8 +23,8 @@ bytes random_bytes(rng& r, std::size_t n) {
   return b;
 }
 
-// The chunked schedule must keep the key-schedule LRU cache entry size of
-// the packed 16 x u64 format it replaced.
+// The chunked schedule must keep the per-instance footprint of the packed
+// 16 x u64 format it replaced: every programmed keyslot holds one.
 static_assert(sizeof(des_schedule) == 16 * sizeof(u64),
               "des_schedule must not outgrow the packed 48-bit schedule");
 
