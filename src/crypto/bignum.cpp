@@ -17,6 +17,57 @@ int hex_digit(char c) {
   throw std::invalid_argument("bignum: invalid hex digit");
 }
 
+// Montgomery arithmetic on 64-bit words (a 64x64 -> 128-bit multiply).
+__extension__ typedef unsigned __int128 u128;
+
+/// -m0^-1 mod 2^64 for odd m0, by Newton iteration: m0 is its own inverse
+/// mod 8, and each step doubles the number of correct low bits.
+u64 neg_inverse(u64 m0) noexcept {
+  u64 inv = m0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+  return 0 - inv;
+}
+
+/// out = a * b * 2^(-64n) mod m for a, b < m (CIOS: Koc, Acar and Kaliski,
+/// 1996). \p m is odd with n words, \p m_inv = neg_inverse(m[0]), \p t is
+/// n + 2 words of scratch. \p out may alias \p a or \p b.
+void mont_mul(const u64* a, const u64* b, const u64* m, u64 m_inv, std::size_t n, u64* t,
+              u64* out) noexcept {
+  std::fill_n(t, n + 2, u64{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    // t += a * b[i]
+    u64 carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 cur = u128{a[j]} * b[i] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    u128 top = u128{t[n]} + carry;
+    t[n] = static_cast<u64>(top);
+    t[n + 1] = static_cast<u64>(top >> 64);
+    // t = (t + q * m) / 2^64, with q chosen so the low word cancels.
+    const u64 q = t[0] * m_inv;
+    carry = static_cast<u64>((u128{q} * m[0] + t[0]) >> 64);
+    for (std::size_t j = 1; j < n; ++j) {
+      const u128 cur = u128{q} * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    top = u128{t[n]} + carry;
+    t[n - 1] = static_cast<u64>(top);
+    t[n] = t[n + 1] + static_cast<u64>(top >> 64);
+  }
+  // t < 2m: subtract m once unless that borrows past t's top word.
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u64 diff = t[j] - m[j];
+    const u64 next = (t[j] < m[j]) | (diff < borrow);
+    out[j] = diff - borrow;
+    borrow = next;
+  }
+  if (t[n] == 0 && borrow != 0) std::copy_n(t, n, out);
+}
+
 } // namespace
 
 bignum::bignum(u64 v) {
@@ -30,13 +81,9 @@ void bignum::trim() noexcept {
 
 bignum bignum::from_bytes(std::span<const u8> be) {
   bignum out;
-  for (u8 b : be) {
-    out = out.shifted_left(8);
-    if (b != 0 || !out.limbs_.empty()) {
-      if (out.limbs_.empty()) out.limbs_.push_back(0);
-      out.limbs_[0] |= b;
-    }
-  }
+  out.limbs_.assign((be.size() + 3) / 4, 0);
+  for (std::size_t i = 0; i < be.size(); ++i)
+    out.limbs_[i / 4] |= u32{be[be.size() - 1 - i]} << (8 * (i % 4));
   out.trim();
   return out;
 }
@@ -268,6 +315,13 @@ bignum::divmod_result bignum::divmod(const bignum& num, const bignum& den) {
   return {std::move(q), u.shifted_right(shift)};
 }
 
+u32 bignum::mod_u32(u32 d) const {
+  if (d == 0) throw std::domain_error("bignum: division by zero");
+  u64 rem = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;) rem = ((rem << 32) | limbs_[i]) % d;
+  return static_cast<u32>(rem);
+}
+
 bignum bignum::mulmod(const bignum& a, const bignum& b, const bignum& m) {
   return (a * b) % m;
 }
@@ -275,13 +329,51 @@ bignum bignum::mulmod(const bignum& a, const bignum& b, const bignum& m) {
 bignum bignum::powmod(const bignum& base, const bignum& exp, const bignum& m) {
   if (m.is_zero()) throw std::domain_error("bignum: powmod with zero modulus");
   if (m == bignum{1}) return bignum{};
-  bignum result{1};
-  const bignum b = base % m;
   const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    result = mulmod(result, result, m);
-    if (exp.bit(i)) result = mulmod(result, b, m);
+  if (!m.is_odd()) {
+    // Montgomery needs an odd modulus: square and multiply with mulmod.
+    bignum result{1};
+    const bignum b = base % m;
+    for (std::size_t i = nbits; i-- > 0;) {
+      result = mulmod(result, result, m);
+      if (exp.bit(i)) result = mulmod(result, b, m);
+    }
+    return result;
   }
+  if (nbits == 0) return bignum{1};
+
+  // Left-to-right square and multiply in Montgomery form, R = 2^(64n).
+  // One buffer holds the modulus, base * R mod m, the running power and
+  // the CIOS scratch, so the ladder allocates and divides nothing.
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  std::vector<u64> words(4 * n + 2, 0);
+  u64* const mod = words.data();
+  u64* const b = mod + n;
+  u64* const x = b + n;
+  u64* const t = x + n;
+  const auto pack = [](const bignum& v, u64* out) {
+    for (std::size_t i = 0; i < v.limbs_.size(); ++i)
+      out[i / 2] |= u64{v.limbs_[i]} << (32 * (i % 2));
+  };
+  pack(m, mod);
+  pack(base.shifted_left(64 * n) % m, b);
+  const u64 m_inv = neg_inverse(mod[0]);
+
+  std::copy_n(b, n, x); // the exponent's top bit
+  for (std::size_t i = nbits - 1; i-- > 0;) {
+    mont_mul(x, x, mod, m_inv, n, t, x);
+    if (exp.bit(i)) mont_mul(x, b, mod, m_inv, n, t, x);
+  }
+  // Leave Montgomery form: multiply by 1.
+  std::fill_n(b, n, u64{0});
+  b[0] = 1;
+  mont_mul(x, b, mod, m_inv, n, t, x);
+
+  bignum result;
+  result.limbs_.resize(2 * n);
+  for (std::size_t i = 0; i < 2 * n; ++i)
+    result.limbs_[i] = static_cast<u32>(x[i / 2] >> (32 * (i % 2)));
+  result.trim();
   return result;
 }
 

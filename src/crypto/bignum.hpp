@@ -5,9 +5,12 @@
 /// comparison in Section 2.2 ("modular arithmetic ... on huge integers
 /// (512-2048 bits) ... modular exponentiation").
 ///
-/// Base 2^32 limbs, little-endian. Division is Knuth Algorithm D, so
-/// modexp on 1024-bit operands is interactive-speed. Not constant-time —
-/// side channels are outside the survey's scope.
+/// Base 2^32 limbs, little-endian. Division is Knuth Algorithm D. Modular
+/// exponentiation by an odd modulus (every RSA and Miller-Rabin modulus)
+/// runs Montgomery multiplication (CIOS) on 64-bit words, so its ladder
+/// neither allocates nor divides; an even modulus keeps square-and-multiply
+/// over Knuth D. Not constant-time — side channels are outside the
+/// survey's scope.
 
 #include "common/types.hpp"
 
@@ -69,10 +72,14 @@ class bignum {
   friend bignum operator/(const bignum& a, const bignum& b);
   friend bignum operator%(const bignum& a, const bignum& b);
 
+  /// Remainder modulo a machine word; \throws std::domain_error on zero.
+  [[nodiscard]] u32 mod_u32(u32 d) const;
+
   /// (a * b) mod m.
   [[nodiscard]] static bignum mulmod(const bignum& a, const bignum& b, const bignum& m);
 
-  /// base^exp mod m by left-to-right square and multiply.
+  /// base^exp mod m by left-to-right square and multiply: in Montgomery
+  /// form when m is odd, with mulmod otherwise.
   [[nodiscard]] static bignum powmod(const bignum& base, const bignum& exp, const bignum& m);
 
   /// Greatest common divisor.

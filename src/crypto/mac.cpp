@@ -1,5 +1,7 @@
 #include "crypto/mac.hpp"
 
+#include "common/bitops.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -23,6 +25,21 @@ hmac_sha256_key::hmac_sha256_key(std::span<const u8> key) noexcept {
 
 std::array<u8, 32> hmac_sha256_key::mac(std::span<const u8> head,
                                         std::span<const u8> body) const noexcept {
+  const std::size_t len = head.size() + body.size();
+  if (len <= one_block_max) {
+    // Pad head || body into the last inner block here; the kernel runs
+    // both remaining compressions from the cached midstates.
+    std::array<u8, sha256::block_size> last{};
+    std::copy(head.begin(), head.end(), last.data());
+    std::copy(body.begin(), body.end(), last.data() + head.size());
+    last[len] = 0x80;
+    store_be64(&last[sha256::block_size - 8], (sha256::block_size + len) * 8);
+    std::array<u8, 32> out{};
+    const sha256_kernels::hmac_block_fn kernel = sha256_kernels::hmac_block_active();
+    kernel(inner_.chaining(), outer_.chaining(), last.data(), out.data());
+    return out;
+  }
+
   sha256 inner = inner_;
   inner.update(head);
   inner.update(body);

@@ -14,12 +14,25 @@ namespace buscrypt::crypto {
 
 /// HMAC-SHA256 with the key absorbed once. The ipad and opad key blocks
 /// are hashed at construction and kept as two SHA-256 midstates, so each
-/// MAC only hashes the message and the inner digest: a message of 55 bytes
-/// or less costs 2 block compressions instead of 4. This is the one HMAC
-/// implementation; hmac_sha256() / hmac_sha256_tag() wrap it. Immutable
-/// after construction; safe to share across threads.
+/// MAC only hashes the message and the inner digest.
+///
+/// A message (head + body) of at most 55 bytes fits one padded block, and
+/// mac() pads it on the stack and hands both midstates to one kernel
+/// (sha256_kernels::hmac_block_active) for the two remaining compressions:
+/// on SHA-NI the state stays in registers between them. That covers the
+/// per-line traffic: mac-scheme unit tags (a 16-byte address/version
+/// header and a 32-byte unit), hash-tree leaves, arity-2 nodes with short
+/// tags, AREA nonces and the update journal's record MACs. Longer messages
+/// (update chunks, manifests, GI segments) stream through
+/// sha256::update/digest. Both paths give the same RFC 2104 value. This is
+/// the one HMAC implementation; hmac_sha256() / hmac_sha256_tag() and
+/// tag() wrap mac(). Immutable after construction; safe to share across
+/// threads.
 class hmac_sha256_key {
  public:
+  /// Longest message (head + body) that takes the one-block path.
+  static constexpr std::size_t one_block_max = sha256::block_size - 9;
+
   /// \param key any length (longer than 64 bytes is hashed first).
   explicit hmac_sha256_key(std::span<const u8> key) noexcept;
 

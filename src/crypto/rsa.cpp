@@ -40,10 +40,9 @@ bool is_probable_prime(const bignum& n, rng& r, int rounds) {
   if (n == two) return true;
   if (!n.is_odd()) return false;
 
+  // A zero remainder rejects n unless n is that small prime itself.
   for (u32 p : small_primes()) {
-    const bignum bp{p};
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+    if (n.mod_u32(p) == 0) return n == bignum{p};
   }
 
   // n - 1 = d * 2^s with d odd.

@@ -15,6 +15,8 @@ namespace sha256_kernels {
 #if defined(BUSCRYPT_SHA_NI) && (defined(__x86_64__) || defined(__i386__))
 // Defined in sha256_shani.cpp, the only TU built with -msha.
 void compress_x86_shani(state& h, const u8* blocks, std::size_t nblocks) noexcept;
+void hmac_block_x86_shani(const state& inner, const state& outer, const u8* block,
+                          u8* mac) noexcept;
 
 namespace {
 
@@ -26,6 +28,11 @@ bool cpu_has_sha_ni() noexcept {
   const bool ssse3_sse41 = (c & (1u << 9)) != 0 && (c & (1u << 19)) != 0;
   if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
   return ssse3_sse41 && (b & (1u << 29)) != 0;
+}
+
+bool use_sha_ni() noexcept {
+  static const bool supported = cpu_has_sha_ni();
+  return supported;
 }
 
 } // namespace
@@ -58,10 +65,33 @@ void compress_portable(state& h, const u8* blocks, std::size_t nblocks) noexcept
   }
 }
 
+void hmac_block_portable(const state& inner, const state& outer, const u8* block,
+                         u8* mac) noexcept {
+  state h = inner;
+  compress_portable(h, block, 1);
+  // The outer message is the opad block plus the 32-byte inner digest, so
+  // its last block is that digest and fixed padding for 96 bytes.
+  std::array<u8, sha256::block_size> outer_block{};
+  for (std::size_t i = 0; i < 8; ++i) store_be32(&outer_block[4 * i], h[i]);
+  outer_block[sha256::digest_size] = 0x80;
+  store_be64(&outer_block[sha256::block_size - 8],
+             (sha256::block_size + sha256::digest_size) * 8);
+  h = outer;
+  compress_portable(h, outer_block.data(), 1);
+  for (std::size_t i = 0; i < 8; ++i) store_be32(mac + 4 * i, h[i]);
+}
+
 compress_fn compress_shani() noexcept {
 #if defined(BUSCRYPT_SHA_NI) && (defined(__x86_64__) || defined(__i386__))
-  static const bool supported = cpu_has_sha_ni();
-  return supported ? &compress_x86_shani : nullptr;
+  return use_sha_ni() ? &compress_x86_shani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+hmac_block_fn hmac_block_shani() noexcept {
+#if defined(BUSCRYPT_SHA_NI) && (defined(__x86_64__) || defined(__i386__))
+  return use_sha_ni() ? &hmac_block_x86_shani : nullptr;
 #else
   return nullptr;
 #endif
@@ -71,6 +101,14 @@ compress_fn active() noexcept {
   static const compress_fn kernel = [] {
     const compress_fn ni = compress_shani();
     return ni != nullptr ? ni : &compress_portable;
+  }();
+  return kernel;
+}
+
+hmac_block_fn hmac_block_active() noexcept {
+  static const hmac_block_fn kernel = [] {
+    const hmac_block_fn ni = hmac_block_shani();
+    return ni != nullptr ? ni : &hmac_block_portable;
   }();
   return kernel;
 }

@@ -41,6 +41,11 @@ class sha256 {
   /// One-shot convenience.
   [[nodiscard]] static std::array<u8, digest_size> hash(std::span<const u8> data) noexcept;
 
+  /// The eight chaining words. After absorbing a whole number of blocks
+  /// (and before digest()) they are the midstate of that prefix; this is
+  /// how hmac_sha256_key hands its ipad/opad midstates to a kernel.
+  [[nodiscard]] const std::array<u32, 8>& chaining() const noexcept { return h_; }
+
  private:
   std::array<u32, 8> h_{};
   std::array<u8, block_size> buf_{};
@@ -79,6 +84,24 @@ void compress_portable(state& h, const u8* blocks, std::size_t nblocks) noexcept
 
 /// The kernel sha256 uses: SHA-NI when available, portable otherwise.
 [[nodiscard]] compress_fn active() noexcept;
+
+/// HMAC's last two compressions for a message of at most 55 bytes: absorb
+/// the padded final inner block \p block into a copy of the \p inner
+/// midstate, hash that digest as one padded block from the \p outer
+/// midstate, and write the 32-byte MAC to \p mac.
+using hmac_block_fn = void (*)(const state& inner, const state& outer, const u8* block,
+                               u8* mac) noexcept;
+
+/// Two compress_portable calls; runs everywhere.
+void hmac_block_portable(const state& inner, const state& outer, const u8* block,
+                         u8* mac) noexcept;
+
+/// The SHA-NI kernel, which keeps the state in registers from the inner
+/// compression into the outer one; nullptr exactly when compress_shani() is.
+[[nodiscard]] hmac_block_fn hmac_block_shani() noexcept;
+
+/// The one-block HMAC kernel hmac_sha256_key uses (same choice as active()).
+[[nodiscard]] hmac_block_fn hmac_block_active() noexcept;
 
 } // namespace sha256_kernels
 

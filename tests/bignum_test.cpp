@@ -1,10 +1,14 @@
 // Arbitrary-precision integer tests: representation, arithmetic identities,
-// Knuth-D division invariants, modular arithmetic.
+// Knuth-D division invariants, modular arithmetic (the Montgomery ladder
+// against plain square-and-multiply).
 
 #include "common/rng.hpp"
 #include "crypto/bignum.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 namespace buscrypt::crypto {
 namespace {
@@ -150,6 +154,65 @@ TEST(Bignum, PowmodSmallCrossCheck) {
     for (u64 e = 0; e < exp; ++e) expect = (expect * base) % mod;
     EXPECT_EQ(bignum::powmod(bignum{base}, bignum{exp}, bignum{mod}).low_u64(), expect);
   }
+}
+
+// Left-to-right square and multiply over mulmod (Knuth D): the reference
+// the Montgomery ladder is pinned against.
+bignum reference_powmod(const bignum& base, const bignum& exp, const bignum& m) {
+  bignum result = bignum{1} % m;
+  const bignum b = base % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = bignum::mulmod(result, result, m);
+    if (exp.bit(i)) result = bignum::mulmod(result, b, m);
+  }
+  return result;
+}
+
+TEST(Bignum, PowmodMontgomeryMatchesSquareAndMultiply) {
+  // Odd moduli of 1..32 32-bit limbs (1..16 Montgomery words, half-full
+  // top words included). Odd trials set the top 64 bits to all ones, so
+  // products often land in [m, 2m) and take the final conditional
+  // subtraction. Bases reach twice the modulus width (so base >= m);
+  // exponents are 0, 1, a short random one and one as wide as m (capped
+  // at 256 bits to keep the Knuth-D reference quick in Debug builds).
+  rng r(12);
+  for (std::size_t limbs = 1; limbs <= 32; ++limbs) {
+    for (int trial = 0; trial < 4; ++trial) {
+      bytes raw = r.random_bytes(4 * limbs);
+      raw[0] |= 0x80;
+      const std::size_t top = std::min<std::size_t>(8, raw.size());
+      if (trial % 2 == 1) std::fill_n(raw.begin(), top, u8{0xFF});
+      raw.back() |= 0x01;
+      const bignum m = bignum::from_bytes(raw);
+      const bignum base = random_big(r, 1 + r.below(8 * limbs));
+      const bignum short_exp = random_big(r, 1 + r.below(8));
+      const bignum wide_exp = random_big(r, std::min<std::size_t>(4 * limbs, 32));
+      for (const bignum& e : {bignum{}, bignum{1}, short_exp, wide_exp}) {
+        ASSERT_EQ(bignum::powmod(base, e, m), reference_powmod(base, e, m))
+            << "m " << m.to_hex() << " base " << base.to_hex() << " exp " << e.to_hex();
+      }
+    }
+  }
+  // Extremes: the smallest odd modulus above 1, and all-ones moduli.
+  for (const std::size_t ones : {1u, 8u, 16u, 24u}) {
+    const bignum m = ones == 1 ? bignum{3} : bignum::from_hex(std::string(ones, 'f'));
+    for (int trial = 0; trial < 8; ++trial) {
+      const bignum base = random_big(r, 16);
+      const bignum e = random_big(r, 1 + r.below(16));
+      ASSERT_EQ(bignum::powmod(base, e, m), reference_powmod(base, e, m)) << m.to_hex();
+    }
+  }
+}
+
+TEST(Bignum, ModU32MatchesDivmod) {
+  rng r(13);
+  for (int i = 0; i < 200; ++i) {
+    const bignum a = random_big(r, r.below(40));
+    const u32 d = 1 + r.next_u32() % 0xFFFFFFFEu;
+    EXPECT_EQ(bignum{a.mod_u32(d)}, a % bignum{d}) << a.to_hex() << " % " << d;
+  }
+  EXPECT_EQ(bignum::from_hex("10000000000000000").mod_u32(3), 1u);
+  EXPECT_THROW((void)bignum{5}.mod_u32(0), std::domain_error);
 }
 
 TEST(Bignum, PowmodFermat) {

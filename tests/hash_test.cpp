@@ -155,6 +155,25 @@ TEST(HmacKey, MatchesReferenceAcrossKeyAndMessageLengths) {
   }
 }
 
+TEST(HmacKey, OneBlockEdgeMatchesReferenceAtEverySplit) {
+  // 55 bytes is the longest message whose padding fits the last inner
+  // block: 54 and 55 take the one-block kernel, 56 and 57 stream. Every
+  // head/body split must pad the same concatenation.
+  rng r(9);
+  for (const std::size_t key_len : {16u, 64u, 131u}) {
+    const bytes key = r.random_bytes(key_len);
+    const hmac_sha256_key keyed(key);
+    for (std::size_t len = 54; len <= 57; ++len) {
+      const bytes msg = r.random_bytes(len);
+      const auto want = reference_hmac(key, msg);
+      const std::span<const u8> m(msg);
+      for (std::size_t split = 0; split <= len; ++split)
+        ASSERT_EQ(keyed.mac(m.first(split), m.subspan(split)), want)
+            << "key " << key_len << " msg " << len << " split " << split;
+    }
+  }
+}
+
 TEST(HmacKey, TagsTruncateAndValidateLength) {
   rng r(6);
   const bytes key = r.random_bytes(16);
@@ -219,6 +238,30 @@ TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomBlocks) {
     sha256_kernels::compress_portable(a, data.data(), nblocks);
     ni(b, data.data(), nblocks);
     ASSERT_EQ(a, b) << "trial " << trial << " blocks " << nblocks;
+  }
+}
+
+TEST(Sha256Kernels, OneBlockHmacShaNiMatchesPortable) {
+  const sha256_kernels::hmac_block_fn ni = sha256_kernels::hmac_block_shani();
+  if (ni == nullptr) GTEST_SKIP() << "SHA-NI not available in this build or on this CPU";
+  EXPECT_EQ(sha256_kernels::hmac_block_active(), ni);
+  rng r(10);
+  for (std::size_t len = 0; len <= hmac_sha256_key::one_block_max; ++len) {
+    for (int trial = 0; trial < 8; ++trial) {
+      sha256_kernels::state inner{}, outer{};
+      for (u32& w : inner) w = r.next_u32();
+      for (u32& w : outer) w = r.next_u32();
+      // The last inner block of a (64 + len)-byte message, padded.
+      std::array<u8, sha256::block_size> last{};
+      const bytes msg = r.random_bytes(len);
+      std::copy(msg.begin(), msg.end(), last.begin());
+      last[len] = 0x80;
+      store_be64(&last[56], (64 + u64{len}) * 8);
+      std::array<u8, 32> want{}, got{};
+      sha256_kernels::hmac_block_portable(inner, outer, last.data(), want.data());
+      ni(inner, outer, last.data(), got.data());
+      ASSERT_EQ(got, want) << "len " << len << " trial " << trial;
+    }
   }
 }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 namespace buscrypt::crypto {
 namespace {
 
@@ -14,6 +18,37 @@ TEST(Primality, KnownPrimesAndComposites) {
     EXPECT_TRUE(is_probable_prime(bignum{p}, r)) << p;
   for (u64 c : {1ull, 4ull, 9ull, 561ull /*Carmichael*/, 65536ull, 2147483647ull * 3})
     EXPECT_FALSE(is_probable_prime(bignum{c}, r)) << c;
+}
+
+TEST(Primality, TrialDivisionTableProductsAndSmallValues) {
+  // Every prime below 2000 is in is_probable_prime's trial-division table
+  // and must be accepted there; a product of two of them must be rejected
+  // by a zero remainder. 0..4 take the early exits.
+  std::vector<u64> primes;
+  for (u64 c = 2; c < 2000; ++c) {
+    bool prime = true;
+    for (u64 p : primes) {
+      if (p * p > c) break;
+      if (c % p == 0) {
+        prime = false;
+        break;
+      }
+    }
+    if (prime) primes.push_back(c);
+  }
+  ASSERT_EQ(primes.size(), 303u);
+  rng r(13);
+  for (u64 n : {0ull, 1ull, 4ull}) EXPECT_FALSE(is_probable_prime(bignum{n}, r)) << n;
+  for (u64 n : {2ull, 3ull}) EXPECT_TRUE(is_probable_prime(bignum{n}, r)) << n;
+  for (u64 p : primes) EXPECT_TRUE(is_probable_prime(bignum{p}, r)) << p;
+  for (std::size_t i = 0; i < primes.size(); ++i)
+    for (std::size_t j = i; j < primes.size(); ++j)
+      ASSERT_FALSE(is_probable_prime(bignum{primes[i] * primes[j]}, r))
+          << primes[i] << " * " << primes[j];
+  // Past the table, Miller-Rabin decides: 2003 and 2011 are prime.
+  EXPECT_TRUE(is_probable_prime(bignum{2003}, r));
+  EXPECT_TRUE(is_probable_prime(bignum{2011}, r));
+  EXPECT_FALSE(is_probable_prime(bignum{2003ull * 2011}, r));
 }
 
 TEST(Primality, LargeKnownPrime) {
@@ -42,6 +77,31 @@ TEST(Rsa, KeygenAndRawRoundTrip) {
   const bignum ct = rsa_encrypt_raw(kp.pub, msg);
   EXPECT_NE(ct, msg);
   EXPECT_EQ(rsa_decrypt_raw(kp.priv, ct), msg);
+}
+
+TEST(Rsa, KeygenIsPinnedPerSeed) {
+  // Seed, modulus bits, the modulus, and the next rng word after keygen.
+  // Any change to the primes found or to the rng draws keygen consumes
+  // (candidate bytes, Miller-Rabin bases) moves them.
+  std::istringstream pinned(R"(
+1 256 cdcd5568f495f291c5558701f1c048273fc6893cd570e892b1b3e5eb7c0cc73d 59b0e895
+1 384 bb7c57149daada20230634b33ba13970ae2bfccb09b83ea3449eec3d55a69933efef85a2b1c42be59df4fa3d7192f153 8f212a06
+2 256 9f2b11aa8ca472114ec04a8a22471367011300508328493d87beb94974d09dbf bcae742d
+2 384 cf8fc9c6f9a2e66a8a33b09e09d52f30913bfbe56a9f164bcb80edbf32053d55971954a41e5daab74d27319acbacf2b5 26debe48
+3 256 dbf0a006892bcfd7623d5417446b556a1c049efca12368541d3c6e389a00a3bf f9b2ee9c
+3 384 b47e7655271515c2e5c72ad8c1cf27a09fe2487775e339270a387a2103c0f61da247a5ec102e115b1b0aaa5e5fce227d 091e8543
+)");
+  u64 seed = 0;
+  unsigned bits = 0;
+  std::string n, next;
+  int rows = 0;
+  while (pinned >> seed >> bits >> n >> next) {
+    rng r(seed);
+    EXPECT_EQ(rsa_generate(r, bits).pub.n.to_hex(), n) << seed << "/" << bits;
+    EXPECT_EQ(r.next_u32(), std::stoul(next, nullptr, 16)) << seed << "/" << bits;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 6);
 }
 
 TEST(Rsa, MessageAboveModulusRejected) {
