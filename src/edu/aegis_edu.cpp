@@ -2,7 +2,7 @@
 
 #include "common/bitops.hpp"
 #include "crypto/modes.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <stdexcept>
 
@@ -73,7 +73,7 @@ cycles aegis_edu::read(addr_t addr, std::span<u8> out) {
 
 void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {
@@ -114,7 +114,7 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
           const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
           const cycles dec = cfg_.core.time_parallel(nblocks);
           stats_.crypto_cycles += dec;
-          b.add_gated(li, txn_batcher::no_lower, dec, [this, a, nonce, line] {
+          b.add_gated(li, sim::txn_batcher::no_lower, dec, [this, a, nonce, line] {
             bytes iv(cipher_->block_size());
             derive_iv(a, nonce, iv);
             crypto::cbc_decrypt(*cipher_, iv, line, line);

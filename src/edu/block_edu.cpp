@@ -2,7 +2,7 @@
 
 #include "common/bitops.hpp"
 #include "crypto/modes.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <stdexcept>
 
@@ -99,7 +99,7 @@ cycles block_edu::read(addr_t addr, std::span<u8> out) {
 
 void block_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     bool eligible = !txn.segments.empty();
@@ -128,7 +128,7 @@ void block_edu::submit(std::span<sim::mem_txn> batch) {
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, seg.addr, seg.data);
         const cycles dec = decrypt_time(seg.data.size());
         stats_.crypto_cycles += dec;
-        b.add_gated(li, txn_batcher::no_lower, dec,
+        b.add_gated(li, sim::txn_batcher::no_lower, dec,
                     [this, addr = seg.addr, data = seg.data] {
                       decrypt_range(addr, data);
                     });

@@ -1,7 +1,7 @@
 #include "edu/compress_edu.hpp"
 
 #include "common/bitops.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -157,7 +157,7 @@ cycles compress_edu::pad_io(addr_t addr, std::span<u8> buf, bool is_write,
 
 void compress_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   // The decompressor keeps its group state hot across one window: only the
   // first group in each window pays the fill latency.
   u64 warm_window = static_cast<u64>(-1);
@@ -198,7 +198,7 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
             pad_.generate(seg.addr, pad);
             stats_.cipher_blocks += pad_.blocks_covering(seg.addr, ct.size());
             xor_bytes(ct, pad);
-            b.add_par(txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
+            b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
             stats_.crypto_cycles += cfg_.xor_cycles;
           }
           (void)b.queue(sim::txn_op::write, txn.master, seg.addr, ct);
@@ -252,7 +252,7 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
         const cycles decomp = cfg_.decomp.latency_for(group_len) +
                               (first_in_window ? cfg_.decomp.startup : 0);
         stats_.crypto_cycles += decomp;
-        b.add_gated(li, txn_batcher::no_lower, decomp,
+        b.add_gated(li, sim::txn_batcher::no_lower, decomp,
                     [this, g, &chunk, group_len, in_group,
                      out = seg.data.subspan(done, n)] {
                       const bytes plain = engine_.decompress_chunk(

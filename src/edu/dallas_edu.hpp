@@ -14,8 +14,8 @@
 /// latency and the sub-block write penalty a 64-bit block implies.
 
 #include "crypto/toy_cipher.hpp"
-#include "edu/batch.hpp"
 #include "edu/block_edu.hpp"
+#include "sim/txn_batcher.hpp"
 
 namespace buscrypt::edu {
 
@@ -53,7 +53,7 @@ class dallas_byte_edu final : public edu {
   /// chained after each arrival.
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
-    txn_batcher b(*lower_, pending_txn_cycles_);
+    sim::txn_batcher b(*lower_, pending_txn_cycles_);
     for (sim::mem_txn& txn : batch) {
       b.begin_txn(txn);
       if (txn.segments.empty()) { // nothing to schedule: retire in place
@@ -73,7 +73,7 @@ class dallas_byte_edu final : public edu {
           ++stats_.reads;
           const std::size_t li =
               b.queue(sim::txn_op::read, txn.master, seg.addr, seg.data);
-          b.add_gated(li, txn_batcher::no_lower, per_access_,
+          b.add_gated(li, sim::txn_batcher::no_lower, per_access_,
                       [this, addr = seg.addr, data = seg.data] {
                         cipher_->decrypt_range(addr, data, data);
                       });

@@ -2,7 +2,7 @@
 
 #include "common/bitops.hpp"
 #include "crypto/modes.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -122,7 +122,7 @@ cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
 
 void dma_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.page_bytes);
   // Buffers whose data is still in flight in the current window: a pending
   // fill or a store whose copy-in runs at window retirement. Evicting one

@@ -2,7 +2,7 @@
 
 #include "common/bitops.hpp"
 #include "crypto/modes.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -111,7 +111,7 @@ cycles gi_edu::read(addr_t addr, std::span<u8> out) {
 
 void gi_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
@@ -139,7 +139,7 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
                              (verify ? hash_time(cfg_.segment_bytes) : 0);
         stats_.cipher_blocks += nblocks + 1;
         stats_.crypto_cycles += crypt;
-        b.add_gated(li, txn_batcher::no_lower, crypt,
+        b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                     [this, base, &buf, off, out = seg.data.subspan(done, n), verify] {
                       bytes iv(cipher_->block_size());
                       derive_iv(base, iv);

@@ -1,7 +1,7 @@
 #include "edu/gilmont_edu.hpp"
 
 #include "crypto/modes.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -82,7 +82,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
 
 void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   const std::size_t lb = cfg_.line_bytes;
 
   // Window view of the one-deep prefetch buffer. Each background fetch
@@ -182,7 +182,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
         const cycles crypt =
             cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(lb)) : 0;
         stats_.crypto_cycles += crypt;
-        b.add_gated(li, txn_batcher::no_lower, crypt,
+        b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                     [this, line] { crypt_line(line, /*encrypt=*/false); });
         if (cfg_.fetch_prediction) prefetch_native(a + lb);
       }

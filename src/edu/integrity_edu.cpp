@@ -1,7 +1,7 @@
 #include "edu/integrity_edu.hpp"
 
 #include "common/bitops.hpp"
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <functional>
@@ -160,7 +160,7 @@ cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
 
 void integrity_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.pad_core.blocks_for(lb);
   const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
@@ -234,7 +234,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
           if (cfg_.level == integrity_level::mac_versioned) v = ++versions_[a];
           bytes& ct = b.scratch_copy(line);
           pad_line(a, v, ct);
-          b.add_par(txn_batcher::no_lower, pad_t, 1);
+          b.add_par(sim::txn_batcher::no_lower, pad_t, 1);
           stats_.crypto_cycles += pad_t + 1;
           (void)b.queue(sim::txn_op::write, txn.master, a, ct);
           if (authed) {
@@ -266,7 +266,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
           const addr_t ta = tag_addr(a);
           const addr_t tline = ta - ta % k_tag_line;
           const std::size_t toff = static_cast<std::size_t>(ta - tline);
-          std::size_t tag_li = txn_batcher::no_lower;
+          std::size_t tag_li = sim::txn_batcher::no_lower;
           std::function<bytes()> stored;
           const auto fwd = staged_tags.find(ta);
           const auto cached = tag_cache_.find(tline);

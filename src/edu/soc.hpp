@@ -13,7 +13,6 @@
 #include "engine/eviction_policy.hpp"
 #include "engine/memory_authenticator.hpp"
 #include "sim/bus.hpp"
-#include "sim/bus_arbiter.hpp"
 #include "sim/cache.hpp"
 #include "sim/cpu.hpp"
 #include "sim/interconnect.hpp"

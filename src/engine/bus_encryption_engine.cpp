@@ -1,10 +1,11 @@
 #include "engine/bus_encryption_engine.hpp"
 
 #include "common/bitops.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 
 namespace buscrypt::engine {
@@ -212,14 +213,7 @@ cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_ke
     if (encrypt) kc.encrypt_units(unit_base / du, du, run, run);
     else kc.decrypt_units(unit_base / du, du, run, run);
     off = whole;
-    if (charge) {
-      const cycles n = static_cast<cycles>(whole / du);
-      cycles c = kc.unit_cost(du, encrypt);
-      if (fallback) c *= cfg_.fallback_penalty;
-      t += c * n;
-      stats_.crypto_cycles += c * n;
-      stats_.units += static_cast<u64>(n);
-    }
+    if (charge) t += charge_units(unit_cycles(kc, du, encrypt, fallback), whole / du);
   }
   for (; off < buf.size(); off += du) {
     const std::size_t n = std::min(du, buf.size() - off);
@@ -227,37 +221,24 @@ cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_ke
     std::span<u8> unit = buf.subspan(off, n);
     if (encrypt) kc.encrypt_unit(dun, unit, unit);
     else kc.decrypt_unit(dun, unit, unit);
-    if (charge) {
-      cycles c = kc.unit_cost(n, encrypt);
-      if (fallback) c *= cfg_.fallback_penalty;
-      t += c;
-      stats_.crypto_cycles += c;
-      ++stats_.units;
-    }
+    if (charge) t += charge_units(unit_cycles(kc, n, encrypt, fallback), 1);
   }
   return t;
 }
 
-cycles bus_encryption_engine::transform_units_bulk(keyed_cipher& kc,
-                                                   const keyslot_key& k,
-                                                   addr_t unit_base, std::span<u8> buf,
-                                                   bool encrypt, bool fallback,
-                                                   bool charge) {
+void bus_encryption_engine::transform_units_bulk(keyed_cipher& kc, const keyslot_key& k,
+                                                 addr_t unit_base, std::span<u8> buf,
+                                                 bool encrypt) {
   const std::size_t du = k.data_unit_size;
   if (!kc.pad_precomputable() || buf.empty() || unit_base % du != 0 ||
-      buf.size() % du != 0)
-    return transform_units(kc, k, unit_base, buf, encrypt, fallback, charge);
+      buf.size() % du != 0) {
+    (void)transform_units(kc, k, unit_base, buf, encrypt, /*fallback=*/false,
+                          /*charge=*/false);
+    return;
+  }
   bytes pad(buf.size());
   kc.generate_pads(unit_base / du, du, pad);
   xor_bytes(buf, pad); // u64-wide pad application
-
-  if (!charge) return 0;
-  const cycles n = static_cast<cycles>(buf.size() / du);
-  cycles c = kc.unit_cost(du, encrypt);
-  if (fallback) c *= cfg_.fallback_penalty;
-  stats_.crypto_cycles += c * n;
-  stats_.units += n;
-  return c * n;
 }
 
 bus_encryption_engine::slot_lease
@@ -544,198 +525,62 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
   ++stats_.batches;
   stats_.batched_txns += batch.size();
 
-  // One keyslot resolution per context per batch: the lease pins the slot
-  // (refcount) for the whole batch, so the program cost is paid at most
-  // once however many transactions share the context.
-  // Running batch clock: slot setup, flush makespans and scalar detours
-  // accrue here in issue order, so each txn can be stamped with its own
-  // completion time (relative to the last drain(), per the contract).
-  const cycles base = pending_txn_cycles_;
-  cycles clock = 0;
+  // Slot programs, window makespans and scalar detours accrue on the
+  // batcher's clock in issue order; stamps are relative to the last drain().
+  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  constexpr std::size_t no_lower = sim::txn_batcher::no_lower;
 
+  // One hardware-only keyslot pin per context per window: the program cost
+  // is paid at most once however many transactions share the context, and
+  // a pinned-out pool retires the window instead of falling back.
   std::vector<std::pair<context_id, slot_lease>> live;
-  // Lookup-only: pin() below guarantees every staged context is in `live`,
-  // and a fresh lease here would bypass the contention-retirement protocol.
-  auto resolve = [&](context_id ctx) -> std::pair<keyed_cipher*, bool> {
-    for (auto& [id, lease] : live)
-      if (id == ctx) return {lease.kc, lease.fallback};
-    throw std::logic_error("bus_encryption_engine: context staged without a pin");
-  };
-  // Hardware-only pin for the native path: never commits to the software
-  // fallback, so contention can be handled by retiring the window instead.
   auto pin = [&](context_id ctx) -> bool {
     for (auto& [id, lease] : live)
       if (id == ctx) return true;
     slot_lease lease = lease_slot(contexts_[ctx], /*charge_time=*/true, /*hw_only=*/true);
     if (lease.kc == nullptr) return false;
-    clock += lease.setup;
+    b.advance(lease.setup);
     live.emplace_back(ctx, std::move(lease));
     return true;
   };
-
-  // Staged ciphertext for write segments; reserved up front so the spans
-  // handed to the lower batch stay valid.
-  std::size_t write_segs = 0;
-  for (const sim::mem_txn& txn : batch)
-    if (txn.is_write()) write_segs += txn.segments.size();
-  std::vector<bytes> staged;
-  staged.reserve(write_segs);
-
-  struct post_read {
-    keyed_cipher* kc;
-    const keyslot_key* key;
-    addr_t addr;
-    std::span<u8> data;
-    bool fallback;
-    std::size_t txn_idx; ///< owning entry in `lower`, for its arrival time
-    memory_authenticator* area = nullptr; ///< set when the segment unseals AREA units
-    master_id master = sim::cpu_master;   ///< for integrity-fault attribution
-    /// Staging-order unseal snapshots, one per covered unit in segment
-    /// order: a later in-batch write of the unit must not bleed its bumped
-    /// version / new sideband into this read's verify.
-    std::vector<memory_authenticator::area_staged> area_snaps;
+  // Lookup-only: a fresh lease here would bypass the contention protocol.
+  auto cipher_of = [&](context_id ctx) -> keyed_cipher& {
+    for (auto& [id, lease] : live)
+      if (id == ctx) return *lease.kc;
+    throw std::logic_error("bus_encryption_engine: context staged without a pin");
   };
-  std::vector<sim::mem_txn> lower;
-  std::vector<sim::mem_txn*> flush_txns; ///< batch txns aligned with `lower`;
-                                         ///< null for auth (tag) side traffic
-  std::vector<post_read> posts;
-  cycles par_crypto = 0; ///< pad-precomputable work pending in this flush
-  cycles engine_pre = 0; ///< data-dependent encipher staged before submission
-  cycles mac_pre = 0;    ///< write tags staged on the serial MAC unit
 
-  // Authentication side-channel of the same lower batch: tag lines to
-  // fetch (deduped per flush), staged tag/scratch buffers (stable storage
-  // — lower txns hold spans into them), and the verifies to finish once
-  // data and tags arrive.
-  std::deque<bytes> aux;
-  struct tag_fetch {
-    addr_t line = 0;
-    std::size_t lower_idx = 0; ///< assigned when the fetch txn is pushed
-    bytes* buf = nullptr;
+  // Per-window authentication state: the tag lines fetched so far (one
+  // fetch per line, shared by every unit whose tag packs into it) and the
+  // units whose check failed.
+  std::unordered_map<addr_t, std::pair<std::size_t, std::span<const u8>>> tag_lines;
+  struct fail_rec {
+    std::span<u8> unit;
+    master_id master;
   };
-  std::vector<tag_fetch> tag_fetches;
-  std::unordered_map<addr_t, std::size_t> tagline_map; ///< line -> tag_fetches idx
-  struct pending_ver {
-    memory_authenticator* auth = nullptr;
-    memory_authenticator::staged_verify sv;
-    std::size_t data_idx = 0; ///< entry in `lower` carrying the unit
-    std::span<u8> ct;         ///< the unit inside the segment buffer
-    std::ptrdiff_t fetch_idx = -1; ///< into tag_fetches; -1 = cache snapshot
-    master_id master = sim::cpu_master;
-  };
-  std::vector<pending_ver> pending;
-
-  // Ship the accumulated lower batch and decipher the reads it carried.
-  // Called before any scalar detour so functional order is preserved.
-  // Timing: pad-precomputable crypto (CTR/stream) needs only the DUN, so it
-  // runs in parallel with the fetch (Fig. 2a) and the flush costs the max of
-  // the two. Data-dependent crypto (ECB/CBC decrypt) runs on one serial
-  // cipher core and each unit cannot start before its own data arrives, so
-  // it pipelines against *later* fetches but its tail is never hidden — a
-  // single-txn batch degenerates to the scalar mem + crypto.
-  auto flush_lower = [&] {
-    if (lower.empty()) return;
-    lower_->submit(lower);
-    const cycles mem_span = lower_->drain();
-    // Per-lower-txn finish: data arrival, pushed later by any serial
-    // decipher it still owes.
-    std::vector<cycles> finish(lower.size());
-    for (std::size_t i = 0; i < lower.size(); ++i) finish[i] = lower[i].complete_cycle;
-
-    // MAC verifies first, over the ciphertext as it arrived and before the
-    // decrypt pass consumes it. The MAC unit is serial: each verify starts
-    // once its data AND its tag line have arrived (the overlap with other
-    // transactions' fetches is the point of riding the batch).
-    struct fail_rec {
-      std::span<u8> span;
-      master_id master;
-    };
-    std::vector<fail_rec> fails;
-    cycles mac_done = mac_pre;
-    for (pending_ver& pv : pending) {
-      cycles arrive = finish[pv.data_idx];
-      std::span<const u8> line{};
-      if (pv.fetch_idx >= 0) {
-        const tag_fetch& tf = tag_fetches[static_cast<std::size_t>(pv.fetch_idx)];
-        arrive = std::max(arrive, lower[tf.lower_idx].complete_cycle);
-        line = *tf.buf;
+  std::vector<fail_rec> fails;
+  // Ship the window and release its pins (the per-request release the
+  // scalar path gets from its slot guards).
+  auto retire = [&] {
+    if (b.open()) {
+      b.flush();
+      // A failed check blocks the unit's plaintext: bus-error fill, charged
+      // to the issuing master, after every decrypt so the fill survives.
+      for (const fail_rec& f : fails) {
+        std::fill(f.unit.begin(), f.unit.end(), fault_fill);
+        note_integrity_fault(f.master);
       }
-      const auto cr = pv.auth->batch_finish_verify(pv.sv, pv.ct, line, /*charge=*/true);
-      mac_done = std::max(mac_done, arrive) + cr.compute;
-      finish[pv.data_idx] = std::max(finish[pv.data_idx], mac_done);
-      if (!cr.ok) fails.push_back({pv.ct, pv.master});
+      fails.clear();
+      // Staged tags are all in DRAM and the cache now: retire the
+      // forwarding window on every authenticator this batch may have used.
+      for (const auto& auth : auths_)
+        if (auth != nullptr && auth->mode() == auth_mode::mac) auth->batch_flush_done();
+      tag_lines.clear();
     }
-
-    cycles engine_done = engine_pre;
-    for (post_read& pr : posts) {
-      if (pr.area != nullptr) {
-        // AREA unseal: per-unit expanded decipher on the serial core, each
-        // unit gated on the segment's own data arrival.
-        const std::size_t du = pr.key->data_unit_size;
-        cycles done = std::max(engine_done, lower[pr.txn_idx].complete_cycle);
-        std::size_t snap = 0;
-        for (std::size_t off = 0; off < pr.data.size(); off += du) {
-          const addr_t ua = pr.addr + off;
-          std::span<u8> unit = pr.data.subspan(off, du);
-          if (pr.area->covers(ua)) {
-            bytes plain(du);
-            const auto cr = pr.area->area_finish(*pr.kc, ua, unit, plain,
-                                                 pr.area_snaps[snap++],
-                                                 /*charge=*/true);
-            std::copy(plain.begin(), plain.end(), unit.begin());
-            stats_.crypto_cycles += cr.compute;
-            ++stats_.units;
-            done += cr.compute;
-            if (!cr.ok) fails.push_back({unit, pr.master});
-          } else {
-            done += transform_units(*pr.kc, *pr.key, ua, unit, /*encrypt=*/false,
-                                    pr.fallback, /*charge=*/true);
-          }
-        }
-        engine_done = done;
-        finish[pr.txn_idx] = std::max(finish[pr.txn_idx], engine_done);
-        continue;
-      }
-      // Pad-precomputable reads take the bulk-keystream datapath: the
-      // segment's whole pad in one generate_pads call, XORed on arrival.
-      const cycles c =
-          transform_units_bulk(*pr.kc, *pr.key, pr.addr, pr.data,
-                               /*encrypt=*/false, pr.fallback, /*charge=*/true);
-      if (pr.kc->pad_precomputable()) {
-        par_crypto += c;
-      } else {
-        engine_done = std::max(engine_done, lower[pr.txn_idx].complete_cycle) + c;
-        finish[pr.txn_idx] = std::max(finish[pr.txn_idx], engine_done);
-      }
-    }
-    // A failed verify blocks the unit's plaintext: bus-error fill, charged
-    // to the issuing master, after the decrypt pass so the fill survives.
-    for (const fail_rec& f : fails) {
-      std::fill(f.span.begin(), f.span.end(), fault_fill);
-      note_integrity_fault(f.master);
-    }
-    cycles mono = 0; // in-order retirement: stamps stay monotone
-    for (std::size_t i = 0; i < lower.size(); ++i) {
-      mono = std::max(mono, finish[i]);
-      if (flush_txns[i] != nullptr) flush_txns[i]->complete_cycle = base + clock + mono;
-    }
-    clock += std::max({mem_span, par_crypto, engine_done, mac_done});
-    // Staged tags are all in DRAM and the cache now: retire the forwarding
-    // window on every authenticator this batch may have touched.
-    for (const auto& auth : auths_)
-      if (auth != nullptr && auth->mode() == auth_mode::mac) auth->batch_flush_done();
-    lower.clear();
-    flush_txns.clear();
-    posts.clear();
-    pending.clear();
-    tag_fetches.clear();
-    tagline_map.clear();
-    par_crypto = 0;
-    engine_pre = 0;
-    mac_pre = 0;
+    live.clear();
   };
-
   std::vector<context_id> seg_ctx; // eligibility-pass span_for results, reused below
+  std::vector<std::span<u8>> wire;  // per-segment lower buffers, reused below
   for (sim::mem_txn& txn : batch) {
     // The pipelined path handles whole data units inside one context; a
     // txn needing RMW, region splits, passthrough or a domain denial
@@ -777,9 +622,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
 
     if (eligible) {
       // Pin every context this txn touches before staging any of it. A
-      // pool miss first retires the window — flushing pending work and
-      // releasing this batch's pins, the per-request release the scalar
-      // path gets from its slot guards — then retries; a txn whose own
+      // pool miss first retires the window, then retries; a txn whose own
       // context set still cannot co-reside in the pool detours to the
       // scalar datapath, which leases (and may fall back) per segment
       // exactly as scalar issue would.
@@ -791,8 +634,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
             break;
           }
         if (!missed) break;
-        flush_lower();
-        live.clear();
+        retire();
         if (attempt == 1) {
           eligible = false;
           break;
@@ -801,8 +643,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     }
 
     if (!eligible) {
-      flush_lower();
-      live.clear(); // release this batch's pins: the detour leases per request
+      retire();
       // The scalar datapath serves the detour as the txn's master, so
       // domain checks, fault fills and per-domain stats stay correct.
       // RAII swap: a throw mid-detour (e.g. pinned pool with fallback
@@ -813,10 +654,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
         scoped_master(master_id& s, master_id m) : slot(&s), prev(s) { s = m; }
         ~scoped_master() { *slot = prev; }
       } swap(active_master_, txn.master);
-      for (sim::txn_segment& seg : txn.segments)
-        clock += txn.is_write() ? write(seg.addr, std::span<const u8>(seg.data))
-                                : read(seg.addr, seg.data);
-      txn.complete_cycle = base + clock;
+      b.detour_via(txn, *this);
       continue;
     }
 
@@ -824,128 +662,134 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     // One count per segment, matching scalar issue of the same ops.
     if (txn.is_write()) stats_.writes += txn.segments.size();
     else stats_.reads += txn.segments.size();
-    sim::mem_txn lt;
-    lt.id = txn.id;
-    lt.op = txn.op;
-    lt.master = txn.master; // attribution rides down to the bus beats
-    lt.segments.reserve(txn.segments.size());
-    // Tag side traffic this txn adds to the lower batch, pushed after the
-    // data txn so the batch stays in submission order.
-    std::vector<std::pair<addr_t, bytes*>> tag_writes;
-    std::vector<std::size_t> new_fetches;
+    b.begin_txn(txn);
+
+    // The data goes out first, one lower transaction per segment, which
+    // the port schedules exactly as one multi-segment transaction; tag
+    // traffic rides behind it, and every job gates on the last data
+    // segment, the transaction's arrival. Write ciphertext is staged in
+    // window scratch below, before the window ships.
+    wire.clear();
+    std::size_t arrival = no_lower;
+    for (sim::txn_segment& seg : txn.segments) {
+      wire.push_back(txn.is_write() ? std::span<u8>(b.scratch_copy(seg.data)) : seg.data);
+      arrival = b.queue(txn.op, txn.master, seg.addr, wire.back());
+    }
     for (std::size_t si = 0; si < txn.segments.size(); ++si) {
-      sim::txn_segment& seg = txn.segments[si];
-      const context_id ctx = seg_ctx[si];
-      const auto [kc, fallback] = resolve(ctx);
-      const keyslot_key& k = contexts_[ctx];
-      memory_authenticator* auth = auths_[ctx].get();
+      const sim::txn_segment& seg = txn.segments[si];
+      const std::span<u8> data = wire[si]; // write ciphertext or read destination
+      keyed_cipher& kc = cipher_of(seg_ctx[si]);
+      const keyslot_key& k = contexts_[seg_ctx[si]];
+      memory_authenticator* auth = auths_[seg_ctx[si]].get();
+      const auth_mode mode = auth != nullptr ? auth->mode() : auth_mode::none;
       const std::size_t du = k.data_unit_size;
       if (fw_ != nullptr) // the allowed span's one counting check (rule hit)
         (void)fw_->check(txn.master, seg.addr, seg.data.size(), txn.is_write());
       note_domain(txn.master, txn.is_write(), seg.data.size(), /*fault=*/false);
-      if (txn.is_write()) {
-        staged.emplace_back(seg.data.begin(), seg.data.end());
-        if (auth != nullptr && auth->mode() == auth_mode::area) {
-          // Seal unit by unit: the expanded encipher replaces the in-place
-          // transform; block modes only, so it all lands on the serial core.
-          bytes& ct = staged.back();
-          for (std::size_t off = 0; off < ct.size(); off += du) {
-            const addr_t ua = seg.addr + off;
-            std::span<u8> unit = std::span<u8>(ct).subspan(off, du);
-            if (auth->covers(ua)) {
-              const cycles c = auth->area_encipher(
-                  *kc, ua, std::span<const u8>(seg.data).subspan(off, du), unit,
-                  /*initial=*/false, /*charge=*/true);
-              stats_.crypto_cycles += c;
-              ++stats_.units;
-              engine_pre += c;
-            } else {
-              engine_pre += transform_units(*kc, k, ua, unit, /*encrypt=*/true,
-                                            fallback, /*charge=*/true);
-            }
-          }
-        } else {
-          const cycles c =
-              transform_units_bulk(*kc, k, seg.addr, staged.back(),
-                                   /*encrypt=*/true, fallback, /*charge=*/true);
-          // Write data is in hand at staging time: precomputable pads overlap
-          // the bus, block-mode encipher occupies the serial core up front.
-          if (kc->pad_precomputable()) par_crypto += c;
-          else engine_pre += c;
-          if (auth != nullptr) { // mac: new tags ride the same lower batch
-            for (std::size_t off = 0; off < staged.back().size(); off += du) {
-              const addr_t ua = seg.addr + off;
-              if (!auth->covers(ua)) continue;
-              auto su = auth->batch_stage_update(
-                  ua, std::span<const u8>(staged.back()).subspan(off, du),
-                  /*charge=*/true);
-              mac_pre += su.compute;
-              aux.emplace_back(std::move(su.tag));
-              tag_writes.emplace_back(su.tag_addr, &aux.back());
-            }
-          }
+
+      if (txn.is_write() && mode == auth_mode::area) {
+        // Write data is in hand at staging: AREA seals and block-mode
+        // encipher occupy the cipher core up front, pads overlap the bus.
+        for (std::size_t off = 0; off < data.size(); off += du) {
+          const addr_t ua = seg.addr + off;
+          const std::span<const u8> plain = seg.data.subspan(off, du);
+          const std::span<u8> unit = data.subspan(off, du);
+          if (auth->covers(ua))
+            b.add_pre(charge_units(auth->area_encipher(kc, ua, plain, unit, /*initial=*/false,
+                                                       /*charge=*/true),
+                                   1));
+          else
+            b.add_pre(transform_units(kc, k, ua, unit, /*encrypt=*/true, /*fallback=*/false,
+                                      /*charge=*/true));
         }
-        lt.segments.push_back({seg.addr, std::span<u8>(staged.back())});
+      } else if (txn.is_write()) {
+        transform_units_bulk(kc, k, seg.addr, data, /*encrypt=*/true);
+        const cycles c = charge_units(unit_cycles(kc, du, /*encrypt=*/true, false),
+                                      data.size() / du);
+        if (kc.pad_precomputable()) b.add_overlap(c);
+        else b.add_pre(c);
+        // New MAC tags load the MAC unit and ride the window behind the data.
+        for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
+          const addr_t ua = seg.addr + off;
+          if (!auth->covers(ua)) continue;
+          const auto su = auth->batch_stage_update(ua, data.subspan(off, du), /*charge=*/true);
+          b.add_mac_pre(su.compute);
+          b.queue_side(sim::txn_op::write, txn.master, su.tag_addr, b.scratch_copy(su.tag));
+        }
+      } else if (mode == auth_mode::area) {
+        // AREA unseal on the cipher core against staging-order snapshots:
+        // a later in-batch write of the unit must not bleed its bumped
+        // version or new sideband into this read's check.
+        std::vector<memory_authenticator::area_staged> snaps;
+        cycles c = 0;
+        for (std::size_t off = 0; off < data.size(); off += du) {
+          const addr_t ua = seg.addr + off;
+          if (auth->covers(ua)) snaps.push_back(auth->area_prepare(ua));
+          c += charge_units(auth->covers(ua) ? auth->area_unseal_cycles(kc)
+                                             : unit_cycles(kc, du, false, false),
+                            1);
+        }
+        b.add_gated(arrival, no_lower, c,
+                    [this, &kc, &k, &fails, auth, seg, m = txn.master,
+                     snaps = std::move(snaps)] {
+                      const std::size_t du = k.data_unit_size;
+                      std::size_t snap = 0;
+                      bytes plain(du);
+                      for (std::size_t off = 0; off < seg.data.size(); off += du) {
+                        const addr_t ua = seg.addr + off;
+                        std::span<u8> unit = seg.data.subspan(off, du);
+                        if (!auth->covers(ua)) {
+                          (void)transform_units(kc, k, ua, unit, /*encrypt=*/false,
+                                                /*fallback=*/false, /*charge=*/false);
+                          continue;
+                        }
+                        const auto cr = auth->area_finish(kc, ua, unit, plain,
+                                                          snaps[snap++], /*charge=*/true);
+                        std::copy(plain.begin(), plain.end(), unit.begin());
+                        if (!cr.ok) fails.push_back({unit, m});
+                      }
+                    });
       } else {
-        lt.segments.push_back(seg);
-        const bool is_area = auth != nullptr && auth->mode() == auth_mode::area;
-        posts.push_back({kc, &k, seg.addr, seg.data, fallback, lower.size(),
-                         is_area ? auth : nullptr, txn.master, {}});
-        if (is_area)
-          for (std::size_t off = 0; off < seg.data.size(); off += du) {
-            const addr_t ua = seg.addr + off;
-            if (auth->covers(ua)) posts.back().area_snaps.push_back(auth->area_prepare(ua));
-          }
-        if (auth != nullptr && auth->mode() == auth_mode::mac) {
-          for (std::size_t off = 0; off < seg.data.size(); off += du) {
-            const addr_t ua = seg.addr + off;
-            if (!auth->covers(ua)) continue;
-            pending_ver pv{auth, auth->batch_prepare_verify(ua), lower.size(),
-                           seg.data.subspan(off, du), -1, txn.master};
-            if (!pv.sv.have_tag) {
-              // One fetch per tag line per flush, shared by every unit
-              // whose tag packs into it.
-              const auto [it, inserted] =
-                  tagline_map.try_emplace(pv.sv.tag_line, tag_fetches.size());
-              if (inserted) {
-                auth->note_batch_tag_fetch();
-                aux.emplace_back(memory_authenticator::k_tag_line);
-                tag_fetches.push_back({pv.sv.tag_line, 0, &aux.back()});
-                new_fetches.push_back(it->second);
-              }
-              pv.fetch_idx = static_cast<std::ptrdiff_t>(it->second);
+        // MAC verifies run on the MAC unit over the ciphertext as it
+        // arrived, staged before the decrypt that consumes it, each gated
+        // on its data and, on a tag-cache miss, its tag line.
+        for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
+          const addr_t ua = seg.addr + off;
+          if (!auth->covers(ua)) continue;
+          memory_authenticator::staged_verify sv = auth->batch_prepare_verify(ua);
+          std::size_t line_idx = no_lower;
+          std::span<const u8> line;
+          if (!sv.have_tag) {
+            const auto [it, fresh] = tag_lines.try_emplace(sv.tag_line);
+            if (fresh) {
+              auth->note_batch_tag_fetch();
+              bytes& buf = b.scratch(memory_authenticator::k_tag_line);
+              it->second = {b.queue_side(sim::txn_op::read, txn.master, sv.tag_line, buf),
+                            buf};
             }
-            pending.push_back(std::move(pv));
+            std::tie(line_idx, line) = it->second;
           }
+          const std::span<u8> ct = data.subspan(off, du);
+          b.add_mac(arrival, line_idx, auth->unit_mac_cycles(),
+                    [&fails, auth, sv = std::move(sv), ct, line, m = txn.master] {
+                      if (!auth->batch_finish_verify(sv, ct, line, /*charge=*/true).ok)
+                        fails.push_back({ct, m});
+                    });
         }
+        // Pads need only the DUN and overlap the fetch (Fig. 2a); block-mode
+        // decipher waits for its own data on the cipher core.
+        const cycles c = charge_units(unit_cycles(kc, du, /*encrypt=*/false, false),
+                                      data.size() / du);
+        auto decrypt = [this, &kc, &k, seg] {
+          transform_units_bulk(kc, k, seg.addr, seg.data, /*encrypt=*/false);
+        };
+        if (kc.pad_precomputable()) b.add_overlap(c, decrypt);
+        else b.add_gated(arrival, no_lower, c, decrypt);
       }
     }
-    lower.push_back(std::move(lt));
-    flush_txns.push_back(&txn);
-    // Tag traffic rides the same batch, attributed to the same master.
-    for (const auto& [ta, buf] : tag_writes) {
-      sim::mem_txn tt;
-      tt.op = sim::txn_op::write;
-      tt.master = txn.master;
-      tt.segments.push_back({ta, std::span<u8>(*buf)});
-      lower.push_back(std::move(tt));
-      flush_txns.push_back(nullptr);
-    }
-    for (const std::size_t fi : new_fetches) {
-      tag_fetches[fi].lower_idx = lower.size();
-      sim::mem_txn tt;
-      tt.op = sim::txn_op::read;
-      tt.master = txn.master;
-      tt.segments.push_back({tag_fetches[fi].line, std::span<u8>(*tag_fetches[fi].buf)});
-      lower.push_back(std::move(tt));
-      flush_txns.push_back(nullptr);
-    }
   }
-  flush_lower();
-
-  // clock now holds slot setup + the causally-scheduled flush makespans +
-  // scalar detours (which already folded their crypto into their own time).
-  pending_txn_cycles_ += clock;
+  retire();
+  pending_txn_cycles_ += b.clock();
 }
 
 void bus_encryption_engine::install(addr_t base, std::span<const u8> plain) {

@@ -184,15 +184,19 @@ class bus_encryption_engine final : public sim::memory_port {
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
 
-  /// Native batch path. Per batch: every referenced context resolves to a
-  /// keyslot once (slots are pinned and programmed at most once, however
-  /// many transactions share them), write units are enciphered up front,
-  /// the whole batch goes to the lower port as one submission (multi-bank
-  /// overlap composes), and read units decipher as the data lands — so the
-  /// crypto pipeline runs concurrently with the bus schedule and the batch
-  /// costs max(mem, crypto) instead of their sum. Transactions that need
-  /// unit-unaligned or unmapped handling drop to the scalar path without
-  /// breaking functional order (pending lower work is flushed first).
+  /// Native batch path, scheduled on sim::txn_batcher. Per window: every
+  /// referenced context pins a hardware keyslot once (programmed at most
+  /// once, however many transactions share it; a pinned-out pool retires
+  /// the window and retries instead of falling back), write units are
+  /// enciphered up front (block modes on the cipher core, CTR/stream pads
+  /// overlapping the bus), the window goes to the lower port as one
+  /// submission with its tag-line traffic (multi-bank overlap composes),
+  /// and read units decipher and verify as their data lands — MAC verifies
+  /// on the serial MAC unit, gated on the tag line too. The window costs
+  /// the max of the bus and every crypto lane instead of their sum.
+  /// Transactions that need unit-unaligned, unmapped, denied or hash-tree
+  /// handling detour through the scalar path under their own master,
+  /// after the pending window retires.
   void submit(std::span<sim::mem_txn> batch) override;
 
   // --- offline paths (no simulated time) -----------------------------------
@@ -215,10 +219,10 @@ class bus_encryption_engine final : public sim::memory_port {
     master_id owner = any_master; ///< any_master = shared mapping
   };
 
-  /// A keyslot held for the duration of one request or one batch, or the
-  /// software fallback when the pool is pinned out. The single home of the
-  /// acquire/program-cost/fallback protocol, shared by the scalar and
-  /// batched datapaths so their timing and stats cannot drift apart.
+  /// A keyslot held for the duration of one request or one batch window,
+  /// or the software fallback when the pool is pinned out. The single home
+  /// of the acquire/program-cost/fallback protocol, shared by the scalar
+  /// and batched datapaths so their timing and stats cannot drift apart.
   struct slot_lease {
     std::unique_ptr<slot_guard> guard;      ///< pins the hardware slot
     std::unique_ptr<keyed_cipher> software; ///< fallback instance, if used
@@ -253,14 +257,28 @@ class bus_encryption_engine final : public sim::memory_port {
                                        addr_t unit_base, std::span<u8> buf,
                                        bool encrypt, bool fallback, bool charge);
 
-  /// transform_units via one bulk keystream call (generate_pads) plus one
-  /// XOR pass — the batch path's hot loop for pad-precomputable backends
-  /// (CTR, streams). Byte-identical to transform_units with identical
-  /// charged cycles and stats; falls back to it for block modes or
-  /// unit-unaligned spans.
-  [[nodiscard]] cycles transform_units_bulk(keyed_cipher& kc, const keyslot_key& k,
-                                            addr_t unit_base, std::span<u8> buf,
-                                            bool encrypt, bool fallback, bool charge);
+  /// The uncharged transform_units via one bulk keystream call
+  /// (generate_pads) plus one XOR pass — the batch path's hot loop for
+  /// pad-precomputable backends (CTR, streams). Byte-identical to
+  /// transform_units; defers to it for block modes or unit-unaligned spans.
+  void transform_units_bulk(keyed_cipher& kc, const keyslot_key& k, addr_t unit_base,
+                            std::span<u8> buf, bool encrypt);
+
+  /// Cycles one \p nbytes unit costs through \p kc, with the fallback
+  /// penalty when \p fallback.
+  [[nodiscard]] cycles unit_cycles(const keyed_cipher& kc, std::size_t nbytes,
+                                   bool encrypt, bool fallback) const noexcept {
+    const cycles c = kc.unit_cost(nbytes, encrypt);
+    return fallback ? c * cfg_.fallback_penalty : c;
+  }
+
+  /// Count \p n transformed units of \p c cycles each into the engine
+  /// stats; returns the cycles charged.
+  cycles charge_units(cycles c, u64 n) noexcept {
+    stats_.crypto_cycles += c * n;
+    stats_.units += n;
+    return c * n;
+  }
 
   /// Record protected-region traffic (or a denial) against \p m.
   void note_domain(master_id m, bool is_write, std::size_t n, bool fault);

@@ -287,6 +287,12 @@ memory_authenticator::area_decipher(keyed_cipher& kc, addr_t unit_addr,
                      charge);
 }
 
+cycles memory_authenticator::area_unseal_cycles(const keyed_cipher& kc) const noexcept {
+  const std::size_t g = kc.granule();
+  const std::size_t stored = area_stored_bytes(g);
+  return kc.unit_cost(stored, /*encrypt=*/false) + mac_time(cfg_.tag_bytes * (stored / g));
+}
+
 memory_authenticator::check_result
 memory_authenticator::area_finish(keyed_cipher& kc, addr_t unit_addr,
                                   std::span<const u8> dram_ct,
@@ -319,8 +325,7 @@ memory_authenticator::area_finish(keyed_cipher& kc, addr_t unit_addr,
   }
   ++stats_.verifies;
   if (!r.ok) ++stats_.faults;
-  r.compute = kc.unit_cost(stored, /*encrypt=*/false) +
-              mac_time(cfg_.tag_bytes * blocks);
+  r.compute = area_unseal_cycles(kc);
   note(r, charge);
   return r;
 }
@@ -535,7 +540,7 @@ memory_authenticator::batch_finish_verify(const staged_verify& sv,
     stored = tag_line_data.subspan(sv.tag_off, cfg_.tag_bytes);
   }
   const bytes expect = unit_tag(sv.unit_addr, sv.version, ct);
-  r.compute = mac_time(ct.size());
+  r.compute = unit_mac_cycles();
   r.ok = crypto::tag_equal(expect, stored);
   if (!r.ok) ++stats_.faults;
   note(r, charge);
@@ -553,7 +558,7 @@ memory_authenticator::batch_stage_update(addr_t unit_addr, std::span<const u8> c
   su.tag_addr = tag_addr(unit_addr);
   staged_tags_[su.tag_addr] = su.tag; // forward to later reads in this flush
   if (charge) {
-    su.compute = mac_time(ct.size());
+    su.compute = unit_mac_cycles();
     stats_.auth_cycles += su.compute;
   }
   // Write-through semantics: the cached line (if any) sees the new tag

@@ -192,6 +192,10 @@ class memory_authenticator {
                                                  std::span<const u8> tag_line_data,
                                                  bool charge);
 
+  /// MAC-unit cycles to tag or verify one data unit — what the batch path
+  /// charges per staged verify or update, known before the data arrives.
+  [[nodiscard]] cycles unit_mac_cycles() const noexcept { return mac_time(unit_); }
+
   /// The engine deduplicates tag-line fetches per flush; it reports each
   /// fetch it actually stages here so tag_bus_reads counts lower-port
   /// traffic, not cache probes.
@@ -251,6 +255,10 @@ class memory_authenticator {
     bytes sideband;
   };
   [[nodiscard]] area_staged area_prepare(addr_t unit_addr) const;
+
+  /// Cycles one unseal through \p kc costs (the expanded decipher plus the
+  /// nonce checks) — what area_finish charges, known before the data arrives.
+  [[nodiscard]] cycles area_unseal_cycles(const keyed_cipher& kc) const noexcept;
 
   /// area_decipher against a staging-order snapshot (the batch post pass).
   [[nodiscard]] check_result area_finish(keyed_cipher& kc, addr_t unit_addr,

@@ -5,6 +5,15 @@
 
 namespace buscrypt::sim {
 
+bool parse_arb_policy(std::string_view name, arb_policy& out) noexcept {
+  for (const arb_policy p : all_arb_policies)
+    if (name == arb_policy_name(p)) {
+      out = p;
+      return true;
+    }
+  return false;
+}
+
 bool parse_qos_class(std::string_view name, qos_class& out) noexcept {
   for (const qos_class c : all_qos_classes)
     if (name == qos_class_name(c)) {
@@ -206,8 +215,8 @@ interconnect::interconnect(memory_port& port, topology topo)
   if (topo_.root().window_txns == 0)
     throw std::invalid_argument("interconnect: window_txns must be >= 1");
   if (topo_.clusters().empty()) {
-    // Implicit flat cluster inheriting the root knobs — the bus_arbiter /
-    // multi_master_config compatibility shape.
+    // Implicit flat cluster inheriting the root knobs — the flat bus and
+    // the multi_master_config compatibility shape.
     cluster_config flat;
     flat.name = "bus";
     flat.arb = topo_.root();

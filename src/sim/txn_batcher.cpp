@@ -1,8 +1,8 @@
-#include "edu/batch.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 
-namespace buscrypt::edu {
+namespace buscrypt::sim {
 
 void txn_batcher::flush() {
   if (!open()) return;
@@ -19,10 +19,10 @@ void txn_batcher::flush() {
   // Per-owner finishes, stamped in staging (= submission) order below.
   // Lower arrivals seed them so a pre-enciphered write completes with its
   // bus transfer.
-  std::vector<std::pair<sim::mem_txn*, cycles>> fins;
+  std::vector<std::pair<mem_txn*, cycles>> fins;
   fins.reserve(order_.size());
-  for (sim::mem_txn* t : order_) fins.emplace_back(t, 0);
-  auto fin_of = [&](sim::mem_txn* t) -> cycles& {
+  for (mem_txn* t : order_) fins.emplace_back(t, 0);
+  auto fin_of = [&](mem_txn* t) -> cycles& {
     for (auto& [owner, fin] : fins)
       if (owner == t) return fin;
     return fins.emplace_back(t, 0).second;
@@ -33,10 +33,11 @@ void txn_batcher::flush() {
       f = std::max(f, lower_[i].complete_cycle);
     }
 
-  // The three timing lanes. The serial core starts loaded with the staged
-  // pre-encipher work; par work accumulates independently and only its
-  // excess over the bus window surfaces in the makespan.
+  // The timing lanes. The serial core and the MAC unit start loaded with
+  // their staged pre-window work; par work accumulates independently and
+  // only its excess over the bus window surfaces in the makespan.
   cycles serial = pre_total_;
+  cycles mac = mac_pre_total_;
   cycles par_prefix = 0;
   cycles tail_total = 0;
   for (job& j : jobs_) {
@@ -49,6 +50,9 @@ void txn_batcher::flush() {
         tail_total += j.tail;
         fin = std::max(arrival, par_prefix) + j.tail;
         break;
+      case kind::overlap:
+        par_prefix += j.c;
+        break;
       case kind::gated:
         serial = std::max(serial, arrival) + j.c;
         fin = serial;
@@ -57,13 +61,17 @@ void txn_batcher::flush() {
         serial += j.c;
         fin = serial;
         break;
+      case kind::mac:
+        mac = std::max(mac, arrival) + j.c;
+        fin = mac;
+        break;
     }
     if (j.owner != nullptr) {
       cycles& f = fin_of(j.owner);
       f = std::max(f, fin);
     }
   }
-  const cycles makespan = std::max({mem_span, par_prefix, serial}) + tail_total;
+  const cycles makespan = std::max({mem_span, par_prefix, serial, mac}) + tail_total;
 
   // In-order retirement: stamps are monotone in staging order and never
   // exceed the window makespan.
@@ -83,7 +91,8 @@ void txn_batcher::flush() {
   end_fns_.clear();
   aux_.clear();
   pre_total_ = 0;
+  mac_pre_total_ = 0;
   ++flush_seq_;
 }
 
-} // namespace buscrypt::edu
+} // namespace buscrypt::sim

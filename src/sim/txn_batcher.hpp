@@ -1,37 +1,51 @@
 #pragma once
-/// \file batch.hpp
-/// The shared staging engine behind the native EDU batch datapaths.
+/// \file txn_batcher.hpp
+/// The shared transaction scheduler behind the native batch datapaths of
+/// the surveyed EDUs and the keyslot engine.
 ///
-/// Every surveyed engine overlaps the same three things when it pipelines
-/// a transaction window (Fig. 2a/2b, Tab. 7): work it can do *before* the
+/// Every surveyed engine overlaps the same things when it pipelines a
+/// transaction window (Fig. 2a/2b, Tab. 7): work it can do *before* the
 /// bus moves (pre-enciphering writes whose data is already in hand), work
 /// derived from the *address alone* (keystream pads, IV setup) that runs
 /// concurrently with the whole DRAM activate/CAS schedule, and work gated
 /// on each transaction's *own data arrival* (serial ECB/CBC decipher, MAC
-/// verification). txn_batcher models exactly those three lanes over one
-/// lower submit()/drain() window, so each EDU's submit() only states
-/// which lane each job belongs to and what functional transform runs when
-/// the window retires:
+/// verification). txn_batcher models those lanes over one lower
+/// submit()/drain() window, so each submit() only states which lane each
+/// job belongs to and what functional transform runs when the window
+/// retires:
 ///
-///   - add_pre():   staged serial-core work shipped before the window
-///                  (write encipher) — overlaps the whole bus schedule;
-///   - add_par():   address-derived work (pads) — also overlapped, with a
-///                  per-job tail (the XOR stage) charged after the max;
-///   - add_gated(): serial-core work that cannot start before its lower
-///                  transaction's data arrives; chained across the window
-///                  so it pipelines against *later* fetches but its tail
-///                  is never hidden — a single-transaction window
-///                  degenerates to the scalar mem + crypto time;
-///   - add_local(): on-chip work with no lower traffic (SRAM hits,
-///                  prefetch-buffer hits).
+///   - add_pre():     staged serial-core work shipped before the window
+///                    (write encipher) — overlaps the whole bus schedule;
+///   - add_par():     address-derived work (pads) — also overlapped, with a
+///                    per-job tail (the XOR stage) charged after the max;
+///   - add_overlap(): address-derived work on the same pad lane that
+///                    widens the makespan but gates no stamp (the engine's
+///                    CTR pads, whose XOR retires with the data);
+///   - add_gated():   serial-core work that cannot start before its lower
+///                    transaction's data arrives; chained across the window
+///                    so it pipelines against *later* fetches but its tail
+///                    is never hidden — a single-transaction window
+///                    degenerates to the scalar mem + crypto time;
+///   - add_local():   on-chip work with no lower traffic (SRAM hits,
+///                    prefetch-buffer hits), serialised with the gated lane;
+///   - add_mac_pre() / add_mac(): a second serial unit, the MAC engine —
+///                    write tags pre-loaded before the window, verifies
+///                    gated on their data and tag-line arrival.
 ///
-/// Functional callbacks run in staging order after the lower window
-/// drains, so read deciphers see arrived data and read-after-write inside
-/// one window observes staged effects in submission order — the
-/// \ref txn_contract invariants hold by construction. Transactions the
-/// EDU cannot schedule natively detour through its scalar path: flush()
-/// first (pending native work retires in order), then detour_scalar()
-/// accounts the scalar cycles and stamps the transaction.
+/// The window makespan is the max of the bus window and every lane (plus
+/// the par tails). Functional callbacks run in staging order after the
+/// lower window drains, so read deciphers see arrived data and
+/// read-after-write inside one window observes staged effects in
+/// submission order — the \ref txn_contract invariants hold by
+/// construction. Transactions a port cannot schedule natively detour
+/// through its scalar path: flush() first (pending native work retires in
+/// order), then detour_scalar() accounts the scalar cycles and stamps the
+/// transaction.
+///
+/// stream_edu and cacheside_edu keep hand-rolled batch paths: stream_edu's
+/// serial-keystream ablation charges mem + pad + xor as a sum, which no
+/// max-of-lanes window expresses, and cacheside_edu's keystream-RAM
+/// refills hide behind the misses of its own cache, not one lower window.
 
 #include "common/types.hpp"
 #include "sim/mem_txn.hpp"
@@ -41,7 +55,7 @@
 #include <functional>
 #include <vector>
 
-namespace buscrypt::edu {
+namespace buscrypt::sim {
 
 class txn_batcher {
  public:
@@ -51,11 +65,11 @@ class txn_batcher {
   /// \param lower the port windows are submitted to; referenced.
   /// \param base  the EDU's cycle accumulator at submit() entry — stamps
   ///              are relative to the EDU's last drain(), per the contract.
-  txn_batcher(sim::memory_port& lower, cycles base) : port_(&lower), base_(base) {}
+  txn_batcher(memory_port& lower, cycles base) : port_(&lower), base_(base) {}
 
   /// Jobs and lower transactions staged until the next begin_txn belong to
   /// \p txn: its completion stamp is the latest finish among them.
-  void begin_txn(sim::mem_txn& txn) { cur_ = &txn; }
+  void begin_txn(mem_txn& txn) { cur_ = &txn; }
 
   /// Stable scratch storage for staged ciphertext and fetch buffers; valid
   /// until the current window's flush-end hooks have run.
@@ -70,15 +84,13 @@ class txn_batcher {
 
   /// Queue one lower transaction for the current batch transaction.
   /// Returns its window index (for arrival gating).
-  std::size_t queue(sim::txn_op op, sim::master_id master, addr_t addr,
-                    std::span<u8> data) {
+  std::size_t queue(txn_op op, master_id master, addr_t addr, std::span<u8> data) {
     return queue_for(cur_, op, master, addr, data);
   }
 
   /// Side traffic (tag lines, metadata) that rides the window but stamps
   /// no batch transaction.
-  std::size_t queue_side(sim::txn_op op, sim::master_id master, addr_t addr,
-                         std::span<u8> data) {
+  std::size_t queue_side(txn_op op, master_id master, addr_t addr, std::span<u8> data) {
     return queue_for(nullptr, op, master, addr, data);
   }
 
@@ -91,6 +103,12 @@ class txn_batcher {
                std::function<void()> fn = {}) {
     note_owner(cur_);
     jobs_.push_back({kind::par, lower_idx, no_lower, c, tail, cur_, std::move(fn)});
+  }
+
+  /// Address-derived work on the par lane that widens the makespan but
+  /// gates no completion stamp.
+  void add_overlap(cycles c, std::function<void()> fn = {}) {
+    jobs_.push_back({kind::overlap, no_lower, no_lower, c, 0, nullptr, std::move(fn)});
   }
 
   /// Serial-core work gated on the arrival of \p lower_idx (and
@@ -108,6 +126,16 @@ class txn_batcher {
     jobs_.push_back({kind::local, no_lower, no_lower, c, 0, cur_, std::move(fn)});
   }
 
+  /// MAC-unit work shipped before the window (write tags).
+  void add_mac_pre(cycles c) { mac_pre_total_ += c; }
+
+  /// MAC-unit work gated like add_gated, on the MAC unit's own serial lane.
+  void add_mac(std::size_t lower_idx, std::size_t lower_idx2, cycles c,
+               std::function<void()> fn = {}) {
+    note_owner(cur_);
+    jobs_.push_back({kind::mac, lower_idx, lower_idx2, c, 0, cur_, std::move(fn)});
+  }
+
   /// Run \p fn after this window's callbacks (scratch still valid) — for
   /// per-window bookkeeping like tag-cache installs.
   void at_flush_end(std::function<void()> fn) { end_fns_.push_back(std::move(fn)); }
@@ -120,6 +148,10 @@ class txn_batcher {
   /// window makespan and stamp every owning transaction.
   void flush();
 
+  /// Charge \p c cycles outside any lane (a keyslot program): the current
+  /// window and everything after it shift by \p c.
+  void advance(cycles c) { clock_ += c; }
+
   /// Account a scalar detour's cycles and stamp the current transaction.
   /// Call flush() first so pending native work retires in order.
   void detour_scalar(cycles c) {
@@ -131,11 +163,11 @@ class txn_batcher {
   /// schedule: flush pending native work, serve \p txn segment by segment
   /// through \p scalar's read()/write() (the EDU's own scalar datapath),
   /// and stamp it.
-  void detour_via(sim::mem_txn& txn, sim::memory_port& scalar) {
+  void detour_via(mem_txn& txn, memory_port& scalar) {
     begin_txn(txn);
     flush();
     cycles t = 0;
-    for (sim::txn_segment& seg : txn.segments)
+    for (txn_segment& seg : txn.segments)
       t += txn.is_write() ? scalar.write(seg.addr, std::span<const u8>(seg.data))
                           : scalar.read(seg.addr, seg.data);
     detour_scalar(t);
@@ -150,7 +182,7 @@ class txn_batcher {
   [[nodiscard]] u64 flush_seq() const noexcept { return flush_seq_; }
 
  private:
-  enum class kind : u8 { par, gated, local };
+  enum class kind : u8 { par, overlap, gated, local, mac };
 
   struct job {
     kind k;
@@ -158,13 +190,13 @@ class txn_batcher {
     std::size_t li2;
     cycles c;
     cycles tail;
-    sim::mem_txn* owner;
+    mem_txn* owner;
     std::function<void()> fn;
   };
 
-  std::size_t queue_for(sim::mem_txn* owner, sim::txn_op op, sim::master_id master,
-                        addr_t addr, std::span<u8> data) {
-    sim::mem_txn lt;
+  std::size_t queue_for(mem_txn* owner, txn_op op, master_id master, addr_t addr,
+                        std::span<u8> data) {
+    mem_txn lt;
     lt.op = op;
     lt.master = master;
     lt.segments.push_back({addr, data});
@@ -177,22 +209,23 @@ class txn_batcher {
   /// Track owners in staging (= submission) order so stamps stay monotone
   /// even when a transaction stages only on-chip jobs. Transactions stage
   /// contiguously, so adjacent dedup suffices.
-  void note_owner(sim::mem_txn* t) {
+  void note_owner(mem_txn* t) {
     if (t != nullptr && (order_.empty() || order_.back() != t)) order_.push_back(t);
   }
 
-  sim::memory_port* port_;
-  std::vector<sim::mem_txn> lower_;
-  std::vector<sim::mem_txn*> owners_; ///< aligned with lower_; null = side traffic
-  std::vector<sim::mem_txn*> order_;  ///< owners in staging order, deduped
+  memory_port* port_;
+  std::vector<mem_txn> lower_;
+  std::vector<mem_txn*> owners_; ///< aligned with lower_; null = side traffic
+  std::vector<mem_txn*> order_;  ///< owners in staging order, deduped
   std::deque<bytes> aux_;
   std::vector<job> jobs_;
   std::vector<std::function<void()>> end_fns_;
   cycles pre_total_ = 0;
+  cycles mac_pre_total_ = 0;
   cycles base_;
   cycles clock_ = 0;
   u64 flush_seq_ = 0;
-  sim::mem_txn* cur_ = nullptr;
+  mem_txn* cur_ = nullptr;
 };
 
-} // namespace buscrypt::edu
+} // namespace buscrypt::sim

@@ -156,7 +156,7 @@ TEST(InterconnectTopology, BindingsAreValidatedAndFlatClusterIsImplicit) {
                std::invalid_argument);
 
   // A topology with no clusters gets the implicit flat "bus" cluster — the
-  // bus_arbiter compatibility shape.
+  // flat shared bus.
   interconnect ic(port, topology({arb_policy::round_robin, 4, 0}));
   ASSERT_EQ(ic.topo().clusters().size(), 1u);
   EXPECT_EQ(ic.topo().clusters()[0].name, "bus");

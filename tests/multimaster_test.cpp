@@ -1,4 +1,4 @@
-// Multi-master interconnect: bus_master/bus_arbiter policies and
+// Multi-master interconnect: bus_master/interconnect grant policies and
 // accounting, per-master protection domains in the keyslot engine
 // (denied-access fault path, slot-pool sharing), mixed-master workload
 // generators, soc::run_multi_master solo-vs-concurrent equivalence, and
@@ -8,7 +8,6 @@
 #include "edu/soc.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
-#include "sim/bus_arbiter.hpp"
 #include "sim/bus_master.hpp"
 #include "sim/interconnect.hpp"
 #include "sim/workload.hpp"
@@ -132,8 +131,7 @@ TEST(OffsetWorkload, ShiftsEveryAccess) {
 
 // --- arbiter: grant policies and accounting ----------------------------------
 // These run through the topology-first interconnect (a topology with no
-// clusters is the flat bus); one deliberate shim test below keeps the
-// deprecated bus_arbiter constructor honest.
+// clusters is the flat bus).
 
 TEST(Arbiter, RejectsBadConfigAndDuplicateIds) {
   fixed_latency_port port(4096, 10);
@@ -238,44 +236,6 @@ TEST(Arbiter, CompletionStampsAreMonotonePerMaster) {
   EXPECT_GT(st.masters[0].avg_txn_latency(), 0.0);
   EXPECT_LT(st.masters[0].avg_txn_latency(),
             static_cast<double>(st.total_cycles));
-}
-
-TEST(Arbiter, DeprecatedConstructorIsABitExactShim) {
-  // The one deliberate direct use of the deprecated flat API: bus_arbiter
-  // must take the identical grant sequence as the topology it desugars to.
-  const auto run_flat = [&](bool deprecated_api) {
-    fixed_latency_port port(1 << 16, 10);
-    bus_master a(master_cfg(0, "a", 2), read_stream(0, 32, 32));
-    bus_master b(master_cfg(1, "b", 9), read_stream(8192, 16, 32));
-    bus_master c(master_cfg(2, "c", 1), read_stream(16384, 48, 32));
-    const arbiter_config cfg{arb_policy::fixed_priority, 4, 3};
-    if (deprecated_api) {
-      bus_arbiter arb(port, cfg);
-      arb.add_master(a);
-      arb.add_master(b);
-      arb.add_master(c);
-      return arb.run();
-    }
-    interconnect ic(port, topology(cfg));
-    ic.add_master(a);
-    ic.add_master(b);
-    ic.add_master(c);
-    return ic.run().bus;
-  };
-  const arbiter_stats shim = run_flat(true);
-  const arbiter_stats topo = run_flat(false);
-  ASSERT_EQ(shim.masters.size(), topo.masters.size());
-  EXPECT_EQ(shim.rounds, topo.rounds);
-  EXPECT_EQ(shim.txns, topo.txns);
-  EXPECT_EQ(shim.bytes, topo.bytes);
-  EXPECT_EQ(shim.total_cycles, topo.total_cycles);
-  for (std::size_t i = 0; i < shim.masters.size(); ++i) {
-    EXPECT_EQ(shim.masters[i].grants, topo.masters[i].grants);
-    EXPECT_EQ(shim.masters[i].finish_cycle, topo.masters[i].finish_cycle);
-    EXPECT_EQ(shim.masters[i].latency_sum, topo.masters[i].latency_sum);
-    EXPECT_EQ(shim.masters[i].wait_rounds, topo.masters[i].wait_rounds);
-    EXPECT_EQ(shim.masters[i].max_wait_streak, topo.masters[i].max_wait_streak);
-  }
 }
 
 // --- per-master protection domains in the keyslot engine ---------------------

@@ -3,6 +3,8 @@
 // native overlap paths (stream_edu, keyslot engine), and the ring-buffer
 // recording probe.
 
+#include "common/fnv.hpp"
+#include "common/rng.hpp"
 #include "edu/soc.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
@@ -14,6 +16,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <deque>
+#include <initializer_list>
 #include <string>
 
 namespace buscrypt {
@@ -526,6 +531,327 @@ TEST(EngineBatchPath, UnalignedTxnDetoursWithoutReordering) {
   std::copy(partial.begin(), partial.end(), expect.begin() + 4);
   EXPECT_EQ(out, expect);
   EXPECT_GT(eng.stats().rmw_ops, 0u);
+}
+
+// --- golden stamps of the engine's native batch path -------------------------
+// The equivalence sweeps above pin bytes only. These cases also pin the
+// timing of the engine's native path: every completion stamp, each drain()
+// makespan, the engine and authenticator counters, the bytes every read
+// returned and the DRAM image. They run over banked DRAM, so bank overlap,
+// tag-line side traffic, the cipher-core, MAC-unit and pad-overlap lanes
+// and the per-window keyslot pins all show in the stamps.
+
+using engine::auth_config;
+using engine::auth_mode;
+using engine::bus_encryption_engine;
+
+constexpr std::size_t golden_du = 32;
+
+/// One transaction of a golden batch: its op and its (addr, len) segments.
+struct golden_op {
+  txn_op op = txn_op::read;
+  std::vector<std::pair<addr_t, std::size_t>> segs;
+};
+
+golden_op rd(addr_t a, std::size_t len = golden_du) {
+  return {txn_op::read, {{a, len}}};
+}
+golden_op wr(addr_t a, std::size_t len = golden_du) {
+  return {txn_op::write, {{a, len}}};
+}
+
+/// Seeded whole-unit traffic in [base, base + span): 1-4 units per txn.
+std::vector<golden_op> seeded_ops(u64 seed, std::size_t n, addr_t base, std::size_t span,
+                                  double write_p) {
+  rng r(seed);
+  std::vector<golden_op> ops;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t len = golden_du * r.between(1, 4);
+    const addr_t a = base + golden_du * r.below((span - len) / golden_du + 1);
+    ops.push_back(r.chance(write_p) ? wr(a, len) : rd(a, len));
+  }
+  return ops;
+}
+
+std::vector<golden_op> concat(std::vector<golden_op> a, const std::vector<golden_op>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// What a run of batches produced, flattened to comparable text.
+struct golden_result {
+  std::string timing;   ///< each batch: its stamps, then "-> makespan"
+  std::string counters; ///< engine_stats
+  std::string auth;     ///< auth_stats; empty without an authenticator
+  std::string fnv;      ///< FNV-1a of every byte the reads returned, and of DRAM
+};
+
+/// "name=value" pairs joined by spaces.
+std::string kv_line(std::initializer_list<std::pair<const char*, u64>> kvs) {
+  std::string o;
+  for (const auto& [name, v] : kvs)
+    o += (o.empty() ? "" : " ") + std::string(name) + "=" + std::to_string(v);
+  return o;
+}
+
+std::string engine_line(const engine::engine_stats& s) {
+  return kv_line({{"reads", s.reads}, {"writes", s.writes}, {"units", s.units},
+                  {"rmw", s.rmw_ops}, {"fallbacks", s.fallbacks},
+                  {"passthrough", s.passthrough}, {"batches", s.batches},
+                  {"batched", s.batched_txns}, {"native", s.batch_native},
+                  {"domain_faults", s.domain_faults},
+                  {"fw_denials", s.firewall_denials},
+                  {"integrity_faults", s.integrity_faults},
+                  {"stalls", s.reprogram_stalls},
+                  {"stall_cycles", s.reprogram_stall_cycles},
+                  {"crypto", s.crypto_cycles}});
+}
+
+std::string auth_line(const engine::auth_stats& s) {
+  return kv_line({{"verifies", s.verifies}, {"updates", s.updates}, {"faults", s.faults},
+                  {"hits", s.tag_hits}, {"misses", s.tag_misses},
+                  {"bus_reads", s.tag_bus_reads}, {"bus_writes", s.tag_bus_writes},
+                  {"nodes", s.nodes_walked}, {"auth_cycles", s.auth_cycles}});
+}
+
+std::string hex64(u64 v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// The keyslot engine over 256 KiB of 4-bank DRAM.
+struct golden_rig {
+  dram mem{256 * 1024, banked_timing(4)};
+  external_memory ext{mem};
+  engine::keyslot_manager slots;
+  bus_encryption_engine eng;
+  engine::memory_authenticator* auth = nullptr;
+
+  explicit golden_rig(std::size_t pool)
+      : slots(engine::backend_registry::builtin(), pool), eng(ext, slots) {}
+
+  /// Map [base, base + len) to a fresh context and install a patterned
+  /// image through it.
+  bus_encryption_engine::context_id region(const std::string& backend, addr_t base,
+                                           std::size_t len, u8 key) {
+    const auto ctx = eng.create_context({backend, bytes(16, key), golden_du});
+    eng.map_region(base, len, ctx);
+    bytes image(len);
+    fill_store_pattern(base ^ 0x5A5A, image);
+    eng.install(base, image);
+    return ctx;
+  }
+
+  /// Guard [base, base + len) of \p ctx with \p mode (a 2-line tag cache,
+  /// so tag lines miss and evict).
+  void guard(bus_encryption_engine::context_id ctx, auth_mode mode, addr_t base,
+             std::size_t len) {
+    auth_config cfg;
+    cfg.mode = mode;
+    cfg.key = bytes(16, 0x6B);
+    cfg.base = base;
+    cfg.limit = base + len;
+    cfg.tag_bytes = mode == auth_mode::area ? 4 : 8;
+    cfg.tag_base = 192 * 1024;
+    cfg.tag_cache_entries = 2;
+    auth = &eng.attach_auth(ctx, cfg);
+  }
+
+  /// Submit and drain each batch in turn, counting from clean stats.
+  golden_result run(const std::vector<std::vector<golden_op>>& batches) {
+    eng.reset_stats();
+    if (auth != nullptr) auth->reset_stats();
+    golden_result out;
+    bytes reads;
+    for (const std::vector<golden_op>& ops : batches) {
+      std::deque<bytes> bufs;
+      std::vector<mem_txn> batch;
+      for (const golden_op& op : ops) {
+        mem_txn t;
+        t.id = batch.size();
+        t.op = op.op;
+        for (const auto& [a, len] : op.segs) {
+          bytes& b = bufs.emplace_back(len);
+          if (t.is_write()) fill_store_pattern(a + 7 * batch.size(), b);
+          t.segments.push_back({a, b});
+        }
+        batch.push_back(std::move(t));
+      }
+      eng.submit(batch);
+      const cycles makespan = eng.drain();
+      if (!out.timing.empty()) out.timing += " | ";
+      for (const mem_txn& t : batch) {
+        out.timing += std::to_string(t.complete_cycle) + " ";
+        if (!t.is_write())
+          for (const txn_segment& s : t.segments)
+            reads.insert(reads.end(), s.data.begin(), s.data.end());
+      }
+      out.timing += "-> " + std::to_string(makespan);
+    }
+    out.counters = engine_line(eng.stats());
+    if (auth != nullptr) out.auth = auth_line(auth->stats());
+    out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(mem.raw()));
+    return out;
+  }
+};
+
+TEST(EngineGoldenStamps, CtrWithoutAuth) {
+  golden_rig rig(4);
+  (void)rig.region("aes-ctr", 0, 16 * 1024, 0x11);
+  const golden_result got = rig.run({seeded_ops(0xC7A1, 16, 0, 16 * 1024, 0.5),
+                                     seeded_ops(0xC7A2, 12, 0, 16 * 1024, 0.0)});
+  EXPECT_EQ(got.timing,
+            "42 78 128 144 168 190 268 294 310 326 334 358 390 436 444 506 -> 924 | 34 "
+            "60 122 154 208 216 232 282 306 338 370 402 -> 704");
+  EXPECT_EQ(got.counters,
+            "reads=18 writes=10 units=74 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=28 native=28 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=1628");
+  EXPECT_EQ(got.fnv, "read=845363a5627d983d dram=e3602d9e95643310");
+}
+
+// A write then a read of unit 0x100 in one window (the read verifies
+// against the staged tag), then reads whose tags share one 64-byte tag
+// line (one fetch, four verifies).
+const std::vector<golden_op> mac_hand = {wr(0x100), rd(0x100), rd(0x200), rd(0x220),
+                                         rd(0x240, 64)};
+
+TEST(EngineGoldenStamps, CtrMac) {
+  golden_rig rig(4);
+  rig.guard(rig.region("aes-ctr", 0, 16 * 1024, 0x22), auth_mode::mac, 0, 16 * 1024);
+  const golden_result got =
+      rig.run({concat(mac_hand, seeded_ops(0xAC01, 12, 0, 16 * 1024, 0.4)),
+               seeded_ops(0xAC02, 12, 0, 16 * 1024, 0.3)});
+  EXPECT_EQ(got.timing,
+            "54 520 546 572 624 624 624 650 746 746 768 818 896 998 1190 1270 1348 -> "
+            "1348 | 62 138 416 416 494 546 650 728 832 832 948 1076 -> 1076");
+  EXPECT_EQ(got.counters,
+            "reads=16 writes=13 units=68 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=29 native=29 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=1496");
+  EXPECT_EQ(got.auth,
+            "verifies=35 updates=33 faults=0 hits=1 misses=34 bus_reads=16 "
+            "bus_writes=33 nodes=0 auth_cycles=1768");
+  EXPECT_EQ(got.fnv, "read=7880fe8377126d58 dram=d09b3fa652cf5905");
+}
+
+TEST(EngineGoldenStamps, EcbMac) {
+  golden_rig rig(4);
+  rig.guard(rig.region("aes-ecb", 0, 16 * 1024, 0x33), auth_mode::mac, 0, 16 * 1024);
+  const golden_result got =
+      rig.run({concat(mac_hand, seeded_ops(0xEC01, 12, 0, 16 * 1024, 0.4)),
+               seeded_ops(0xEC02, 12, 0, 16 * 1024, 0.3)});
+  EXPECT_EQ(got.timing,
+            "54 572 598 624 676 702 780 780 858 962 962 962 1112 1112 1190 1244 1340 "
+            "-> 1352 | 170 242 242 280 434 544 570 678 756 834 938 1016 -> 1016");
+  EXPECT_EQ(got.counters,
+            "reads=19 writes=10 units=70 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=29 native=29 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=1540");
+  EXPECT_EQ(got.auth,
+            "verifies=47 updates=23 faults=0 hits=5 misses=42 bus_reads=16 "
+            "bus_writes=23 nodes=0 auth_cycles=1820");
+  EXPECT_EQ(got.fnv, "read=eb14eefa128e6f5c dram=21407f2c4b8d8ea8");
+}
+
+TEST(EngineGoldenStamps, EcbArea) {
+  // A read before a write of unit 0x300 (the read unseals against its
+  // staging-time snapshot), and a read straddling the end of the guarded
+  // window (one sealed unit, one plain unit).
+  golden_rig rig(4);
+  rig.guard(rig.region("aes-ecb", 0, 16 * 1024, 0x44), auth_mode::area, 0, 8 * 1024);
+  const std::vector<golden_op> hand = {rd(0x300), wr(0x300), rd(0x300), rd(0x1FE0, 64)};
+  const golden_result got =
+      rig.run({concat(hand, seeded_ops(0xA4E1, 12, 0, 16 * 1024, 0.4)),
+               seeded_ops(0xA4E2, 12, 0, 16 * 1024, 0.3)});
+  EXPECT_EQ(got.timing,
+            "257 257 306 377 465 465 563 629 776 864 886 886 1082 1104 1170 1170 -> "
+            "1170 | 62 86 94 529 529 627 715 715 911 911 933 982 -> 982");
+  EXPECT_EQ(got.counters,
+            "reads=18 writes=10 units=61 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=28 native=28 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=2152");
+  EXPECT_EQ(got.auth,
+            "verifies=19 updates=11 faults=0 hits=0 misses=0 bus_reads=0 bus_writes=0 "
+            "nodes=0 auth_cycles=1107");
+  EXPECT_EQ(got.fnv, "read=ef874256d60b8000 dram=46a73794e1c29910");
+}
+
+TEST(EngineGoldenStamps, CtrAndEcbContextsInOneBatch) {
+  golden_rig rig(4);
+  (void)rig.region("aes-ctr", 0, 8 * 1024, 0x55);
+  (void)rig.region("aes-ecb", 8 * 1024, 8 * 1024, 0x56);
+  const golden_result got = rig.run({seeded_ops(0x2C01, 20, 0, 16 * 1024, 0.5),
+                                     seeded_ops(0x2C02, 16, 0, 16 * 1024, 0.2)});
+  EXPECT_EQ(got.timing,
+            "462 462 506 506 506 550 550 550 550 550 572 572 572 572 572 572 572 572 "
+            "590 632 -> 632 | 132 198 198 198 288 332 332 332 344 374 374 402 410 568 "
+            "612 612 -> 612");
+  EXPECT_EQ(got.counters,
+            "reads=21 writes=15 units=91 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=36 native=36 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=2002");
+  EXPECT_EQ(got.fnv, "read=0f1b9f223af3e6ff dram=bbe07af3afecfb67");
+}
+
+TEST(EngineGoldenStamps, OneSlotTwoContexts) {
+  // Every context switch misses the 1-slot pool: the window retires and
+  // the next pin reprograms the slot.
+  golden_rig rig(1);
+  (void)rig.region("aes-ctr", 0, 8 * 1024, 0x61);
+  (void)rig.region("aes-cbc", 8 * 1024, 8 * 1024, 0x62);
+  const std::vector<golden_op> hand = {wr(0x40),  rd(0x80),   rd(0x2040), wr(0x2080, 64),
+                                       rd(0x40),  rd(0x2000), wr(0xC0),   rd(0x20C0)};
+  const golden_result got = rig.run({hand, seeded_ops(0x1511, 12, 0, 16 * 1024, 0.5)});
+  EXPECT_EQ(got.timing,
+            "94 120 236 248 342 458 552 668 -> 668 | 166 284 376 518 656 656 758 758 "
+            "868 984 1078 1188 -> 1188");
+  EXPECT_EQ(got.counters,
+            "reads=10 writes=10 units=40 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=20 native=20 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=14 stall_cycles=560 crypto=1440");
+  EXPECT_EQ(got.fnv, "read=8e65639d6c1d03f5 dram=34cf6789a71bf771");
+}
+
+TEST(EngineGoldenStamps, TwoSegmentBlockRead) {
+  golden_rig rig(4);
+  (void)rig.region("aes-ecb", 0, 16 * 1024, 0x71);
+  const golden_op two_rd{txn_op::read, {{0x0, 64}, {0x1000, 32}}};
+  const golden_op two_wr{txn_op::write, {{0x840, 32}, {0x2040, 64}}};
+  const std::vector<golden_op> hand = {wr(0x800), two_rd,    rd(0x1800),
+                                       two_wr,    rd(0x840), two_rd};
+  const golden_result got = rig.run({hand, seeded_ops(0x2E61, 12, 0, 16 * 1024, 0.3)});
+  EXPECT_EQ(got.timing,
+            "54 154 176 176 198 268 -> 268 | 54 70 374 374 374 462 550 550 572 572 616 "
+            "638 -> 638");
+  EXPECT_EQ(got.counters,
+            "reads=12 writes=9 units=41 rmw=0 fallbacks=0 passthrough=0 batches=2 "
+            "batched=18 native=18 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=902");
+  EXPECT_EQ(got.fnv, "read=a0a0d014bef81b67 dram=e581dc0b6ea4ccfa");
+}
+
+TEST(EngineGoldenStamps, UnalignedDetourMidBatch) {
+  // The unaligned write and read detour through the scalar datapath: the
+  // window before each retires first, tag side traffic included.
+  golden_rig rig(4);
+  rig.guard(rig.region("aes-ctr", 0, 16 * 1024, 0x81), auth_mode::mac, 0, 16 * 1024);
+  const std::vector<golden_op> hand = {wr(0x100), rd(0x200),     wr(0x104, 8), rd(0x100),
+                                       rd(0x400), rd(0x210, 40), wr(0x300),    rd(0x300)};
+  const golden_result got =
+      rig.run({concat(hand, seeded_ops(0xDE71, 8, 0, 16 * 1024, 0.4))});
+  EXPECT_EQ(got.timing,
+            "54 244 530 582 670 890 944 1072 1164 1330 1330 1436 1506 1568 1726 1752 "
+            "-> 1752");
+  EXPECT_EQ(got.counters,
+            "reads=12 writes=4 units=30 rmw=1 fallbacks=0 passthrough=0 batches=1 "
+            "batched=16 native=14 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "stalls=0 stall_cycles=0 crypto=660");
+  EXPECT_EQ(got.auth,
+            "verifies=24 updates=6 faults=0 hits=3 misses=21 bus_reads=12 bus_writes=6 "
+            "nodes=0 auth_cycles=780");
+  EXPECT_EQ(got.fnv, "read=b81a8d8c045b060e dram=3a61e583530ba9da");
 }
 
 // --- cache miss/evict pairs ride the batch path ------------------------------
