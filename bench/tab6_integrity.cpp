@@ -93,8 +93,7 @@ void cost_table(u64 seed) {
 
       t.add_row({level_name(level), table::pct(rs.slowdown_vs(base) - 1.0),
                  table::num(static_cast<unsigned long long>(ext.bytes_read() - bytes_before)),
-                 table::num(static_cast<unsigned long long>(
-                     level == integrity_level::none ? 0 : e.tag_memory_bytes())),
+                 table::num(static_cast<unsigned long long>(e.tag_memory_bytes())),
                  table::num(static_cast<unsigned long long>(e.version_ram_bytes()))});
     }
     std::printf("--- workload: %s ---\n", name);

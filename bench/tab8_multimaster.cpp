@@ -90,14 +90,12 @@ int main(int argc, char** argv) {
       for (std::size_t n = 1; n <= cast.size(); ++n) {
         edu::secure_soc soc(kind, bench::multimaster_soc());
         soc.load_image(0, image);
-        edu::multi_master_config mm;
-        mm.policy = policy;
-        mm.window_txns = bench::kMmWindowTxns;
-        mm.starvation_limit = policy == sim::arb_policy::fixed_priority
-                                  ? bench::kMmStarvationLimit
-                                  : 0;
+        const u64 limit =
+            policy == sim::arb_policy::fixed_priority ? bench::kMmStarvationLimit : 0;
+        const sim::topology topo(
+            sim::arbiter_config{policy, bench::kMmWindowTxns, limit});
         const std::vector<edu::master_desc> subset(cast.begin(), cast.begin() + n);
-        pr.runs.push_back({n, soc.run_multi_master(subset, mm)});
+        pr.runs.push_back({n, soc.run_topology(subset, topo).noc.bus});
         total_txns += pr.runs.back().stats.txns;
       }
       er.policies.push_back(std::move(pr));

@@ -25,8 +25,9 @@ bytes pattern_line(std::size_t n, u8 seed) {
 
 tamper_report run_tamper_suite(edu::integrity_edu& target, sim::dram& chip,
                                addr_t line_a, addr_t line_b) {
-  const auto& cfg = target.config();
-  const std::size_t lb = cfg.line_bytes;
+  const std::size_t lb = target.config().line_bytes;
+  // Null at level none: no tags to relocate or roll back.
+  const engine::memory_authenticator* auth = target.authenticator();
   if (line_a % lb != 0 || line_b % lb != 0 || line_a == line_b)
     throw std::invalid_argument("tamper suite: need two distinct aligned lines");
 
@@ -56,24 +57,25 @@ tamper_report run_tamper_suite(edu::integrity_edu& target, sim::dram& chip,
   report.splice_detected = detected_by([&] {
     for (std::size_t i = 0; i < lb; ++i)
       chip.raw()[line_a + i] = chip.raw()[line_b + i];
-    const addr_t ta = target.tag_addr(line_a);
-    const addr_t tb = target.tag_addr(line_b);
-    for (std::size_t i = 0; i < cfg.tag_bytes; ++i)
+    if (auth == nullptr) return;
+    const addr_t ta = auth->tag_addr(line_a);
+    const addr_t tb = auth->tag_addr(line_b);
+    for (std::size_t i = 0; i < auth->config().tag_bytes; ++i)
       chip.raw()[ta + i] = chip.raw()[tb + i];
   });
 
   // --- replay: restore a stale (ciphertext, tag) snapshot ------------------
   (void)target.write(line_a, plain_a);
   bytes stale_ct(lb);
-  bytes stale_tag(cfg.tag_bytes);
+  bytes stale_tag(auth != nullptr ? auth->config().tag_bytes : 0);
   chip.read_bytes(line_a, stale_ct);
-  chip.read_bytes(target.tag_addr(line_a), stale_tag);
+  if (auth != nullptr) chip.read_bytes(auth->tag_addr(line_a), stale_tag);
 
   const bytes plain_a2 = pattern_line(lb, 0xCC);
   (void)target.write(line_a, plain_a2); // the value the CPU believes is current
 
   chip.write_bytes(line_a, stale_ct); // the attacker's rollback
-  chip.write_bytes(target.tag_addr(line_a), stale_tag);
+  if (auth != nullptr) chip.write_bytes(auth->tag_addr(line_a), stale_tag);
   target.flush_tag_cache();
 
   const u64 before = target.tamper_events();

@@ -4,20 +4,24 @@
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 namespace buscrypt::edu {
 
 integrity_edu::integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                              bytes mac_key, integrity_edu_config cfg)
-    : edu(lower), prf_(&prf), mac_key_(mac_key), cfg_(cfg) {
+    : edu(lower), prf_(&prf), cfg_(cfg) {
   if (cfg_.line_bytes == 0 || cfg_.line_bytes % prf.block_size() != 0)
     throw std::invalid_argument("integrity_edu: line must be a PRF-block multiple");
-  if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
-    throw std::invalid_argument("integrity_edu: tag_bytes must be 1..32");
-  if (cfg_.tag_base < cfg_.protected_limit)
-    throw std::invalid_argument("integrity_edu: tag region overlaps protected range");
+  if (cfg_.level == integrity_level::none) return;
+  engine::auth_config a;
+  a.mode = engine::auth_mode::mac;
+  a.key = std::move(mac_key);
+  a.limit = cfg_.protected_limit;
+  a.tag_bytes = cfg_.tag_bytes;
+  a.tag_base = cfg_.tag_base;
+  a.versioned = cfg_.level == integrity_level::mac_versioned;
+  auth_.emplace(lower, std::move(a), cfg_.line_bytes);
 }
 
 std::string_view integrity_edu::name() const noexcept {
@@ -27,11 +31,6 @@ std::string_view integrity_edu::name() const noexcept {
     case integrity_level::mac_versioned: return "Integrity-MAC+ver";
   }
   return "?";
-}
-
-u64 integrity_edu::version_of(addr_t line_addr) const noexcept {
-  const auto it = versions_.find(line_addr);
-  return it == versions_.end() ? 0 : it->second;
 }
 
 void integrity_edu::pad_line(addr_t line_addr, u64 version, std::span<u8> buf) const {
@@ -51,80 +50,23 @@ void integrity_edu::pad_line(addr_t line_addr, u64 version, std::span<u8> buf) c
   }
 }
 
-bytes integrity_edu::line_tag(addr_t line_addr, u64 version,
-                              std::span<const u8> ciphertext) const {
-  u8 head[16];
-  store_be64(head, line_addr); // binds the tag to its address (anti-splice)
-  store_be64(head + 8, cfg_.level == integrity_level::mac_versioned ? version : 0);
-  return mac_key_.tag(cfg_.tag_bytes, head, ciphertext);
-}
-
-cycles integrity_edu::mac_time(std::size_t nbytes) const noexcept {
-  return cfg_.mac_startup +
-         static_cast<cycles>(static_cast<double>(nbytes) * cfg_.mac_cycles_per_byte);
-}
-
-cycles integrity_edu::fetch_tag(addr_t line_addr, std::span<u8> out) {
-  const addr_t ta = tag_addr(line_addr);
-  const addr_t tag_line = ta - ta % k_tag_line;
-  const std::size_t off = static_cast<std::size_t>(ta - tag_line);
-
-  auto it = tag_cache_.find(tag_line);
-  cycles spent = 0;
-  if (it == tag_cache_.end() || cfg_.tag_cache_entries == 0) {
-    ++tag_misses_;
-    bytes fill(k_tag_line);
-    spent = lower_->read(tag_line, fill);
-    if (cfg_.tag_cache_entries != 0) {
-      if (tag_cache_fifo_.size() >= cfg_.tag_cache_entries) {
-        tag_cache_.erase(tag_cache_fifo_.front());
-        tag_cache_fifo_.erase(tag_cache_fifo_.begin());
-      }
-      it = tag_cache_.emplace(tag_line, std::move(fill)).first;
-      tag_cache_fifo_.push_back(tag_line);
-    } else {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = fill[off + i];
-      return spent;
-    }
-  } else {
-    ++tag_hits_;
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = it->second[off + i];
-  return spent;
-}
-
-cycles integrity_edu::store_tag(addr_t line_addr, std::span<const u8> tag) {
-  const addr_t ta = tag_addr(line_addr);
-  const addr_t tag_line = ta - ta % k_tag_line;
-  const auto it = tag_cache_.find(tag_line);
-  if (it != tag_cache_.end()) {
-    const std::size_t off = static_cast<std::size_t>(ta - tag_line);
-    for (std::size_t i = 0; i < tag.size(); ++i) it->second[off + i] = tag[i];
-  }
-  return lower_->write(ta, tag); // write-through: the chip stays in sync
-}
-
 cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {
   const cycles mem = lower_->read(line_addr, out);
   cycles total = mem;
 
-  if (cfg_.level != integrity_level::none) {
+  if (auth_) {
     // Fetch and verify the tag BEFORE releasing data to the cache. The
     // MAC unit streams over the beats as they arrive, so only its fill
     // latency plus any excess over the burst is exposed.
-    bytes stored_tag(cfg_.tag_bytes);
-    total += fetch_tag(line_addr, stored_tag);
-    const bytes expect = line_tag(line_addr, version_of(line_addr), out);
-    if (!crypto::tag_equal(expect, stored_tag)) ++tamper_events_;
-    const cycles mac_t = mac_time(cfg_.line_bytes);
-    const cycles exposed = cfg_.mac_startup + (mac_t > mem ? mac_t - mem : 0);
-    total += exposed;
+    const auto cr = auth_->verify_unit(line_addr, out, /*charge=*/true);
+    const cycles exposed =
+        auth_->config().mac_startup + (cr.compute > mem ? cr.compute - mem : 0);
+    total += cr.bus + exposed;
     stats_.crypto_cycles += exposed;
   }
 
   // Decrypt: pad generation overlapped with the fetch.
-  const u64 version = version_of(line_addr);
-  pad_line(line_addr, version, out);
+  pad_line(line_addr, version_of(line_addr), out);
   const std::size_t nblocks = cfg_.pad_core.blocks_for(cfg_.line_bytes);
   stats_.cipher_blocks += nblocks;
   const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
@@ -137,11 +79,8 @@ cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {
 }
 
 cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
-  u64 version = version_of(line_addr);
-  if (cfg_.level == integrity_level::mac_versioned) version = ++versions_[line_addr];
-
   bytes ct(in.begin(), in.end());
-  pad_line(line_addr, version, ct);
+  pad_line(line_addr, next_version(line_addr), ct);
   const std::size_t nblocks = cfg_.pad_core.blocks_for(cfg_.line_bytes);
   stats_.cipher_blocks += nblocks;
 
@@ -149,11 +88,11 @@ cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
   stats_.crypto_cycles += total;
   total += lower_->write(line_addr, ct);
 
-  if (cfg_.level != integrity_level::none) {
-    const bytes tag = line_tag(line_addr, version, ct);
-    total += mac_time(cfg_.line_bytes);
-    stats_.crypto_cycles += mac_time(cfg_.line_bytes);
-    total += store_tag(line_addr, tag);
+  if (auth_) {
+    // Bumps the version to the one the pad used and stores the new tag.
+    const auto cr = auth_->update_unit(line_addr, ct, /*charge=*/true);
+    total += cr.compute + cr.bus;
+    stats_.crypto_cycles += cr.compute;
   }
   return total;
 }
@@ -164,51 +103,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.pad_core.blocks_for(lb);
   const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
-  const bool authed = cfg_.level != integrity_level::none;
-
-  // Window tag plumbing: deduplicated tag-line fetches riding the same
-  // lower window, plus the tags this window stages (forwarded to later
-  // reads and applied to the on-chip cache at retirement).
-  struct tag_fetch {
-    addr_t line = 0;
-    std::size_t li = 0;
-    bytes* buf = nullptr;
-  };
-  std::vector<tag_fetch> fetches;
-  std::unordered_map<addr_t, std::size_t> fetch_map; ///< tag line -> fetches idx
-  std::unordered_map<addr_t, bytes> staged_tags;     ///< tag addr -> staged tag
-  bool hooked = false;
-  auto hook = [&] {
-    if (hooked) return;
-    hooked = true;
-    b.at_flush_end([&] {
-      // Install fetched tag lines (FIFO, as fetch_tag does) and lay the
-      // window's staged tags on top — the state scalar issue leaves.
-      if (cfg_.tag_cache_entries != 0) {
-        for (const tag_fetch& tf : fetches) {
-          if (tag_cache_.find(tf.line) != tag_cache_.end()) continue;
-          if (tag_cache_fifo_.size() >= cfg_.tag_cache_entries) {
-            tag_cache_.erase(tag_cache_fifo_.front());
-            tag_cache_fifo_.erase(tag_cache_fifo_.begin());
-          }
-          tag_cache_.emplace(tf.line, *tf.buf);
-          tag_cache_fifo_.push_back(tf.line);
-        }
-        for (const auto& [ta, tag] : staged_tags) {
-          const addr_t line = ta - ta % k_tag_line;
-          const auto it = tag_cache_.find(line);
-          if (it == tag_cache_.end()) continue;
-          const std::size_t off = static_cast<std::size_t>(ta - line);
-          std::copy(tag.begin(), tag.end(),
-                    it->second.begin() + static_cast<std::ptrdiff_t>(off));
-        }
-      }
-      fetches.clear();
-      fetch_map.clear();
-      staged_tags.clear();
-      hooked = false;
-    });
-  };
+  engine::memory_authenticator* auth = auth_ ? &*auth_ : nullptr;
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
@@ -230,31 +125,17 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
         std::span<u8> line = seg.data.subspan(off, lb);
         stats_.cipher_blocks += nblocks;
         if (txn.is_write()) {
-          u64 v = version_of(a);
-          if (cfg_.level == integrity_level::mac_versioned) v = ++versions_[a];
           bytes& ct = b.scratch_copy(line);
-          pad_line(a, v, ct);
+          pad_line(a, next_version(a), ct);
           b.add_par(sim::txn_batcher::no_lower, pad_t, 1);
           stats_.crypto_cycles += pad_t + 1;
           (void)b.queue(sim::txn_op::write, txn.master, a, ct);
-          if (authed) {
-            const bytes tag = line_tag(a, v, ct);
-            const cycles mac_t = mac_time(lb);
+          if (auth) {
+            // Bumps the version and rides the tag store on this window.
+            const cycles mac_t = auth->batch_stage_update(a, ct, /*charge=*/true, b,
+                                                          txn.master);
             stats_.crypto_cycles += mac_t;
             b.add_pre(mac_t);
-            const addr_t ta = tag_addr(a);
-            // Write-through, exactly as store_tag: the cached copy (if
-            // any) updates now; the DRAM store rides this window.
-            const addr_t tline = ta - ta % k_tag_line;
-            if (const auto it = tag_cache_.find(tline); it != tag_cache_.end()) {
-              const std::size_t toff = static_cast<std::size_t>(ta - tline);
-              std::copy(tag.begin(), tag.end(),
-                        it->second.begin() + static_cast<std::ptrdiff_t>(toff));
-            }
-            staged_tags[ta] = tag;
-            hook();
-            bytes& tb = b.scratch_copy(tag);
-            (void)b.queue_side(sim::txn_op::write, txn.master, ta, tb);
           }
           continue;
         }
@@ -262,59 +143,15 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
         // bleed its bumped version into this line's pad or tag check).
         const u64 v = version_of(a);
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
-        if (authed) {
-          const addr_t ta = tag_addr(a);
-          const addr_t tline = ta - ta % k_tag_line;
-          const std::size_t toff = static_cast<std::size_t>(ta - tline);
-          std::size_t tag_li = sim::txn_batcher::no_lower;
-          std::function<bytes()> stored;
-          const auto fwd = staged_tags.find(ta);
-          const auto cached = tag_cache_.find(tline);
-          if (cfg_.tag_cache_entries != 0 && fwd != staged_tags.end()) {
-            // In-flush forwarding: the tag a write staged moments ago.
-            ++tag_hits_;
-            stored = [tag = fwd->second] { return tag; };
-          } else if (cfg_.tag_cache_entries != 0 && cached != tag_cache_.end()) {
-            ++tag_hits_;
-            const auto* line_bytes = &cached->second;
-            bytes tag(line_bytes->begin() + static_cast<std::ptrdiff_t>(toff),
-                      line_bytes->begin() +
-                          static_cast<std::ptrdiff_t>(toff + cfg_.tag_bytes));
-            stored = [tag = std::move(tag)] { return tag; };
-          } else {
-            ++tag_misses_;
-            std::size_t idx;
-            if (cfg_.tag_cache_entries == 0) {
-              // Naive design: one tag fetch per access, nothing retained.
-              bytes& fb = b.scratch(k_tag_line);
-              idx = fetches.size();
-              fetches.push_back({tline, b.queue_side(sim::txn_op::read, txn.master,
-                                                     tline, fb),
-                                 &fb});
-            } else {
-              const auto [it, inserted] = fetch_map.try_emplace(tline, fetches.size());
-              if (inserted) {
-                bytes& fb = b.scratch(k_tag_line);
-                fetches.push_back({tline, b.queue_side(sim::txn_op::read, txn.master,
-                                                       tline, fb),
-                                   &fb});
-              }
-              idx = it->second;
-            }
-            hook();
-            tag_li = fetches[idx].li;
-            stored = [buf = fetches[idx].buf, toff, n = cfg_.tag_bytes] {
-              return bytes(buf->begin() + static_cast<std::ptrdiff_t>(toff),
-                           buf->begin() + static_cast<std::ptrdiff_t>(toff + n));
-            };
-          }
+        if (auth) {
           // The serial MAC unit starts once data AND tag have arrived;
           // verification consumes the ciphertext before the pad pass.
-          const cycles mac_t = mac_time(lb);
+          auto sv = auth->batch_prepare_verify(a, b, txn.master);
+          const std::size_t fetch = sv.fetch;
+          const cycles mac_t = auth->unit_mac_cycles();
           stats_.crypto_cycles += mac_t;
-          b.add_gated(li, tag_li, mac_t, [this, a, v, line, stored = std::move(stored)] {
-            const bytes expect = line_tag(a, v, line);
-            if (!crypto::tag_equal(expect, stored())) ++tamper_events_;
+          b.add_gated(li, fetch, mac_t, [auth, sv = std::move(sv), line] {
+            (void)auth->batch_finish_verify(sv, line, /*charge=*/true);
           });
         }
         stats_.crypto_cycles += 1; // the XOR stage

@@ -17,18 +17,27 @@
 /// The costs the later literature (and the survey's own authors' follow-up
 /// work) made standard are all modeled: extra bus traffic for tags, MAC
 /// unit latency, and on-chip version RAM.
+///
+/// The engine is an address+version pad plus an engine::memory_authenticator
+/// in its `mac` scheme (unversioned at level mac, none at level none): tags,
+/// tag addressing, version RAM, the on-chip tag cache, fault counting and
+/// the batch tag protocol all live there, shared with the keyslot engine.
+/// What stays here is the pad and the cycle model: the MAC unit's latency
+/// exposed past the fetch, the pad overlapped with it, and the batcher
+/// lanes the two run on.
 
 #include "crypto/block_cipher.hpp"
-#include "crypto/mac.hpp"
 #include "edu/edu.hpp"
 #include "edu/timing.hpp"
+#include "engine/memory_authenticator.hpp"
 
-#include <unordered_map>
+#include <optional>
 
 namespace buscrypt::edu {
 
 enum class integrity_level { none, mac, mac_versioned };
 
+/// The MAC unit's timing and the tag cache take the auth_config defaults.
 struct integrity_edu_config {
   std::size_t line_bytes = 32;
   std::size_t tag_bytes = 8;
@@ -36,19 +45,13 @@ struct integrity_edu_config {
   addr_t protected_limit = 1 << 21; ///< end of the protected address range
   addr_t tag_base = 6u << 20;       ///< where tags live in external memory
   pipeline_model pad_core = aes_pipelined();
-  cycles mac_startup = 10;          ///< hardware MAC unit fill latency
-  double mac_cycles_per_byte = 0.5;
-  /// On-chip tag cache entries (64-byte tag lines). Without it every data
-  /// fetch pays a second DRAM access for its tag; with it, sequential
-  /// lines share a tag line 8:1. 0 disables (the naive design).
-  unsigned tag_cache_entries = 16;
   u64 tweak = 0x17E617ULL;
 };
 
 /// Authenticating bus-encryption engine (pad cipher + per-line tags).
 class integrity_edu final : public edu {
  public:
-  /// \param prf     block cipher for the pad and (keyed) tag derivation.
+  /// \param prf     block cipher for the pad.
   /// \param mac_key key for the line MACs.
   integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                 bytes mac_key, integrity_edu_config cfg);
@@ -61,16 +64,14 @@ class integrity_edu final : public edu {
   /// Native batch path for line-aligned transactions. Writes pre-encipher
   /// (the pad is address+version-derived and the data is in hand) and
   /// pre-MAC at staging; their ciphertext lines *and* their tag stores
-  /// ride the same lower window. Reads queue their line fetch plus — when
-  /// the tag misses on chip — one deduplicated tag-line fetch per window;
-  /// the serial MAC unit then verifies each line once its data and its tag
-  /// line have both arrived, pipelining against later fetches, while the
-  /// precomputable pad overlaps the whole window. Versions and tags are
-  /// snapshotted in submission order, and tags written earlier in the same
-  /// window forward to later reads (in-flush staged-tag forwarding), so a
-  /// read never sees a stale or future tag. Fetched tag lines install into
-  /// the on-chip cache when the window retires, with the window's staged
-  /// tags applied on top. Sub-line requests detour in order.
+  /// ride the same lower window. Reads queue their line fetch, and the
+  /// authenticator queues a tag-line fetch on a tag miss (one per line per
+  /// window); the serial MAC unit then verifies each line once its data
+  /// and its tag line have both arrived, pipelining against later fetches,
+  /// while the precomputable pad overlaps the whole window. Versions are
+  /// snapshotted in submission order and tags written earlier in the same
+  /// window forward to later reads, so a read never sees a stale or future
+  /// tag. Sub-line requests detour in order.
   void submit(std::span<sim::mem_txn> batch) override;
 
   [[nodiscard]] std::size_t preferred_chunk() const noexcept override {
@@ -78,68 +79,50 @@ class integrity_edu final : public edu {
   }
 
   /// Tamper events detected so far (tag mismatches on fetch).
-  [[nodiscard]] u64 tamper_events() const noexcept { return tamper_events_; }
+  [[nodiscard]] u64 tamper_events() const noexcept {
+    return auth_ ? auth_->stats().faults : 0;
+  }
 
   /// External-memory overhead for tags over the protected range.
   [[nodiscard]] std::size_t tag_memory_bytes() const noexcept {
-    return static_cast<std::size_t>(cfg_.protected_limit / cfg_.line_bytes) *
-           cfg_.tag_bytes;
+    return auth_ ? auth_->tag_memory_bytes() : 0;
   }
 
   /// On-chip version RAM (mac_versioned only): 4 bytes per line written.
   [[nodiscard]] std::size_t version_ram_bytes() const noexcept {
-    return versions_.size() * 4;
+    return auth_ ? auth_->version_ram_bytes() : 0;
   }
 
   /// Drop the (volatile) on-chip tag cache — a power cycle. Version
   /// counters survive: the design keeps them in on-chip NVM.
   void flush_tag_cache() noexcept {
-    tag_cache_.clear();
-    tag_cache_fifo_.clear();
+    if (auth_) auth_->drop_caches();
   }
 
-  /// Tag-cache effectiveness.
-  [[nodiscard]] u64 tag_cache_hits() const noexcept { return tag_hits_; }
-  [[nodiscard]] u64 tag_cache_misses() const noexcept { return tag_misses_; }
-  [[nodiscard]] std::size_t tag_cache_ram_bytes() const noexcept {
-    return cfg_.tag_cache_entries * k_tag_line;
-  }
-
-  /// Where the tag for the line at \p addr lives (attack-suite hook —
-  /// a Class-II attacker can read the layout from the bus anyway).
-  [[nodiscard]] addr_t tag_addr(addr_t addr) const noexcept {
-    return cfg_.tag_base + (addr / cfg_.line_bytes) * cfg_.tag_bytes;
+  /// The line MAC engine (tag layout, counters); null at level none.
+  [[nodiscard]] const engine::memory_authenticator* authenticator() const noexcept {
+    return auth_ ? &*auth_ : nullptr;
   }
 
   [[nodiscard]] const integrity_edu_config& config() const noexcept { return cfg_; }
 
  private:
-  static constexpr std::size_t k_tag_line = 64; ///< tag-cache fill granule
-
   [[nodiscard]] cycles read_line(addr_t line_addr, std::span<u8> out);
   [[nodiscard]] cycles write_line(addr_t line_addr, std::span<const u8> in);
 
   void pad_line(addr_t line_addr, u64 version, std::span<u8> buf) const;
-  [[nodiscard]] bytes line_tag(addr_t line_addr, u64 version,
-                               std::span<const u8> ciphertext) const;
-  [[nodiscard]] u64 version_of(addr_t line_addr) const noexcept;
-  [[nodiscard]] cycles mac_time(std::size_t nbytes) const noexcept;
-
-  /// Read the tag for \p line_addr into \p out, through the tag cache.
-  /// Returns cycles spent on the external bus (0 on a tag-cache hit).
-  [[nodiscard]] cycles fetch_tag(addr_t line_addr, std::span<u8> out);
-  /// Write a freshly computed tag through cache and memory.
-  [[nodiscard]] cycles store_tag(addr_t line_addr, std::span<const u8> tag);
+  /// The version a line's pad and tag cover now.
+  [[nodiscard]] u64 version_of(addr_t line_addr) const noexcept {
+    return auth_ ? auth_->version_of(line_addr) : 0;
+  }
+  /// The version the next store of a line gets (0 unless versioned).
+  [[nodiscard]] u64 next_version(addr_t line_addr) const noexcept {
+    return auth_ && auth_->config().versioned ? auth_->version_of(line_addr) + 1 : 0;
+  }
 
   const crypto::block_cipher* prf_;
-  crypto::hmac_sha256_key mac_key_; ///< tag key, absorbed once
   integrity_edu_config cfg_;
-  std::unordered_map<addr_t, u64> versions_;
-  std::unordered_map<addr_t, bytes> tag_cache_; ///< tag-line base -> 64 B
-  std::vector<addr_t> tag_cache_fifo_;
-  u64 tag_hits_ = 0;
-  u64 tag_misses_ = 0;
-  u64 tamper_events_ = 0;
+  std::optional<engine::memory_authenticator> auth_;
 };
 
 } // namespace buscrypt::edu

@@ -189,16 +189,6 @@ void secure_soc::prepare_txn_stream() {
   if (kind_ == engine_kind::secure_dma) (void)static_cast<dma_edu&>(*edu_).flush();
 }
 
-sim::arbiter_stats secure_soc::run_multi_master(std::span<const master_desc> masters,
-                                                const multi_master_config& mm) {
-  // The flat bus is the degenerate topology (one implicit cluster, no
-  // firewall tables): run_topology takes the bit-identical grant sequence
-  // and never attaches the engine firewall, so every PR 3 number holds.
-  const sim::topology topo(
-      sim::arbiter_config{mm.policy, mm.window_txns, mm.starvation_limit});
-  return run_topology(masters, topo).noc.bus;
-}
-
 topology_run_stats secure_soc::run_topology(std::span<const master_desc> masters,
                                             const sim::topology& topo,
                                             const grant_observer& observe) {

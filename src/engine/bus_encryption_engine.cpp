@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
-#include <unordered_map>
 
 namespace buscrypt::engine {
 
@@ -550,10 +548,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     throw std::logic_error("bus_encryption_engine: context staged without a pin");
   };
 
-  // Per-window authentication state: the tag lines fetched so far (one
-  // fetch per line, shared by every unit whose tag packs into it) and the
-  // units whose check failed.
-  std::unordered_map<addr_t, std::pair<std::size_t, std::span<const u8>>> tag_lines;
+  // The units whose check failed in the current window.
   struct fail_rec {
     std::span<u8> unit;
     master_id master;
@@ -571,11 +566,6 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
         note_integrity_fault(f.master);
       }
       fails.clear();
-      // Staged tags are all in DRAM and the cache now: retire the
-      // forwarding window on every authenticator this batch may have used.
-      for (const auto& auth : auths_)
-        if (auth != nullptr && auth->mode() == auth_mode::mac) auth->batch_flush_done();
-      tag_lines.clear();
     }
     live.clear();
   };
@@ -711,10 +701,9 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
         // New MAC tags load the MAC unit and ride the window behind the data.
         for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
           const addr_t ua = seg.addr + off;
-          if (!auth->covers(ua)) continue;
-          const auto su = auth->batch_stage_update(ua, data.subspan(off, du), /*charge=*/true);
-          b.add_mac_pre(su.compute);
-          b.queue_side(sim::txn_op::write, txn.master, su.tag_addr, b.scratch_copy(su.tag));
+          if (auth->covers(ua))
+            b.add_mac_pre(auth->batch_stage_update(ua, data.subspan(off, du),
+                                                   /*charge=*/true, b, txn.master));
         }
       } else if (mode == auth_mode::area) {
         // AREA unseal on the cipher core against staging-order snapshots:
@@ -756,23 +745,12 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
         for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
           const addr_t ua = seg.addr + off;
           if (!auth->covers(ua)) continue;
-          memory_authenticator::staged_verify sv = auth->batch_prepare_verify(ua);
-          std::size_t line_idx = no_lower;
-          std::span<const u8> line;
-          if (!sv.have_tag) {
-            const auto [it, fresh] = tag_lines.try_emplace(sv.tag_line);
-            if (fresh) {
-              auth->note_batch_tag_fetch();
-              bytes& buf = b.scratch(memory_authenticator::k_tag_line);
-              it->second = {b.queue_side(sim::txn_op::read, txn.master, sv.tag_line, buf),
-                            buf};
-            }
-            std::tie(line_idx, line) = it->second;
-          }
+          auto sv = auth->batch_prepare_verify(ua, b, txn.master);
+          const std::size_t fetch = sv.fetch;
           const std::span<u8> ct = data.subspan(off, du);
-          b.add_mac(arrival, line_idx, auth->unit_mac_cycles(),
-                    [&fails, auth, sv = std::move(sv), ct, line, m = txn.master] {
-                      if (!auth->batch_finish_verify(sv, ct, line, /*charge=*/true).ok)
+          b.add_mac(arrival, fetch, auth->unit_mac_cycles(),
+                    [&fails, auth, sv = std::move(sv), ct, m = txn.master] {
+                      if (!auth->batch_finish_verify(sv, ct, /*charge=*/true).ok)
                         fails.push_back({ct, m});
                     });
         }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace buscrypt::engine {
 
@@ -39,6 +40,8 @@ memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config 
                                 "data-unit-aligned range");
   if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
     throw std::invalid_argument("memory_authenticator: tag_bytes must be 1..32");
+  if (!cfg_.versioned && cfg_.mode != auth_mode::mac)
+    throw std::invalid_argument("memory_authenticator: only mac can run unversioned");
 
   const u64 lines = (cfg_.limit - cfg_.base) / unit_;
   if (cfg_.mode == auth_mode::hash_tree) {
@@ -405,7 +408,7 @@ memory_authenticator::update_unit(addr_t unit_addr, std::span<const u8> ct,
   ++stats_.updates;
 
   if (cfg_.mode == auth_mode::mac) {
-    const u64 version = ++versions_[unit_addr];
+    const u64 version = cfg_.versioned ? ++versions_[unit_addr] : 0;
     const bytes tag = unit_tag(unit_addr, version, ct);
     r.compute = mac_time(ct.size());
     r.bus = store_tag(unit_addr, tag);
@@ -486,50 +489,58 @@ memory_authenticator::update_unit(addr_t unit_addr, std::span<const u8> ct,
 
 // --- batched-pipeline protocol (mac) --------------------------------------------
 
-memory_authenticator::staged_verify
-memory_authenticator::batch_prepare_verify(addr_t unit_addr) {
+void memory_authenticator::open_window(sim::txn_batcher& b) {
+  if (batch_open_) return;
   batch_open_ = true;
+  b.at_flush_end([this] { batch_flush_done(); });
+}
+
+memory_authenticator::staged_verify
+memory_authenticator::batch_prepare_verify(addr_t unit_addr, sim::txn_batcher& b,
+                                           sim::master_id master) {
+  open_window(b);
   staged_verify sv;
   sv.unit_addr = unit_addr;
   sv.version = version_of(unit_addr);
   const addr_t ta = tag_addr(unit_addr);
   sv.tag_line = ta - ta % k_tag_line;
   sv.tag_off = static_cast<std::size_t>(ta - sv.tag_line);
-  // A tag staged earlier in this flush forwards on-chip — the DRAM copy is
+  // A tag staged earlier in this window forwards on-chip — the DRAM copy is
   // still in flight on the same batch.
   if (const auto fwd = staged_tags_.find(ta); fwd != staged_tags_.end()) {
     ++stats_.tag_hits;
-    sv.have_tag = true;
     sv.tag = fwd->second;
     return sv;
   }
   const auto it = tag_cache_.find(sv.tag_line);
   if (it != tag_cache_.end() && cfg_.tag_cache_entries != 0) {
     ++stats_.tag_hits;
-    sv.have_tag = true;
     sv.tag.assign(it->second.begin() + static_cast<std::ptrdiff_t>(sv.tag_off),
                   it->second.begin() +
                       static_cast<std::ptrdiff_t>(sv.tag_off + cfg_.tag_bytes));
-  } else {
-    ++stats_.tag_misses; // the engine stages (and counts) the actual fetch
+    return sv;
   }
+  ++stats_.tag_misses;
+  auto [fetch, fresh] = window_fetches_.try_emplace(sv.tag_line);
+  if (fresh) {
+    ++stats_.tag_bus_reads;
+    bytes& buf = b.scratch(k_tag_line);
+    fetch->second = {b.queue_side(sim::txn_op::read, master, sv.tag_line, buf), buf};
+  }
+  std::tie(sv.fetch, sv.fetched) = fetch->second;
   return sv;
 }
 
 memory_authenticator::check_result
 memory_authenticator::batch_finish_verify(const staged_verify& sv,
-                                          std::span<const u8> ct,
-                                          std::span<const u8> tag_line_data,
-                                          bool charge) {
+                                          std::span<const u8> ct, bool charge) {
   check_result r;
   ++stats_.verifies;
-  std::span<const u8> stored;
-  if (sv.have_tag) {
-    stored = sv.tag;
-  } else {
-    install_tag_line(sv.tag_line, tag_line_data);
+  std::span<const u8> stored = sv.tag;
+  if (sv.fetch != sim::txn_batcher::no_lower) {
+    install_tag_line(sv.tag_line, sv.fetched);
     // The fetch was ordered before any tag write staged later in this
-    // flush: overlay those so the installed line is current, not stale.
+    // window: overlay those so the installed line is current, not stale.
     if (const auto it = tag_cache_.find(sv.tag_line); it != tag_cache_.end()) {
       for (const auto& [ta, tag] : staged_tags_) {
         if (ta < sv.tag_line || ta >= sv.tag_line + k_tag_line) continue;
@@ -537,7 +548,7 @@ memory_authenticator::batch_finish_verify(const staged_verify& sv,
                   it->second.begin() + static_cast<std::ptrdiff_t>(ta - sv.tag_line));
       }
     }
-    stored = tag_line_data.subspan(sv.tag_off, cfg_.tag_bytes);
+    stored = sv.fetched.subspan(sv.tag_off, cfg_.tag_bytes);
   }
   const bytes expect = unit_tag(sv.unit_addr, sv.version, ct);
   r.compute = unit_mac_cycles();
@@ -547,30 +558,29 @@ memory_authenticator::batch_finish_verify(const staged_verify& sv,
   return r;
 }
 
-memory_authenticator::staged_update
-memory_authenticator::batch_stage_update(addr_t unit_addr, std::span<const u8> ct,
-                                         bool charge) {
-  batch_open_ = true;
+cycles memory_authenticator::batch_stage_update(addr_t unit_addr, std::span<const u8> ct,
+                                                bool charge, sim::txn_batcher& b,
+                                                sim::master_id master) {
+  open_window(b);
   ++stats_.updates;
-  staged_update su;
-  const u64 version = ++versions_[unit_addr];
-  su.tag = unit_tag(unit_addr, version, ct);
-  su.tag_addr = tag_addr(unit_addr);
-  staged_tags_[su.tag_addr] = su.tag; // forward to later reads in this flush
+  const u64 version = cfg_.versioned ? ++versions_[unit_addr] : 0;
+  const bytes tag = unit_tag(unit_addr, version, ct);
+  const addr_t ta = tag_addr(unit_addr);
+  staged_tags_[ta] = tag; // forward to later reads in this window
+  cycles compute = 0;
   if (charge) {
-    su.compute = unit_mac_cycles();
-    stats_.auth_cycles += su.compute;
+    compute = unit_mac_cycles();
+    stats_.auth_cycles += compute;
   }
   // Write-through semantics: the cached line (if any) sees the new tag
-  // now; the engine rides the external write on the same lower batch.
-  const auto it = tag_cache_.find(su.tag_addr - su.tag_addr % k_tag_line);
-  if (it != tag_cache_.end()) {
-    const std::size_t off = static_cast<std::size_t>(su.tag_addr % k_tag_line);
-    std::copy(su.tag.begin(), su.tag.end(),
-              it->second.begin() + static_cast<std::ptrdiff_t>(off));
-  }
+  // now; the external write rides the same window.
+  const auto it = tag_cache_.find(ta - ta % k_tag_line);
+  if (it != tag_cache_.end())
+    std::copy(tag.begin(), tag.end(),
+              it->second.begin() + static_cast<std::ptrdiff_t>(ta % k_tag_line));
   ++stats_.tag_bus_writes;
-  return su;
+  (void)b.queue_side(sim::txn_op::write, master, ta, b.scratch_copy(tag));
+  return compute;
 }
 
 // --- lifecycle ------------------------------------------------------------------
@@ -628,12 +638,11 @@ void memory_authenticator::drop_caches() noexcept {
   tag_cache_fifo_.clear();
   node_cache_.clear();
   node_cache_fifo_.clear();
-  // A power cut can unwind the engine's submit() mid-flush, before
-  // batch_flush_done() retires the forwarding window. The window is
-  // volatile state: left set, a perfectly legitimate post-boot reseal
-  // would trip the open-batch guard forever.
-  staged_tags_.clear();
-  batch_open_ = false;
+  // A power cut can unwind a submit() mid-flush, before batch_flush_done()
+  // retires the window. The window is volatile state: left set, a
+  // perfectly legitimate post-boot reseal would trip the open-batch guard
+  // forever, and a later miss would reuse a dead window's fetch.
+  batch_flush_done();
 }
 
 bytes* memory_authenticator::area_sideband(addr_t unit_addr) noexcept {
@@ -652,7 +661,7 @@ std::size_t memory_authenticator::tag_memory_bytes() const noexcept {
 }
 
 std::size_t memory_authenticator::onchip_bytes() const noexcept {
-  return versions_.size() * 4 + tag_cache_.size() * k_tag_line +
+  return version_ram_bytes() + tag_cache_.size() * k_tag_line +
          node_cache_.size() * cfg_.tag_bytes + root_.size();
 }
 

@@ -12,7 +12,9 @@
 ///               (address || version || ciphertext), stored in a dedicated
 ///               DRAM tag region and fronted by an on-chip tag cache so hot
 ///               units verify without extra bus beats. The on-chip version
-///               counter (bumped per write) is what defeats replay.
+///               counter (bumped per write) is what defeats replay; with
+///               `versioned` off every tag covers version 0, the survey's
+///               replay-vulnerable per-line MAC.
 ///   area      — Added Redundancy Explicit Authentication (Elbaz et al.):
 ///               every cipher block of a unit carries a few bytes of
 ///               address+version-derived nonce *inside the encrypted
@@ -35,12 +37,16 @@
 /// The authenticator is deliberately engine-agnostic: it authenticates
 /// *ciphertext* units (mac, hash_tree) or wraps the engine's own keyed
 /// cipher (area), so it composes with any keyslot backend without a second
-/// key schedule in the datapath.
+/// key schedule in the datapath. It is the one MAC engine of the simulator:
+/// the keyslot engine and edu::integrity_edu (the tab6 levels) both keep
+/// their tags, versions and tag cache here, and both batch paths queue
+/// their tag traffic through it.
 
 #include "common/types.hpp"
 #include "crypto/mac.hpp"
 #include "engine/cipher_backend.hpp"
 #include "sim/memory_port.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <string_view>
 #include <unordered_map>
@@ -90,6 +96,10 @@ struct auth_config {
   double mac_cycles_per_byte = 0.5;
   /// hash_tree fan-out (2..8). Depth trades against per-level fetch width.
   unsigned tree_arity = 2;
+  /// mac only: bump an on-chip version per write and bind it into the tag.
+  /// false tags every unit with version 0 and keeps no version RAM — the
+  /// per-line MAC that splicing and spoofing cannot beat but replay can.
+  bool versioned = true;
 };
 
 /// Counters the benches and tests read.
@@ -116,8 +126,9 @@ class memory_authenticator {
   /// \param lower external path for tag/node traffic; referenced, not owned.
   /// \param unit_bytes the owning context's data-unit size.
   /// \throws std::invalid_argument on mode==none, empty key, a misaligned
-  ///         or empty window, a tag region overlapping the window, or
-  ///         out-of-range tag_bytes / tree_arity.
+  ///         or empty window, a tag region overlapping the window,
+  ///         out-of-range tag_bytes / tree_arity, or versioned off outside
+  ///         mac.
   memory_authenticator(sim::memory_port& lower, auth_config cfg,
                        std::size_t unit_bytes);
 
@@ -154,8 +165,9 @@ class memory_authenticator {
   [[nodiscard]] check_result verify_unit(addr_t unit_addr, std::span<const u8> ct,
                                          bool charge);
 
-  /// Account a freshly stored ciphertext unit: bump the on-chip version,
-  /// recompute and store the tag (mac) or re-hash the path and the on-chip
+  /// Account a freshly stored ciphertext unit: bump the on-chip version
+  /// (unless mac runs unversioned), recompute and store the tag (mac) or
+  /// re-hash the path and the on-chip
   /// root (hash_tree — the stored path is authenticated first, and on a
   /// mismatch the update is *refused* (fail-stop): a tampered sibling must
   /// never be hashed into the new root, so the subtree stays unverifiable
@@ -165,46 +177,52 @@ class memory_authenticator {
                                          bool charge);
 
   // --- mac: batched-pipeline protocol --------------------------------------
-  // The engine's submit() path stages tag traffic into the same lower batch
-  // as the data so tag fetches overlap data fetches bank-wise; the verify
-  // itself runs after arrival on the serial MAC unit.
+  // A batch path stages tag traffic into the same txn_batcher window as its
+  // data, so tag fetches overlap data fetches bank-wise; the caller queues
+  // the verify itself on its MAC lane, to run after arrival. The first
+  // staging call of a window registers batch_flush_done() as the window's
+  // flush-end hook.
 
   /// What a staged (batched) read needs to verify later: the version
-  /// snapshot at staging order, and either the tag value (cache hit) or
-  /// the tag line to fetch (miss; the engine rides it on the batch).
+  /// snapshot at staging order, and either the tag value (forwarded from a
+  /// write staged earlier in the window, or a tag-cache hit) or the window
+  /// index and buffer of its tag-line fetch (a miss).
   struct staged_verify {
     addr_t unit_addr = 0;
     u64 version = 0;
-    bool have_tag = false;
-    bytes tag;              ///< valid when have_tag
-    addr_t tag_line = 0;    ///< 64-byte-aligned fetch address when !have_tag
-    std::size_t tag_off = 0;///< this unit's tag offset inside that line
+    bytes tag;               ///< forwarded or cached tag; empty on a miss
+    addr_t tag_line = 0;     ///< 64-byte-aligned line holding the tag
+    std::size_t tag_off = 0; ///< this unit's tag offset inside that line
+    /// Miss: the window index of the tag-line fetch (gate the verify on
+    /// it) and its buffer. no_lower on a hit.
+    std::size_t fetch = sim::txn_batcher::no_lower;
+    std::span<const u8> fetched;
   };
-  [[nodiscard]] staged_verify batch_prepare_verify(addr_t unit_addr);
+
+  /// Stage the verify of one batched read of \p unit_addr. On a tag miss,
+  /// queue the tag-line fetch on \p b as side traffic of \p master: one
+  /// fetch per tag line per window, shared by every unit whose tag packs
+  /// into it, and counted in tag_bus_reads.
+  [[nodiscard]] staged_verify batch_prepare_verify(addr_t unit_addr, sim::txn_batcher& b,
+                                                   sim::master_id master);
 
   /// Finish a staged verify once data (and, on a miss, the tag line) have
-  /// arrived. \p tag_line_data is the fetched 64-byte line (installed into
-  /// the tag cache here, with any tags staged later in the same flush
-  /// overlaid — the fetch was ordered before those writes) or empty on a
-  /// snapshot hit.
+  /// arrived. A fetched line installs into the tag cache here, with every
+  /// tag staged in the same window overlaid (the fetch was ordered before
+  /// those writes).
   [[nodiscard]] check_result batch_finish_verify(const staged_verify& sv,
-                                                 std::span<const u8> ct,
-                                                 std::span<const u8> tag_line_data,
-                                                 bool charge);
+                                                 std::span<const u8> ct, bool charge);
 
   /// MAC-unit cycles to tag or verify one data unit — what the batch path
   /// charges per staged verify or update, known before the data arrives.
   [[nodiscard]] cycles unit_mac_cycles() const noexcept { return mac_time(unit_); }
 
-  /// The engine deduplicates tag-line fetches per flush; it reports each
-  /// fetch it actually stages here so tag_bus_reads counts lower-port
-  /// traffic, not cache probes.
-  void note_batch_tag_fetch() noexcept { ++stats_.tag_bus_reads; }
-
-  /// End of one submit() flush window: staged-tag forwarding state is
-  /// retired (everything is in DRAM and the cache by now).
+  /// End of one flush window: staged-tag forwarding and the window's
+  /// tag-line fetches are retired (everything is in DRAM and the cache by
+  /// now).
   void batch_flush_done() noexcept {
     staged_tags_.clear();
+    window_fetches_.clear();
     batch_open_ = false;
   }
 
@@ -212,16 +230,13 @@ class memory_authenticator {
   /// — the window in which a reseal would race the in-flight tag traffic.
   [[nodiscard]] bool batch_open() const noexcept { return batch_open_; }
 
-  /// Stage a (batched) write: bump the version, compute the new tag, update
-  /// the cache write-through. The engine appends the returned tag bytes as
-  /// a write transaction in the same lower batch.
-  struct staged_update {
-    addr_t tag_addr = 0;
-    bytes tag;
-    cycles compute = 0;
-  };
-  [[nodiscard]] staged_update batch_stage_update(addr_t unit_addr,
-                                                 std::span<const u8> ct, bool charge);
+  /// Stage a (batched) write of ciphertext \p ct: bump the version (when
+  /// versioned), compute the new tag, update the cache write-through, and
+  /// queue the tag store on \p b as side traffic of \p master. Returns
+  /// the MAC-unit cycles charged (0 unless \p charge).
+  [[nodiscard]] cycles batch_stage_update(addr_t unit_addr, std::span<const u8> ct,
+                                          bool charge, sim::txn_batcher& b,
+                                          sim::master_id master);
 
   // --- area: payload-level hooks (the engine passes its leased cipher) -----
 
@@ -298,6 +313,11 @@ class memory_authenticator {
   /// On-chip state: version RAM, caches, root (the silicon cost column).
   [[nodiscard]] std::size_t onchip_bytes() const noexcept;
 
+  /// On-chip version RAM: 4 bytes per unit written so far.
+  [[nodiscard]] std::size_t version_ram_bytes() const noexcept {
+    return versions_.size() * 4;
+  }
+
   [[nodiscard]] u64 version_of(addr_t unit_addr) const noexcept;
 
  private:
@@ -314,6 +334,8 @@ class memory_authenticator {
   [[nodiscard]] cycles fetch_tag(addr_t unit_addr, std::span<u8> out);
   [[nodiscard]] cycles store_tag(addr_t unit_addr, std::span<const u8> tag);
   void install_tag_line(addr_t tag_line, std::span<const u8> data);
+  /// Open a batch window on \p b, if none is open.
+  void open_window(sim::txn_batcher& b);
 
   // hash_tree helpers.
   [[nodiscard]] bytes leaf_digest(u64 index, std::span<const u8> ct) const;
@@ -339,12 +361,15 @@ class memory_authenticator {
   // mac state.
   std::unordered_map<addr_t, bytes> tag_cache_; ///< tag-line base -> 64 B
   std::vector<addr_t> tag_cache_fifo_;
-  /// Tags staged by the current submit() flush (tag addr -> value): later
+  /// Tags staged by the current flush window (tag addr -> value): later
   /// staged reads must see them even when the tag line is uncached, and a
   /// tag-line fetch ordered before the staged write must not install a
   /// stale line over them.
   std::unordered_map<addr_t, bytes> staged_tags_;
-  /// An engine submit() flush is staging against this authenticator; a
+  /// Tag lines the current window fetches: line -> (window index, buffer).
+  std::unordered_map<addr_t, std::pair<std::size_t, std::span<const u8>>>
+      window_fetches_;
+  /// A batch path's flush window is staging against this authenticator; a
   /// reseal inside the window would clobber in-flight tag state.
   bool batch_open_ = false;
 

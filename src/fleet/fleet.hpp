@@ -92,7 +92,7 @@ struct fleet_cell {
   // noc drive only (every other drive ignores all four): the interconnect
   // shape. The heterogeneous cast (CPU compute, DMA movers, peripheral
   // pollers — see noc_cast) partitions the footprint; noc_clusters == 0
-  // is the flat implicit cluster (run_multi_master-equivalent), >= 1
+  // is the flat implicit cluster (the tab8 shared bus), >= 1
   // deals the masters round-robin into that many explicit clusters.
   std::size_t noc_masters = 4;
   std::size_t noc_clusters = 0;

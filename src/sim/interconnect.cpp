@@ -215,8 +215,7 @@ interconnect::interconnect(memory_port& port, topology topo)
   if (topo_.root().window_txns == 0)
     throw std::invalid_argument("interconnect: window_txns must be >= 1");
   if (topo_.clusters().empty()) {
-    // Implicit flat cluster inheriting the root knobs — the flat bus and
-    // the multi_master_config compatibility shape.
+    // Implicit flat cluster inheriting the root knobs — the flat bus.
     cluster_config flat;
     flat.name = "bus";
     flat.arb = topo_.root();

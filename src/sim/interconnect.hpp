@@ -11,10 +11,9 @@
 ///           ┌────┼────┐      ┌────┼────┐
 ///          m0   m1   m2     m3   m4   m5         (bus_master streams)
 ///
-/// A topology with one cluster is the flat shared bus: the root has a
-/// single child, so every grant decision is the cluster's, taken by the
-/// same policy code over the same master order — which is how the
-/// multi_master_config shim keeps the committed tab8 numbers unchanged.
+/// A topology with one cluster is the flat shared bus (tab8): the root has
+/// a single child, so every grant decision is the cluster's, taken by the
+/// same policy code over the same master order.
 ///
 /// Two grant policies, the classic pair, run at every node:
 ///  - round_robin: rotate among children with pending work. Fair by

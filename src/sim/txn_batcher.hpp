@@ -137,7 +137,7 @@ class txn_batcher {
   }
 
   /// Run \p fn after this window's callbacks (scratch still valid) — for
-  /// per-window bookkeeping like tag-cache installs.
+  /// per-window bookkeeping like retiring an authenticator's staged tags.
   void at_flush_end(std::function<void()> fn) { end_fns_.push_back(std::move(fn)); }
 
   /// Anything staged and not yet retired?

@@ -119,6 +119,10 @@ TEST(AuthAttach, ValidatesGeometryAndLifecycle) {
   bad.tree_arity = 1;
   EXPECT_THROW((void)r.eng.attach_auth(r.ctx, bad), std::invalid_argument);
 
+  bad = small_auth(auth_mode::hash_tree);
+  bad.versioned = false; // only mac runs unversioned
+  EXPECT_THROW((void)r.eng.attach_auth(r.ctx, bad), std::invalid_argument);
+
   EXPECT_NO_THROW((void)r.eng.attach_auth(r.ctx, small_auth(auth_mode::mac)));
   EXPECT_THROW((void)r.eng.attach_auth(r.ctx, small_auth(auth_mode::mac)),
                std::invalid_argument)
@@ -604,7 +608,8 @@ TEST(AuthSealGuard, SealDuringAnOpenBatchFlushWindowThrows) {
   rig r("aes-ctr", auth_mode::mac);
   (void)r.eng.write(0, bytes(32, 0x11));
 
-  (void)r.auth().batch_prepare_verify(0);
+  sim::txn_batcher b(r.ext, 0);
+  (void)r.auth().batch_prepare_verify(0, b, sim::cpu_master);
   EXPECT_TRUE(r.auth().batch_open());
   EXPECT_THROW(r.auth().seal_from_memory(), std::logic_error);
 
@@ -613,7 +618,7 @@ TEST(AuthSealGuard, SealDuringAnOpenBatchFlushWindowThrows) {
   EXPECT_NO_THROW(r.auth().seal_from_memory());
 
   // The write side opens the window too.
-  (void)r.auth().batch_stage_update(0, bytes(32, 0x22), true);
+  (void)r.auth().batch_stage_update(0, bytes(32, 0x22), true, b, sim::cpu_master);
   EXPECT_THROW(r.auth().seal_from_memory(), std::logic_error);
   r.auth().batch_flush_done();
   EXPECT_NO_THROW(r.auth().seal_from_memory());
@@ -627,11 +632,17 @@ TEST(AuthSealGuard, PowerCycleReleasesAWindowLeftOpenByACut) {
   // forwarding state with the rest of the caches.
   rig r("aes-ctr", auth_mode::mac);
   (void)r.eng.write(0, bytes(32, 0x11));
-  (void)r.auth().batch_prepare_verify(0);
+  sim::txn_batcher cut(r.ext, 0);
+  (void)r.auth().batch_prepare_verify(0, cut, sim::cpu_master);
   EXPECT_TRUE(r.auth().batch_open());
   r.auth().drop_caches();
   EXPECT_FALSE(r.auth().batch_open());
   EXPECT_NO_THROW(r.auth().seal_from_memory());
+  // A miss in the next window queues its own tag-line fetch instead of
+  // reusing the dead window's index and buffer.
+  sim::txn_batcher next(r.ext, 0);
+  (void)r.auth().batch_prepare_verify(0, next, sim::cpu_master);
+  EXPECT_TRUE(next.open());
 }
 
 } // namespace

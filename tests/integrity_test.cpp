@@ -58,7 +58,7 @@ TEST(IntegrityEdu, CiphertextAndTagsInExternalMemory) {
   EXPECT_NE(raw, line); // ciphertext
 
   bytes tag(e.config().tag_bytes);
-  rg.chip.read_bytes(e.tag_addr(0x100), tag);
+  rg.chip.read_bytes(e.authenticator()->tag_addr(0x100), tag);
   bool tag_nonzero = false;
   for (u8 b : tag)
     if (b) tag_nonzero = true;

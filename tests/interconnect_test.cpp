@@ -467,50 +467,6 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, InterconnectSweep,
 
 // --- the soc-level topology driver -------------------------------------------
 
-std::vector<edu::master_desc> small_cast() {
-  std::vector<edu::master_desc> cast(3);
-  cast[0].role = edu::master_kind::cpu;
-  cast[0].work = make_data_rw(1200, 64 * 1024, 0.35, 0.3, 4, 11);
-  cast[0].priority = 1;
-  cast[1].role = edu::master_kind::dma;
-  cast[1].work = make_dma_copy(16 * 1024, 2u << 20, (2u << 20) + (1u << 19), 128, 12);
-  cast[1].priority = 3;
-  cast[2].role = edu::master_kind::peripheral;
-  cast[2].work = make_peripheral_poll(400, 3u << 20, 4, 64, 8, 13);
-  cast[2].priority = 2;
-  return cast;
-}
-
-TEST(InterconnectSoc, RunTopologyMatchesTheDeprecatedFlatShim) {
-  const std::vector<edu::master_desc> cast = small_cast();
-  edu::multi_master_config mm;
-  mm.policy = arb_policy::fixed_priority;
-  mm.window_txns = 8;
-  mm.starvation_limit = 4;
-
-  edu::secure_soc legacy(engine_kind::inline_keyslot, {});
-  legacy.load_image(0, bytes(64 * 1024, 0x5A));
-  const arbiter_stats flat = legacy.run_multi_master(cast, mm);
-
-  edu::secure_soc topo(engine_kind::inline_keyslot, {});
-  topo.load_image(0, bytes(64 * 1024, 0x5A));
-  const edu::topology_run_stats tree = topo.run_topology(
-      cast, topology({mm.policy, mm.window_txns, mm.starvation_limit}));
-
-  EXPECT_EQ(flat.rounds, tree.noc.bus.rounds);
-  EXPECT_EQ(flat.txns, tree.noc.bus.txns);
-  EXPECT_EQ(flat.bytes, tree.noc.bus.bytes);
-  EXPECT_EQ(flat.total_cycles, tree.noc.bus.total_cycles);
-  ASSERT_EQ(flat.masters.size(), tree.noc.bus.masters.size());
-  for (std::size_t i = 0; i < flat.masters.size(); ++i) {
-    EXPECT_EQ(flat.masters[i].grants, tree.noc.bus.masters[i].grants) << i;
-    EXPECT_EQ(flat.masters[i].finish_cycle, tree.noc.bus.masters[i].finish_cycle) << i;
-    EXPECT_EQ(flat.masters[i].latency_sum, tree.noc.bus.masters[i].latency_sum) << i;
-    EXPECT_EQ(flat.masters[i].wait_rounds, tree.noc.bus.masters[i].wait_rounds) << i;
-  }
-  EXPECT_EQ(tree.sentinel_denials, 0u);
-}
-
 TEST(InterconnectSoc, RunTopologySurfacesFirewallAndDomainAccounting) {
   // A whitelisted "accelerator" whose rule covers only half of its working
   // window: the out-of-rule half must show up as accounted denials in the

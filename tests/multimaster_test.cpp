@@ -1,7 +1,7 @@
 // Multi-master interconnect: bus_master/interconnect grant policies and
 // accounting, per-master protection domains in the keyslot engine
 // (denied-access fault path, slot-pool sharing), mixed-master workload
-// generators, soc::run_multi_master solo-vs-concurrent equivalence, and
+// generators, soc::run_topology solo-vs-concurrent equivalence, and
 // per-master bus-beat attribution.
 
 #include "attack/trace_analysis.hpp"
@@ -484,7 +484,7 @@ TEST(ProtectionDomains, BindDomainValidatesOwnerAndContext) {
   EXPECT_THROW(rig.eng.bind_domain(3, 0, 64, 99), std::out_of_range);
 }
 
-// --- soc::run_multi_master ----------------------------------------------------
+// --- soc::run_topology on the flat bus ----------------------------------------
 
 edu::soc_config mm_cfg(unsigned banks) {
   edu::soc_config cfg;
@@ -542,7 +542,7 @@ TEST_P(MultiMasterEquivalence, EachMasterMatchesItsSoloRun) {
 
   edu::secure_soc multi(GetParam(), cfg);
   multi.load_image(0, image);
-  const arbiter_stats st = multi.run_multi_master(scenario, {});
+  const arbiter_stats st = multi.run_topology(scenario).noc.bus;
   multi.flush();
   ASSERT_EQ(st.masters.size(), 3u);
   EXPECT_GT(st.txns, 100u);
@@ -553,7 +553,7 @@ TEST_P(MultiMasterEquivalence, EachMasterMatchesItsSoloRun) {
     solo.load_image(0, image);
     const std::vector<edu::master_desc> one(scenario.begin() + i,
                                             scenario.begin() + i + 1);
-    (void)solo.run_multi_master(one, {});
+    (void)solo.run_topology(one);
     solo.flush();
 
     const std::span<const u8> dm = multi.memory().raw().subspan(ranges[i].base,
@@ -581,10 +581,9 @@ double aggregate_bpc(engine_kind kind, std::size_t n_masters, arb_policy policy)
                                              scenario.begin() + n_masters);
   edu::secure_soc soc(kind, mm_cfg(8));
   soc.load_image(0, bytes(64 * 1024, 0x5A));
-  edu::multi_master_config mm;
-  mm.policy = policy;
-  mm.starvation_limit = policy == arb_policy::fixed_priority ? 16 : 0;
-  return soc.run_multi_master(subset, mm).bytes_per_cycle();
+  const topology flat(
+      arbiter_config{policy, 8, policy == arb_policy::fixed_priority ? 16u : 0u});
+  return soc.run_topology(subset, flat).noc.bus.bytes_per_cycle();
 }
 
 TEST(MultiMasterThroughput, DmaMasterRaisesAggregateForOverlapEngines) {
@@ -611,10 +610,9 @@ TEST(MultiMasterLatency, PriorityShieldsThePeripheral) {
   auto periph_latency = [&](arb_policy policy) {
     edu::secure_soc soc(engine_kind::stream_otp, mm_cfg(8));
     soc.load_image(0, bytes(64 * 1024, 0x5A));
-    edu::multi_master_config mm;
-    mm.policy = policy;
-    mm.starvation_limit = policy == arb_policy::fixed_priority ? 64 : 0;
-    const arbiter_stats st = soc.run_multi_master(scenario, mm);
+    const topology flat(
+        arbiter_config{policy, 8, policy == arb_policy::fixed_priority ? 64u : 0u});
+    const arbiter_stats st = soc.run_topology(scenario, flat).noc.bus;
     return st.masters[2].avg_txn_latency();
   };
   // The peripheral has the highest priority: fixed-priority arbitration
@@ -628,7 +626,7 @@ TEST(MultiMasterDomains, PerMasterKeysChangeTheCiphertext) {
   auto dst_bytes = [&](bool domains) {
     edu::secure_soc soc(engine_kind::inline_keyslot, cfg);
     soc.load_image(0, bytes(16 * 1024, 0x11));
-    (void)soc.run_multi_master(mixed_scenario(domains), {});
+    (void)soc.run_topology(mixed_scenario(domains));
     soc.flush();
     const auto raw = soc.memory().raw().subspan(kDmaDst, kDmaBytes);
     return bytes(raw.begin(), raw.end());
@@ -645,7 +643,7 @@ TEST(BeatAttribution, ProbeSeparatesTheMastersStreams) {
   soc.attach_probe(probe);
   soc.load_image(0, bytes(64 * 1024, 0x22));
   probe.clear(); // drop install traffic; observe only the contended run
-  (void)soc.run_multi_master(mixed_scenario(false), {});
+  (void)soc.run_topology(mixed_scenario(false));
 
   const auto ids = attack::masters_in_trace(probe);
   ASSERT_EQ(ids.size(), 3u);

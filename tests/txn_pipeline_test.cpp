@@ -5,6 +5,8 @@
 
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
+#include "crypto/aes.hpp"
+#include "edu/integrity_edu.hpp"
 #include "edu/soc.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
@@ -620,6 +622,41 @@ std::string hex64(u64 v) {
   return buf;
 }
 
+/// Submit and drain each batch on \p port in turn. Returns each batch's
+/// stamps, then "-> makespan"; appends every byte the reads returned to
+/// \p reads.
+std::string run_golden_batches(memory_port& port,
+                               const std::vector<std::vector<golden_op>>& batches,
+                               bytes& reads) {
+  std::string timing;
+  for (const std::vector<golden_op>& ops : batches) {
+    std::deque<bytes> bufs;
+    std::vector<mem_txn> batch;
+    for (const golden_op& op : ops) {
+      mem_txn t;
+      t.id = batch.size();
+      t.op = op.op;
+      for (const auto& [a, len] : op.segs) {
+        bytes& b = bufs.emplace_back(len);
+        if (t.is_write()) fill_store_pattern(a + 7 * batch.size(), b);
+        t.segments.push_back({a, b});
+      }
+      batch.push_back(std::move(t));
+    }
+    port.submit(batch);
+    const cycles makespan = port.drain();
+    if (!timing.empty()) timing += " | ";
+    for (const mem_txn& t : batch) {
+      timing += std::to_string(t.complete_cycle) + " ";
+      if (!t.is_write())
+        for (const txn_segment& s : t.segments)
+          reads.insert(reads.end(), s.data.begin(), s.data.end());
+    }
+    timing += "-> " + std::to_string(makespan);
+  }
+  return timing;
+}
+
 /// The keyslot engine over 256 KiB of 4-bank DRAM.
 struct golden_rig {
   dram mem{256 * 1024, banked_timing(4)};
@@ -664,31 +701,7 @@ struct golden_rig {
     if (auth != nullptr) auth->reset_stats();
     golden_result out;
     bytes reads;
-    for (const std::vector<golden_op>& ops : batches) {
-      std::deque<bytes> bufs;
-      std::vector<mem_txn> batch;
-      for (const golden_op& op : ops) {
-        mem_txn t;
-        t.id = batch.size();
-        t.op = op.op;
-        for (const auto& [a, len] : op.segs) {
-          bytes& b = bufs.emplace_back(len);
-          if (t.is_write()) fill_store_pattern(a + 7 * batch.size(), b);
-          t.segments.push_back({a, b});
-        }
-        batch.push_back(std::move(t));
-      }
-      eng.submit(batch);
-      const cycles makespan = eng.drain();
-      if (!out.timing.empty()) out.timing += " | ";
-      for (const mem_txn& t : batch) {
-        out.timing += std::to_string(t.complete_cycle) + " ";
-        if (!t.is_write())
-          for (const txn_segment& s : t.segments)
-            reads.insert(reads.end(), s.data.begin(), s.data.end());
-      }
-      out.timing += "-> " + std::to_string(makespan);
-    }
+    out.timing = run_golden_batches(eng, batches, reads);
     out.counters = engine_line(eng.stats());
     if (auth != nullptr) out.auth = auth_line(auth->stats());
     out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(mem.raw()));
@@ -852,6 +865,154 @@ TEST(EngineGoldenStamps, UnalignedDetourMidBatch) {
             "verifies=24 updates=6 faults=0 hits=3 misses=21 bus_reads=12 bus_writes=6 "
             "nodes=0 auth_cycles=780");
   EXPECT_EQ(got.fnv, "read=b81a8d8c045b060e dram=3a61e583530ba9da");
+}
+
+// --- integrity_edu's batch path ----------------------------------------------
+
+/// integrity_edu over 256 KiB of 4-bank DRAM: 128 KiB protected with its
+/// tags at 192 KiB, and a patterned 16 KiB image installed.
+struct integrity_rig {
+  dram mem{256 * 1024, banked_timing(4)};
+  external_memory ext{mem};
+  crypto::aes prf{bytes(16, 0x3C)};
+  edu::integrity_edu e;
+
+  explicit integrity_rig(edu::integrity_level level)
+      : e(ext, prf, bytes(16, 0x6B),
+          {.level = level, .protected_limit = 128 * 1024, .tag_base = 192 * 1024}) {
+    bytes image(16 * 1024);
+    fill_store_pattern(0x5A5A, image);
+    e.install_image(0, image);
+    e.reset_stats();
+  }
+
+  /// Corrupt one ciphertext byte of the line at \p a and power-cycle the
+  /// tag cache, so the next read of the line fetches its tag again.
+  void tamper(addr_t a) {
+    mem.raw()[a + 5] ^= 0x20;
+    e.flush_tag_cache();
+  }
+};
+
+/// Forwards read()/write() and keeps memory_port's default submit(), so a
+/// batch runs one txn at a time through the wrapped port's scalar path.
+struct scalar_issue final : memory_port {
+  explicit scalar_issue(memory_port& p) : port(&p) {}
+  cycles read(addr_t a, std::span<u8> out) override { return port->read(a, out); }
+  cycles write(addr_t a, std::span<const u8> in) override { return port->write(a, in); }
+  memory_port* port;
+};
+
+TEST(IntegrityBatch, MatchesScalarIssueAtEveryLevel) {
+  // Seeded windows of 1-8 txns over 8 KiB (32 tag lines for a 16-line tag
+  // cache): whole-line and two-segment txns ride the native path, sub-line
+  // ones detour, and a tampered line is read in the window after each
+  // tamper. Scalar issue of the same txns must leave the same bytes.
+  for (const auto level : {edu::integrity_level::none, edu::integrity_level::mac,
+                           edu::integrity_level::mac_versioned})
+    for (const u64 seed : {1u, 2u, 3u, 4u}) {
+      integrity_rig scalar(level);
+      integrity_rig batched(level);
+      scalar_issue serial(scalar.e);
+      rng r(seed);
+      bytes scalar_reads;
+      bytes batched_reads;
+      for (int w = 0; w < 60; ++w) {
+        std::vector<golden_op> ops;
+        if (r.chance(0.15)) {
+          const addr_t a = 32 * r.below(256);
+          scalar.tamper(a);
+          batched.tamper(a);
+          ops.push_back(rd(a));
+        }
+        for (u64 n = r.between(1, 8); ops.size() < n;) {
+          golden_op op{r.chance(0.4) ? txn_op::write : txn_op::read, {}};
+          for (u64 s = r.chance(0.2) ? 2 : 1; s > 0; --s) {
+            if (r.chance(0.15)) op.segs.push_back({32 * r.below(256) + 4, 8});
+            else op.segs.push_back({32 * r.below(253), 32 * r.between(1, 3)});
+          }
+          ops.push_back(std::move(op));
+        }
+        (void)run_golden_batches(serial, {ops}, scalar_reads);
+        (void)run_golden_batches(batched.e, {ops}, batched_reads);
+      }
+      const std::string where = std::string(batched.e.name()) + " seed " +
+                                std::to_string(seed);
+      EXPECT_EQ(batched_reads, scalar_reads) << where;
+      EXPECT_TRUE(std::ranges::equal(batched.mem.raw(), scalar.mem.raw())) << where;
+      EXPECT_EQ(batched.e.tamper_events(), scalar.e.tamper_events()) << where;
+      EXPECT_EQ(batched.e.version_ram_bytes(), scalar.e.version_ram_bytes()) << where;
+      EXPECT_EQ(batched.e.tamper_events() > 0, level != edu::integrity_level::none);
+    }
+}
+
+/// A write then a read of line 0x100 in one window (the read verifies
+/// against the staged tag), reads of 0x200 and 0x220 whose tags share one
+/// 64-byte tag line and a sub-line write that detours mid-window, plus
+/// seeded traffic; then a window reading a line tampered after
+/// flush_tag_cache().
+golden_result integrity_golden(edu::integrity_level level) {
+  integrity_rig rig(level);
+  golden_result out;
+  bytes reads;
+  const std::vector<golden_op> hand = {wr(0x100),    rd(0x100), rd(0x200),    rd(0x220),
+                                       wr(0x304, 8), rd(0x300), rd(0x240, 64)};
+  const std::vector<std::vector<golden_op>> windows = {
+      concat(hand, seeded_ops(0x1E01, 12, 0, 16 * 1024, 0.4)),
+      seeded_ops(0x1E02, 12, 0, 16 * 1024, 0.3)};
+  out.timing = run_golden_batches(rig.e, windows, reads);
+  rig.tamper(0x400);
+  const std::vector<golden_op> probe = {rd(0x3E0), rd(0x400), wr(0x440), rd(0x420, 64)};
+  out.timing += " | " + run_golden_batches(rig.e, {probe}, reads);
+  const edu::edu_stats& s = rig.e.stats();
+  const u64 tamper = rig.e.tamper_events();
+  out.counters = kv_line({{"reads", s.reads}, {"writes", s.writes},
+                          {"blocks", s.cipher_blocks}, {"crypto", s.crypto_cycles},
+                          {"rmw", s.rmw_ops}, {"batches", s.batches},
+                          {"batched", s.batched_txns}, {"tamper", tamper}});
+  const engine::memory_authenticator* auth = rig.e.authenticator();
+  const engine::auth_stats as = auth != nullptr ? auth->stats() : engine::auth_stats{};
+  out.auth = kv_line({{"hits", as.tag_hits}, {"misses", as.tag_misses}});
+  out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(rig.mem.raw()));
+  return out;
+}
+
+TEST(IntegrityGoldenStamps, Off) {
+  const golden_result got = integrity_golden(edu::integrity_level::none);
+  EXPECT_EQ(got.timing,
+            "54 81 107 133 205 232 284 370 422 536 622 630 689 804 900 933 942 1073 "
+            "1107 -> 1145 | 53 112 173 253 357 442 451 459 502 537 596 605 -> 632 | "
+            "55 81 106 159 -> 163");
+  EXPECT_EQ(got.counters,
+            "reads=25 writes=11 blocks=154 crypto=466 rmw=1 batches=3 batched=35 "
+            "tamper=0");
+  EXPECT_EQ(got.auth, "hits=0 misses=0");
+  EXPECT_EQ(got.fnv, "read=c3223f3cb1cb02cb dram=3d733dc656c8accd");
+}
+
+// The two MAC levels cost the same: only the version in the pads and tags,
+// so the DRAM image, tells them apart.
+const char* const integrity_mac_timing =
+    "54 182 270 324 571 883 935 1039 1091 1195 1299 1325 1325 1429 1533 1543 1687 "
+    "1793 1951 -> 2037 | 364 364 442 494 598 618 716 762 816 940 994 1076 -> 1104 | "
+    "142 258 286 440 -> 445";
+const char* const integrity_mac_counters =
+    "reads=25 writes=11 blocks=154 crypto=2452 rmw=1 batches=3 batched=35 tamper=1";
+
+TEST(IntegrityGoldenStamps, Mac) {
+  const golden_result got = integrity_golden(edu::integrity_level::mac);
+  EXPECT_EQ(got.timing, integrity_mac_timing);
+  EXPECT_EQ(got.counters, integrity_mac_counters);
+  EXPECT_EQ(got.auth, "hits=6 misses=45");
+  EXPECT_EQ(got.fnv, "read=c3223f3cb1cb02cb dram=31f7c7c438026df7");
+}
+
+TEST(IntegrityGoldenStamps, MacVersioned) {
+  const golden_result got = integrity_golden(edu::integrity_level::mac_versioned);
+  EXPECT_EQ(got.timing, integrity_mac_timing);
+  EXPECT_EQ(got.counters, integrity_mac_counters);
+  EXPECT_EQ(got.auth, "hits=6 misses=45");
+  EXPECT_EQ(got.fnv, "read=c3223f3cb1cb02cb dram=b0f162cbf3b71fe5");
 }
 
 // --- cache miss/evict pairs ride the batch path ------------------------------
