@@ -3,6 +3,7 @@
 #include "common/bitops.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
 
@@ -29,7 +30,12 @@ namespace {
 
 memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config cfg,
                                            std::size_t unit_bytes)
-    : lower_(&lower), cfg_(std::move(cfg)), unit_(unit_bytes), mac_key_(cfg_.key) {
+    : lower_(&lower),
+      cfg_(std::move(cfg)),
+      unit_(unit_bytes),
+      mac_key_(cfg_.key),
+      tag_cache_(cfg_.mode == auth_mode::mac ? cfg_.tag_cache_entries : 0),
+      node_cache_(cfg_.mode == auth_mode::hash_tree ? cfg_.tag_cache_entries : 0) {
   if (cfg_.mode == auth_mode::none)
     throw std::invalid_argument("memory_authenticator: mode none has no state");
   if (cfg_.key.empty())
@@ -40,6 +46,11 @@ memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config 
                                 "data-unit-aligned range");
   if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
     throw std::invalid_argument("memory_authenticator: tag_bytes must be 1..32");
+  // A mac tag is read and written inside one 64-byte tag line.
+  if (cfg_.mode == auth_mode::mac &&
+      (k_tag_line % cfg_.tag_bytes != 0 || cfg_.tag_base % cfg_.tag_bytes != 0))
+    throw std::invalid_argument("memory_authenticator: mac tag_bytes must divide the "
+                                "64-byte tag line and align tag_base");
   if (!cfg_.versioned && cfg_.mode != auth_mode::mac)
     throw std::invalid_argument("memory_authenticator: only mac can run unversioned");
 
@@ -55,7 +66,10 @@ memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config 
       level_base_.push_back(at);
       at += n * cfg_.tag_bytes;
     }
-    root_.assign(cfg_.tag_bytes, 0);
+    const unsigned levels = tree_levels();
+    walk_children_.resize(levels * cfg_.tree_arity * cfg_.tag_bytes);
+    walk_install_.reserve(1 + levels * cfg_.tree_arity);
+    memo_.resize(levels + 1);
   }
   if (cfg_.mode != auth_mode::area) {
     const addr_t tag_end = cfg_.tag_base + tag_memory_bytes();
@@ -84,20 +98,33 @@ void memory_authenticator::note(check_result& r, bool charge) noexcept {
   stats_.auth_cycles += r.compute;
 }
 
+memory_authenticator::digest
+memory_authenticator::keyed_digest(std::span<const u8> head,
+                                   std::span<const u8> body) const noexcept {
+  digest d = mac_key_.mac(head, body);
+  std::fill(d.begin() + static_cast<std::ptrdiff_t>(cfg_.tag_bytes), d.end(), u8{0});
+  return d;
+}
+
+bool memory_authenticator::same(const digest& a, const digest& b) const noexcept {
+  return std::memcmp(a.data(), b.data(), cfg_.tag_bytes) == 0;
+}
+
 // --- mac -----------------------------------------------------------------------
 
 addr_t memory_authenticator::tag_addr(addr_t unit_addr) const noexcept {
   return cfg_.tag_base + unit_index(unit_addr) * cfg_.tag_bytes;
 }
 
-bytes memory_authenticator::unit_tag(addr_t unit_addr, u64 version,
-                                     std::span<const u8> ct) const {
+memory_authenticator::digest
+memory_authenticator::unit_tag(addr_t unit_addr, u64 version,
+                               std::span<const u8> ct) const noexcept {
   // Address in the MAC defeats splicing, the version defeats replay, the
   // ciphertext itself defeats spoofing.
   u8 head[16];
   store_be64(head, unit_addr);
   store_be64(head + 8, version);
-  return mac_key_.tag(cfg_.tag_bytes, head, ct);
+  return keyed_digest(head, ct);
 }
 
 cycles memory_authenticator::fetch_tag(addr_t unit_addr, std::span<u8> out) {
@@ -105,54 +132,30 @@ cycles memory_authenticator::fetch_tag(addr_t unit_addr, std::span<u8> out) {
   const addr_t tag_line = ta - ta % k_tag_line;
   const std::size_t off = static_cast<std::size_t>(ta - tag_line);
 
-  auto it = tag_cache_.find(tag_line);
+  const tag_line_bytes* line = tag_cache_.find(tag_line);
+  tag_line_bytes fill{};
   cycles spent = 0;
-  if (it == tag_cache_.end() || cfg_.tag_cache_entries == 0) {
+  if (line == nullptr) { // a disabled cache fetches, copies, never installs
     ++stats_.tag_misses;
     ++stats_.tag_bus_reads;
-    bytes fill(k_tag_line);
     spent = lower_->read(tag_line, fill);
-    if (cfg_.tag_cache_entries == 0) {
-      std::copy_n(fill.begin() + static_cast<std::ptrdiff_t>(off), out.size(),
-                  out.begin());
-      return spent;
-    }
-    install_tag_line(tag_line, fill);
-    it = tag_cache_.find(tag_line);
+    tag_cache_.put(tag_line, fill);
+    line = &fill;
   } else {
     ++stats_.tag_hits;
   }
-  std::copy_n(it->second.begin() + static_cast<std::ptrdiff_t>(off), out.size(),
-              out.begin());
+  std::copy_n(line->begin() + static_cast<std::ptrdiff_t>(off), out.size(), out.begin());
   return spent;
 }
 
-void memory_authenticator::install_tag_line(addr_t tag_line, std::span<const u8> data) {
-  if (cfg_.tag_cache_entries == 0) return;
-  auto it = tag_cache_.find(tag_line);
-  if (it != tag_cache_.end()) {
-    it->second.assign(data.begin(), data.end());
-    return;
-  }
-  if (tag_cache_fifo_.size() >= cfg_.tag_cache_entries) {
-    tag_cache_.erase(tag_cache_fifo_.front());
-    tag_cache_fifo_.erase(tag_cache_fifo_.begin());
-  }
-  tag_cache_.emplace(tag_line, bytes(data.begin(), data.end()));
-  tag_cache_fifo_.push_back(tag_line);
-}
-
-cycles memory_authenticator::store_tag(addr_t unit_addr, std::span<const u8> tag) {
+cycles memory_authenticator::store_tag(addr_t unit_addr, const digest& tag) {
   const addr_t ta = tag_addr(unit_addr);
   const addr_t tag_line = ta - ta % k_tag_line;
-  const auto it = tag_cache_.find(tag_line);
-  if (it != tag_cache_.end()) {
-    const std::size_t off = static_cast<std::size_t>(ta - tag_line);
-    std::copy(tag.begin(), tag.end(),
-              it->second.begin() + static_cast<std::ptrdiff_t>(off));
-  }
+  if (tag_line_bytes* line = tag_cache_.find(tag_line))
+    std::copy_n(tag.begin(), cfg_.tag_bytes,
+                line->begin() + static_cast<std::ptrdiff_t>(ta - tag_line));
   ++stats_.tag_bus_writes;
-  return lower_->write(ta, tag); // write-through: the chip stays in sync
+  return lower_->write(ta, view(tag)); // write-through: the chip stays in sync
 }
 
 // --- hash tree -----------------------------------------------------------------
@@ -161,59 +164,62 @@ addr_t memory_authenticator::node_addr(unsigned level, u64 index) const noexcept
   return level_base_[level] + index * cfg_.tag_bytes;
 }
 
-bytes memory_authenticator::leaf_digest(u64 index, std::span<const u8> ct) const {
+memory_authenticator::digest
+memory_authenticator::leaf_digest(u64 index, std::span<const u8> ct) const noexcept {
   u8 head[9];
   head[0] = 'L'; // domain separation: a leaf can never collide with a node
   store_be64(head + 1, index);
-  return mac_key_.tag(cfg_.tag_bytes, head, ct);
+  return keyed_digest(head, ct);
 }
 
-bytes memory_authenticator::node_digest(unsigned level, u64 index,
-                                        std::span<const u8> children) const {
+memory_authenticator::digest
+memory_authenticator::node_digest(unsigned level, u64 index,
+                                  std::span<const u8> children) noexcept {
+  // A pure function of (level, index, children), remembered per level: on
+  // a sequential install, pass A of a unit re-derives, from byte-identical
+  // children, every node above its common ancestor with the previous unit
+  // that the previous unit's pass B just computed. A tampered child makes
+  // the input differ and is hashed for real.
+  memo_entry& m = memo_[level];
+  if (m.index == index && m.len == children.size() &&
+      std::equal(children.begin(), children.end(), m.children.begin()))
+    return m.d;
   u8 head[10];
   head[0] = 'N';
   head[1] = static_cast<u8>(level);
   store_be64(head + 2, index);
-  return mac_key_.tag(cfg_.tag_bytes, head, children);
+  m.index = index;
+  m.len = children.size();
+  std::copy(children.begin(), children.end(), m.children.begin());
+  m.d = keyed_digest(head, children);
+  return m.d;
 }
 
-bytes memory_authenticator::read_node(unsigned level, u64 index, cycles& bus,
-                                      bool* from_cache) {
-  const auto it = node_cache_.find(node_key(level, index));
-  if (it != node_cache_.end()) {
+void memory_authenticator::read_node(unsigned level, u64 index, u8* out, cycles& bus) {
+  if (const digest* d = node_cache_.find(node_key(level, index))) {
     ++stats_.tag_hits;
-    if (from_cache != nullptr) *from_cache = true;
-    return it->second;
+    std::copy_n(d->begin(), cfg_.tag_bytes, out);
+    return;
   }
   ++stats_.tag_misses;
   ++stats_.tag_bus_reads;
-  if (from_cache != nullptr) *from_cache = false;
-  bytes out(cfg_.tag_bytes);
-  bus += lower_->read(node_addr(level, index), out);
-  return out;
+  bus += lower_->read(node_addr(level, index), std::span<u8>(out, cfg_.tag_bytes));
 }
 
-void memory_authenticator::cache_node(unsigned level, u64 index, const bytes& digest) {
-  if (cfg_.tag_cache_entries == 0) return;
-  const u64 key = node_key(level, index);
-  const auto it = node_cache_.find(key);
-  if (it != node_cache_.end()) {
-    it->second = digest;
-    return;
-  }
-  if (node_cache_fifo_.size() >= cfg_.tag_cache_entries) {
-    node_cache_.erase(node_cache_fifo_.front());
-    node_cache_fifo_.erase(node_cache_fifo_.begin());
-  }
-  node_cache_.emplace(key, digest);
-  node_cache_fifo_.push_back(key);
-}
-
-void memory_authenticator::write_node(unsigned level, u64 index, const bytes& digest,
+void memory_authenticator::write_node(unsigned level, u64 index, const digest& d,
                                       cycles& bus) {
   ++stats_.tag_bus_writes;
-  bus += lower_->write(node_addr(level, index), digest);
-  cache_node(level, index, digest);
+  bus += lower_->write(node_addr(level, index), view(d));
+  node_cache_.put(node_key(level, index), d);
+}
+
+memory_authenticator::sibling_group memory_authenticator::group_of(unsigned level,
+                                                                   u64 index) noexcept {
+  const u64 first = index / cfg_.tree_arity * cfg_.tree_arity;
+  const u64 last = std::min<u64>(first + cfg_.tree_arity, level_sizes_[level]);
+  const std::size_t tb = cfg_.tag_bytes;
+  return {first, std::span<u8>(walk_children_.data() + level * cfg_.tree_arity * tb,
+                               static_cast<std::size_t>(last - first) * tb)};
 }
 
 // --- area ----------------------------------------------------------------------
@@ -224,15 +230,16 @@ std::size_t memory_authenticator::area_stored_bytes(std::size_t granule) const n
   return blocks * granule;
 }
 
-bytes memory_authenticator::area_nonce(addr_t unit_addr, u64 version,
-                                       std::size_t block) const {
+memory_authenticator::digest
+memory_authenticator::area_nonce(addr_t unit_addr, u64 version,
+                                 std::size_t block) const noexcept {
   // A per-block slice of PRF(address, version, block index): relocation
   // changes the address, replay the version, so either garbles the check.
   u8 msg[24];
   store_be64(msg, unit_addr);
   store_be64(msg + 8, version);
   store_be64(msg + 16, block);
-  return mac_key_.tag(cfg_.tag_bytes, msg);
+  return keyed_digest(msg);
 }
 
 cycles memory_authenticator::area_encipher(keyed_cipher& kc, addr_t unit_addr,
@@ -247,16 +254,17 @@ cycles memory_authenticator::area_encipher(keyed_cipher& kc, addr_t unit_addr,
 
   // Expanded payload: each cipher block = data slice + nonce slice, so the
   // redundancy sits inside every diffusion domain of the unit.
-  bytes expanded(stored, 0);
+  bytes& expanded = area_scratch_;
+  expanded.assign(stored, 0);
   std::size_t taken = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t n = std::min(cap, plain.size() - taken);
     std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(taken), n,
                 expanded.begin() + static_cast<std::ptrdiff_t>(b * g));
     taken += n;
-    const bytes nonce = area_nonce(unit_addr, version, b);
-    std::copy(nonce.begin(), nonce.end(),
-              expanded.begin() + static_cast<std::ptrdiff_t>(b * g + cap));
+    const digest nonce = area_nonce(unit_addr, version, b);
+    std::copy_n(nonce.begin(), cfg_.tag_bytes,
+                expanded.begin() + static_cast<std::ptrdiff_t>(b * g + cap));
   }
   kc.encrypt_unit(unit_addr / unit_, expanded, expanded);
 
@@ -286,8 +294,9 @@ memory_authenticator::check_result
 memory_authenticator::area_decipher(keyed_cipher& kc, addr_t unit_addr,
                                     std::span<const u8> dram_ct,
                                     std::span<u8> plain_out, bool charge) {
-  return area_finish(kc, unit_addr, dram_ct, plain_out, area_prepare(unit_addr),
-                     charge);
+  const auto sb = sideband_.find(unit_addr);
+  return area_unseal(kc, unit_addr, dram_ct, plain_out, version_of(unit_addr),
+                     sb == sideband_.end() ? std::span<const u8>{} : sb->second, charge);
 }
 
 cycles memory_authenticator::area_unseal_cycles(const keyed_cipher& kc) const noexcept {
@@ -301,26 +310,33 @@ memory_authenticator::area_finish(keyed_cipher& kc, addr_t unit_addr,
                                   std::span<const u8> dram_ct,
                                   std::span<u8> plain_out, const area_staged& staged,
                                   bool charge) {
+  return area_unseal(kc, unit_addr, dram_ct, plain_out, staged.version, staged.sideband,
+                     charge);
+}
+
+memory_authenticator::check_result
+memory_authenticator::area_unseal(keyed_cipher& kc, addr_t unit_addr,
+                                  std::span<const u8> dram_ct, std::span<u8> plain_out,
+                                  u64 version, std::span<const u8> sideband,
+                                  bool charge) {
   const std::size_t g = kc.granule();
   const std::size_t cap = g - cfg_.tag_bytes;
   const std::size_t stored = area_stored_bytes(g);
   const std::size_t blocks = stored / g;
-  const u64 version = staged.version;
 
-  bytes expanded(stored, 0);
+  bytes& expanded = area_scratch_;
+  expanded.assign(stored, 0);
   std::copy(dram_ct.begin(), dram_ct.end(), expanded.begin());
-  std::copy(staged.sideband.begin(), staged.sideband.end(),
+  std::copy(sideband.begin(), sideband.end(),
             expanded.begin() + static_cast<std::ptrdiff_t>(unit_));
   kc.decrypt_unit(unit_addr / unit_, expanded, expanded);
 
   check_result r;
-  r.ok = !staged.sideband.empty();
+  r.ok = !sideband.empty();
   std::size_t taken = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
-    const bytes nonce = area_nonce(unit_addr, version, b);
-    if (!crypto::tag_equal(
-            nonce, std::span<const u8>(expanded).subspan(b * g + cap, cfg_.tag_bytes)))
-      r.ok = false;
+    const std::span<const u8> slice(expanded.data() + b * g + cap, cfg_.tag_bytes);
+    if (!crypto::tag_equal(view(area_nonce(unit_addr, version, b)), slice)) r.ok = false;
     const std::size_t n = std::min(cap, plain_out.size() - taken);
     std::copy_n(expanded.begin() + static_cast<std::ptrdiff_t>(b * g), n,
                 plain_out.begin() + static_cast<std::ptrdiff_t>(taken));
@@ -342,11 +358,11 @@ memory_authenticator::verify_unit(addr_t unit_addr, std::span<const u8> ct,
   ++stats_.verifies;
 
   if (cfg_.mode == auth_mode::mac) {
-    bytes stored(cfg_.tag_bytes);
-    r.bus = fetch_tag(unit_addr, stored);
-    const bytes expect = unit_tag(unit_addr, version_of(unit_addr), ct);
+    digest stored{};
+    r.bus = fetch_tag(unit_addr, std::span<u8>(stored.data(), cfg_.tag_bytes));
+    const digest expect = unit_tag(unit_addr, version_of(unit_addr), ct);
     r.compute = mac_time(ct.size());
-    r.ok = crypto::tag_equal(expect, stored);
+    r.ok = crypto::tag_equal(view(expect), view(stored));
     if (!r.ok) ++stats_.faults;
     note(r, charge);
     return r;
@@ -356,44 +372,41 @@ memory_authenticator::verify_unit(addr_t unit_addr, std::span<const u8> ct,
   // (early exit) or the on-chip root settles it. Fetched siblings and
   // computed path nodes become trusted only if the walk verifies.
   const unsigned levels = tree_levels();
+  const std::size_t tb = cfg_.tag_bytes;
   u64 idx = unit_index(unit_addr);
-  bytes cur = leaf_digest(idx, ct);
+  digest cur = leaf_digest(idx, ct);
   r.compute += mac_time(ct.size());
-  std::vector<std::pair<u64, bytes>> install;
-  install.emplace_back(node_key(0, idx), cur);
+  walk_install_.clear();
+  walk_install_.emplace_back(node_key(0, idx), cur);
   bool decided = false;
   for (unsigned lvl = 0; lvl < levels; ++lvl) {
     ++stats_.nodes_walked;
-    const auto hit = node_cache_.find(node_key(lvl, idx));
-    if (hit != node_cache_.end()) {
+    if (const digest* hit = node_cache_.find(node_key(lvl, idx))) {
       ++stats_.tag_hits;
-      r.ok = hit->second == cur;
+      r.ok = same(*hit, cur);
       decided = true;
       break;
     }
-    const u64 parent = idx / cfg_.tree_arity;
-    const u64 first = parent * cfg_.tree_arity;
-    const u64 last = std::min<u64>(first + cfg_.tree_arity, level_sizes_[lvl]);
-    bytes children;
-    children.reserve(static_cast<std::size_t>(last - first) * cfg_.tag_bytes);
-    for (u64 c = first; c < last; ++c) {
+    const sibling_group g = group_of(lvl, idx);
+    for (std::size_t i = 0; i * tb < g.children.size(); ++i) {
+      u8* const slot = &g.children[i * tb];
+      const u64 c = g.first + i;
       if (c == idx) {
-        children.insert(children.end(), cur.begin(), cur.end());
+        std::copy_n(cur.begin(), tb, slot);
         continue;
       }
-      const bytes d = read_node(lvl, c, r.bus);
-      children.insert(children.end(), d.begin(), d.end());
-      install.emplace_back(node_key(lvl, c), d);
+      read_node(lvl, c, slot, r.bus);
+      digest& sib = walk_install_.emplace_back(node_key(lvl, c), digest{}).second;
+      std::copy_n(slot, tb, sib.begin());
     }
-    cur = node_digest(lvl + 1, parent, children);
-    r.compute += mac_time(children.size());
-    idx = parent;
-    if (lvl + 1 < levels) install.emplace_back(node_key(lvl + 1, idx), cur);
+    idx /= cfg_.tree_arity;
+    cur = node_digest(lvl + 1, idx, g.children);
+    r.compute += mac_time(g.children.size());
+    if (lvl + 1 < levels) walk_install_.emplace_back(node_key(lvl + 1, idx), cur);
   }
-  if (!decided) r.ok = cur == root_;
+  if (!decided) r.ok = same(cur, root_);
   if (r.ok) {
-    for (const auto& [key, digest] : install)
-      cache_node(static_cast<unsigned>(key >> 56), key & ~(u64{0xFF} << 56), digest);
+    for (const auto& [key, d] : walk_install_) node_cache_.put(key, d);
   } else {
     ++stats_.faults;
   }
@@ -409,7 +422,7 @@ memory_authenticator::update_unit(addr_t unit_addr, std::span<const u8> ct,
 
   if (cfg_.mode == auth_mode::mac) {
     const u64 version = cfg_.versioned ? ++versions_[unit_addr] : 0;
-    const bytes tag = unit_tag(unit_addr, version, ct);
+    const digest tag = unit_tag(unit_addr, version, ct);
     r.compute = mac_time(ct.size());
     r.bus = store_tag(unit_addr, tag);
     note(r, charge);
@@ -421,37 +434,29 @@ memory_authenticator::update_unit(addr_t unit_addr, std::span<const u8> ct,
   // the path from the new leaf with those (now trusted) siblings. A pass-A
   // mismatch refuses the whole update (fail-stop): stored nodes and the
   // root stay untouched, the subtree reads as tampered until an operator
-  // re-seals the region.
+  // re-seals the region. Each level's sibling group stays in the walk
+  // scratch between the passes; pass B overwrites only its own slot.
   const unsigned levels = tree_levels();
+  const std::size_t tb = cfg_.tag_bytes;
   const u64 leaf_idx = unit_index(unit_addr);
-
-  struct level_ctx {
-    u64 first = 0, last = 0, self = 0;
-    std::vector<bytes> children; ///< self slot overwritten in pass B
-  };
-  std::vector<level_ctx> path(levels);
 
   if (levels > 0) {
     u64 idx = leaf_idx;
-    bytes cur = read_node(0, idx, r.bus);
+    digest cur{};
+    read_node(0, idx, cur.data(), r.bus);
     for (unsigned lvl = 0; lvl < levels; ++lvl) {
       ++stats_.nodes_walked;
-      level_ctx& lc = path[lvl];
-      const u64 parent = idx / cfg_.tree_arity;
-      lc.first = parent * cfg_.tree_arity;
-      lc.last = std::min<u64>(lc.first + cfg_.tree_arity, level_sizes_[lvl]);
-      lc.self = idx;
-      bytes children;
-      for (u64 c = lc.first; c < lc.last; ++c) {
-        bytes d = c == idx ? cur : read_node(lvl, c, r.bus);
-        children.insert(children.end(), d.begin(), d.end());
-        lc.children.push_back(std::move(d));
+      const sibling_group g = group_of(lvl, idx);
+      for (std::size_t i = 0; i * tb < g.children.size(); ++i) {
+        u8* const slot = &g.children[i * tb];
+        if (g.first + i == idx) std::copy_n(cur.begin(), tb, slot);
+        else read_node(lvl, g.first + i, slot, r.bus);
       }
-      cur = node_digest(lvl + 1, parent, children);
-      r.compute += mac_time(children.size());
-      idx = parent;
+      idx /= cfg_.tree_arity;
+      cur = node_digest(lvl + 1, idx, g.children);
+      r.compute += mac_time(g.children.size());
     }
-    r.ok = cur == root_;
+    r.ok = same(cur, root_);
     if (!r.ok) {
       ++stats_.faults;
       note(r, charge);
@@ -459,27 +464,26 @@ memory_authenticator::update_unit(addr_t unit_addr, std::span<const u8> ct,
     }
   }
 
-  bytes cur = leaf_digest(leaf_idx, ct);
+  digest cur = leaf_digest(leaf_idx, ct);
   r.compute += mac_time(ct.size());
   u64 idx = leaf_idx;
   if (levels > 0) write_node(0, idx, cur, r.bus);
-  cache_node(0, idx, cur);
+  node_cache_.put(node_key(0, idx), cur);
   for (unsigned lvl = 0; lvl < levels; ++lvl) {
-    level_ctx& lc = path[lvl];
-    lc.children[static_cast<std::size_t>(lc.self - lc.first)] = cur;
-    bytes children;
-    for (const bytes& d : lc.children) children.insert(children.end(), d.begin(), d.end());
-    const u64 parent = idx / cfg_.tree_arity;
-    cur = node_digest(lvl + 1, parent, children);
-    r.compute += mac_time(children.size());
-    idx = parent;
+    const sibling_group g = group_of(lvl, idx);
+    std::copy_n(cur.begin(), tb, &g.children[(idx - g.first) * tb]);
+    idx /= cfg_.tree_arity;
+    cur = node_digest(lvl + 1, idx, g.children);
+    r.compute += mac_time(g.children.size());
     if (lvl + 1 < levels) {
       write_node(lvl + 1, idx, cur, r.bus);
     } else {
       // Pass-A siblings proved authentic: keep them warm for later walks.
-      if (r.ok)
-        for (u64 c = lc.first; c < lc.last; ++c)
-          cache_node(lvl, c, lc.children[static_cast<std::size_t>(c - lc.first)]);
+      for (std::size_t i = 0; i * tb < g.children.size(); ++i) {
+        digest sib{};
+        std::copy_n(&g.children[i * tb], tb, sib.begin());
+        node_cache_.put(node_key(lvl, g.first + i), sib);
+      }
     }
   }
   root_ = cur;
@@ -512,12 +516,10 @@ memory_authenticator::batch_prepare_verify(addr_t unit_addr, sim::txn_batcher& b
     sv.tag = fwd->second;
     return sv;
   }
-  const auto it = tag_cache_.find(sv.tag_line);
-  if (it != tag_cache_.end() && cfg_.tag_cache_entries != 0) {
+  if (const tag_line_bytes* line = tag_cache_.find(sv.tag_line)) {
     ++stats_.tag_hits;
-    sv.tag.assign(it->second.begin() + static_cast<std::ptrdiff_t>(sv.tag_off),
-                  it->second.begin() +
-                      static_cast<std::ptrdiff_t>(sv.tag_off + cfg_.tag_bytes));
+    std::copy_n(line->begin() + static_cast<std::ptrdiff_t>(sv.tag_off), cfg_.tag_bytes,
+                sv.tag.begin());
     return sv;
   }
   ++stats_.tag_misses;
@@ -536,23 +538,23 @@ memory_authenticator::batch_finish_verify(const staged_verify& sv,
                                           std::span<const u8> ct, bool charge) {
   check_result r;
   ++stats_.verifies;
-  std::span<const u8> stored = sv.tag;
+  std::span<const u8> stored = view(sv.tag);
   if (sv.fetch != sim::txn_batcher::no_lower) {
-    install_tag_line(sv.tag_line, sv.fetched);
     // The fetch was ordered before any tag write staged later in this
     // window: overlay those so the installed line is current, not stale.
-    if (const auto it = tag_cache_.find(sv.tag_line); it != tag_cache_.end()) {
-      for (const auto& [ta, tag] : staged_tags_) {
-        if (ta < sv.tag_line || ta >= sv.tag_line + k_tag_line) continue;
-        std::copy(tag.begin(), tag.end(),
-                  it->second.begin() + static_cast<std::ptrdiff_t>(ta - sv.tag_line));
-      }
+    tag_line_bytes line{};
+    std::copy_n(sv.fetched.begin(), k_tag_line, line.begin());
+    for (const auto& [ta, tag] : staged_tags_) {
+      if (ta < sv.tag_line || ta >= sv.tag_line + k_tag_line) continue;
+      std::copy_n(tag.begin(), cfg_.tag_bytes,
+                  line.begin() + static_cast<std::ptrdiff_t>(ta - sv.tag_line));
     }
+    tag_cache_.put(sv.tag_line, line);
     stored = sv.fetched.subspan(sv.tag_off, cfg_.tag_bytes);
   }
-  const bytes expect = unit_tag(sv.unit_addr, sv.version, ct);
+  const digest expect = unit_tag(sv.unit_addr, sv.version, ct);
   r.compute = unit_mac_cycles();
-  r.ok = crypto::tag_equal(expect, stored);
+  r.ok = crypto::tag_equal(view(expect), stored);
   if (!r.ok) ++stats_.faults;
   note(r, charge);
   return r;
@@ -564,7 +566,7 @@ cycles memory_authenticator::batch_stage_update(addr_t unit_addr, std::span<cons
   open_window(b);
   ++stats_.updates;
   const u64 version = cfg_.versioned ? ++versions_[unit_addr] : 0;
-  const bytes tag = unit_tag(unit_addr, version, ct);
+  const digest tag = unit_tag(unit_addr, version, ct);
   const addr_t ta = tag_addr(unit_addr);
   staged_tags_[ta] = tag; // forward to later reads in this window
   cycles compute = 0;
@@ -574,12 +576,11 @@ cycles memory_authenticator::batch_stage_update(addr_t unit_addr, std::span<cons
   }
   // Write-through semantics: the cached line (if any) sees the new tag
   // now; the external write rides the same window.
-  const auto it = tag_cache_.find(ta - ta % k_tag_line);
-  if (it != tag_cache_.end())
-    std::copy(tag.begin(), tag.end(),
-              it->second.begin() + static_cast<std::ptrdiff_t>(ta % k_tag_line));
+  if (tag_line_bytes* line = tag_cache_.find(ta - ta % k_tag_line))
+    std::copy_n(tag.begin(), cfg_.tag_bytes,
+                line->begin() + static_cast<std::ptrdiff_t>(ta % k_tag_line));
   ++stats_.tag_bus_writes;
-  (void)b.queue_side(sim::txn_op::write, master, ta, b.scratch_copy(tag));
+  (void)b.queue_side(sim::txn_op::write, master, ta, b.scratch_copy(view(tag)));
   return compute;
 }
 
@@ -599,45 +600,46 @@ void memory_authenticator::seal_from_memory() {
   if (cfg_.mode == auth_mode::mac) {
     for (addr_t a = cfg_.base; a < cfg_.limit; a += unit_) {
       (void)lower_->read(a, ct);
-      (void)lower_->write(tag_addr(a), unit_tag(a, version_of(a), ct));
+      (void)lower_->write(tag_addr(a), view(unit_tag(a, version_of(a), ct)));
     }
     return;
   }
   // hash_tree: build bottom-up over the current content, store every
-  // level, keep the root on-chip.
-  const u64 lines = (cfg_.limit - cfg_.base) / unit_;
-  std::vector<bytes> level(static_cast<std::size_t>(lines));
-  for (u64 i = 0; i < lines; ++i) {
+  // level, keep the root on-chip. Each level is one flat array packed at
+  // tag_bytes, so a node's children are one contiguous slice of it.
+  const std::size_t tb = cfg_.tag_bytes;
+  const std::size_t lines = static_cast<std::size_t>((cfg_.limit - cfg_.base) / unit_);
+  bytes level(lines * tb);
+  bytes up;
+  for (std::size_t i = 0; i < lines; ++i) {
     (void)lower_->read(cfg_.base + i * unit_, ct);
-    level[static_cast<std::size_t>(i)] = leaf_digest(i, ct);
+    std::copy_n(leaf_digest(i, ct).begin(), tb, &level[i * tb]);
   }
   for (unsigned lvl = 0;; ++lvl) {
+    const std::span<const u8> nodes(level);
+    const std::size_t n = nodes.size() / tb;
     if (lvl < tree_levels())
-      for (u64 i = 0; i < level.size(); ++i)
-        (void)lower_->write(node_addr(lvl, i), level[static_cast<std::size_t>(i)]);
-    if (level.size() == 1) {
-      root_ = level.front();
+      for (std::size_t i = 0; i < n; ++i)
+        (void)lower_->write(node_addr(lvl, i), nodes.subspan(i * tb, tb));
+    if (n == 1) {
+      std::copy_n(nodes.begin(), tb, root_.begin());
       return;
     }
-    std::vector<bytes> up((level.size() + cfg_.tree_arity - 1) / cfg_.tree_arity);
-    for (u64 p = 0; p < up.size(); ++p) {
-      bytes children;
-      const u64 first = p * cfg_.tree_arity;
-      const u64 last = std::min<u64>(first + cfg_.tree_arity, level.size());
-      for (u64 c = first; c < last; ++c)
-        children.insert(children.end(), level[static_cast<std::size_t>(c)].begin(),
-                        level[static_cast<std::size_t>(c)].end());
-      up[static_cast<std::size_t>(p)] = node_digest(lvl + 1, p, children);
+    up.resize((n + cfg_.tree_arity - 1) / cfg_.tree_arity * tb);
+    for (std::size_t p = 0; p < up.size() / tb; ++p) {
+      const std::size_t first = p * cfg_.tree_arity;
+      const std::size_t last = std::min<std::size_t>(first + cfg_.tree_arity, n);
+      const digest d =
+          node_digest(lvl + 1, p, nodes.subspan(first * tb, (last - first) * tb));
+      std::copy_n(d.begin(), tb, &up[p * tb]);
     }
-    level = std::move(up);
+    level.swap(up);
   }
 }
 
 void memory_authenticator::drop_caches() noexcept {
   tag_cache_.clear();
-  tag_cache_fifo_.clear();
   node_cache_.clear();
-  node_cache_fifo_.clear();
   // A power cut can unwind a submit() mid-flush, before batch_flush_done()
   // retires the window. The window is volatile state: left set, a
   // perfectly legitimate post-boot reseal would trip the open-batch guard
@@ -661,8 +663,9 @@ std::size_t memory_authenticator::tag_memory_bytes() const noexcept {
 }
 
 std::size_t memory_authenticator::onchip_bytes() const noexcept {
+  const std::size_t root = cfg_.mode == auth_mode::hash_tree ? cfg_.tag_bytes : 0;
   return version_ram_bytes() + tag_cache_.size() * k_tag_line +
-         node_cache_.size() * cfg_.tag_bytes + root_.size();
+         node_cache_.size() * cfg_.tag_bytes + root;
 }
 
 } // namespace buscrypt::engine

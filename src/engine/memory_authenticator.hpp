@@ -48,6 +48,7 @@
 #include "sim/memory_port.hpp"
 #include "sim/txn_batcher.hpp"
 
+#include <array>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -82,11 +83,13 @@ struct auth_config {
   /// Authenticated window [base, limit): data-unit aligned, non-empty.
   addr_t base = 0;
   addr_t limit = 0;
-  /// mac/hash_tree: stored tag / node digest size (1..32 bytes).
+  /// mac/hash_tree: stored tag / node digest size (1..32 bytes); mac also
+  /// needs it to divide the 64-byte tag line, so no tag straddles two.
   /// area: nonce bytes embedded per cipher block (1..granule-1).
   std::size_t tag_bytes = 8;
   /// mac/hash_tree: external-memory region holding tags / tree nodes. Must
-  /// not overlap the window (the tag of a tag would recurse).
+  /// not overlap the window (the tag of a tag would recurse); mac needs it
+  /// tag_bytes-aligned.
   addr_t tag_base = 6u << 20;
   /// On-chip cache entries: 64-byte tag lines (mac) or tree nodes
   /// (hash_tree). 0 disables — the naive every-fetch-pays design.
@@ -118,17 +121,34 @@ struct auth_stats {
 /// Per-region authentication engine. One instance guards one window of one
 /// encryption context; the bus_encryption_engine owns it and calls the
 /// verify/update hooks from both its scalar and batched datapaths.
+///
+/// What the simulator observes is fixed: every lower-port call (op,
+/// address, length, order), every byte written, every counter and every
+/// cycle. The update agent's armed fault injector, the DRAM open rows an
+/// install leaves and tab9's tag hit rate all see that order, so host-side
+/// work may change only between those calls. The scalar paths allocate
+/// nothing once warm: every tag, leaf, node digest and nonce is an inline
+/// `digest`, both on-chip caches are one FIFO ring type, and the tree
+/// walks run in scratch sized at construction. node_digest() remembers,
+/// per level, its last input and result, and returns the remembered
+/// digest for a byte-equal input without hashing: host-side caching of a
+/// pure function, which charges nothing and which no output can see.
 class memory_authenticator {
  public:
   /// Tag-cache fill granule (mac): one external burst of packed tags.
   static constexpr std::size_t k_tag_line = 64;
 
+  /// A tag, leaf, node digest or AREA nonce: the first tag_bytes bytes of
+  /// an HMAC-SHA256, held inline and zero past tag_bytes.
+  using digest = std::array<u8, 32>;
+
   /// \param lower external path for tag/node traffic; referenced, not owned.
   /// \param unit_bytes the owning context's data-unit size.
   /// \throws std::invalid_argument on mode==none, empty key, a misaligned
   ///         or empty window, a tag region overlapping the window,
-  ///         out-of-range tag_bytes / tree_arity, or versioned off outside
-  ///         mac.
+  ///         out-of-range tag_bytes / tree_arity, a mac tag_bytes that does
+  ///         not divide the tag line or a mac tag_base not aligned to it,
+  ///         or versioned off outside mac.
   memory_authenticator(sim::memory_port& lower, auth_config cfg,
                        std::size_t unit_bytes);
 
@@ -190,11 +210,12 @@ class memory_authenticator {
   struct staged_verify {
     addr_t unit_addr = 0;
     u64 version = 0;
-    bytes tag;               ///< forwarded or cached tag; empty on a miss
+    digest tag{};            ///< forwarded or cached tag; valid on a hit only
     addr_t tag_line = 0;     ///< 64-byte-aligned line holding the tag
     std::size_t tag_off = 0; ///< this unit's tag offset inside that line
     /// Miss: the window index of the tag-line fetch (gate the verify on
-    /// it) and its buffer. no_lower on a hit.
+    /// it) and its buffer. no_lower on a hit, which is what tells the two
+    /// apart.
     std::size_t fetch = sim::txn_batcher::no_lower;
     std::span<const u8> fetched;
   };
@@ -321,33 +342,95 @@ class memory_authenticator {
   [[nodiscard]] u64 version_of(addr_t unit_addr) const noexcept;
 
  private:
+  using tag_line_bytes = std::array<u8, k_tag_line>;
+
+  /// The on-chip caches: a fixed-capacity FIFO from a u64 key (tag-line
+  /// base, or node_key(level, index)) to a value. Lookup is a linear probe
+  /// over at most tag_cache_entries slots. An update in place keeps the
+  /// entry's position; an insert into a full ring evicts the oldest
+  /// insertion. Capacity 0 holds nothing, so a lookup always misses.
+  template <class V>
+  class fifo_ring {
+   public:
+    explicit fifo_ring(std::size_t capacity) : keys_(capacity), values_(capacity) {}
+
+    [[nodiscard]] V* find(u64 key) noexcept {
+      for (std::size_t i = 0; i < size_; ++i)
+        if (keys_[i] == key) return &values_[i];
+      return nullptr;
+    }
+    void put(u64 key, const V& value) noexcept {
+      if (V* v = find(key)) {
+        *v = value;
+        return;
+      }
+      if (keys_.empty()) return;
+      std::size_t slot = size_;
+      if (size_ < keys_.size()) {
+        ++size_;
+      } else { // full: the slot after the last eviction holds the oldest
+        slot = oldest_;
+        oldest_ = oldest_ + 1 == keys_.size() ? 0 : oldest_ + 1;
+      }
+      keys_[slot] = key;
+      values_[slot] = value;
+    }
+    void clear() noexcept { size_ = oldest_ = 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    std::vector<u64> keys_;
+    std::vector<V> values_;
+    std::size_t size_ = 0;   ///< live slots are [0, size_)
+    std::size_t oldest_ = 0; ///< once full: the slot the next insert evicts
+  };
+
   [[nodiscard]] cycles mac_time(std::size_t nbytes) const noexcept;
   [[nodiscard]] u64 unit_index(addr_t unit_addr) const noexcept {
     return (unit_addr - cfg_.base) / unit_;
   }
   void note(check_result& r, bool charge) noexcept;
 
+  /// HMAC over head || body, truncated to tag_bytes.
+  [[nodiscard]] digest keyed_digest(std::span<const u8> head,
+                                    std::span<const u8> body = {}) const noexcept;
+  [[nodiscard]] std::span<const u8> view(const digest& d) const noexcept {
+    return {d.data(), cfg_.tag_bytes};
+  }
+  [[nodiscard]] bool same(const digest& a, const digest& b) const noexcept;
+
   // mac helpers.
-  [[nodiscard]] bytes unit_tag(addr_t unit_addr, u64 version,
-                               std::span<const u8> ct) const;
+  [[nodiscard]] digest unit_tag(addr_t unit_addr, u64 version,
+                                std::span<const u8> ct) const noexcept;
   /// Read the tag through the cache; returns bus cycles (0 on a hit).
   [[nodiscard]] cycles fetch_tag(addr_t unit_addr, std::span<u8> out);
-  [[nodiscard]] cycles store_tag(addr_t unit_addr, std::span<const u8> tag);
-  void install_tag_line(addr_t tag_line, std::span<const u8> data);
+  [[nodiscard]] cycles store_tag(addr_t unit_addr, const digest& tag);
   /// Open a batch window on \p b, if none is open.
   void open_window(sim::txn_batcher& b);
 
   // hash_tree helpers.
-  [[nodiscard]] bytes leaf_digest(u64 index, std::span<const u8> ct) const;
-  [[nodiscard]] bytes node_digest(unsigned level, u64 index,
-                                  std::span<const u8> children) const;
-  [[nodiscard]] bytes read_node(unsigned level, u64 index, cycles& bus,
-                                bool* from_cache = nullptr);
-  void cache_node(unsigned level, u64 index, const bytes& digest);
-  void write_node(unsigned level, u64 index, const bytes& digest, cycles& bus);
+  /// The sibling group holding node (level, index): its first index and
+  /// its digests in the walk scratch, tag_bytes each.
+  struct sibling_group {
+    u64 first = 0;
+    std::span<u8> children;
+  };
+  [[nodiscard]] sibling_group group_of(unsigned level, u64 index) noexcept;
+  [[nodiscard]] digest leaf_digest(u64 index, std::span<const u8> ct) const noexcept;
+  [[nodiscard]] digest node_digest(unsigned level, u64 index,
+                                   std::span<const u8> children) noexcept;
+  /// Read stored node (level, index) through the node cache into \p out
+  /// (tag_bytes).
+  void read_node(unsigned level, u64 index, u8* out, cycles& bus);
+  void write_node(unsigned level, u64 index, const digest& d, cycles& bus);
   // area helpers.
-  [[nodiscard]] bytes area_nonce(addr_t unit_addr, u64 version,
-                                 std::size_t block) const;
+  [[nodiscard]] digest area_nonce(addr_t unit_addr, u64 version,
+                                  std::size_t block) const noexcept;
+  /// Unseal against \p version and \p sideband (empty: never sealed).
+  [[nodiscard]] check_result area_unseal(keyed_cipher& kc, addr_t unit_addr,
+                                         std::span<const u8> dram_ct,
+                                         std::span<u8> plain_out, u64 version,
+                                         std::span<const u8> sideband, bool charge);
 
   sim::memory_port* lower_;
   auth_config cfg_;
@@ -359,13 +442,12 @@ class memory_authenticator {
   std::unordered_map<addr_t, u64> versions_; ///< on-chip version RAM (NVM)
 
   // mac state.
-  std::unordered_map<addr_t, bytes> tag_cache_; ///< tag-line base -> 64 B
-  std::vector<addr_t> tag_cache_fifo_;
+  fifo_ring<tag_line_bytes> tag_cache_; ///< tag-line base -> 64 B
   /// Tags staged by the current flush window (tag addr -> value): later
   /// staged reads must see them even when the tag line is uncached, and a
   /// tag-line fetch ordered before the staged write must not install a
   /// stale line over them.
-  std::unordered_map<addr_t, bytes> staged_tags_;
+  std::unordered_map<addr_t, digest> staged_tags_;
   /// Tag lines the current window fetches: line -> (window index, buffer).
   std::unordered_map<addr_t, std::pair<std::size_t, std::span<const u8>>>
       window_fetches_;
@@ -376,12 +458,26 @@ class memory_authenticator {
   // hash_tree state.
   std::vector<u64> level_sizes_;    ///< nodes per stored level, leaves first
   std::vector<addr_t> level_base_;  ///< external base address per level
-  bytes root_;                      ///< on-chip root digest (tag_bytes)
-  std::unordered_map<u64, bytes> node_cache_; ///< (level,index) key -> digest
-  std::vector<u64> node_cache_fifo_;
+  digest root_{};                   ///< on-chip root digest
+  fifo_ring<digest> node_cache_;    ///< node_key(level, index) -> digest
+  /// Walk scratch, sized at construction: one sibling group per stored
+  /// level, packed at tag_bytes (an update walk keeps pass A's groups for
+  /// pass B), and the verify walk's nodes to cache once it succeeds.
+  bytes walk_children_;
+  std::vector<std::pair<u64, digest>> walk_install_;
+  /// node_digest's memo, by node level: the last input and its digest.
+  struct memo_entry {
+    u64 index = ~u64{0};
+    std::size_t len = 0;
+    std::array<u8, 8 * sizeof(digest)> children{}; ///< up to tree_arity (<= 8) digests
+    digest d{};
+  };
+  std::vector<memo_entry> memo_;
 
-  // area state: widened-memory expansion cells, by unit address.
+  // area state: widened-memory expansion cells, by unit address, and the
+  // expanded payload of the unit being sealed or unsealed.
   std::unordered_map<addr_t, bytes> sideband_;
+  bytes area_scratch_;
 
   auth_stats stats_;
 };

@@ -1,0 +1,165 @@
+// Heap allocations on engine::memory_authenticator's scalar paths. This
+// executable replaces the global operator new to count every allocation,
+// which is why it links apart from buscrypt_tests: a replaced allocator is
+// process-wide. After one warm-up call, a verify, an update, and an AREA
+// seal and unseal each make no allocation, and a hash-tree install makes
+// as many at 64 KiB as at 4 KiB.
+
+#include "engine/bus_encryption_engine.hpp"
+#include "engine/memory_authenticator.hpp"
+#include "sim/bus.hpp"
+#include "sim/dram.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+namespace {
+
+std::atomic<unsigned long long> g_allocs{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc(std::size_t n, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+} // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) { return counted_alloc(n, al); }
+void* operator new[](std::size_t n, std::align_val_t al) { return counted_alloc(n, al); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace buscrypt::engine {
+namespace {
+
+/// Allocations \p f makes.
+template <class F>
+unsigned long long allocs_of(F&& f) {
+  const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
+  f();
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+auth_config window(auth_mode mode) {
+  auth_config a;
+  a.mode = mode;
+  a.key = bytes(16, 0x5A);
+  a.base = 0;
+  a.limit = 64 * 1024;
+  a.tag_base = 512 * 1024;
+  if (mode == auth_mode::area) a.tag_bytes = 4;
+  return a;
+}
+
+/// An authenticator over raw DRAM with 32-byte units, sealed at attach.
+struct rig {
+  sim::dram mem{1u << 20};
+  sim::external_memory ext{mem};
+  memory_authenticator auth;
+
+  explicit rig(auth_mode mode) : auth(ext, window(mode), 32) { auth.seal_from_memory(); }
+};
+
+TEST(AllocFree, HashTreeVerifyAndUpdate) {
+  rig r(auth_mode::hash_tree);
+  const bytes ct(32, 0x11);
+  (void)r.auth.update_unit(0x100, ct, true);
+  (void)r.auth.verify_unit(0x100, ct, true);
+  memory_authenticator::check_result a, b;
+  const auto updates = allocs_of([&] {
+    a = r.auth.update_unit(0x100, ct, true);
+    b = r.auth.update_unit(0x8000, ct, true);
+  });
+  EXPECT_EQ(updates, 0u);
+  EXPECT_TRUE(a.ok && b.ok);
+  const auto verifies = allocs_of([&] {
+    a = r.auth.verify_unit(0x100, ct, true);
+    r.auth.drop_caches(); // the next walk climbs to the root
+    b = r.auth.verify_unit(0x8000, ct, true);
+  });
+  EXPECT_EQ(verifies, 0u);
+  EXPECT_TRUE(a.ok && b.ok);
+}
+
+TEST(AllocFree, MacVerifyOnHitAndMissAndRewrite) {
+  rig r(auth_mode::mac);
+  const bytes ct(32, 0x22);
+  (void)r.auth.update_unit(0x100, ct, true);
+  (void)r.auth.verify_unit(0x100, ct, true);
+  memory_authenticator::check_result hit, miss;
+  const auth_stats before = r.auth.stats();
+  EXPECT_EQ(allocs_of([&] { hit = r.auth.verify_unit(0x100, ct, true); }), 0u);
+  r.auth.drop_caches();
+  EXPECT_EQ(allocs_of([&] { miss = r.auth.verify_unit(0x100, ct, true); }), 0u);
+  EXPECT_TRUE(hit.ok && miss.ok);
+  EXPECT_EQ(r.auth.stats().tag_hits, before.tag_hits + 1);
+  EXPECT_EQ(r.auth.stats().tag_misses, before.tag_misses + 1);
+  EXPECT_EQ(allocs_of([&] { (void)r.auth.update_unit(0x100, ct, true); }), 0u);
+}
+
+TEST(AllocFree, AreaSealAndUnsealOfASealedUnit) {
+  rig r(auth_mode::area);
+  const auto kc = backend_registry::builtin().at("aes-ecb").make_keyed(bytes(16, 0x42));
+  const bytes plain(32, 0x33);
+  bytes ct(32), back(32);
+  (void)r.auth.area_encipher(*kc, 0x100, plain, ct, /*initial=*/true, false);
+  (void)r.auth.area_encipher(*kc, 0x100, plain, ct, /*initial=*/false, true);
+  (void)r.auth.area_decipher(*kc, 0x100, ct, back, true);
+  memory_authenticator::check_result unseal;
+  const auto n = allocs_of([&] {
+    (void)r.auth.area_encipher(*kc, 0x100, plain, ct, /*initial=*/false, true);
+    unseal = r.auth.area_decipher(*kc, 0x100, ct, back, true);
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(unseal.ok);
+  EXPECT_EQ(back, plain);
+}
+
+TEST(AllocFree, HashTreeInstallAllocationsDoNotGrowWithImageSize) {
+  auto install_allocs = [](std::size_t len) {
+    sim::dram mem{1u << 20};
+    sim::external_memory ext{mem};
+    keyslot_manager slots{backend_registry::builtin(), 4};
+    bus_encryption_engine eng{ext, slots};
+    const auto ctx = eng.create_context({"aes-ctr", bytes(16, 0x17), 32});
+    eng.map_region(0, 256 * 1024, ctx);
+    auth_config a = window(auth_mode::hash_tree);
+    a.limit = 128 * 1024;
+    (void)eng.attach_auth(ctx, a);
+    const bytes image(len, 0x5C);
+    return allocs_of([&] { eng.install(0, image); });
+  };
+  const unsigned long long small = install_allocs(4 * 1024);
+  EXPECT_EQ(install_allocs(64 * 1024), small);
+  std::printf("hash-tree install: %llu allocations at 4 KiB and at 64 KiB\n", small);
+}
+
+} // namespace
+} // namespace buscrypt::engine

@@ -123,6 +123,20 @@ TEST(AuthAttach, ValidatesGeometryAndLifecycle) {
   bad.versioned = false; // only mac runs unversioned
   EXPECT_THROW((void)r.eng.attach_auth(r.ctx, bad), std::invalid_argument);
 
+  // A mac tag is read and written inside one 64-byte tag line: unit 5's
+  // 12-byte tag would start at line offset 60, and an 8-byte tag region
+  // based 4 bytes past a line puts unit 7's tag at offset 60 too.
+  bad = small_auth(auth_mode::mac);
+  bad.tag_bytes = 12;
+  EXPECT_THROW((void)r.eng.attach_auth(r.ctx, bad), std::invalid_argument);
+  bad = small_auth(auth_mode::mac);
+  bad.tag_base = k_tag_base + 4;
+  EXPECT_THROW((void)r.eng.attach_auth(r.ctx, bad), std::invalid_argument);
+  bad = small_auth(auth_mode::hash_tree); // nodes are never read by the line
+  bad.tag_bytes = 12;
+  bad.tag_base = k_tag_base + 4;
+  EXPECT_NO_THROW(memory_authenticator(r.ext, bad, 32));
+
   EXPECT_NO_THROW((void)r.eng.attach_auth(r.ctx, small_auth(auth_mode::mac)));
   EXPECT_THROW((void)r.eng.attach_auth(r.ctx, small_auth(auth_mode::mac)),
                std::invalid_argument)

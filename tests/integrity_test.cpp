@@ -126,6 +126,10 @@ TEST(IntegrityEdu, RejectsBadConfig) {
   cfg = {};
   cfg.tag_base = 0; // overlaps protected range
   EXPECT_THROW(integrity_edu(rg.ext, rg.prf, rg.mac_key, cfg), std::invalid_argument);
+  cfg = {};
+  cfg.level = integrity_level::mac_versioned;
+  cfg.tag_bytes = 12; // some tags would straddle two 64-byte tag lines
+  EXPECT_THROW(integrity_edu(rg.ext, rg.prf, rg.mac_key, cfg), std::invalid_argument);
 }
 
 // --- the detection matrix ---------------------------------------------------
