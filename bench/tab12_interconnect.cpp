@@ -234,7 +234,7 @@ containment_result run_containment() {
     eng.set_firewall(&fw);
 
     const auto read_as = [&](sim::master_id who, addr_t addr, std::span<u8> out) {
-      sim::mem_txn t = sim::mem_txn::read_of(1, addr, out);
+      sim::mem_txn t = sim::mem_txn::read_of(addr, out);
       t.master = who;
       eng.submit({&t, 1});
       (void)eng.drain();
@@ -247,7 +247,7 @@ containment_result run_containment() {
     if (!r.fill_ok) r.fail("denied read leaked bytes past the 0xFF fill");
 
     bytes junk(256, 0x77);
-    sim::mem_txn w = sim::mem_txn::write_of(2, 0x40000, junk);
+    sim::mem_txn w = sim::mem_txn::write_of(0x40000, junk);
     w.master = 2;
     eng.submit({&w, 1});
     (void)eng.drain();

@@ -78,48 +78,40 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   const std::size_t nblocks = cfg_.core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments)
-      if (seg.data.empty() || seg.addr % lb != 0 || seg.data.size() % lb != 0) {
-        eligible = false;
-        break;
-      }
-    if (!eligible) {
+    if (txn.data.empty() || txn.addr % lb != 0 || txn.data.size() % lb != 0) {
       b.detour_via(txn, *this);
       continue;
     }
-    for (sim::txn_segment& seg : txn.segments) {
-      // One count per line, matching scalar issue of the same line ops.
-      for (std::size_t off = 0; off < seg.data.size(); off += lb) {
-        const addr_t a = seg.addr + off;
-        std::span<u8> line = seg.data.subspan(off, lb);
-        stats_.cipher_blocks += nblocks + 1;
-        if (txn.is_write()) {
-          ++stats_.writes;
-          // Fresh nonce in submission order, exactly as scalar issue.
-          const u64 nonce = fresh_nonce(a);
-          bytes& ct = b.scratch_copy(line);
+    // One count per line, matching scalar issue of the same line ops.
+    for (std::size_t off = 0; off < txn.data.size(); off += lb) {
+      const addr_t a = txn.addr + off;
+      std::span<u8> line = txn.data.subspan(off, lb);
+      stats_.cipher_blocks += nblocks + 1;
+      if (txn.is_write()) {
+        ++stats_.writes;
+        // Fresh nonce in submission order, exactly as scalar issue.
+        const u64 nonce = fresh_nonce(a);
+        bytes& ct = b.scratch_copy(line);
+        bytes iv(cipher_->block_size());
+        derive_iv(a, nonce, iv);
+        crypto::cbc_encrypt(*cipher_, iv, ct, ct);
+        const cycles enc = cfg_.core.time_chained(nblocks) + cfg_.core.latency;
+        stats_.crypto_cycles += enc;
+        b.add_pre(enc);
+        (void)b.queue(sim::txn_op::write, txn.master, a, ct);
+      } else {
+        ++stats_.reads;
+        // Snapshot the nonce now: a later in-window write must not
+        // change the IV this read's ciphertext was produced under.
+        const u64 nonce = nonce_for(a);
+        const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
+        const cycles dec = cfg_.core.time_parallel(nblocks);
+        stats_.crypto_cycles += dec;
+        b.add_gated(li, sim::txn_batcher::no_lower, dec, [this, a, nonce, line] {
           bytes iv(cipher_->block_size());
           derive_iv(a, nonce, iv);
-          crypto::cbc_encrypt(*cipher_, iv, ct, ct);
-          const cycles enc = cfg_.core.time_chained(nblocks) + cfg_.core.latency;
-          stats_.crypto_cycles += enc;
-          b.add_pre(enc);
-          (void)b.queue(sim::txn_op::write, txn.master, a, ct);
-        } else {
-          ++stats_.reads;
-          // Snapshot the nonce now: a later in-window write must not
-          // change the IV this read's ciphertext was produced under.
-          const u64 nonce = nonce_for(a);
-          const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
-          const cycles dec = cfg_.core.time_parallel(nblocks);
-          stats_.crypto_cycles += dec;
-          b.add_gated(li, sim::txn_batcher::no_lower, dec, [this, a, nonce, line] {
-            bytes iv(cipher_->block_size());
-            derive_iv(a, nonce, iv);
-            crypto::cbc_decrypt(*cipher_, iv, line, line);
-          });
-        }
+          crypto::cbc_decrypt(*cipher_, iv, line, line);
+        });
       }
     }
   }

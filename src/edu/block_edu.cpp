@@ -102,37 +102,27 @@ void block_edu::submit(std::span<sim::mem_txn> batch) {
   sim::txn_batcher b(*lower_, pending_txn_cycles_);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments)
-      if (seg.data.empty() || seg.addr % granule_ != 0 ||
-          seg.data.size() % granule_ != 0) {
-        eligible = false;
-        break;
-      }
-    if (!eligible) {
+    if (txn.data.empty() || txn.addr % granule_ != 0 || txn.data.size() % granule_ != 0) {
       b.detour_via(txn, *this);
       continue;
     }
-    // One count per segment, matching scalar issue of the same ops.
-    for (sim::txn_segment& seg : txn.segments) {
-      if (txn.is_write()) {
-        ++stats_.writes;
-        bytes& ct = b.scratch_copy(seg.data);
-        encrypt_range(seg.addr, ct);
-        const cycles enc = encrypt_time(ct.size());
-        stats_.crypto_cycles += enc;
-        b.add_pre(enc);
-        (void)b.queue(sim::txn_op::write, txn.master, seg.addr, ct);
-      } else {
-        ++stats_.reads;
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, seg.addr, seg.data);
-        const cycles dec = decrypt_time(seg.data.size());
-        stats_.crypto_cycles += dec;
-        b.add_gated(li, sim::txn_batcher::no_lower, dec,
-                    [this, addr = seg.addr, data = seg.data] {
-                      decrypt_range(addr, data);
-                    });
-      }
+    if (txn.is_write()) {
+      ++stats_.writes;
+      bytes& ct = b.scratch_copy(txn.data);
+      encrypt_range(txn.addr, ct);
+      const cycles enc = encrypt_time(ct.size());
+      stats_.crypto_cycles += enc;
+      b.add_pre(enc);
+      (void)b.queue(sim::txn_op::write, txn.master, txn.addr, ct);
+    } else {
+      ++stats_.reads;
+      const std::size_t li = b.queue(sim::txn_op::read, txn.master, txn.addr, txn.data);
+      const cycles dec = decrypt_time(txn.data.size());
+      stats_.crypto_cycles += dec;
+      b.add_gated(li, sim::txn_batcher::no_lower, dec,
+                  [this, addr = txn.addr, data = txn.data] {
+                    decrypt_range(addr, data);
+                  });
     }
   }
   b.flush();

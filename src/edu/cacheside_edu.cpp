@@ -74,14 +74,10 @@ void cacheside_edu::submit(std::span<sim::mem_txn> batch) {
   cycles ks_total = 0;    ///< keystream regeneration the window owes
   cycles fetch_total = 0; ///< external-fetch time it can hide behind
   for (sim::mem_txn& txn : batch) {
-    for (sim::txn_segment& seg : txn.segments) {
-      const access_io io =
-          do_access(seg.addr, seg.data, txn.is_write(),
-                    std::span<const u8>(seg.data));
-      served += io.below;
-      ks_total += io.ks;
-      fetch_total += io.fetch;
-    }
+    const access_io io = do_access(txn.addr, txn.data, txn.is_write(), txn.data);
+    served += io.below;
+    ks_total += io.ks;
+    fetch_total += io.fetch;
     txn.complete_cycle = base + served; // in-order: the cache is serial
   }
   const cycles overrun = ks_total > fetch_total ? ks_total - fetch_total : 0;

@@ -164,104 +164,90 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments) {
-      const bool code = in_code(seg.addr, seg.data.size());
-      const bool code_overlap =
-          code_installed_ && seg.addr < code_base_ + code_size_ &&
-          seg.addr + seg.data.size() > code_base_;
-      // Native: pure data segments, and whole-in-code reads. Straddles and
-      // code writes (read-only region: the scalar path's error applies)
-      // detour in order.
-      if ((code_overlap && !code) || (code && txn.is_write())) {
-        eligible = false;
-        break;
-      }
-    }
-    if (!eligible) {
+    const bool code = in_code(txn.addr, txn.data.size());
+    const bool code_overlap = code_installed_ && txn.addr < code_base_ + code_size_ &&
+                              txn.addr + txn.data.size() > code_base_;
+    // Native: data txns, and whole-in-code reads. Straddles and code
+    // writes (read-only region: the scalar path's error applies) detour in
+    // order.
+    if ((code_overlap && !code) || (code && txn.is_write())) {
       b.detour_via(txn, *this);
       continue;
     }
-    for (sim::txn_segment& seg : txn.segments) {
-      if (txn.is_write()) ++stats_.writes;
-      else ++stats_.reads;
-      if (!in_code(seg.addr, seg.data.size())) {
-        // Data region: the pad-overlap path.
-        const cycles pad_t =
-            cfg_.encrypt ? cfg_.pad_core.time_parallel(
-                               pad_.blocks_covering(seg.addr, seg.data.size()))
-                         : 0;
-        if (txn.is_write()) {
-          bytes& ct = b.scratch_copy(seg.data);
-          if (cfg_.encrypt) {
-            bytes pad(ct.size());
-            pad_.generate(seg.addr, pad);
-            stats_.cipher_blocks += pad_.blocks_covering(seg.addr, ct.size());
-            xor_bytes(ct, pad);
-            b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
-            stats_.crypto_cycles += cfg_.xor_cycles;
-          }
-          (void)b.queue(sim::txn_op::write, txn.master, seg.addr, ct);
-        } else {
-          const std::size_t li =
-              b.queue(sim::txn_op::read, txn.master, seg.addr, seg.data);
-          if (cfg_.encrypt) {
-            stats_.cipher_blocks += pad_.blocks_covering(seg.addr, seg.data.size());
-            stats_.crypto_cycles += cfg_.xor_cycles;
-            b.add_par(li, pad_t, cfg_.xor_cycles,
-                      [this, addr = seg.addr, data = seg.data] {
-                        bytes pad(data.size());
-                        pad_.generate(addr, pad);
-                        xor_bytes(data, pad);
-                      });
-          }
-        }
-        continue;
-      }
-      // Code region read: group-by-group compressed fetches.
-      std::size_t done = 0;
-      while (done < seg.data.size()) {
-        const addr_t a = seg.addr + done;
-        const std::size_t g =
-            static_cast<std::size_t>(a - code_base_) / image_.group_bytes;
-        const std::size_t in_group =
-            static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
-        const std::size_t n =
-            std::min(image_.group_bytes - in_group, seg.data.size() - done);
-        const auto [phys_off, len] = group_extent_[g];
-        const addr_t phys = code_base_ + phys_off;
-
-        bytes& chunk = b.scratch(len);
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
+    if (txn.is_write()) ++stats_.writes;
+    else ++stats_.reads;
+    if (!code) {
+      // Data region: the pad-overlap path.
+      const cycles pad_t =
+          cfg_.encrypt ? cfg_.pad_core.time_parallel(
+                             pad_.blocks_covering(txn.addr, txn.data.size()))
+                       : 0;
+      if (txn.is_write()) {
+        bytes& ct = b.scratch_copy(txn.data);
         if (cfg_.encrypt) {
-          const cycles pad_t =
-              cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, len));
-          stats_.cipher_blocks += pad_.blocks_covering(phys, len);
+          bytes pad(ct.size());
+          pad_.generate(txn.addr, pad);
+          stats_.cipher_blocks += pad_.blocks_covering(txn.addr, ct.size());
+          xor_bytes(ct, pad);
+          b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
           stats_.crypto_cycles += cfg_.xor_cycles;
-          b.add_par(li, pad_t, cfg_.xor_cycles, [this, phys, &chunk] {
-            bytes pad(chunk.size());
-            pad_.generate(phys, pad);
-            xor_bytes(chunk, pad);
+        }
+        (void)b.queue(sim::txn_op::write, txn.master, txn.addr, ct);
+      } else {
+        const std::size_t li = b.queue(sim::txn_op::read, txn.master, txn.addr, txn.data);
+        if (cfg_.encrypt) {
+          stats_.cipher_blocks += pad_.blocks_covering(txn.addr, txn.data.size());
+          stats_.crypto_cycles += cfg_.xor_cycles;
+          b.add_par(li, pad_t, cfg_.xor_cycles, [this, addr = txn.addr, data = txn.data] {
+            bytes pad(data.size());
+            pad_.generate(addr, pad);
+            xor_bytes(data, pad);
           });
         }
-        const std::size_t group_base = g * image_.group_bytes;
-        const std::size_t group_len =
-            std::min(image_.group_bytes, image_.original_size - group_base);
-        const bool first_in_window = warm_window != b.flush_seq();
-        warm_window = b.flush_seq();
-        const cycles decomp = cfg_.decomp.latency_for(group_len) +
-                              (first_in_window ? cfg_.decomp.startup : 0);
-        stats_.crypto_cycles += decomp;
-        b.add_gated(li, sim::txn_batcher::no_lower, decomp,
-                    [this, g, &chunk, group_len, in_group,
-                     out = seg.data.subspan(done, n)] {
-                      const bytes plain = engine_.decompress_chunk(
-                          chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
-                      std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(in_group),
-                                  out.size(), out.begin());
-                    });
-        done += n;
       }
+      continue;
+    }
+    // Code region read: group-by-group compressed fetches.
+    std::size_t done = 0;
+    while (done < txn.data.size()) {
+      const addr_t a = txn.addr + done;
+      const std::size_t g = static_cast<std::size_t>(a - code_base_) / image_.group_bytes;
+      const std::size_t in_group =
+          static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
+      const std::size_t n =
+          std::min(image_.group_bytes - in_group, txn.data.size() - done);
+      const auto [phys_off, len] = group_extent_[g];
+      const addr_t phys = code_base_ + phys_off;
+
+      bytes& chunk = b.scratch(len);
+      const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
+      if (cfg_.encrypt) {
+        const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, len));
+        stats_.cipher_blocks += pad_.blocks_covering(phys, len);
+        stats_.crypto_cycles += cfg_.xor_cycles;
+        b.add_par(li, pad_t, cfg_.xor_cycles, [this, phys, &chunk] {
+          bytes pad(chunk.size());
+          pad_.generate(phys, pad);
+          xor_bytes(chunk, pad);
+        });
+      }
+      const std::size_t group_base = g * image_.group_bytes;
+      const std::size_t group_len =
+          std::min(image_.group_bytes, image_.original_size - group_base);
+      const bool first_in_window = warm_window != b.flush_seq();
+      warm_window = b.flush_seq();
+      const cycles decomp = cfg_.decomp.latency_for(group_len) +
+                            (first_in_window ? cfg_.decomp.startup : 0);
+      stats_.crypto_cycles += decomp;
+      b.add_gated(li, sim::txn_batcher::no_lower, decomp,
+                  [this, g, &chunk, group_len, in_group,
+                   out = txn.data.subspan(done, n)] {
+                    const bytes plain = engine_.decompress_chunk(
+                        chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
+                    std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(in_group),
+                                out.size(), out.begin());
+                  });
+      done += n;
     }
   }
   b.flush();

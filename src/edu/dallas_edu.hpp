@@ -56,28 +56,21 @@ class dallas_byte_edu final : public edu {
     sim::txn_batcher b(*lower_, pending_txn_cycles_);
     for (sim::mem_txn& txn : batch) {
       b.begin_txn(txn);
-      if (txn.segments.empty()) { // nothing to schedule: retire in place
-        b.detour_via(txn, *this);
-        continue;
-      }
-      for (sim::txn_segment& seg : txn.segments) {
-        stats_.cipher_blocks += seg.data.size();
-        stats_.crypto_cycles += per_access_;
-        if (txn.is_write()) {
-          ++stats_.writes;
-          bytes& ct = b.scratch(seg.data.size());
-          cipher_->encrypt_range(seg.addr, seg.data, ct);
-          b.add_pre(per_access_);
-          (void)b.queue(sim::txn_op::write, txn.master, seg.addr, ct);
-        } else {
-          ++stats_.reads;
-          const std::size_t li =
-              b.queue(sim::txn_op::read, txn.master, seg.addr, seg.data);
-          b.add_gated(li, sim::txn_batcher::no_lower, per_access_,
-                      [this, addr = seg.addr, data = seg.data] {
-                        cipher_->decrypt_range(addr, data, data);
-                      });
-        }
+      stats_.cipher_blocks += txn.data.size();
+      stats_.crypto_cycles += per_access_;
+      if (txn.is_write()) {
+        ++stats_.writes;
+        bytes& ct = b.scratch(txn.data.size());
+        cipher_->encrypt_range(txn.addr, txn.data, ct);
+        b.add_pre(per_access_);
+        (void)b.queue(sim::txn_op::write, txn.master, txn.addr, ct);
+      } else {
+        ++stats_.reads;
+        const std::size_t li = b.queue(sim::txn_op::read, txn.master, txn.addr, txn.data);
+        b.add_gated(li, sim::txn_batcher::no_lower, per_access_,
+                    [this, addr = txn.addr, data = txn.data] {
+                      cipher_->decrypt_range(addr, data, data);
+                    });
       }
     }
     b.flush();

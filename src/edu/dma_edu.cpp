@@ -134,73 +134,66 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    if (txn.segments.empty()) {
-      b.detour_via(txn, *this);
-      in_flight.clear(); // the detour's flush settled every buffer
-      continue;
-    }
-    for (sim::txn_segment& seg : txn.segments) {
-      if (txn.is_write()) ++stats_.writes;
-      else ++stats_.reads;
-      std::size_t done = 0;
-      while (done < seg.data.size()) {
-        const addr_t a = seg.addr + done;
-        const addr_t base = a - a % cfg_.page_bytes;
-        const std::size_t off = static_cast<std::size_t>(a - base);
-        const std::size_t n = std::min(cfg_.page_bytes - off, seg.data.size() - done);
+    if (txn.is_write()) ++stats_.writes;
+    else ++stats_.reads;
+    std::size_t done = 0;
+    while (done < txn.data.size()) {
+      const addr_t a = txn.addr + done;
+      const addr_t base = a - a % cfg_.page_bytes;
+      const std::size_t off = static_cast<std::size_t>(a - base);
+      const std::size_t n = std::min(cfg_.page_bytes - off, txn.data.size() - done);
 
-        page_buffer* pb = find_buffer(base);
-        if (pb == nullptr) {
-          ++page_faults_;
-          pb = pick_victim();
-          if (unsettled(pb)) {
-            b.flush();
-            in_flight.clear();
-          }
-          if (pb->valid && pb->dirty) {
-            bytes& ct = b.scratch_copy(pb->data);
-            cipher_page(pb->base, ct, /*encrypt=*/true);
-            const cycles enc = cfg_.core.time_chained(nblocks);
-            stats_.crypto_cycles += enc;
-            b.add_pre(enc + cfg_.core.latency);
-            (void)b.queue(sim::txn_op::write, txn.master, pb->base, ct);
-            pb->dirty = false;
-          }
-          bytes& fill = b.scratch(cfg_.page_bytes);
-          const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, fill);
-          // CBC decryption pipelines behind the incoming burst (the scalar
-          // path's max(mem, crypt)): overlapped work, not arrival-gated.
-          const cycles dec = cfg_.core.time_parallel(nblocks);
-          stats_.crypto_cycles += dec;
-          b.add_par(li, dec, cfg_.core.latency, [this, pb, &fill, base] {
-            std::copy(fill.begin(), fill.end(), pb->data.begin());
-            cipher_page(base, pb->data, /*encrypt=*/false);
-          });
-          pb->valid = true;
+      page_buffer* pb = find_buffer(base);
+      if (pb == nullptr) {
+        ++page_faults_;
+        pb = pick_victim();
+        if (unsettled(pb)) {
+          b.flush();
+          in_flight.clear();
+        }
+        if (pb->valid && pb->dirty) {
+          bytes& ct = b.scratch_copy(pb->data);
+          cipher_page(pb->base, ct, /*encrypt=*/true);
+          const cycles enc = cfg_.core.time_chained(nblocks);
+          stats_.crypto_cycles += enc;
+          b.add_pre(enc + cfg_.core.latency);
+          (void)b.queue(sim::txn_op::write, txn.master, pb->base, ct);
           pb->dirty = false;
-          pb->base = base;
-          in_flight.push_back(pb);
         }
-        pb->last_used = ++tick_;
-
-        // The access itself: SRAM-latency on-chip work; the data movement
-        // runs at retirement, after any fill for this page has landed.
-        if (txn.is_write()) {
-          pb->dirty = true;
-          if (!unsettled(pb)) in_flight.push_back(pb);
-          b.add_local(cfg_.sram_latency,
-                      [pb, off, src = std::span<const u8>(seg.data.subspan(done, n))] {
-                        std::copy(src.begin(), src.end(),
-                                  pb->data.begin() + static_cast<std::ptrdiff_t>(off));
-                      });
-        } else {
-          b.add_local(cfg_.sram_latency, [pb, off, dst = seg.data.subspan(done, n)] {
-            std::copy_n(pb->data.begin() + static_cast<std::ptrdiff_t>(off), dst.size(),
-                        dst.begin());
-          });
-        }
-        done += n;
+        bytes& fill = b.scratch(cfg_.page_bytes);
+        const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, fill);
+        // CBC decryption pipelines behind the incoming burst (the scalar
+        // path's max(mem, crypt)): overlapped work, not arrival-gated.
+        const cycles dec = cfg_.core.time_parallel(nblocks);
+        stats_.crypto_cycles += dec;
+        b.add_par(li, dec, cfg_.core.latency, [this, pb, &fill, base] {
+          std::copy(fill.begin(), fill.end(), pb->data.begin());
+          cipher_page(base, pb->data, /*encrypt=*/false);
+        });
+        pb->valid = true;
+        pb->dirty = false;
+        pb->base = base;
+        in_flight.push_back(pb);
       }
+      pb->last_used = ++tick_;
+
+      // The access itself: SRAM-latency on-chip work; the data movement
+      // runs at retirement, after any fill for this page has landed.
+      if (txn.is_write()) {
+        pb->dirty = true;
+        if (!unsettled(pb)) in_flight.push_back(pb);
+        b.add_local(cfg_.sram_latency,
+                    [pb, off, src = std::span<const u8>(txn.data.subspan(done, n))] {
+                      std::copy(src.begin(), src.end(),
+                                pb->data.begin() + static_cast<std::ptrdiff_t>(off));
+                    });
+      } else {
+        b.add_local(cfg_.sram_latency, [pb, off, dst = txn.data.subspan(done, n)] {
+          std::copy_n(pb->data.begin() + static_cast<std::ptrdiff_t>(off), dst.size(),
+                      dst.begin());
+        });
+      }
+      done += n;
     }
   }
   b.flush();

@@ -116,45 +116,43 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     // Writes RMW whole segments (data-dependent ciphertext): scalar detour.
-    if (txn.is_write() || txn.segments.empty()) {
+    if (txn.is_write()) {
       b.detour_via(txn, *this);
       continue;
     }
-    for (sim::txn_segment& seg : txn.segments) {
-      ++stats_.reads; // one count per segment, as scalar issue of this op
-      std::size_t done = 0;
-      while (done < seg.data.size()) {
-        const addr_t a = seg.addr + done;
-        const addr_t base = a - a % cfg_.segment_bytes;
-        const std::size_t off = static_cast<std::size_t>(a - base);
-        const std::size_t n = std::min(cfg_.segment_bytes - off, seg.data.size() - done);
+    ++stats_.reads; // one count per txn, as scalar issue of this op
+    std::size_t done = 0;
+    while (done < txn.data.size()) {
+      const addr_t a = txn.addr + done;
+      const addr_t base = a - a % cfg_.segment_bytes;
+      const std::size_t off = static_cast<std::size_t>(a - base);
+      const std::size_t n = std::min(cfg_.segment_bytes - off, txn.data.size() - done);
 
-        bytes& buf = b.scratch(cfg_.segment_bytes);
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
-        // The verified-LRU decision is state, not data: advance it in
-        // submission order now so later ops in the window see it.
-        const bool verify = cfg_.authenticate && !recently_verified(base);
-        if (verify) touch_verified(base);
-        const cycles crypt = cfg_.core.time_parallel(nblocks) +
-                             (verify ? hash_time(cfg_.segment_bytes) : 0);
-        stats_.cipher_blocks += nblocks + 1;
-        stats_.crypto_cycles += crypt;
-        b.add_gated(li, sim::txn_batcher::no_lower, crypt,
-                    [this, base, &buf, off, out = seg.data.subspan(done, n), verify] {
-                      bytes iv(cipher_->block_size());
-                      derive_iv(base, iv);
-                      crypto::cbc_decrypt(*cipher_, iv, buf, buf);
-                      if (verify) {
-                        const bytes tag = compute_tag(base, buf);
-                        const auto it = tags_.find(base);
-                        if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
-                          ++auth_failures_;
-                      }
-                      std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                                  out.size(), out.begin());
-                    });
-        done += n;
-      }
+      bytes& buf = b.scratch(cfg_.segment_bytes);
+      const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
+      // The verified-LRU decision is state, not data: advance it in
+      // submission order now so later ops in the window see it.
+      const bool verify = cfg_.authenticate && !recently_verified(base);
+      if (verify) touch_verified(base);
+      const cycles crypt = cfg_.core.time_parallel(nblocks) +
+                           (verify ? hash_time(cfg_.segment_bytes) : 0);
+      stats_.cipher_blocks += nblocks + 1;
+      stats_.crypto_cycles += crypt;
+      b.add_gated(li, sim::txn_batcher::no_lower, crypt,
+                  [this, base, &buf, off, out = txn.data.subspan(done, n), verify] {
+                    bytes iv(cipher_->block_size());
+                    derive_iv(base, iv);
+                    crypto::cbc_decrypt(*cipher_, iv, buf, buf);
+                    if (verify) {
+                      const bytes tag = compute_tag(base, buf);
+                      const auto it = tags_.find(base);
+                      if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
+                        ++auth_failures_;
+                    }
+                    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
+                                out.size(), out.begin());
+                  });
+      done += n;
     }
   }
   b.flush();

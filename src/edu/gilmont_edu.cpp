@@ -126,22 +126,18 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    // Native: pure data-region segments (either direction) and line-aligned
+    if (txn.addr >= cfg_.code_limit) { // clear-form data passthrough
+      if (txn.is_write()) ++stats_.writes;
+      else ++stats_.reads;
+      (void)b.queue(txn.op, txn.master, txn.addr, txn.data);
+      continue;
+    }
+    // Native: data-region txns (either direction, above) and line-aligned
     // code-region reads. Everything else — code writes (they must
     // invalidate the prefetch buffer before any later fetch), unaligned
     // code reads, boundary straddles — detours in order.
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments) {
-      const bool data_region = seg.addr >= cfg_.code_limit;
-      const bool code_read = !txn.is_write() && seg.addr % lb == 0 &&
-                             seg.data.size() % lb == 0 && !seg.data.empty() &&
-                             seg.addr + seg.data.size() <= cfg_.code_limit;
-      if (!data_region && !code_read) {
-        eligible = false;
-        break;
-      }
-    }
-    if (!eligible) {
+    if (txn.is_write() || txn.addr % lb != 0 || txn.data.size() % lb != 0 ||
+        txn.data.empty() || txn.addr + txn.data.size() > cfg_.code_limit) {
       // The flush inside commits the window's prefetch state into
       // pf_data_; the scalar detour may then move the predictor, so
       // resynchronise the window view afterwards.
@@ -151,41 +147,33 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
       wpf_buf = nullptr;
       continue;
     }
-    for (sim::txn_segment& seg : txn.segments) {
-      if (seg.addr >= cfg_.code_limit) { // clear-form data passthrough
-        if (txn.is_write()) ++stats_.writes;
-        else ++stats_.reads;
-        (void)b.queue(txn.op, txn.master, seg.addr, seg.data);
+    for (std::size_t off = 0; off < txn.data.size(); off += lb) {
+      const addr_t a = txn.addr + off;
+      std::span<u8> line = txn.data.subspan(off, lb);
+      ++stats_.reads;
+      if (cfg_.fetch_prediction && wpf_valid && wpf_addr == a) {
+        // Predicted: the line is fetched (or in flight in this very
+        // window) and deciphered by retirement. The copy-out runs at
+        // retirement too — the destination span may double as an
+        // earlier queued write's source (the cache's evict/fill pair
+        // reuses one line buffer).
+        ++prefetch_hits_;
+        bytes* src = wpf_buf;
+        if (src == nullptr) src = &b.scratch_copy(pf_data_);
+        b.add_local(1,
+                    [line, src] { std::copy(src->begin(), src->end(), line.begin()); });
+        wpf_valid = false;
+        prefetch_native(a + lb);
         continue;
       }
-      for (std::size_t off = 0; off < seg.data.size(); off += lb) {
-        const addr_t a = seg.addr + off;
-        std::span<u8> line = seg.data.subspan(off, lb);
-        ++stats_.reads;
-        if (cfg_.fetch_prediction && wpf_valid && wpf_addr == a) {
-          // Predicted: the line is fetched (or in flight in this very
-          // window) and deciphered by retirement. The copy-out runs at
-          // retirement too — the destination span may double as an
-          // earlier queued write's source (the cache's evict/fill pair
-          // reuses one line buffer).
-          ++prefetch_hits_;
-          bytes* src = wpf_buf;
-          if (src == nullptr) src = &b.scratch_copy(pf_data_);
-          b.add_local(1,
-                      [line, src] { std::copy(src->begin(), src->end(), line.begin()); });
-          wpf_valid = false;
-          prefetch_native(a + lb);
-          continue;
-        }
-        ++prefetch_misses_;
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
-        const cycles crypt =
-            cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(lb)) : 0;
-        stats_.crypto_cycles += crypt;
-        b.add_gated(li, sim::txn_batcher::no_lower, crypt,
-                    [this, line] { crypt_line(line, /*encrypt=*/false); });
-        if (cfg_.fetch_prediction) prefetch_native(a + lb);
-      }
+      ++prefetch_misses_;
+      const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
+      const cycles crypt =
+          cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(lb)) : 0;
+      stats_.crypto_cycles += crypt;
+      b.add_gated(li, sim::txn_batcher::no_lower, crypt,
+                  [this, line] { crypt_line(line, /*encrypt=*/false); });
+      if (cfg_.fetch_prediction) prefetch_native(a + lb);
     }
   }
   b.flush();

@@ -107,56 +107,48 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments)
-      if (seg.data.empty() || seg.addr % lb != 0 || seg.data.size() % lb != 0) {
-        eligible = false;
-        break;
-      }
-    if (!eligible) {
+    if (txn.data.empty() || txn.addr % lb != 0 || txn.data.size() % lb != 0) {
       b.detour_via(txn, *this);
       continue;
     }
-    for (sim::txn_segment& seg : txn.segments) {
-      if (txn.is_write()) ++stats_.writes;
-      else ++stats_.reads;
-      for (std::size_t off = 0; off < seg.data.size(); off += lb) {
-        const addr_t a = seg.addr + off;
-        std::span<u8> line = seg.data.subspan(off, lb);
-        stats_.cipher_blocks += nblocks;
-        if (txn.is_write()) {
-          bytes& ct = b.scratch_copy(line);
-          pad_line(a, next_version(a), ct);
-          b.add_par(sim::txn_batcher::no_lower, pad_t, 1);
-          stats_.crypto_cycles += pad_t + 1;
-          (void)b.queue(sim::txn_op::write, txn.master, a, ct);
-          if (auth) {
-            // Bumps the version and rides the tag store on this window.
-            const cycles mac_t = auth->batch_stage_update(a, ct, /*charge=*/true, b,
-                                                          txn.master);
-            stats_.crypto_cycles += mac_t;
-            b.add_pre(mac_t);
-          }
-          continue;
-        }
-        // Read: snapshot the version now (a later in-window write must not
-        // bleed its bumped version into this line's pad or tag check).
-        const u64 v = version_of(a);
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
+    if (txn.is_write()) ++stats_.writes;
+    else ++stats_.reads;
+    for (std::size_t off = 0; off < txn.data.size(); off += lb) {
+      const addr_t a = txn.addr + off;
+      std::span<u8> line = txn.data.subspan(off, lb);
+      stats_.cipher_blocks += nblocks;
+      if (txn.is_write()) {
+        bytes& ct = b.scratch_copy(line);
+        pad_line(a, next_version(a), ct);
+        b.add_par(sim::txn_batcher::no_lower, pad_t, 1);
+        stats_.crypto_cycles += pad_t + 1;
+        (void)b.queue(sim::txn_op::write, txn.master, a, ct);
         if (auth) {
-          // The serial MAC unit starts once data AND tag have arrived;
-          // verification consumes the ciphertext before the pad pass.
-          auto sv = auth->batch_prepare_verify(a, b, txn.master);
-          const std::size_t fetch = sv.fetch;
-          const cycles mac_t = auth->unit_mac_cycles();
+          // Bumps the version and rides the tag store on this window.
+          const cycles mac_t =
+              auth->batch_stage_update(a, ct, /*charge=*/true, b, txn.master);
           stats_.crypto_cycles += mac_t;
-          b.add_gated(li, fetch, mac_t, [auth, sv = std::move(sv), line] {
-            (void)auth->batch_finish_verify(sv, line, /*charge=*/true);
-          });
+          b.add_pre(mac_t);
         }
-        stats_.crypto_cycles += 1; // the XOR stage
-        b.add_par(li, pad_t, 1, [this, a, v, line] { pad_line(a, v, line); });
+        continue;
       }
+      // Read: snapshot the version now (a later in-window write must not
+      // bleed its bumped version into this line's pad or tag check).
+      const u64 v = version_of(a);
+      const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
+      if (auth) {
+        // The serial MAC unit starts once data AND tag have arrived;
+        // verification consumes the ciphertext before the pad pass.
+        auto sv = auth->batch_prepare_verify(a, b, txn.master);
+        const std::size_t fetch = sv.fetch;
+        const cycles mac_t = auth->unit_mac_cycles();
+        stats_.crypto_cycles += mac_t;
+        b.add_gated(li, fetch, mac_t, [auth, sv = std::move(sv), line] {
+          (void)auth->batch_finish_verify(sv, line, /*charge=*/true);
+        });
+      }
+      stats_.crypto_cycles += 1; // the XOR stage
+      b.add_par(li, pad_t, 1, [this, a, v, line] { pad_line(a, v, line); });
     }
   }
   b.flush();

@@ -31,9 +31,8 @@ class plain_edu final : public edu {
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
     for (const sim::mem_txn& txn : batch) {
-      // One count per segment, matching scalar issue of the same ops.
-      if (txn.is_write()) stats_.writes += txn.segments.size();
-      else stats_.reads += txn.segments.size();
+      if (txn.is_write()) ++stats_.writes;
+      else ++stats_.reads;
     }
     lower_->submit(batch);
   }

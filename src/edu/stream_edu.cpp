@@ -42,44 +42,26 @@ cycles stream_edu::read(addr_t addr, std::span<u8> out) {
 void stream_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
 
-  // Stage ciphertext for every write segment up front (the pad needs only
-  // the address, so all of it can be generated before any data moves).
-  std::size_t write_segs = 0;
-  for (const sim::mem_txn& txn : batch)
-    if (txn.is_write()) write_segs += txn.segments.size();
+  // Stage ciphertext for every write up front (the pad needs only the
+  // address, so all of it can be generated before any data moves). The
+  // lower batch copies each txn, so its master rides down to the beats.
   std::vector<bytes> staged;
-  staged.reserve(write_segs); // no reallocation: spans below stay valid
-
+  staged.reserve(batch.size()); // no reallocation: spans below stay valid
+  std::vector<sim::mem_txn> lower(batch.begin(), batch.end());
+  std::vector<cycles> txn_pad(batch.size(), 0);
   cycles pad_total = 0;
-  cycles n_segments = 0; // xor stage runs once per segment, as in scalar issue
-  std::vector<cycles> txn_pad(batch.size(), 0), txn_xor(batch.size(), 0);
-  std::vector<sim::mem_txn> lower;
-  lower.reserve(batch.size());
   for (std::size_t ti = 0; ti < batch.size(); ++ti) {
-    sim::mem_txn& txn = batch[ti];
-    // One count per segment, matching scalar issue of the same ops.
-    if (txn.is_write()) stats_.writes += txn.segments.size();
-    else stats_.reads += txn.segments.size();
-    sim::mem_txn lt;
-    lt.id = txn.id;
-    lt.op = txn.op;
-    lt.master = txn.master; // attribution rides down to the bus beats
-    lt.segments.reserve(txn.segments.size());
-    for (sim::txn_segment& seg : txn.segments) {
-      const cycles p = pad_time(seg.addr, seg.data.size());
-      pad_total += p;
-      txn_pad[ti] += p;
-      txn_xor[ti] += cfg_.xor_cycles;
-      ++n_segments;
-      if (txn.is_write()) {
-        staged.emplace_back(seg.data.begin(), seg.data.end());
-        apply_pad(seg.addr, staged.back());
-        lt.segments.push_back({seg.addr, std::span<u8>(staged.back())});
-      } else {
-        lt.segments.push_back(seg);
-      }
+    const sim::mem_txn& txn = batch[ti];
+    txn_pad[ti] = pad_time(txn.addr, txn.data.size());
+    pad_total += txn_pad[ti];
+    if (txn.is_write()) {
+      ++stats_.writes;
+      bytes& ct = staged.emplace_back(txn.data.begin(), txn.data.end());
+      apply_pad(txn.addr, ct);
+      lower[ti].data = ct;
+    } else {
+      ++stats_.reads;
     }
-    lower.push_back(std::move(lt));
   }
 
   lower_->submit(lower);
@@ -87,10 +69,10 @@ void stream_edu::submit(std::span<sim::mem_txn> batch) {
 
   // Reads decrypt as their data lands on the internal side of the bus.
   for (sim::mem_txn& txn : batch)
-    if (!txn.is_write())
-      for (sim::txn_segment& seg : txn.segments) apply_pad(seg.addr, seg.data);
+    if (!txn.is_write()) apply_pad(txn.addr, txn.data);
 
-  const cycles xr = cfg_.xor_cycles * n_segments;
+  // The xor stage runs once per txn, as in scalar issue.
+  const cycles xr = cfg_.xor_cycles * batch.size();
   const cycles total = cfg_.parallel_keystream ? std::max(mem, pad_total) + xr
                                                : mem + pad_total + xr;
   stats_.crypto_cycles += total - mem;
@@ -105,9 +87,9 @@ void stream_edu::submit(std::span<sim::mem_txn> batch) {
     pad_prefix += txn_pad[i];
     cycles fin;
     if (cfg_.parallel_keystream) {
-      fin = std::max(arrival, pad_prefix) + txn_xor[i];
+      fin = std::max(arrival, pad_prefix) + cfg_.xor_cycles;
     } else {
-      serial_done = std::max(serial_done, arrival) + txn_pad[i] + txn_xor[i];
+      serial_done = std::max(serial_done, arrival) + txn_pad[i] + cfg_.xor_cycles;
       fin = serial_done;
     }
     mono = std::max(mono, fin);

@@ -569,67 +569,38 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     }
     live.clear();
   };
-  std::vector<context_id> seg_ctx; // eligibility-pass span_for results, reused below
-  std::vector<std::span<u8>> wire;  // per-segment lower buffers, reused below
   for (sim::mem_txn& txn : batch) {
     // The pipelined path handles whole data units inside one context; a
     // txn needing RMW, region splits, passthrough or a domain denial
     // detours via the scalar datapath (which counts its own reads/writes
     // and serves the fault fill under the txn's master).
-    seg_ctx.clear();
-    bool eligible = !txn.segments.empty();
-    for (const sim::txn_segment& seg : txn.segments) {
-      if (fw_ != nullptr) {
-        // peek, not check: the counting check happens exactly once per
-        // served span — at staging below, or inside the scalar detour.
-        const sim::fw_span fd =
-            fw_->peek(txn.master, seg.addr, seg.data.size(), txn.is_write());
-        if (!fd.allowed || fd.len != seg.data.size()) {
-          eligible = false;
-          break;
-        }
-      }
-      const access_span s = span_for(txn.master, seg.addr, seg.data.size());
-      if (!s.allowed || s.ctx == no_context || s.len != seg.data.size()) {
-        eligible = false;
-        break;
-      }
-      const std::size_t du = contexts_[s.ctx].data_unit_size;
-      if (seg.addr % du != 0 || seg.data.size() % du != 0) {
-        eligible = false;
-        break;
-      }
+    const addr_t addr = txn.addr;
+    const std::size_t len = txn.data.size();
+    bool eligible = true;
+    if (fw_ != nullptr) {
+      // peek, not check: the counting check happens exactly once per
+      // served span — at staging below, or inside the scalar detour.
+      const sim::fw_span fd = fw_->peek(txn.master, addr, len, txn.is_write());
+      eligible = fd.allowed && fd.len == len;
+    }
+    const access_span sp = span_for(txn.master, addr, len);
+    eligible = eligible && sp.allowed && sp.ctx != no_context && sp.len == len;
+    if (eligible) {
+      const std::size_t du = contexts_[sp.ctx].data_unit_size;
       // Hash-tree verification is a causally serial walk (each level needs
       // the one below), so tree-guarded units take the scalar datapath.
-      const memory_authenticator* a = auths_[s.ctx].get();
-      if (a != nullptr && a->mode() == auth_mode::hash_tree &&
-          seg.addr < a->config().limit && seg.addr + seg.data.size() > a->config().base) {
-        eligible = false;
-        break;
-      }
-      seg_ctx.push_back(s.ctx);
+      const memory_authenticator* a = auths_[sp.ctx].get();
+      eligible = addr % du == 0 && len % du == 0 &&
+                 !(a != nullptr && a->mode() == auth_mode::hash_tree &&
+                   addr < a->config().limit && addr + len > a->config().base);
     }
-
-    if (eligible) {
-      // Pin every context this txn touches before staging any of it. A
-      // pool miss first retires the window, then retries; a txn whose own
-      // context set still cannot co-reside in the pool detours to the
-      // scalar datapath, which leases (and may fall back) per segment
-      // exactly as scalar issue would.
-      for (int attempt = 0;; ++attempt) {
-        bool missed = false;
-        for (context_id ctx : seg_ctx)
-          if (!pin(ctx)) {
-            missed = true;
-            break;
-          }
-        if (!missed) break;
-        retire();
-        if (attempt == 1) {
-          eligible = false;
-          break;
-        }
-      }
+    // A pool miss first retires the window (releasing its pins), then
+    // retries once; a context that still cannot get a slot detours to the
+    // scalar datapath, which leases (and may fall back) exactly as scalar
+    // issue would.
+    if (eligible && !pin(sp.ctx)) {
+      retire();
+      eligible = pin(sp.ctx);
     }
 
     if (!eligible) {
@@ -649,121 +620,111 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     }
 
     ++stats_.batch_native;
-    // One count per segment, matching scalar issue of the same ops.
-    if (txn.is_write()) stats_.writes += txn.segments.size();
-    else stats_.reads += txn.segments.size();
+    if (txn.is_write()) ++stats_.writes;
+    else ++stats_.reads;
     b.begin_txn(txn);
 
-    // The data goes out first, one lower transaction per segment, which
-    // the port schedules exactly as one multi-segment transaction; tag
-    // traffic rides behind it, and every job gates on the last data
-    // segment, the transaction's arrival. Write ciphertext is staged in
-    // window scratch below, before the window ships.
-    wire.clear();
-    std::size_t arrival = no_lower;
-    for (sim::txn_segment& seg : txn.segments) {
-      wire.push_back(txn.is_write() ? std::span<u8>(b.scratch_copy(seg.data)) : seg.data);
-      arrival = b.queue(txn.op, txn.master, seg.addr, wire.back());
-    }
-    for (std::size_t si = 0; si < txn.segments.size(); ++si) {
-      const sim::txn_segment& seg = txn.segments[si];
-      const std::span<u8> data = wire[si]; // write ciphertext or read destination
-      keyed_cipher& kc = cipher_of(seg_ctx[si]);
-      const keyslot_key& k = contexts_[seg_ctx[si]];
-      memory_authenticator* auth = auths_[seg_ctx[si]].get();
-      const auth_mode mode = auth != nullptr ? auth->mode() : auth_mode::none;
-      const std::size_t du = k.data_unit_size;
-      if (fw_ != nullptr) // the allowed span's one counting check (rule hit)
-        (void)fw_->check(txn.master, seg.addr, seg.data.size(), txn.is_write());
-      note_domain(txn.master, txn.is_write(), seg.data.size(), /*fault=*/false);
+    // The data goes out first and tag traffic rides behind it; every job
+    // gates on the data's arrival. Write ciphertext is staged in window
+    // scratch below, before the window ships.
+    const std::span<u8> data = // write ciphertext or read destination
+        txn.is_write() ? std::span<u8>(b.scratch_copy(txn.data)) : txn.data;
+    const std::size_t arrival = b.queue(txn.op, txn.master, addr, data);
+    keyed_cipher& kc = cipher_of(sp.ctx);
+    const keyslot_key& k = contexts_[sp.ctx];
+    memory_authenticator* auth = auths_[sp.ctx].get();
+    const auth_mode mode = auth != nullptr ? auth->mode() : auth_mode::none;
+    const std::size_t du = k.data_unit_size;
+    if (fw_ != nullptr) // the allowed span's one counting check (rule hit)
+      (void)fw_->check(txn.master, addr, len, txn.is_write());
+    note_domain(txn.master, txn.is_write(), len, /*fault=*/false);
 
-      if (txn.is_write() && mode == auth_mode::area) {
-        // Write data is in hand at staging: AREA seals and block-mode
-        // encipher occupy the cipher core up front, pads overlap the bus.
-        for (std::size_t off = 0; off < data.size(); off += du) {
-          const addr_t ua = seg.addr + off;
-          const std::span<const u8> plain = seg.data.subspan(off, du);
-          const std::span<u8> unit = data.subspan(off, du);
-          if (auth->covers(ua))
-            b.add_pre(charge_units(auth->area_encipher(kc, ua, plain, unit, /*initial=*/false,
-                                                       /*charge=*/true),
-                                   1));
-          else
-            b.add_pre(transform_units(kc, k, ua, unit, /*encrypt=*/true, /*fallback=*/false,
-                                      /*charge=*/true));
-        }
-      } else if (txn.is_write()) {
-        transform_units_bulk(kc, k, seg.addr, data, /*encrypt=*/true);
-        const cycles c = charge_units(unit_cycles(kc, du, /*encrypt=*/true, false),
-                                      data.size() / du);
-        if (kc.pad_precomputable()) b.add_overlap(c);
-        else b.add_pre(c);
-        // New MAC tags load the MAC unit and ride the window behind the data.
-        for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
-          const addr_t ua = seg.addr + off;
-          if (auth->covers(ua))
-            b.add_mac_pre(auth->batch_stage_update(ua, data.subspan(off, du),
-                                                   /*charge=*/true, b, txn.master));
-        }
-      } else if (mode == auth_mode::area) {
-        // AREA unseal on the cipher core against staging-order snapshots:
-        // a later in-batch write of the unit must not bleed its bumped
-        // version or new sideband into this read's check.
-        std::vector<memory_authenticator::area_staged> snaps;
-        cycles c = 0;
-        for (std::size_t off = 0; off < data.size(); off += du) {
-          const addr_t ua = seg.addr + off;
-          if (auth->covers(ua)) snaps.push_back(auth->area_prepare(ua));
-          c += charge_units(auth->covers(ua) ? auth->area_unseal_cycles(kc)
-                                             : unit_cycles(kc, du, false, false),
-                            1);
-        }
-        b.add_gated(arrival, no_lower, c,
-                    [this, &kc, &k, &fails, auth, seg, m = txn.master,
-                     snaps = std::move(snaps)] {
-                      const std::size_t du = k.data_unit_size;
-                      std::size_t snap = 0;
-                      bytes plain(du);
-                      for (std::size_t off = 0; off < seg.data.size(); off += du) {
-                        const addr_t ua = seg.addr + off;
-                        std::span<u8> unit = seg.data.subspan(off, du);
-                        if (!auth->covers(ua)) {
-                          (void)transform_units(kc, k, ua, unit, /*encrypt=*/false,
-                                                /*fallback=*/false, /*charge=*/false);
-                          continue;
-                        }
-                        const auto cr = auth->area_finish(kc, ua, unit, plain,
-                                                          snaps[snap++], /*charge=*/true);
-                        std::copy(plain.begin(), plain.end(), unit.begin());
-                        if (!cr.ok) fails.push_back({unit, m});
-                      }
-                    });
-      } else {
-        // MAC verifies run on the MAC unit over the ciphertext as it
-        // arrived, staged before the decrypt that consumes it, each gated
-        // on its data and, on a tag-cache miss, its tag line.
-        for (std::size_t off = 0; mode == auth_mode::mac && off < data.size(); off += du) {
-          const addr_t ua = seg.addr + off;
-          if (!auth->covers(ua)) continue;
-          auto sv = auth->batch_prepare_verify(ua, b, txn.master);
-          const std::size_t fetch = sv.fetch;
-          const std::span<u8> ct = data.subspan(off, du);
-          b.add_mac(arrival, fetch, auth->unit_mac_cycles(),
-                    [&fails, auth, sv = std::move(sv), ct, m = txn.master] {
-                      if (!auth->batch_finish_verify(sv, ct, /*charge=*/true).ok)
-                        fails.push_back({ct, m});
-                    });
-        }
-        // Pads need only the DUN and overlap the fetch (Fig. 2a); block-mode
-        // decipher waits for its own data on the cipher core.
-        const cycles c = charge_units(unit_cycles(kc, du, /*encrypt=*/false, false),
-                                      data.size() / du);
-        auto decrypt = [this, &kc, &k, seg] {
-          transform_units_bulk(kc, k, seg.addr, seg.data, /*encrypt=*/false);
-        };
-        if (kc.pad_precomputable()) b.add_overlap(c, decrypt);
-        else b.add_gated(arrival, no_lower, c, decrypt);
+    if (txn.is_write() && mode == auth_mode::area) {
+      // Write data is in hand at staging: AREA seals and block-mode
+      // encipher occupy the cipher core up front, pads overlap the bus.
+      for (std::size_t off = 0; off < len; off += du) {
+        const addr_t ua = addr + off;
+        const std::span<const u8> plain = txn.data.subspan(off, du);
+        const std::span<u8> unit = data.subspan(off, du);
+        if (auth->covers(ua))
+          b.add_pre(charge_units(auth->area_encipher(kc, ua, plain, unit,
+                                                     /*initial=*/false, /*charge=*/true),
+                                 1));
+        else
+          b.add_pre(transform_units(kc, k, ua, unit, /*encrypt=*/true, /*fallback=*/false,
+                                    /*charge=*/true));
       }
+    } else if (txn.is_write()) {
+      transform_units_bulk(kc, k, addr, data, /*encrypt=*/true);
+      const cycles c =
+          charge_units(unit_cycles(kc, du, /*encrypt=*/true, false), len / du);
+      if (kc.pad_precomputable()) b.add_overlap(c);
+      else b.add_pre(c);
+      // New MAC tags load the MAC unit and ride the window behind the data.
+      for (std::size_t off = 0; mode == auth_mode::mac && off < len; off += du) {
+        const addr_t ua = addr + off;
+        if (auth->covers(ua))
+          b.add_mac_pre(auth->batch_stage_update(ua, data.subspan(off, du),
+                                                 /*charge=*/true, b, txn.master));
+      }
+    } else if (mode == auth_mode::area) {
+      // AREA unseal on the cipher core against staging-order snapshots:
+      // a later in-batch write of the unit must not bleed its bumped
+      // version or new sideband into this read's check.
+      std::vector<memory_authenticator::area_staged> snaps;
+      cycles c = 0;
+      for (std::size_t off = 0; off < len; off += du) {
+        const addr_t ua = addr + off;
+        if (auth->covers(ua)) snaps.push_back(auth->area_prepare(ua));
+        c += charge_units(auth->covers(ua) ? auth->area_unseal_cycles(kc)
+                                           : unit_cycles(kc, du, false, false),
+                          1);
+      }
+      b.add_gated(arrival, no_lower, c,
+                  [this, &kc, &k, &fails, auth, addr, data, m = txn.master,
+                   snaps = std::move(snaps)] {
+                    const std::size_t du = k.data_unit_size;
+                    std::size_t snap = 0;
+                    bytes plain(du);
+                    for (std::size_t off = 0; off < data.size(); off += du) {
+                      const addr_t ua = addr + off;
+                      std::span<u8> unit = data.subspan(off, du);
+                      if (!auth->covers(ua)) {
+                        (void)transform_units(kc, k, ua, unit, /*encrypt=*/false,
+                                              /*fallback=*/false, /*charge=*/false);
+                        continue;
+                      }
+                      const auto cr = auth->area_finish(kc, ua, unit, plain,
+                                                        snaps[snap++], /*charge=*/true);
+                      std::copy(plain.begin(), plain.end(), unit.begin());
+                      if (!cr.ok) fails.push_back({unit, m});
+                    }
+                  });
+    } else {
+      // MAC verifies run on the MAC unit over the ciphertext as it
+      // arrived, staged before the decrypt that consumes it, each gated
+      // on its data and, on a tag-cache miss, its tag line.
+      for (std::size_t off = 0; mode == auth_mode::mac && off < len; off += du) {
+        const addr_t ua = addr + off;
+        if (!auth->covers(ua)) continue;
+        auto sv = auth->batch_prepare_verify(ua, b, txn.master);
+        const std::size_t fetch = sv.fetch;
+        const std::span<u8> ct = data.subspan(off, du);
+        b.add_mac(arrival, fetch, auth->unit_mac_cycles(),
+                  [&fails, auth, sv = std::move(sv), ct, m = txn.master] {
+                    if (!auth->batch_finish_verify(sv, ct, /*charge=*/true).ok)
+                      fails.push_back({ct, m});
+                  });
+      }
+      // Pads need only the DUN and overlap the fetch (Fig. 2a); block-mode
+      // decipher waits for its own data on the cipher core.
+      const cycles c =
+          charge_units(unit_cycles(kc, du, /*encrypt=*/false, false), len / du);
+      auto decrypt = [this, &kc, &k, addr, data] {
+        transform_units_bulk(kc, k, addr, data, /*encrypt=*/false);
+      };
+      if (kc.pad_precomputable()) b.add_overlap(c, decrypt);
+      else b.add_gated(arrival, no_lower, c, decrypt);
     }
   }
   retire();

@@ -194,9 +194,10 @@ class bus_encryption_engine final : public sim::memory_port {
   /// and read units decipher and verify as their data lands — MAC verifies
   /// on the serial MAC unit, gated on the tag line too. The window costs
   /// the max of the bus and every crypto lane instead of their sum.
-  /// Transactions that need unit-unaligned, unmapped, denied or hash-tree
-  /// handling detour through the scalar path under their own master,
-  /// after the pending window retires.
+  /// A transaction is served natively when its span lies whole-unit inside
+  /// one context's region; one that needs unit-unaligned, region-split,
+  /// unmapped, denied or hash-tree handling detours through the scalar
+  /// path under its own master, after the pending window retires.
   void submit(std::span<sim::mem_txn> batch) override;
 
   // --- offline paths (no simulated time) -----------------------------------

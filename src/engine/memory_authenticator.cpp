@@ -9,15 +9,6 @@
 
 namespace buscrypt::engine {
 
-bool parse_auth_mode(std::string_view name, auth_mode& out) noexcept {
-  for (const auth_mode m : all_auth_modes)
-    if (name == auth_mode_name(m)) {
-      out = m;
-      return true;
-    }
-  return false;
-}
-
 namespace {
 
 /// Node-cache key: stored tree levels stay tiny (< 2^8) and node indices

@@ -69,13 +69,6 @@ enum class auth_mode : u8 { none, mac, area, hash_tree };
   return "?";
 }
 
-/// Parse an auth_mode from its auth_mode_name() spelling. Returns false
-/// (and leaves \p out untouched) on an unknown name.
-[[nodiscard]] bool parse_auth_mode(std::string_view name, auth_mode& out) noexcept;
-
-inline constexpr auth_mode all_auth_modes[] = {auth_mode::none, auth_mode::mac,
-                                               auth_mode::area, auth_mode::hash_tree};
-
 struct auth_config {
   auth_mode mode = auth_mode::none;
   /// MAC / nonce / node-digest key (any length; HMAC-SHA256 inside).

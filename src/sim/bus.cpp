@@ -67,32 +67,30 @@ cycles external_memory::write(addr_t addr, std::span<const u8> in) {
 }
 
 void external_memory::submit(std::span<mem_txn> batch) {
-  // The scheduled path: per-segment activate/CAS binds to the segment's
-  // bank (distinct banks overlap), data beats serialise on the bus.
+  // The scheduled path: each txn's activate/CAS binds to its bank
+  // (distinct banks overlap), data beats serialise on the bus.
   // Functional effects stay in submission order; scalar calls never leave
   // bank_ready_ ahead of now_, so stale entries are harmless.
   const cycles start = now_;
   cycles bus_free = start;
   cycles last = start;
   for (mem_txn& txn : batch) {
-    for (txn_segment& seg : txn.segments) {
-      if (txn.is_write()) {
-        dram_->write_bytes(seg.addr, seg.data);
-        bytes_written_ += seg.data.size();
-      } else {
-        dram_->read_bytes(seg.addr, seg.data);
-        bytes_read_ += seg.data.size();
-      }
-      const unsigned b = dram_->bank_of(seg.addr);
-      const cycles cmd = std::max(start, bank_ready_[b]);
-      const cycles data_ready = cmd + dram_->first_latency(seg.addr);
-      const cycles bus_start = std::max(data_ready, bus_free);
-      const cycles done = bus_start + dram_->burst_cycles(seg.data.size());
-      bank_ready_[b] = done;
-      bus_free = done;
-      emit_beats(seg.addr, seg.data, txn.is_write(), bus_start, txn.master);
-      last = std::max(last, done);
+    if (txn.is_write()) {
+      dram_->write_bytes(txn.addr, txn.data);
+      bytes_written_ += txn.data.size();
+    } else {
+      dram_->read_bytes(txn.addr, txn.data);
+      bytes_read_ += txn.data.size();
     }
+    const unsigned b = dram_->bank_of(txn.addr);
+    const cycles cmd = std::max(start, bank_ready_[b]);
+    const cycles data_ready = cmd + dram_->first_latency(txn.addr);
+    const cycles bus_start = std::max(data_ready, bus_free);
+    const cycles done = bus_start + dram_->burst_cycles(txn.data.size());
+    bank_ready_[b] = done;
+    bus_free = done;
+    emit_beats(txn.addr, txn.data, txn.is_write(), bus_start, txn.master);
+    last = std::max(last, done);
     txn.complete_cycle = pending_txn_cycles_ + (last - start);
   }
   pending_txn_cycles_ += last - start;

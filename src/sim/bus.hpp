@@ -82,7 +82,7 @@ class recording_probe final : public bus_probe {
 /// get coherent timestamps.
 ///
 /// Scalar read/write issue one blocking burst. submit() schedules a whole
-/// transaction batch: each segment's activate/CAS latency binds to its
+/// transaction batch: each transaction's activate/CAS latency binds to its
 /// DRAM bank (distinct banks overlap), data beats serialise on the shared
 /// bus, and probe beats are timestamped from that schedule — so an
 /// attacker tracing a batched run sees the real interleaved bus activity.

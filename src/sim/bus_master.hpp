@@ -87,16 +87,11 @@ class bus_master {
     for (std::size_t i = 0; i < count; ++i) {
       const port_op& op = ops_[next_ + i];
       const std::span<u8> lane(lanes_.data() + i * cfg_.chunk, cfg_.chunk);
-      mem_txn txn;
-      if (op.write) {
-        fill_store_pattern(op.addr, lane);
-        txn = mem_txn::write_of(txn_seq_, op.addr, lane);
-      } else {
-        txn = mem_txn::read_of(txn_seq_, op.addr, lane);
-      }
-      txn.master = cfg_.id;
-      ++txn_seq_;
-      out.push_back(std::move(txn));
+      if (op.write) fill_store_pattern(op.addr, lane);
+      out.push_back({.op = op.write ? txn_op::write : txn_op::read,
+                     .master = cfg_.id,
+                     .addr = op.addr,
+                     .data = lane});
     }
     next_ += count;
     return count;
@@ -111,7 +106,7 @@ class bus_master {
     stats_.service_cycles += makespan;
     for (const mem_txn& txn : window) {
       ++stats_.txns;
-      stats_.bytes += txn.bytes();
+      stats_.bytes += txn.data.size();
       const cycles done = window_start + txn.complete_cycle;
       stats_.latency_sum += done;
       stats_.finish_cycle = std::max(stats_.finish_cycle, done);
@@ -132,7 +127,6 @@ class bus_master {
   std::size_t next_ = 0;
   bytes lanes_; ///< backing storage for the staged window's data spans
   master_stats stats_;
-  u64 txn_seq_ = 0;
   u64 wait_streak_ = 0;
 };
 

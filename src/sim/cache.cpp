@@ -68,8 +68,8 @@ cache::locate_result cache::locate(addr_t line_addr, bool for_write) {
     // refills it.
     ++stats_.evictions;
     ++stats_.writebacks;
-    mem_txn pair[2] = {mem_txn::write_of(0, victim->tag, victim->data),
-                       mem_txn::read_of(1, line_addr, victim->data)};
+    mem_txn pair[2] = {mem_txn::write_of(victim->tag, victim->data),
+                       mem_txn::read_of(line_addr, victim->data)};
     lower_->submit(pair);
     spent += lower_->drain();
   } else {
@@ -161,7 +161,7 @@ cycles cache::flush() {
   std::vector<mem_txn> writebacks;
   for (auto& l : lines_) {
     if (l.valid && l.dirty) {
-      writebacks.push_back(mem_txn::write_of(writebacks.size(), l.tag, l.data));
+      writebacks.push_back(mem_txn::write_of(l.tag, l.data));
       ++stats_.writebacks;
       l.dirty = false;
     }

@@ -44,8 +44,8 @@ class dram {
 
   /// First-data latency at \p addr: row hit or miss against the bank's open
   /// row; updates the open row and the hit/miss counters. The scheduled
-  /// (transaction) path calls this per segment so per-bank row state stays
-  /// consistent with the issue order.
+  /// (transaction) path calls this per transaction so per-bank row state
+  /// stays consistent with the issue order.
   [[nodiscard]] cycles first_latency(addr_t addr);
 
   /// Bus occupancy of a \p len-byte burst, in cycles.

@@ -5,15 +5,6 @@
 
 namespace buscrypt::sim {
 
-bool parse_fw_perm(std::string_view name, fw_perm& out) noexcept {
-  for (const fw_perm p : all_fw_perms)
-    if (name == fw_perm_name(p)) {
-      out = p;
-      return true;
-    }
-  return false;
-}
-
 bus_firewall::port* bus_firewall::find(master_id m) noexcept {
   for (port& p : ports_)
     if (p.id == m) return &p;

@@ -44,13 +44,6 @@ enum class fw_perm : u8 {
   return "?";
 }
 
-/// Parse a fw_perm from its fw_perm_name() spelling. Returns false (and
-/// leaves \p out untouched) on an unknown name.
-[[nodiscard]] bool parse_fw_perm(std::string_view name, fw_perm& out) noexcept;
-
-inline constexpr fw_perm all_fw_perms[] = {fw_perm::none, fw_perm::r, fw_perm::w,
-                                           fw_perm::rw};
-
 /// One ordered-table entry: the first rule whose [base, base+len) contains
 /// the address decides the access. `ctx` is an opaque context tag carried
 /// for attribution (which domain/context the rule speaks for); it never

@@ -14,15 +14,6 @@ bool parse_arb_policy(std::string_view name, arb_policy& out) noexcept {
   return false;
 }
 
-bool parse_qos_class(std::string_view name, qos_class& out) noexcept {
-  for (const qos_class c : all_qos_classes)
-    if (name == qos_class_name(c)) {
-      out = c;
-      return true;
-    }
-  return false;
-}
-
 // --- topology ---------------------------------------------------------------
 
 cluster_id topology::add_cluster(cluster_config cfg) {

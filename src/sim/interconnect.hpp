@@ -119,10 +119,6 @@ enum class qos_class : u8 {
   return "?";
 }
 
-/// Parse a qos_class from its qos_class_name() spelling. Returns false
-/// (and leaves \p out untouched) on an unknown name.
-[[nodiscard]] bool parse_qos_class(std::string_view name, qos_class& out) noexcept;
-
 inline constexpr std::array<qos_class, 4> all_qos_classes = {
     qos_class::none, qos_class::bulk, qos_class::latency, qos_class::realtime};
 

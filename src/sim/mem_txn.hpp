@@ -1,13 +1,13 @@
 #pragma once
 /// \file mem_txn.hpp
 /// The memory transaction: the unit of work on the cache -> EDU -> DRAM
-/// path. Modeled on the Linux inline-encryption request shape (keyslot +
-/// data-unit number + multi-segment payload): a request is identified by
-/// an id, carries scatter-gather segments, and completes at a scheduled
-/// cycle rather than blocking the issuer. Batching requests is what lets
-/// an engine express the survey's overlap story — keystream generated in
-/// parallel with the fetch (Fig. 2a), pipelined AES (XOM) — instead of
-/// serialising every access through a scalar read/write call.
+/// path. One request moves one contiguous span — a cache line or a DMA
+/// burst, which is what the surveyed engines cipher per transfer (Fig. 2c,
+/// Fig. 4) — and completes at a scheduled cycle rather than blocking the
+/// issuer. Batching requests is what lets an engine express the survey's
+/// overlap story — keystream generated in parallel with the fetch
+/// (Fig. 2a), pipelined AES (XOM) — instead of serialising every access
+/// through a scalar read/write call.
 ///
 /// \section txn_contract The submit/drain transaction contract
 ///
@@ -15,10 +15,10 @@
 /// honours the same invariants, which the pipeline tests assert:
 ///
 /// 1. **Functional order is submission order.** The byte effects of a
-///    batch are exactly those of issuing its transactions — segment by
-///    segment — through scalar read()/write() calls in batch order. A
-///    read observes every earlier write in the same batch; only *timing*
-///    may overlap between transactions.
+///    batch are exactly those of issuing its transactions through scalar
+///    read()/write() calls in batch order. A read observes every earlier
+///    write in the same batch; only *timing* may overlap between
+///    transactions.
 /// 2. **Completion stamps are relative and monotone.** `complete_cycle`
 ///    is filled in by the serving port, measured from that port's last
 ///    drain() (not from simulation start). Within one submit() call the
@@ -34,7 +34,7 @@
 #include "common/types.hpp"
 
 #include <span>
-#include <vector>
+#include <type_traits>
 
 namespace buscrypt::sim {
 
@@ -59,57 +59,35 @@ inline constexpr master_id any_master = static_cast<master_id>(-1);
 
 /// Direction of a transaction, as seen from the requester.
 enum class txn_op : u8 {
-  read,  ///< fill the segment buffers from memory
-  write, ///< store the segment buffers to memory
+  read,  ///< fill the span from memory
+  write, ///< store the span to memory
 };
 
-/// One scatter-gather element: a contiguous byte range at an address.
-/// For reads the span is the destination; for writes it is the source and
-/// is never modified by the port.
-struct txn_segment {
-  addr_t addr = 0;
-  std::span<u8> data{};
-};
-
-/// One batched memory request. Functional effects are applied in
-/// submission order (txn by txn, segment by segment); only *timing* may
-/// overlap between transactions, which is exactly the concurrency the
-/// surveyed hardware engines exploit. See \ref txn_contract for the
-/// invariants every serving port upholds.
+/// One batched memory request: a contiguous byte span at an address. For
+/// reads the span is the destination; for writes it is the source and is
+/// never modified by the port. Functional effects are applied in
+/// submission order; only *timing* may overlap between transactions, which
+/// is exactly the concurrency the surveyed hardware engines exploit. See
+/// \ref txn_contract for the invariants every serving port upholds.
 struct mem_txn {
-  u64 id = 0;
   txn_op op = txn_op::read;
   master_id master = cpu_master; ///< issuing bus master (propagated downward
                                  ///< by decorating ports, tagged onto beats)
-  std::vector<txn_segment> segments;
+  addr_t addr = 0;
+  std::span<u8> data{};
   cycles complete_cycle = 0; ///< set by the port: completion time relative to
                              ///< its last drain() (monotone within a batch)
 
   [[nodiscard]] constexpr bool is_write() const noexcept { return op == txn_op::write; }
 
-  /// Total payload bytes across all segments.
-  [[nodiscard]] std::size_t bytes() const noexcept {
-    std::size_t n = 0;
-    for (const txn_segment& s : segments) n += s.data.size();
-    return n;
+  /// Read request from the CPU master.
+  [[nodiscard]] static constexpr mem_txn read_of(addr_t addr, std::span<u8> out) {
+    return {.op = txn_op::read, .addr = addr, .data = out};
   }
 
-  /// Single-segment read request.
-  [[nodiscard]] static mem_txn read_of(u64 id, addr_t addr, std::span<u8> out) {
-    mem_txn t;
-    t.id = id;
-    t.op = txn_op::read;
-    t.segments.push_back({addr, out});
-    return t;
-  }
-
-  /// Single-segment write request (the span is read, not modified).
-  [[nodiscard]] static mem_txn write_of(u64 id, addr_t addr, std::span<u8> in) {
-    mem_txn t;
-    t.id = id;
-    t.op = txn_op::write;
-    t.segments.push_back({addr, in});
-    return t;
+  /// Write request from the CPU master (the span is read, not modified).
+  [[nodiscard]] static constexpr mem_txn write_of(addr_t addr, std::span<u8> in) {
+    return {.op = txn_op::write, .addr = addr, .data = in};
   }
 };
 
@@ -117,5 +95,7 @@ static_assert(static_cast<u8>(txn_op::read) == 0 && static_cast<u8>(txn_op::writ
               "txn_op is part of the wire-visible contract; keep it stable");
 static_assert(cpu_master == 0, "master 0 is the CPU by contract; scalar traffic "
                                "and default-constructed txns rely on it");
+static_assert(std::is_trivially_copyable_v<mem_txn>,
+              "a transaction is a value: building or copying one must not allocate");
 
 } // namespace buscrypt::sim

@@ -42,9 +42,9 @@ class memory_port {
 
   /// Submit a batch of transactions (see \ref txn_contract).
   ///
-  /// **Ordering.** Functional effects are applied in submission order,
-  /// transaction by transaction and segment by segment — byte-identical
-  /// to scalar issue of the same requests. Timing alone may overlap.
+  /// **Ordering.** Functional effects are applied in submission order —
+  /// byte-identical to scalar issue of the same requests. Timing alone
+  /// may overlap.
   ///
   /// **Completion stamps.** Each txn's `complete_cycle` is set relative
   /// to this port's last drain(); stamps are non-decreasing across the
@@ -53,7 +53,7 @@ class memory_port {
   /// collects them, so several submissions may share one drain window.
   ///
   /// **Scalar fallback.** This default adapter serialises the batch
-  /// through read()/write() — one scalar call per segment, in order —
+  /// through read()/write() — one scalar call per transaction, in order —
   /// so the batch makespan equals the sum of the scalar latencies and
   /// every derived port is batch-capable without overriding anything.
   /// Overriding ports may reorder *timing* only; any transaction they
@@ -63,10 +63,7 @@ class memory_port {
   virtual void submit(std::span<mem_txn> batch) {
     cycles t = pending_txn_cycles_;
     for (mem_txn& txn : batch) {
-      for (txn_segment& seg : txn.segments) {
-        t += txn.is_write() ? write(seg.addr, std::span<const u8>(seg.data))
-                            : read(seg.addr, seg.data);
-      }
+      t += txn.is_write() ? write(txn.addr, txn.data) : read(txn.addr, txn.data);
       txn.complete_cycle = t;
     }
     pending_txn_cycles_ = t;

@@ -82,7 +82,9 @@ class txn_batcher {
     return aux_.back();
   }
 
-  /// Queue one lower transaction for the current batch transaction.
+  /// Queue one lower transaction, one span, for the current batch
+  /// transaction. An EDU that splits a span (gi_edu's CBC segments,
+  /// compress_edu's groups, dma_edu's pages) queues one per piece.
   /// Returns its window index (for arrival gating).
   std::size_t queue(txn_op op, master_id master, addr_t addr, std::span<u8> data) {
     return queue_for(cur_, op, master, addr, data);
@@ -160,17 +162,14 @@ class txn_batcher {
   }
 
   /// The ordered detour every native path uses for a transaction it cannot
-  /// schedule: flush pending native work, serve \p txn segment by segment
-  /// through \p scalar's read()/write() (the EDU's own scalar datapath),
-  /// and stamp it.
+  /// schedule: flush pending native work, serve \p txn with one call to
+  /// \p scalar's read() or write() (the EDU's own scalar datapath), and
+  /// stamp it.
   void detour_via(mem_txn& txn, memory_port& scalar) {
     begin_txn(txn);
     flush();
-    cycles t = 0;
-    for (txn_segment& seg : txn.segments)
-      t += txn.is_write() ? scalar.write(seg.addr, std::span<const u8>(seg.data))
-                          : scalar.read(seg.addr, seg.data);
-    detour_scalar(t);
+    detour_scalar(txn.is_write() ? scalar.write(txn.addr, txn.data)
+                                 : scalar.read(txn.addr, txn.data));
   }
 
   /// Cycles consumed by every window and detour so far (the submit()'s
@@ -196,11 +195,7 @@ class txn_batcher {
 
   std::size_t queue_for(mem_txn* owner, txn_op op, master_id master, addr_t addr,
                         std::span<u8> data) {
-    mem_txn lt;
-    lt.op = op;
-    lt.master = master;
-    lt.segments.push_back({addr, data});
-    lower_.push_back(std::move(lt));
+    lower_.push_back({.op = op, .master = master, .addr = addr, .data = data});
     owners_.push_back(owner);
     note_owner(owner);
     return lower_.size() - 1;

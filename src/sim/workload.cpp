@@ -261,9 +261,9 @@ throughput_stats issue_batched(memory_port& port, std::span<const port_op> ops,
       const std::span<u8> lane(buf.data() + i * chunk, chunk);
       if (op.write) {
         fill_store_pattern(op.addr, lane);
-        batch.push_back(mem_txn::write_of(base + i, op.addr, lane));
+        batch.push_back(mem_txn::write_of(op.addr, lane));
       } else {
-        batch.push_back(mem_txn::read_of(base + i, op.addr, lane));
+        batch.push_back(mem_txn::read_of(op.addr, lane));
       }
     }
     port.submit(batch);

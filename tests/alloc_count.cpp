@@ -1,14 +1,17 @@
-// Heap allocations on engine::memory_authenticator's scalar paths. This
-// executable replaces the global operator new to count every allocation,
-// which is why it links apart from buscrypt_tests: a replaced allocator is
-// process-wide. After one warm-up call, a verify, an update, and an AREA
-// seal and unseal each make no allocation, and a hash-tree install makes
-// as many at 64 KiB as at 4 KiB.
+// Heap allocations on engine::memory_authenticator's scalar paths and on
+// the batched transaction path. This executable replaces the global
+// operator new to count every allocation, which is why it links apart from
+// buscrypt_tests: a replaced allocator is process-wide. After one warm-up
+// call, a verify, an update, and an AREA seal and unseal each make no
+// allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; and
+// a batched issue of line txns makes as many for 4096 txns as for 64.
 
+#include "edu/plain_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "engine/memory_authenticator.hpp"
 #include "sim/bus.hpp"
 #include "sim/dram.hpp"
+#include "sim/workload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 namespace {
 
@@ -159,6 +163,23 @@ TEST(AllocFree, HashTreeInstallAllocationsDoNotGrowWithImageSize) {
   const unsigned long long small = install_allocs(4 * 1024);
   EXPECT_EQ(install_allocs(64 * 1024), small);
   std::printf("hash-tree install: %llu allocations at 4 KiB and at 64 KiB\n", small);
+}
+
+TEST(AllocFree, BatchedIssueAllocationsDoNotGrowWithTxnCount) {
+  // A txn is a value (one span, no heap member), so a batched issue
+  // allocates only its lane buffer and its batch vector, however many
+  // txns it carries.
+  auto issue_allocs = [](std::size_t n) {
+    sim::dram mem{1u << 20};
+    sim::external_memory ext{mem};
+    edu::plain_edu plain{ext};
+    std::vector<sim::port_op> ops(n);
+    for (std::size_t i = 0; i < n; ++i) ops[i] = {32 * i, i % 3 == 0};
+    return allocs_of([&] { (void)sim::issue_batched(plain, ops, 32, 8); });
+  };
+  const unsigned long long small = issue_allocs(64);
+  EXPECT_EQ(issue_allocs(4096), small);
+  std::printf("issue_batched: %llu allocations for 64 and for 4096 line txns\n", small);
 }
 
 } // namespace

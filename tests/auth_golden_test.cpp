@@ -209,11 +209,7 @@ golden_result run_golden(const golden_case& c,
       bytes& b = bufs.emplace_back(op.len);
       for (std::size_t i = 0; i < b.size(); ++i)
         b[i] = static_cast<u8>(op.addr + 3 * i + batch.size());
-      sim::mem_txn t;
-      t.id = batch.size();
-      t.op = op.op;
-      t.segments.push_back({op.addr, b});
-      batch.push_back(std::move(t));
+      batch.push_back({.op = op.op, .addr = op.addr, .data = b});
     }
     rig.eng.submit(batch);
     const cycles makespan = rig.eng.drain();
@@ -221,7 +217,7 @@ golden_result run_golden(const golden_case& c,
     for (const sim::mem_txn& t : batch) {
       out.batches += std::to_string(t.complete_cycle) + " ";
       if (!t.is_write())
-        reads.insert(reads.end(), t.segments[0].data.begin(), t.segments[0].data.end());
+        reads.insert(reads.end(), t.data.begin(), t.data.end());
     }
     out.batches += "-> " + std::to_string(makespan);
   }

@@ -350,7 +350,7 @@ TEST(AuthFaults, BatchedTamperIsChargedToTheIssuingMaster) {
   r.auth().drop_caches();
 
   bytes buf(32);
-  sim::mem_txn txn = sim::mem_txn::read_of(1, 0x1000, buf);
+  sim::mem_txn txn = sim::mem_txn::read_of(0x1000, buf);
   txn.master = 3;
   r.eng.submit(std::span<sim::mem_txn>(&txn, 1));
   (void)r.eng.drain();
@@ -394,9 +394,9 @@ TEST(AuthFaults, MixedBatchTagLineFetchDoesNotInstallStaleTags) {
   r.auth().drop_caches();
 
   bytes buf_a(32), new_b = pattern(32, 0x03), buf_b(32);
-  sim::mem_txn txns[3] = {sim::mem_txn::read_of(1, 0x000, buf_a),
-                          sim::mem_txn::write_of(2, 0x020, new_b),
-                          sim::mem_txn::read_of(3, 0x020, buf_b)};
+  sim::mem_txn txns[3] = {sim::mem_txn::read_of(0x000, buf_a),
+                          sim::mem_txn::write_of(0x020, new_b),
+                          sim::mem_txn::read_of(0x020, buf_b)};
   r.eng.submit(txns);
   (void)r.eng.drain();
   EXPECT_EQ(buf_a, img_a);
@@ -419,8 +419,8 @@ TEST(AuthFaults, AreaBatchReadBeforeWriteOfSameUnitUsesStagedState) {
   (void)r.eng.write(0x1000, old_img);
 
   bytes buf(32), new_img = pattern(32, 0x55);
-  sim::mem_txn txns[2] = {sim::mem_txn::read_of(1, 0x1000, buf),
-                          sim::mem_txn::write_of(2, 0x1000, new_img)};
+  sim::mem_txn txns[2] = {sim::mem_txn::read_of(0x1000, buf),
+                          sim::mem_txn::write_of(0x1000, new_img)};
   r.eng.submit(txns);
   (void)r.eng.drain();
 

@@ -153,9 +153,9 @@ TEST_P(BatchUnalignedDetour, MixedAlignmentBatchMatchesScalar) {
     lanes.emplace_back(ops[i].len);
     if (ops[i].write) {
       fill_store_pattern(ops[i].addr, lanes.back());
-      batch.push_back(mem_txn::write_of(i, ops[i].addr, lanes.back()));
+      batch.push_back(mem_txn::write_of(ops[i].addr, lanes.back()));
     } else {
-      batch.push_back(mem_txn::read_of(i, ops[i].addr, lanes.back()));
+      batch.push_back(mem_txn::read_of(ops[i].addr, lanes.back()));
     }
   }
   batched_soc.engine().submit(batch);
@@ -203,7 +203,7 @@ TEST_P(BatchSingleTxnDegeneracy, SingleReadCostsScalarTime) {
   const cycles scalar = scalar_soc.engine().read(64, s_out);
 
   std::vector<mem_txn> one;
-  one.push_back(mem_txn::read_of(0, 64, b_out));
+  one.push_back(mem_txn::read_of(64, b_out));
   batched_soc.engine().submit(one);
   const cycles batched = batched_soc.engine().drain();
 
@@ -288,9 +288,9 @@ TEST(AegisBatch, InWindowWriteDoesNotBleedNonceIntoEarlierRead) {
   bytes b_r1(32), b_r2(32), w2(32);
   fill_store_pattern(0x40, w2);
   std::vector<mem_txn> batch;
-  batch.push_back(mem_txn::read_of(0, 0x40, b_r1));
-  batch.push_back(mem_txn::write_of(1, 0x40, w2));
-  batch.push_back(mem_txn::read_of(2, 0x40, b_r2));
+  batch.push_back(mem_txn::read_of(0x40, b_r1));
+  batch.push_back(mem_txn::write_of(0x40, w2));
+  batch.push_back(mem_txn::read_of(0x40, b_r2));
   batched_soc.engine().submit(batch);
   (void)batched_soc.engine().drain();
 
@@ -338,9 +338,9 @@ TEST(DmaBatch, PageRecyclingInsideOneWindowStaysExact) {
       lanes.emplace_back(32);
       if (round == 0) {
         fill_store_pattern(a, lanes.back());
-        batch.push_back(mem_txn::write_of(lanes.size(), a, lanes.back()));
+        batch.push_back(mem_txn::write_of(a, lanes.back()));
       } else {
-        batch.push_back(mem_txn::read_of(lanes.size(), a, lanes.back()));
+        batch.push_back(mem_txn::read_of(a, lanes.back()));
       }
     }
   batched_soc.engine().submit(batch);
@@ -368,7 +368,7 @@ TEST(GilmontBatch, PrefetcherStaysInTheLoopAcrossAWindow) {
   std::vector<bytes> lanes(8, bytes(32));
   std::vector<mem_txn> batch;
   for (std::size_t i = 0; i < lanes.size(); ++i)
-    batch.push_back(mem_txn::read_of(i, i * 32, lanes[i]));
+    batch.push_back(mem_txn::read_of(i * 32, lanes[i]));
   soc.engine().submit(batch);
   const cycles batched = soc.engine().drain();
 
@@ -417,9 +417,9 @@ TEST(GiBatch, BatchedReadsKeepVerifiedWindowAndTags) {
     lanes.emplace_back(32);
     if (ops[i].write) {
       fill_store_pattern(ops[i].addr, lanes.back());
-      batch.push_back(mem_txn::write_of(i, ops[i].addr, lanes.back()));
+      batch.push_back(mem_txn::write_of(ops[i].addr, lanes.back()));
     } else {
-      batch.push_back(mem_txn::read_of(i, ops[i].addr, lanes.back()));
+      batch.push_back(mem_txn::read_of(ops[i].addr, lanes.back()));
     }
   }
   batched_soc.engine().submit(batch);

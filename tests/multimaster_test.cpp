@@ -266,10 +266,10 @@ TEST(ProtectionDomains, OwnerRoundTripsThroughItsDomain) {
   domain_rig rig;
   bytes in(32), out(32, 0);
   fill_store_pattern(64, in);
-  mem_txn w = mem_txn::write_of(0, 64, in);
+  mem_txn w = mem_txn::write_of(64, in);
   w.master = 1;
   (void)rig.submit_one(std::move(w));
-  mem_txn r = mem_txn::read_of(1, 64, out);
+  mem_txn r = mem_txn::read_of(64, out);
   r.master = 1;
   (void)rig.submit_one(std::move(r));
   EXPECT_EQ(out, in);
@@ -282,12 +282,12 @@ TEST(ProtectionDomains, CrossDomainReadReturnsFaultNotPlaintext) {
   domain_rig rig;
   bytes secret(32);
   fill_store_pattern(0, secret);
-  mem_txn w = mem_txn::write_of(0, 0, secret);
+  mem_txn w = mem_txn::write_of(0, secret);
   w.master = 1;
   (void)rig.submit_one(std::move(w));
 
   bytes out(32, 0);
-  mem_txn r = mem_txn::read_of(1, 0, out);
+  mem_txn r = mem_txn::read_of(0, out);
   r.master = 2; // wrong domain
   const cycles t = rig.submit_one(std::move(r));
   EXPECT_EQ(out, bytes(32, bus_encryption_engine::fault_fill))
@@ -309,10 +309,10 @@ TEST(ProtectionDomains, DeniedAccessNeverReachesTheBus) {
   const u64 reads_before = rig.port.reads;
   const u64 writes_before = rig.port.writes;
   bytes buf(32, 0xAB);
-  mem_txn r = mem_txn::read_of(0, 0, buf);
+  mem_txn r = mem_txn::read_of(0, buf);
   r.master = 2;
   (void)rig.submit_one(std::move(r));
-  mem_txn w = mem_txn::write_of(1, 0, buf);
+  mem_txn w = mem_txn::write_of(0, buf);
   w.master = 2;
   (void)rig.submit_one(std::move(w));
   EXPECT_EQ(rig.port.reads, reads_before) << "firewall blocks on-chip";
@@ -323,18 +323,18 @@ TEST(ProtectionDomains, CrossDomainWriteIsDroppedWhole) {
   domain_rig rig;
   bytes original(32);
   fill_store_pattern(128, original);
-  mem_txn w1 = mem_txn::write_of(0, 128, original);
+  mem_txn w1 = mem_txn::write_of(128, original);
   w1.master = 1;
   (void)rig.submit_one(std::move(w1));
 
   bytes intruder(32, 0x66);
-  mem_txn w2 = mem_txn::write_of(1, 128, intruder);
+  mem_txn w2 = mem_txn::write_of(128, intruder);
   w2.master = 2;
   (void)rig.submit_one(std::move(w2));
   EXPECT_EQ(rig.eng.domain(2).faults, 1u);
 
   bytes out(32, 0);
-  mem_txn r = mem_txn::read_of(2, 128, out);
+  mem_txn r = mem_txn::read_of(128, out);
   r.master = 1;
   (void)rig.submit_one(std::move(r));
   EXPECT_EQ(out, original) << "owner's data must survive the denied write";
@@ -346,7 +346,7 @@ TEST(ProtectionDomains, ScalarDetourHonoursTheTxnMaster) {
   // batch path and detour through the scalar datapath — which must still
   // fault under the txn's master, not the CPU default.
   bytes partial(8, 0x5A);
-  mem_txn w = mem_txn::write_of(0, 4, partial);
+  mem_txn w = mem_txn::write_of(4, partial);
   w.master = 2; // domain 1's range
   (void)rig.submit_one(std::move(w));
   EXPECT_EQ(rig.eng.domain(2).faults, 1u);
@@ -354,7 +354,7 @@ TEST(ProtectionDomains, ScalarDetourHonoursTheTxnMaster) {
       << "detour must restore the scalar master";
 
   bytes out(8, 0);
-  mem_txn r = mem_txn::read_of(1, 4, out);
+  mem_txn r = mem_txn::read_of(4, out);
   r.master = 2;
   (void)rig.submit_one(std::move(r));
   EXPECT_EQ(out, bytes(8, bus_encryption_engine::fault_fill));
@@ -368,12 +368,12 @@ TEST(ProtectionDomains, ForgedAnyMasterTagCannotBypassTheFirewall) {
   domain_rig rig;
   bytes secret(32);
   fill_store_pattern(0, secret);
-  mem_txn w = mem_txn::write_of(0, 0, secret);
+  mem_txn w = mem_txn::write_of(0, secret);
   w.master = 1;
   (void)rig.submit_one(std::move(w));
 
   bytes out(32, 0);
-  mem_txn r = mem_txn::read_of(1, 0, out);
+  mem_txn r = mem_txn::read_of(0, out);
   r.master = bus_encryption_engine::any_master;
   (void)rig.submit_one(std::move(r));
   EXPECT_EQ(out, bytes(32, bus_encryption_engine::fault_fill));
@@ -381,11 +381,11 @@ TEST(ProtectionDomains, ForgedAnyMasterTagCannotBypassTheFirewall) {
   EXPECT_GT(rig.eng.stats().domain_faults, 0u);
 
   bytes intruder(32, 0x77);
-  mem_txn fw = mem_txn::write_of(2, 0, intruder);
+  mem_txn fw = mem_txn::write_of(0, intruder);
   fw.master = bus_encryption_engine::any_master;
   (void)rig.submit_one(std::move(fw));
   bytes back(32, 0);
-  mem_txn rb = mem_txn::read_of(3, 0, back);
+  mem_txn rb = mem_txn::read_of(0, back);
   rb.master = 1;
   (void)rig.submit_one(std::move(rb));
   EXPECT_EQ(back, secret) << "forged write must be dropped";
@@ -397,10 +397,10 @@ TEST(ProtectionDomains, SharedMappingStaysOpenToAllMasters) {
   rig.eng.map_region(8192, 4096, shared);
   bytes in(32), out(32, 0);
   fill_store_pattern(8192, in);
-  mem_txn w = mem_txn::write_of(0, 8192, in);
+  mem_txn w = mem_txn::write_of(8192, in);
   w.master = 1;
   (void)rig.submit_one(std::move(w));
-  mem_txn r = mem_txn::read_of(1, 8192, out);
+  mem_txn r = mem_txn::read_of(8192, out);
   r.master = 2;
   (void)rig.submit_one(std::move(r));
   EXPECT_EQ(out, in);
@@ -423,12 +423,12 @@ TEST(ProtectionDomains, DomainBoundarySplitsASingleRequest) {
   // foreign half comes back as the fault pattern.
   bytes own(32);
   fill_store_pattern(4064, own);
-  mem_txn w = mem_txn::write_of(0, 4064, own);
+  mem_txn w = mem_txn::write_of(4064, own);
   w.master = 1;
   (void)rig.submit_one(std::move(w));
 
   bytes out(64, 0);
-  mem_txn r = mem_txn::read_of(1, 4064, out);
+  mem_txn r = mem_txn::read_of(4064, out);
   r.master = 1;
   (void)rig.submit_one(std::move(r));
   EXPECT_TRUE(std::equal(out.begin(), out.begin() + 32, own.begin()));
@@ -455,7 +455,7 @@ TEST(ProtectionDomains, TwoDomainsShareOneSlotPool) {
     const addr_t a = (i % 2 == 0) ? i * 32 : 4096 + i * 32;
     const std::span<u8> lane(lanes.data() + i * 32, 32);
     fill_store_pattern(a, lane);
-    mem_txn t = mem_txn::write_of(i, a, lane);
+    mem_txn t = mem_txn::write_of(a, lane);
     t.master = (i % 2 == 0) ? 1u : 2u;
     batch.push_back(std::move(t));
   }
@@ -466,7 +466,7 @@ TEST(ProtectionDomains, TwoDomainsShareOneSlotPool) {
 
   // Each owner reads its own bytes back.
   bytes out(32, 0);
-  mem_txn r1 = mem_txn::read_of(10, 0, out);
+  mem_txn r1 = mem_txn::read_of(0, out);
   r1.master = 1;
   std::vector<mem_txn> rb;
   rb.push_back(std::move(r1));

@@ -70,9 +70,9 @@ class fixed_latency_port final : public memory_port {
 TEST(DefaultAdapter, SerialisesBatchThroughScalarPath) {
   fixed_latency_port port(1024, 30);
   bytes wr(16, 0xAB), rd1(16, 0), rd2(16, 0xFF);
-  mem_txn batch[3] = {mem_txn::write_of(0, 0x40, wr),
-                      mem_txn::read_of(1, 0x40, rd1),
-                      mem_txn::read_of(2, 0x80, rd2)};
+  mem_txn batch[3] = {mem_txn::write_of(0x40, wr),
+                      mem_txn::read_of(0x40, rd1),
+                      mem_txn::read_of(0x80, rd2)};
   port.submit(batch);
 
   EXPECT_EQ(port.writes, 1u);
@@ -86,20 +86,6 @@ TEST(DefaultAdapter, SerialisesBatchThroughScalarPath) {
   EXPECT_EQ(batch[2].complete_cycle, 90u);
   EXPECT_EQ(port.drain(), 90u);
   EXPECT_EQ(port.drain(), 0u) << "drain resets the accumulator";
-}
-
-TEST(DefaultAdapter, ScatterGatherSegmentsAndByteCount) {
-  fixed_latency_port port(1024, 5);
-  bytes a(8, 1), b(24, 2);
-  mem_txn txn;
-  txn.op = txn_op::write;
-  txn.segments.push_back({0x00, a});
-  txn.segments.push_back({0x100, b});
-  EXPECT_EQ(txn.bytes(), 32u);
-  std::span<mem_txn> batch(&txn, 1);
-  port.submit(batch);
-  EXPECT_EQ(port.drain(), 10u) << "one scalar call per segment";
-  EXPECT_EQ(port.image_[0x100], 2);
 }
 
 // --- multi-bank DRAM ---------------------------------------------------------
@@ -143,8 +129,7 @@ TEST(BankSchedule, DistinctBanksOverlapActivateLatency) {
   bytes buf(4 * 32);
   std::vector<mem_txn> batch;
   for (std::size_t i = 0; i < 4; ++i)
-    batch.push_back(
-        mem_txn::read_of(i, i * row, std::span<u8>(buf.data() + i * 32, 32)));
+    batch.push_back(mem_txn::read_of(i * row, std::span<u8>(buf.data() + i * 32, 32)));
   em.submit(batch);
 
   // All four activates run concurrently (one per bank); only the 4-beat
@@ -161,8 +146,7 @@ TEST(BankSchedule, SameBankSerialisesLikeScalar) {
   bytes buf(4 * 32);
   std::vector<mem_txn> batch;
   for (std::size_t i = 0; i < 4; ++i)
-    batch.push_back(
-        mem_txn::read_of(i, i * stride, std::span<u8>(buf.data() + i * 32, 32)));
+    batch.push_back(mem_txn::read_of(i * stride, std::span<u8>(buf.data() + i * 32, 32)));
   em.submit(batch);
 
   const cycles per_op = d.timing().row_miss + d.burst_cycles(32);
@@ -182,8 +166,7 @@ TEST(BankSchedule, SingleBankBatchMatchesScalarTiming) {
   bytes bufs(std::size(addrs) * 32);
   std::vector<mem_txn> batch;
   for (std::size_t i = 0; i < std::size(addrs); ++i)
-    batch.push_back(
-        mem_txn::read_of(i, addrs[i], std::span<u8>(bufs.data() + i * 32, 32)));
+    batch.push_back(mem_txn::read_of(addrs[i], std::span<u8>(bufs.data() + i * 32, 32)));
   batched.submit(batch);
 
   EXPECT_EQ(batched.drain(), scalar_total);
@@ -197,8 +180,8 @@ TEST(BankSchedule, ProbeBeatsTimestampedFromSchedule) {
   const std::size_t row = d.timing().row_size;
 
   bytes buf(64);
-  mem_txn batch[2] = {mem_txn::read_of(0, 0, std::span<u8>(buf.data(), 32)),
-                      mem_txn::read_of(1, row, std::span<u8>(buf.data() + 32, 32))};
+  mem_txn batch[2] = {mem_txn::read_of(0, std::span<u8>(buf.data(), 32)),
+                      mem_txn::read_of(row, std::span<u8>(buf.data() + 32, 32))};
   em.submit(batch);
   (void)em.drain();
 
@@ -400,7 +383,7 @@ TEST(EngineBatchPath, TwoContextsOneSlotStaysFunctionallyExact) {
   for (std::size_t i = 0; i < std::size(addrs); ++i) {
     const std::span<u8> lane(lanes.data() + i * 32, 32);
     fill_store_pattern(addrs[i], lane);
-    batch.push_back(mem_txn::write_of(i, addrs[i], lane));
+    batch.push_back(mem_txn::write_of(addrs[i], lane));
   }
   batch_eng.submit(batch);
   EXPECT_GT(batch_eng.drain(), 0u);
@@ -448,7 +431,7 @@ TEST(EngineBatchPath, SlotContentionRetiresWindowInsteadOfFallingBack) {
   for (std::size_t i = 0; i < std::size(addrs); ++i) {
     const std::span<u8> lane(lanes.data() + i * 32, 32);
     fill_store_pattern(addrs[i], lane);
-    batch.push_back(mem_txn::write_of(i, addrs[i], lane));
+    batch.push_back(mem_txn::write_of(addrs[i], lane));
   }
   EXPECT_NO_THROW(batch_eng.submit(batch));
   EXPECT_GT(batch_eng.drain(), 0u);
@@ -463,8 +446,8 @@ TEST(EngineBatchPath, SlotContentionRetiresWindowInsteadOfFallingBack) {
   bytes full(32), partial(8, 0xCD);
   fill_store_pattern(128, full);
   std::vector<mem_txn> mixed;
-  mixed.push_back(mem_txn::write_of(10, 128, full));         // ctx 1, eligible
-  mixed.push_back(mem_txn::write_of(11, 4096 + 4, partial)); // ctx 2, RMW detour
+  mixed.push_back(mem_txn::write_of(128, full));         // ctx 1, eligible
+  mixed.push_back(mem_txn::write_of(4096 + 4, partial)); // ctx 2, RMW detour
   EXPECT_NO_THROW(batch_eng.submit(mixed));
   (void)batch_eng.drain();
   EXPECT_EQ(batch_eng.stats().fallbacks, 0u);
@@ -490,7 +473,7 @@ TEST(EngineBatchPath, DataDependentDecipherCannotOverlapItsOwnFetch) {
     const cycles scalar = eng.read(0, line);
     bytes out(32);
     std::vector<mem_txn> batch;
-    batch.push_back(mem_txn::read_of(0, 0, out));
+    batch.push_back(mem_txn::read_of(0, out));
     eng.submit(batch);
     return std::pair<cycles, cycles>(scalar, eng.drain());
   };
@@ -516,9 +499,9 @@ TEST(EngineBatchPath, UnalignedTxnDetoursWithoutReordering) {
   bytes full(32), partial(8, 0xEE), out(32);
   fill_store_pattern(0, full);
   std::vector<mem_txn> batch;
-  batch.push_back(mem_txn::write_of(0, 0, full));
-  batch.push_back(mem_txn::write_of(1, 4, partial)); // ineligible: RMW
-  batch.push_back(mem_txn::read_of(2, 0, out));
+  batch.push_back(mem_txn::write_of(0, full));
+  batch.push_back(mem_txn::write_of(4, partial)); // ineligible: RMW
+  batch.push_back(mem_txn::read_of(0, out));
   eng.submit(batch);
   const cycles total = eng.drain();
 
@@ -549,18 +532,15 @@ using engine::bus_encryption_engine;
 
 constexpr std::size_t golden_du = 32;
 
-/// One transaction of a golden batch: its op and its (addr, len) segments.
+/// One transaction of a golden batch.
 struct golden_op {
   txn_op op = txn_op::read;
-  std::vector<std::pair<addr_t, std::size_t>> segs;
+  addr_t addr = 0;
+  std::size_t len = golden_du;
 };
 
-golden_op rd(addr_t a, std::size_t len = golden_du) {
-  return {txn_op::read, {{a, len}}};
-}
-golden_op wr(addr_t a, std::size_t len = golden_du) {
-  return {txn_op::write, {{a, len}}};
-}
+golden_op rd(addr_t a, std::size_t len = golden_du) { return {txn_op::read, a, len}; }
+golden_op wr(addr_t a, std::size_t len = golden_du) { return {txn_op::write, a, len}; }
 
 /// Seeded whole-unit traffic in [base, base + span): 1-4 units per txn.
 std::vector<golden_op> seeded_ops(u64 seed, std::size_t n, addr_t base, std::size_t span,
@@ -633,24 +613,16 @@ std::string run_golden_batches(memory_port& port,
     std::deque<bytes> bufs;
     std::vector<mem_txn> batch;
     for (const golden_op& op : ops) {
-      mem_txn t;
-      t.id = batch.size();
-      t.op = op.op;
-      for (const auto& [a, len] : op.segs) {
-        bytes& b = bufs.emplace_back(len);
-        if (t.is_write()) fill_store_pattern(a + 7 * batch.size(), b);
-        t.segments.push_back({a, b});
-      }
-      batch.push_back(std::move(t));
+      bytes& b = bufs.emplace_back(op.len);
+      if (op.op == txn_op::write) fill_store_pattern(op.addr + 7 * batch.size(), b);
+      batch.push_back({.op = op.op, .addr = op.addr, .data = b});
     }
     port.submit(batch);
     const cycles makespan = port.drain();
     if (!timing.empty()) timing += " | ";
     for (const mem_txn& t : batch) {
       timing += std::to_string(t.complete_cycle) + " ";
-      if (!t.is_write())
-        for (const txn_segment& s : t.segments)
-          reads.insert(reads.end(), s.data.begin(), s.data.end());
+      if (!t.is_write()) reads.insert(reads.end(), t.data.begin(), t.data.end());
     }
     timing += "-> " + std::to_string(makespan);
   }
@@ -827,22 +799,23 @@ TEST(EngineGoldenStamps, OneSlotTwoContexts) {
   EXPECT_EQ(got.fnv, "read=8e65639d6c1d03f5 dram=34cf6789a71bf771");
 }
 
-TEST(EngineGoldenStamps, TwoSegmentBlockRead) {
+TEST(EngineGoldenStamps, EcbWithoutAuth) {
+  // Block-mode reads gate on their own data on the cipher core; writes
+  // encipher up front. Reads and writes alternate across all four banks.
   golden_rig rig(4);
   (void)rig.region("aes-ecb", 0, 16 * 1024, 0x71);
-  const golden_op two_rd{txn_op::read, {{0x0, 64}, {0x1000, 32}}};
-  const golden_op two_wr{txn_op::write, {{0x840, 32}, {0x2040, 64}}};
-  const std::vector<golden_op> hand = {wr(0x800), two_rd,    rd(0x1800),
-                                       two_wr,    rd(0x840), two_rd};
+  const std::vector<golden_op> hand = {wr(0x800),  rd(0x0, 64), rd(0x1000),
+                                       rd(0x1800), wr(0x840),   wr(0x2040, 64),
+                                       rd(0x840),  rd(0x0, 64), rd(0x1000)};
   const golden_result got = rig.run({hand, seeded_ops(0x2E61, 12, 0, 16 * 1024, 0.3)});
   EXPECT_EQ(got.timing,
-            "54 154 176 176 198 268 -> 268 | 54 70 374 374 374 462 550 550 572 572 616 "
-            "638 -> 638");
+            "54 132 154 176 176 176 198 242 264 -> 264 | 54 70 374 374 374 462 550 550 "
+            "572 572 616 638 -> 638");
   EXPECT_EQ(got.counters,
             "reads=12 writes=9 units=41 rmw=0 fallbacks=0 passthrough=0 batches=2 "
-            "batched=18 native=18 domain_faults=0 fw_denials=0 integrity_faults=0 "
+            "batched=21 native=21 domain_faults=0 fw_denials=0 integrity_faults=0 "
             "stalls=0 stall_cycles=0 crypto=902");
-  EXPECT_EQ(got.fnv, "read=a0a0d014bef81b67 dram=e581dc0b6ea4ccfa");
+  EXPECT_EQ(got.fnv, "read=880b7073d4148591 dram=388ea86332762e98");
 }
 
 TEST(EngineGoldenStamps, UnalignedDetourMidBatch) {
@@ -905,9 +878,9 @@ struct scalar_issue final : memory_port {
 
 TEST(IntegrityBatch, MatchesScalarIssueAtEveryLevel) {
   // Seeded windows of 1-8 txns over 8 KiB (32 tag lines for a 16-line tag
-  // cache): whole-line and two-segment txns ride the native path, sub-line
-  // ones detour, and a tampered line is read in the window after each
-  // tamper. Scalar issue of the same txns must leave the same bytes.
+  // cache): txns of 1-3 whole lines ride the native path, sub-line ones
+  // detour, and a tampered line is read in the window after each tamper.
+  // Scalar issue of the same txns must leave the same bytes.
   for (const auto level : {edu::integrity_level::none, edu::integrity_level::mac,
                            edu::integrity_level::mac_versioned})
     for (const u64 seed : {1u, 2u, 3u, 4u}) {
@@ -926,12 +899,9 @@ TEST(IntegrityBatch, MatchesScalarIssueAtEveryLevel) {
           ops.push_back(rd(a));
         }
         for (u64 n = r.between(1, 8); ops.size() < n;) {
-          golden_op op{r.chance(0.4) ? txn_op::write : txn_op::read, {}};
-          for (u64 s = r.chance(0.2) ? 2 : 1; s > 0; --s) {
-            if (r.chance(0.15)) op.segs.push_back({32 * r.below(256) + 4, 8});
-            else op.segs.push_back({32 * r.below(253), 32 * r.between(1, 3)});
-          }
-          ops.push_back(std::move(op));
+          const txn_op op = r.chance(0.4) ? txn_op::write : txn_op::read;
+          if (r.chance(0.15)) ops.push_back({op, 32 * r.below(256) + 4, 8});
+          else ops.push_back({op, 32 * r.below(253), 32 * r.between(1, 3)});
         }
         (void)run_golden_batches(serial, {ops}, scalar_reads);
         (void)run_golden_batches(batched.e, {ops}, batched_reads);
