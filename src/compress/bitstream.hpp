@@ -54,7 +54,6 @@ class bit_reader {
     return v;
   }
 
-  [[nodiscard]] std::size_t bit_pos() const noexcept { return pos_; }
   void seek_bit(std::size_t bit) noexcept { pos_ = bit; }
 
  private:

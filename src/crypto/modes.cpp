@@ -2,6 +2,7 @@
 
 #include "common/bitops.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace buscrypt::crypto {
@@ -172,8 +173,10 @@ bytes pkcs7_unpad(std::span<const u8> in, std::size_t block) {
 
 void address_pad::generate(addr_t addr, std::span<u8> out) const {
   const std::size_t bs = cipher_->block_size();
-  bytes counter_block(bs, 0);
-  bytes pad(bs);
+  std::array<u8, max_block> counter_buf{};
+  std::array<u8, max_block> pad_buf{};
+  const std::span<u8> counter_block(counter_buf.data(), bs);
+  const std::span<u8> pad(pad_buf.data(), bs);
 
   std::size_t produced = 0;
   addr_t block_base = addr - (addr % bs);

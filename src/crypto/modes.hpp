@@ -57,14 +57,23 @@ void ofb_crypt(const block_cipher& c, std::span<const u8> iv,
 /// in parallel with the memory fetch (Section 2.2's stream-cipher argument).
 class address_pad {
  public:
+  /// Widest cipher block the on-stack counter and pad blocks hold.
+  static constexpr std::size_t max_block = 16;
+
   /// \param cipher block cipher used as the PRF; referenced, not owned.
   /// \param tweak  per-device constant mixed into every counter block.
-  address_pad(const block_cipher& cipher, u64 tweak) : cipher_(&cipher), tweak_(tweak) {}
+  /// \throws std::invalid_argument when the cipher's block is wider than
+  ///         max_block.
+  address_pad(const block_cipher& cipher, u64 tweak) : cipher_(&cipher), tweak_(tweak) {
+    if (cipher.block_size() > max_block)
+      throw std::invalid_argument("address_pad: cipher block wider than max_block");
+  }
 
   /// Fill \p out with pad bytes for byte-address \p addr. The pad for a
   /// given address is stable across calls (deterministic), so write-back
   /// re-encryption reproduces it. Uses one cipher invocation per
-  /// block_size() bytes, aligned down to the enclosing pad block.
+  /// block_size() bytes, aligned down to the enclosing pad block, and no
+  /// heap allocation.
   void generate(addr_t addr, std::span<u8> out) const;
 
   /// Cipher invocations needed to cover \p len bytes starting at \p addr —

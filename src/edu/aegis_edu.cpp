@@ -73,7 +73,7 @@ cycles aegis_edu::read(addr_t addr, std::span<u8> out) {
 
 void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {

@@ -54,12 +54,6 @@ class aegis_edu final : public edu {
     return cfg_.line_bytes;
   }
 
-  /// On-chip nonce table footprint for a memory of \p mem_bytes
-  /// (8 bytes per line).
-  [[nodiscard]] std::size_t nonce_ram_bytes(std::size_t mem_bytes) const noexcept {
-    return mem_bytes / cfg_.line_bytes * 8;
-  }
-
   /// Nonce values handed out so far (test hook for the birthday study).
   [[nodiscard]] const std::unordered_map<addr_t, u64>& nonces() const noexcept {
     return nonces_;

@@ -99,7 +99,7 @@ cycles block_edu::read(addr_t addr, std::span<u8> out) {
 
 void block_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     if (txn.data.empty() || txn.addr % granule_ != 0 || txn.data.size() % granule_ != 0) {

@@ -61,7 +61,6 @@ cycles cacheside_edu::access(addr_t addr, std::span<u8> inout, bool is_write,
   const access_io io = do_access(addr, inout, is_write, wdata);
   // Scalar issue: only this access's own fetch can hide its regeneration.
   const cycles over = io.ks > io.fetch ? io.ks - io.fetch : 0;
-  overrun_ += over;
   stats_.crypto_cycles += over;
   return io.below + over;
 }
@@ -81,7 +80,6 @@ void cacheside_edu::submit(std::span<sim::mem_txn> batch) {
     txn.complete_cycle = base + served; // in-order: the cache is serial
   }
   const cycles overrun = ks_total > fetch_total ? ks_total - fetch_total : 0;
-  overrun_ += overrun;
   stats_.crypto_cycles += overrun;
   pending_txn_cycles_ += served + overrun;
 }

@@ -56,9 +56,6 @@ class cacheside_edu final : public edu {
     return cache_->config().size;
   }
 
-  /// Cycles by which keystream regeneration overran the memory fetch.
-  [[nodiscard]] cycles keystream_overrun_cycles() const noexcept { return overrun_; }
-
  private:
   /// One access through the (ciphertext) cache, shared by the scalar and
   /// batched paths: functional transform + cache time, plus the keystream
@@ -78,7 +75,6 @@ class cacheside_edu final : public edu {
   sim::cache* cache_;
   crypto::address_pad pad_;
   cacheside_edu_config cfg_;
-  cycles overrun_ = 0;
 };
 
 } // namespace buscrypt::edu

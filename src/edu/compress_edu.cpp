@@ -157,7 +157,7 @@ cycles compress_edu::pad_io(addr_t addr, std::span<u8> buf, bool is_write,
 
 void compress_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   // The decompressor keeps its group state hot across one window: only the
   // first group in each window pays the fill latency.
   u64 warm_window = static_cast<u64>(-1);

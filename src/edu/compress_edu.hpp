@@ -64,9 +64,6 @@ class compress_edu final : public edu {
   /// Memory density gain on the installed code ("increase of memory
   /// density of 35%" is CodePack's claim).
   [[nodiscard]] double density_gain() const noexcept { return image_.density_gain(); }
-  [[nodiscard]] std::size_t compressed_bytes() const noexcept {
-    return image_.compressed_size();
-  }
 
  private:
   [[nodiscard]] bool in_code(addr_t addr, std::size_t len) const noexcept;

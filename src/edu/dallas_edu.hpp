@@ -53,7 +53,7 @@ class dallas_byte_edu final : public edu {
   /// chained after each arrival.
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
-    sim::txn_batcher b(*lower_, pending_txn_cycles_);
+    sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
     for (sim::mem_txn& txn : batch) {
       b.begin_txn(txn);
       stats_.cipher_blocks += txn.data.size();

@@ -122,7 +122,7 @@ cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
 
 void dma_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.page_bytes);
   // Buffers whose data is still in flight in the current window: a pending
   // fill or a store whose copy-in runs at window retirement. Evicting one

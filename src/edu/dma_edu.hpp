@@ -53,9 +53,6 @@ class dma_edu final : public edu {
   [[nodiscard]] cycles flush();
 
   [[nodiscard]] u64 page_faults() const noexcept { return page_faults_; }
-  [[nodiscard]] std::size_t buffer_ram_bytes() const noexcept {
-    return cfg_.page_bytes * cfg_.n_buffers;
-  }
   [[nodiscard]] const dma_edu_config& config() const noexcept { return cfg_; }
 
  private:

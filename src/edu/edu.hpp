@@ -44,8 +44,9 @@ class edu : public sim::memory_port {
   /// Default transaction adapter: every surveyed EDU is batch-capable out
   /// of the box by serialising the batch through its own scalar
   /// read()/write() (functionally identical, no overlap). EDUs whose
-  /// hardware genuinely overlaps crypto with the bus (stream_edu, the
-  /// keyslot engine) override this with a native batch path.
+  /// hardware overlaps crypto with the bus override this with a native
+  /// batch path on sim::txn_batcher (cacheside_edu, which has no lower
+  /// window, schedules its own).
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
     sim::memory_port::submit(batch);

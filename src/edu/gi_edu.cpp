@@ -111,7 +111,7 @@ cycles gi_edu::read(addr_t addr, std::span<u8> out) {
 
 void gi_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);

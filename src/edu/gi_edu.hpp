@@ -54,11 +54,6 @@ class gi_edu final : public edu {
   /// Count of authentication failures detected (tampering).
   [[nodiscard]] u64 auth_failures() const noexcept { return auth_failures_; }
 
-  /// Storage overhead of the tags, in bytes, for a memory of \p mem_bytes.
-  [[nodiscard]] std::size_t tag_overhead(std::size_t mem_bytes) const noexcept {
-    return (mem_bytes / cfg_.segment_bytes) * cfg_.tag_bytes;
-  }
-
   /// Segment-sized installs avoid spurious read-modify-writes.
   [[nodiscard]] std::size_t preferred_chunk() const noexcept override {
     return cfg_.segment_bytes;

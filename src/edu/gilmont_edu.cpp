@@ -82,7 +82,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
 
 void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t lb = cfg_.line_bytes;
 
   // Window view of the one-deep prefetch buffer. Each background fetch

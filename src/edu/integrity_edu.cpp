@@ -99,7 +99,7 @@ cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
 
 void integrity_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.pad_core.blocks_for(lb);
   const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);

@@ -130,17 +130,14 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
         kcfg.auth.key = auth_rng.random_bytes(16);
       }
       // The device key must fit the configured backend: the default AES
-      // key for AES-family backends (bit-identical to the PR 3 wiring),
-      // a seed-derived key of the smallest accepted length otherwise.
+      // key when the backend takes 16 bytes, else a seed-derived key of
+      // its default_key_len().
       bytes dev_key = aes_key_;
-      const auto& backend = engine::backend_registry::builtin().at(kcfg.backend);
-      if (!backend.key_len_ok(dev_key.size())) {
-        for (std::size_t len = 1; len <= 32; ++len)
-          if (backend.key_len_ok(len)) {
-            rng kr(cfg.key_seed ^ (0xBACC0DEULL + len));
-            dev_key = kr.random_bytes(len);
-            break;
-          }
+      const std::size_t key_len =
+          engine::backend_registry::builtin().at(kcfg.backend).default_key_len();
+      if (key_len != dev_key.size()) {
+        rng kr(cfg.key_seed ^ (0xBACC0DEULL + key_len));
+        dev_key = kr.random_bytes(key_len);
       }
       edu_ = std::make_unique<engine_edu>(ext_, dev_key, std::move(kcfg));
       break;

@@ -1,6 +1,7 @@
 #include "edu/stream_edu.hpp"
 
 #include "common/bitops.hpp"
+#include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 
@@ -21,96 +22,59 @@ void stream_edu::apply_pad(addr_t addr, std::span<u8> buf) {
   xor_bytes(buf, pad_bytes);
 }
 
-cycles stream_edu::read(addr_t addr, std::span<u8> out) {
-  ++stats_.reads;
-  const cycles mem = lower_->read(addr, out);
-  apply_pad(addr, out);
-
-  const cycles pad = pad_time(addr, out.size());
-  cycles total;
-  if (cfg_.parallel_keystream) {
-    // Pad generation starts from the address alone, concurrently with the
-    // external fetch; only the excess (if any) is exposed.
-    total = std::max(mem, pad) + cfg_.xor_cycles;
-  } else {
-    total = mem + pad + cfg_.xor_cycles;
-  }
+cycles stream_edu::charge(addr_t addr, std::size_t len, cycles mem) {
+  const cycles pad = pad_time(addr, len);
+  // With the parallel keystream, pad generation starts from the address
+  // alone, concurrently with the bus transfer (a write buffer lets writes
+  // overlap it the same way); only the excess, if any, is exposed.
+  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad) + cfg_.xor_cycles
+                                               : mem + pad + cfg_.xor_cycles;
   stats_.crypto_cycles += total - mem;
   return total;
 }
 
+cycles stream_edu::read(addr_t addr, std::span<u8> out) {
+  ++stats_.reads;
+  const cycles mem = lower_->read(addr, out);
+  apply_pad(addr, out);
+  return charge(addr, out.size(), mem);
+}
+
 void stream_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-
-  // Stage ciphertext for every write up front (the pad needs only the
-  // address, so all of it can be generated before any data moves). The
-  // lower batch copies each txn, so its master rides down to the beats.
-  std::vector<bytes> staged;
-  staged.reserve(batch.size()); // no reallocation: spans below stay valid
-  std::vector<sim::mem_txn> lower(batch.begin(), batch.end());
-  std::vector<cycles> txn_pad(batch.size(), 0);
-  cycles pad_total = 0;
-  for (std::size_t ti = 0; ti < batch.size(); ++ti) {
-    const sim::mem_txn& txn = batch[ti];
-    txn_pad[ti] = pad_time(txn.addr, txn.data.size());
-    pad_total += txn_pad[ti];
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
+  for (sim::mem_txn& txn : batch) {
+    b.begin_txn(txn);
+    std::span<u8> data = txn.data;
     if (txn.is_write()) {
       ++stats_.writes;
-      bytes& ct = staged.emplace_back(txn.data.begin(), txn.data.end());
-      apply_pad(txn.addr, ct);
-      lower[ti].data = ct;
+      // The pad needs only the address, so ciphertext is staged up front.
+      data = b.scratch_copy(txn.data);
+      apply_pad(txn.addr, data);
     } else {
       ++stats_.reads;
     }
+    const std::size_t li = b.queue(txn.op, txn.master, txn.addr, data);
+    const cycles pad = pad_time(txn.addr, data.size());
+    if (cfg_.parallel_keystream)
+      b.add_par(li, pad, cfg_.xor_cycles);
+    else
+      b.add_gated(li, sim::txn_batcher::no_lower, pad + cfg_.xor_cycles);
   }
-
-  lower_->submit(lower);
-  const cycles mem = lower_->drain();
+  b.flush();
 
   // Reads decrypt as their data lands on the internal side of the bus.
   for (sim::mem_txn& txn : batch)
     if (!txn.is_write()) apply_pad(txn.addr, txn.data);
-
-  // The xor stage runs once per txn, as in scalar issue.
-  const cycles xr = cfg_.xor_cycles * batch.size();
-  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad_total) + xr
-                                               : mem + pad_total + xr;
-  stats_.crypto_cycles += total - mem;
-  // Per-txn stamps, consistent with the makespan above: with the parallel
-  // keystream a txn completes when both its data and its share of the pad
-  // (generated in txn order) are in hand; serial hardware instead chains
-  // pad work after each arrival. Stamps stay monotone (in-order retire)
-  // and never exceed `total`.
-  cycles pad_prefix = 0, serial_done = 0, mono = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const cycles arrival = lower[i].complete_cycle;
-    pad_prefix += txn_pad[i];
-    cycles fin;
-    if (cfg_.parallel_keystream) {
-      fin = std::max(arrival, pad_prefix) + cfg_.xor_cycles;
-    } else {
-      serial_done = std::max(serial_done, arrival) + txn_pad[i] + cfg_.xor_cycles;
-      fin = serial_done;
-    }
-    mono = std::max(mono, fin);
-    batch[i].complete_cycle = pending_txn_cycles_ + mono;
-  }
-  pending_txn_cycles_ += total;
+  stats_.crypto_cycles += b.clock() - b.lower_cycles();
+  pending_txn_cycles_ += b.clock();
 }
 
 cycles stream_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
   bytes ct(in.begin(), in.end());
   apply_pad(addr, ct);
-
-  const cycles pad = pad_time(addr, in.size());
-  const cycles mem = lower_->write(addr, ct);
-  // A write buffer lets pad generation overlap the bus transfer the same
-  // way reads do.
-  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad) + cfg_.xor_cycles
-                                               : mem + pad + cfg_.xor_cycles;
-  stats_.crypto_cycles += total - mem;
-  return total;
+  return charge(addr, in.size(), lower_->write(addr, ct));
 }
 
 } // namespace buscrypt::edu

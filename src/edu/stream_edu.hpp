@@ -34,18 +34,24 @@ class stream_edu final : public edu {
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
 
-  /// Native batch path: the pad for every transaction is generated once up
-  /// front from the addresses alone, so the whole batch's keystream
-  /// pipeline runs concurrently with the whole batch's bus schedule —
-  /// max(sum mem, sum pad) instead of the scalar sum of per-access maxes.
-  /// This is Fig. 2a's "key stream generation can be parallelised with
-  /// external data fetch" applied across requests, not just within one.
+  /// Native batch path on sim::txn_batcher. The parallel keystream is a
+  /// par-lane job per transaction: every pad is derived from the addresses
+  /// alone, so the whole batch's keystream pipeline runs concurrently with
+  /// the whole batch's bus schedule — max(sum mem, sum pad) + sum xor
+  /// instead of the scalar sum of per-access maxes. This is Fig. 2a's "key
+  /// stream generation can be parallelised with external data fetch"
+  /// applied across requests, not just within one. The serial ablation
+  /// runs pad + xor on the gated lane, chained after each transaction's
+  /// own arrival like every serial cipher core's decipher.
   void submit(std::span<sim::mem_txn> batch) override;
 
   [[nodiscard]] const stream_edu_config& config() const noexcept { return cfg_; }
 
  private:
   [[nodiscard]] cycles pad_time(addr_t addr, std::size_t len) const noexcept;
+  /// Scalar access time for \p len bytes at \p addr over \p mem cycles of
+  /// bus time; charges the excess to crypto_cycles.
+  [[nodiscard]] cycles charge(addr_t addr, std::size_t len, cycles mem);
   void apply_pad(addr_t addr, std::span<u8> buf);
 
   crypto::address_pad pad_;

@@ -525,7 +525,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
 
   // Slot programs, window makespans and scalar detours accrue on the
   // batcher's clock in issue order; stamps are relative to the last drain().
-  sim::txn_batcher b(*lower_, pending_txn_cycles_);
+  sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   constexpr std::size_t no_lower = sim::txn_batcher::no_lower;
 
   // One hardware-only keyslot pin per context per window: the program cost

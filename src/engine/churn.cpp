@@ -66,14 +66,7 @@ churn_result run_churn(const churn_config& cfg) {
 
   const backend_registry& registry = backend_registry::builtin();
   const cipher_backend& backend = registry.at(cfg.backend);
-  std::size_t key_len = 16;
-  if (!backend.key_len_ok(key_len)) {
-    for (std::size_t len = 1; len <= 64; ++len)
-      if (backend.key_len_ok(len)) {
-        key_len = len;
-        break;
-      }
-  }
+  const std::size_t key_len = backend.default_key_len();
 
   keyslot_manager mgr(registry, cfg.slots, cfg.policy);
   zipf_sampler draws(cfg.contexts, cfg.zipf_s, cfg.seed ^ 0x21BF5EEDULL);

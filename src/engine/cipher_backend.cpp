@@ -295,6 +295,15 @@ void keyed_cipher::generate_pads(u64 first_dun, std::size_t unit_len, std::span<
     encrypt_unit(first_dun + off / unit_len, zeros, out.subspan(off, unit_len));
 }
 
+// --- cipher_backend ---------------------------------------------------------
+
+std::size_t cipher_backend::default_key_len() const {
+  if (key_len_ok(16)) return 16;
+  for (std::size_t len = 1; len <= 32; ++len)
+    if (key_len_ok(len)) return len;
+  throw std::invalid_argument("cipher_backend: no accepted key length in 1..32");
+}
+
 // --- block_backend ----------------------------------------------------------
 
 block_backend::block_backend(std::string name, unit_mode mode, backend_cost cost,

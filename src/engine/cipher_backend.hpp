@@ -118,6 +118,11 @@ class cipher_backend {
   /// Accepted key length(s) in bytes.
   [[nodiscard]] virtual bool key_len_ok(std::size_t len) const noexcept = 0;
 
+  /// The length of a seed-derived key for this backend: 16 bytes if
+  /// accepted, else the shortest accepted length in 1..32.
+  /// \throws std::invalid_argument when no length in 1..32 is accepted.
+  [[nodiscard]] std::size_t default_key_len() const;
+
   /// Mint a keyed instance for keyslot programming (or the fallback path).
   /// \throws std::invalid_argument when key_len_ok(key.size()) is false.
   [[nodiscard]] virtual std::unique_ptr<keyed_cipher>

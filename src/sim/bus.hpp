@@ -105,7 +105,6 @@ class external_memory final : public memory_port {
   /// beats emitted by scalar-path EDUs are attributed correctly; it
   /// defaults to — and should be restored to — sim::cpu_master.
   void set_master(master_id m) noexcept { scalar_master_ = m; }
-  [[nodiscard]] master_id current_master() const noexcept { return scalar_master_; }
 
   /// Bytes moved (for bandwidth accounting, e.g. the compression bench).
   [[nodiscard]] u64 bytes_read() const noexcept { return bytes_read_; }

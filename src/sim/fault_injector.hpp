@@ -105,7 +105,6 @@ class fault_injector final : public memory_port {
   [[nodiscard]] bool fired() const noexcept { return fired_; }
   [[nodiscard]] u64 beats() const noexcept { return beats_; }
   [[nodiscard]] u64 flushes() const noexcept { return flushes_; }
-  [[nodiscard]] u64 journal_writes() const noexcept { return journal_writes_; }
 
   // --- update-agent hooks ---------------------------------------------------
 

@@ -12,8 +12,10 @@
 ///    overlap (multi-bank DRAM, keystream parallel to the fetch) while
 ///    functional effects stay in submission order. The default adapter
 ///    serialises a batch through the scalar path, so every existing
-///    memory_port is batch-capable; ports with real concurrency
-///    (external_memory, stream_edu, bus_encryption_engine) override it.
+///    memory_port is batch-capable; ports with real concurrency override
+///    it: external_memory (bank overlap), and the ciphering EDUs and the
+///    keyslot engine, which schedule their windows on sim::txn_batcher
+///    (cacheside_edu, with no lower window, excepted).
 ///
 /// The full batch contract (ordering, stamp monotonicity, the scalar
 /// fallback rule) is specified at \ref txn_contract in sim/mem_txn.hpp;

@@ -11,6 +11,7 @@ void txn_batcher::flush() {
   if (!lower_.empty()) {
     port_->submit(lower_);
     mem_span = port_->drain();
+    lower_clock_ += mem_span;
   }
   auto arrival_of = [&](std::size_t li) -> cycles {
     return li == no_lower ? 0 : lower_[li].complete_cycle;

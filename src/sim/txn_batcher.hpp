@@ -38,14 +38,12 @@
 /// read-after-write inside one window observes staged effects in
 /// submission order — the \ref txn_contract invariants hold by
 /// construction. Transactions a port cannot schedule natively detour
-/// through its scalar path: flush() first (pending native work retires in
-/// order), then detour_scalar() accounts the scalar cycles and stamps the
-/// transaction.
+/// through its scalar path with detour_via(): pending native work retires
+/// first, then the scalar call is accounted and the transaction stamped.
 ///
-/// stream_edu and cacheside_edu keep hand-rolled batch paths: stream_edu's
-/// serial-keystream ablation charges mem + pad + xor as a sum, which no
-/// max-of-lanes window expresses, and cacheside_edu's keystream-RAM
-/// refills hide behind the misses of its own cache, not one lower window.
+/// Every EDU with a lower window schedules here. Only cacheside_edu keeps a
+/// hand-rolled batch path: it has no lower window, since its keystream-RAM
+/// refills hide behind the misses of its own cache.
 
 #include "common/types.hpp"
 #include "sim/mem_txn.hpp"
@@ -65,7 +63,14 @@ class txn_batcher {
   /// \param lower the port windows are submitted to; referenced.
   /// \param base  the EDU's cycle accumulator at submit() entry — stamps
   ///              are relative to the EDU's last drain(), per the contract.
-  txn_batcher(memory_port& lower, cycles base) : port_(&lower), base_(base) {}
+  /// \param txns  the batch size, reserved up front in the staging vectors.
+  txn_batcher(memory_port& lower, cycles base, std::size_t txns)
+      : port_(&lower), base_(base) {
+    lower_.reserve(txns);
+    owners_.reserve(txns);
+    order_.reserve(txns);
+    jobs_.reserve(txns);
+  }
 
   /// Jobs and lower transactions staged until the next begin_txn belong to
   /// \p txn: its completion stamp is the latest finish among them.
@@ -154,13 +159,6 @@ class txn_batcher {
   /// window and everything after it shift by \p c.
   void advance(cycles c) { clock_ += c; }
 
-  /// Account a scalar detour's cycles and stamp the current transaction.
-  /// Call flush() first so pending native work retires in order.
-  void detour_scalar(cycles c) {
-    clock_ += c;
-    if (cur_ != nullptr) cur_->complete_cycle = base_ + clock_;
-  }
-
   /// The ordered detour every native path uses for a transaction it cannot
   /// schedule: flush pending native work, serve \p txn with one call to
   /// \p scalar's read() or write() (the EDU's own scalar datapath), and
@@ -168,13 +166,18 @@ class txn_batcher {
   void detour_via(mem_txn& txn, memory_port& scalar) {
     begin_txn(txn);
     flush();
-    detour_scalar(txn.is_write() ? scalar.write(txn.addr, txn.data)
-                                 : scalar.read(txn.addr, txn.data));
+    clock_ += txn.is_write() ? scalar.write(txn.addr, txn.data)
+                             : scalar.read(txn.addr, txn.data);
+    txn.complete_cycle = base_ + clock_;
   }
 
   /// Cycles consumed by every window and detour so far (the submit()'s
   /// contribution to the EDU's accumulator).
   [[nodiscard]] cycles clock() const noexcept { return clock_; }
+
+  /// The lower port's drain() cycles summed over every window so far — the
+  /// part of clock() the bus itself took.
+  [[nodiscard]] cycles lower_cycles() const noexcept { return lower_clock_; }
 
   /// Completed windows — EDUs use this to amortise per-window setup
   /// (decompressor dictionary warm-up) without extra plumbing.
@@ -219,6 +222,7 @@ class txn_batcher {
   cycles mac_pre_total_ = 0;
   cycles base_;
   cycles clock_ = 0;
+  cycles lower_clock_ = 0;
   u64 flush_seq_ = 0;
   mem_txn* cur_ = nullptr;
 };

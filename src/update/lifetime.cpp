@@ -11,17 +11,10 @@
 namespace buscrypt::update {
 
 bytes backend_device_key(const std::string& backend, u64 seed) {
-  const engine::cipher_backend& b = engine::backend_registry::builtin().at(backend);
-  if (b.key_len_ok(16)) {
-    rng kr(seed ^ 0xDE71CEULL);
-    return kr.random_bytes(16);
-  }
-  for (std::size_t len = 1; len <= 32; ++len)
-    if (b.key_len_ok(len)) {
-      rng kr(seed ^ (0xDE71CEULL + len));
-      return kr.random_bytes(len);
-    }
-  throw std::invalid_argument("lifetime: no accepted key length for backend");
+  const std::size_t len =
+      engine::backend_registry::builtin().at(backend).default_key_len();
+  rng kr(seed ^ (len == 16 ? 0xDE71CEULL : 0xDE71CEULL + len));
+  return kr.random_bytes(len);
 }
 
 lifetime_result run_lifetime(const lifetime_config& cfg) {

@@ -62,7 +62,7 @@ struct lifetime_result {
 /// (cuts are caught, power-cycled and recovered inside).
 [[nodiscard]] lifetime_result run_lifetime(const lifetime_config& cfg);
 
-/// A seeded device key of a length \p backend accepts (16 when possible) —
+/// A seeded device key of \p backend's default_key_len() —
 /// shared by the lifetime runner, the update tamper suite and the tests.
 [[nodiscard]] bytes backend_device_key(const std::string& backend, u64 seed);
 

@@ -61,19 +61,6 @@ enum class update_state : u8 {
                ///< reading as tampering
 };
 
-[[nodiscard]] constexpr std::string_view update_state_name(update_state s) noexcept {
-  switch (s) {
-    case update_state::idle: return "idle";
-    case update_state::staged: return "staged";
-    case update_state::installing: return "installing";
-    case update_state::installed: return "installed";
-    case update_state::committed: return "committed";
-    case update_state::rolled_back: return "rolled-back";
-    case update_state::torn: return "torn";
-  }
-  return "?";
-}
-
 /// What one update attempt (or recovery) concluded.
 enum class update_status : u8 {
   committed,         ///< new image live, version bumped
@@ -291,9 +278,6 @@ class update_agent {
 
   [[nodiscard]] unsigned active_slot() const noexcept { return active_; }
   [[nodiscard]] u64 version() const noexcept { return version_; }
-  [[nodiscard]] std::size_t active_image_bytes() const noexcept {
-    return static_cast<std::size_t>(image_bytes_[active_]);
-  }
   /// Plaintext of the active slot through the engine (offline path).
   [[nodiscard]] bytes active_image();
   [[nodiscard]] addr_t slot_base(unsigned slot) const noexcept {

@@ -6,6 +6,8 @@
 // allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; and
 // a batched issue of line txns makes as many for 4096 txns as for 64.
 
+#include "crypto/aes.hpp"
+#include "crypto/modes.hpp"
 #include "edu/plain_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "engine/memory_authenticator.hpp"
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +183,15 @@ TEST(AllocFree, BatchedIssueAllocationsDoNotGrowWithTxnCount) {
   const unsigned long long small = issue_allocs(64);
   EXPECT_EQ(issue_allocs(4096), small);
   std::printf("issue_batched: %llu allocations for 64 and for 4096 line txns\n", small);
+}
+
+TEST(AllocFree, AddressPadGenerateIsHeapFree) {
+  // The counter and pad blocks live on the stack, so the pad-XOR EDUs
+  // (stream, compress, cache-side) pay no heap traffic per pad.
+  const crypto::aes prf{bytes(16, 0x2F)};
+  const crypto::address_pad pad{prf, 0x57E4EA11ULL};
+  std::array<u8, 32> out{};
+  EXPECT_EQ(allocs_of([&] { pad.generate(0x1007, out); }), 0u);
 }
 
 } // namespace

@@ -622,7 +622,7 @@ TEST(AuthSealGuard, SealDuringAnOpenBatchFlushWindowThrows) {
   rig r("aes-ctr", auth_mode::mac);
   (void)r.eng.write(0, bytes(32, 0x11));
 
-  sim::txn_batcher b(r.ext, 0);
+  sim::txn_batcher b(r.ext, 0, 1);
   (void)r.auth().batch_prepare_verify(0, b, sim::cpu_master);
   EXPECT_TRUE(r.auth().batch_open());
   EXPECT_THROW(r.auth().seal_from_memory(), std::logic_error);
@@ -646,7 +646,7 @@ TEST(AuthSealGuard, PowerCycleReleasesAWindowLeftOpenByACut) {
   // forwarding state with the rest of the caches.
   rig r("aes-ctr", auth_mode::mac);
   (void)r.eng.write(0, bytes(32, 0x11));
-  sim::txn_batcher cut(r.ext, 0);
+  sim::txn_batcher cut(r.ext, 0, 1);
   (void)r.auth().batch_prepare_verify(0, cut, sim::cpu_master);
   EXPECT_TRUE(r.auth().batch_open());
   r.auth().drop_caches();
@@ -654,7 +654,7 @@ TEST(AuthSealGuard, PowerCycleReleasesAWindowLeftOpenByACut) {
   EXPECT_NO_THROW(r.auth().seal_from_memory());
   // A miss in the next window queues its own tag-line fetch instead of
   // reusing the dead window's index and buffer.
-  sim::txn_batcher next(r.ext, 0);
+  sim::txn_batcher next(r.ext, 0, 1);
   (void)r.auth().batch_prepare_verify(0, next, sim::cpu_master);
   EXPECT_TRUE(next.open());
 }

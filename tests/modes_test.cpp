@@ -190,5 +190,17 @@ TEST(AddressPad, TweakSeparatesDomains) {
   EXPECT_NE(a, b);
 }
 
+TEST(AddressPad, RejectsBlockWiderThanItsBuffer) {
+  // The counter and pad blocks live on the stack, max_block (16) bytes each.
+  struct wide_cipher final : block_cipher {
+    std::size_t block_size() const noexcept override { return 32; }
+    std::string_view name() const noexcept override { return "wide"; }
+    void encrypt_block(std::span<const u8>, std::span<u8>) const override {}
+    void decrypt_block(std::span<const u8>, std::span<u8>) const override {}
+  };
+  const wide_cipher c{};
+  EXPECT_THROW((void)address_pad(c, 0), std::invalid_argument);
+}
+
 } // namespace
 } // namespace buscrypt::crypto

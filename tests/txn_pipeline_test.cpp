@@ -8,6 +8,7 @@
 #include "crypto/aes.hpp"
 #include "edu/integrity_edu.hpp"
 #include "edu/soc.hpp"
+#include "edu/stream_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
 #include "sim/cache.hpp"
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <deque>
 #include <initializer_list>
+#include <sstream>
 #include <string>
 
 namespace buscrypt {
@@ -596,6 +598,12 @@ std::string auth_line(const engine::auth_stats& s) {
                   {"nodes", s.nodes_walked}, {"auth_cycles", s.auth_cycles}});
 }
 
+std::string edu_line(const edu::edu_stats& s) {
+  return kv_line({{"reads", s.reads}, {"writes", s.writes}, {"blocks", s.cipher_blocks},
+                  {"crypto", s.crypto_cycles}, {"rmw", s.rmw_ops}, {"batches", s.batches},
+                  {"batched", s.batched_txns}});
+}
+
 std::string hex64(u64 v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
@@ -934,12 +942,8 @@ golden_result integrity_golden(edu::integrity_level level) {
   rig.tamper(0x400);
   const std::vector<golden_op> probe = {rd(0x3E0), rd(0x400), wr(0x440), rd(0x420, 64)};
   out.timing += " | " + run_golden_batches(rig.e, {probe}, reads);
-  const edu::edu_stats& s = rig.e.stats();
   const u64 tamper = rig.e.tamper_events();
-  out.counters = kv_line({{"reads", s.reads}, {"writes", s.writes},
-                          {"blocks", s.cipher_blocks}, {"crypto", s.crypto_cycles},
-                          {"rmw", s.rmw_ops}, {"batches", s.batches},
-                          {"batched", s.batched_txns}, {"tamper", tamper}});
+  out.counters = edu_line(rig.e.stats()) + " tamper=" + std::to_string(tamper);
   const engine::memory_authenticator* auth = rig.e.authenticator();
   const engine::auth_stats as = auth != nullptr ? auth->stats() : engine::auth_stats{};
   out.auth = kv_line({{"hits", as.tag_hits}, {"misses", as.tag_misses}});
@@ -983,6 +987,75 @@ TEST(IntegrityGoldenStamps, MacVersioned) {
   EXPECT_EQ(got.counters, integrity_mac_counters);
   EXPECT_EQ(got.auth, "hits=6 misses=45");
   EXPECT_EQ(got.fnv, "read=c3223f3cb1cb02cb dram=b0f162cbf3b71fe5");
+}
+
+// --- stream_edu's batch path -------------------------------------------------
+
+/// A write then a read of line 0x100 in one window, a sub-line write and a
+/// 64-byte read, plus seeded traffic; then a seeded window. stream_edu runs
+/// over 256 KiB of 4-bank DRAM with a patterned 16 KiB image installed.
+golden_result stream_golden(bool parallel_keystream) {
+  dram mem{256 * 1024, banked_timing(4)};
+  external_memory ext{mem};
+  const crypto::aes prf{bytes(16, 0x4D)};
+  edu::stream_edu e(ext, prf, {.parallel_keystream = parallel_keystream});
+  bytes image(16 * 1024);
+  fill_store_pattern(0x5A5A, image);
+  e.install_image(0, image);
+  e.reset_stats();
+
+  golden_result out;
+  bytes reads;
+  const std::vector<golden_op> hand = {wr(0x100), rd(0x100), wr(0x204, 8), rd(0x240, 64)};
+  const std::vector<std::vector<golden_op>> windows = {
+      concat(hand, seeded_ops(0x5701, 12, 0, 16 * 1024, 0.4)),
+      seeded_ops(0x5702, 12, 0, 16 * 1024, 0.3)};
+  out.timing = run_golden_batches(e, windows, reads);
+  out.counters = edu_line(e.stats());
+  out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(mem.raw()));
+  return out;
+}
+
+/// Cycles each window's makespan runs past its last stamp, read from a
+/// run_golden_batches timing line.
+std::vector<long long> idle_tails(const std::string& timing) {
+  std::vector<long long> tails;
+  std::istringstream in(timing);
+  std::string tok;
+  std::string prev;
+  while (in >> tok) {
+    if (tok == "->" && in >> tok) tails.push_back(std::stoll(tok) - std::stoll(prev));
+    prev = tok;
+  }
+  return tails;
+}
+
+TEST(StreamGoldenStamps, ParallelKeystream) {
+  // Every pad comes from the address alone and overlaps the whole window,
+  // so only the per-txn XOR stage reaches crypto_cycles.
+  const golden_result got = stream_golden(true);
+  EXPECT_EQ(got.timing,
+            "55 81 101 135 197 221 245 261 287 323 355 363 409 479 495 519 -> 534 | "
+            "71 95 111 145 215 239 271 279 321 329 345 423 -> 434");
+  EXPECT_EQ(got.counters,
+            "reads=16 writes=12 blocks=133 crypto=28 rmw=0 batches=2 batched=28");
+  EXPECT_EQ(got.fnv, "read=9d61ba2bd9ee3a5c dram=493ad633edc6390d");
+}
+
+TEST(StreamGoldenStamps, SerialKeystream) {
+  // Pad + XOR run on the gated lane, chained after each transaction's own
+  // arrival, so the window retires with its last transaction. These pins
+  // were taken on the batcher: the stamps match the older hand-rolled
+  // window, whose makespans charged every pad after the whole bus window
+  // and so ran 271 and 212 cycles past the last stamp (crypto=525).
+  const golden_result got = stream_golden(false);
+  EXPECT_EQ(got.timing,
+            "70 96 115 152 214 240 264 282 302 344 376 392 424 498 516 538 -> 538 | "
+            "90 114 132 166 234 258 292 308 340 356 374 444 -> 444");
+  EXPECT_EQ(got.counters,
+            "reads=16 writes=12 blocks=133 crypto=42 rmw=0 batches=2 batched=28");
+  EXPECT_EQ(got.fnv, "read=9d61ba2bd9ee3a5c dram=493ad633edc6390d");
+  EXPECT_EQ(idle_tails(got.timing), (std::vector<long long>{0, 0}));
 }
 
 // --- cache miss/evict pairs ride the batch path ------------------------------
