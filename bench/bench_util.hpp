@@ -8,6 +8,7 @@
 #include "edu/soc.hpp"
 #include "sim/workload.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,25 +17,58 @@
 
 namespace buscrypt::bench {
 
-/// Unified `--seed N` handling for every tab*/fig* main. Scans argv for
-/// `--seed N` (decimal/hex per strtoull base 0), removes the pair so the
-/// bench's own parser never sees it, and returns N (or \p def when the
-/// flag is absent). Benches derive every internal seed from the returned
-/// value such that the default reproduces the committed BENCH_*.json
-/// byte-identically.
-inline u64 seed_arg(int& argc, char** argv, u64 def = 0) {
-  u64 seed = def;
+/// Unified `--name V` handling for the tab*/fig* mains: removes every
+/// `--name V` pair from argv, so later scans never see it, and returns the
+/// last V (nullptr when the flag is absent). A `--name` without a value
+/// exits 2.
+inline const char* take_arg(int& argc, char** argv, const char* name) {
+  const char* value = nullptr;
   int w = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<u64>(std::strtoull(argv[++i], nullptr, 0));
-    } else {
+    if (std::strcmp(argv[i], name) != 0) {
       argv[w++] = argv[i];
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s needs a value\n", name);
+      std::exit(2);
     }
   }
   argc = w;
   argv[argc] = nullptr;
-  return seed;
+  return value;
+}
+
+/// take_arg's value as a number (decimal/hex per strtoull base 0), or \p def
+/// when the flag is absent.
+inline u64 num_arg(int& argc, char** argv, const char* name, u64 def = 0) {
+  const char* v = take_arg(argc, argv, name);
+  return v == nullptr ? def : static_cast<u64>(std::strtoull(v, nullptr, 0));
+}
+
+/// Removes every bare `--name` switch from argv; true when there was one.
+inline bool flag_arg(int& argc, char** argv, const char* name) {
+  char** end = std::remove_if(argv + 1, argv + argc,
+                              [name](const char* a) { return std::strcmp(a, name) == 0; });
+  const bool found = end != argv + argc;
+  argc = static_cast<int>(end - argv);
+  argv[argc] = nullptr;
+  return found;
+}
+
+/// `--seed N`, which every main takes. Benches derive every internal seed
+/// from N such that the default reproduces every simulated figure of the
+/// committed BENCH_*.json.
+inline u64 seed_arg(int& argc, char** argv, u64 def = 0) {
+  return num_arg(argc, argv, "--seed", def);
+}
+
+/// Exits 2 with a usage line when argv still holds an argument that no
+/// *_arg call took.
+inline void end_args(int argc, char** argv, const char* usage) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "usage: %s [--seed N] %s\n", argv[0], usage);
+  std::exit(2);
 }
 
 /// Synthetic firmware image: word-aligned with the distribution real
@@ -86,11 +120,11 @@ inline void banner(const std::string& title, const std::string& paper_anchor) {
   std::printf("(reproduces: %s)\n\n", paper_anchor.c_str());
 }
 
-/// Host wall-clock timer for the simulator-speed fields every BENCH_*.json
-/// carries alongside its simulated bytes/cycle: "host_ms" (wall time) and
+/// Host wall-clock timer for the simulator-speed fields every
+/// BENCH_*.host.json sidecar carries: "host_ms" (wall time) and
 /// "host_ops_per_sec" (simulated port operations retired per host second).
-/// Simulated results are deterministic; these two fields are the only
-/// machine-dependent ones, and CI gates ignore them.
+/// They depend on the machine, so they never enter the committed
+/// BENCH_*.json (see bench_json.hpp).
 class host_timer {
  public:
   host_timer() : t0_(std::chrono::steady_clock::now()) {}

@@ -1,48 +1,30 @@
 #!/usr/bin/env python3
 """Bit-identity gate for the committed BENCH_*.json files.
 
-Every simulated figure the benches emit (cycles, B/cyc, counters, DRAM
-fingerprints) is deterministic, so a refactor must reproduce it exactly.
-This compares each regenerated BENCH_*.json in the working tree with the
-committed copy (`git show HEAD:<file>`) and fails on any difference outside
-an explicit list of host fields (wall times, host rates, thread counts),
-which depend on the machine.
+The tab* benches write their simulated figures (cycles, B/cyc, counters,
+DRAM fingerprints) to BENCH_<name>.json and their host figures (wall times,
+host rates, thread counts) to an uncommitted BENCH_<name>.host.json sidecar.
+Simulated figures are deterministic, so a refactor must reproduce them
+exactly. This compares every leaf of each git-tracked BENCH_*.json in the
+working tree with the committed copy (`git show HEAD:<file>`) and fails on
+any difference.
 
-    python3 bench/check_bench_identical.py              # all BENCH_*.json vs HEAD
-    python3 bench/check_bench_identical.py --self-test  # the host list is honest
+    python3 bench/check_bench_identical.py              # every tracked BENCH_*.json vs HEAD
+    python3 bench/check_bench_identical.py --self-test  # a changed leaf is caught
 
 A PR that moves a simulated figure on purpose re-commits the file, which
 makes the change visible in review.
 """
 
 import argparse
-import glob
 import json
+import os
 import subprocess
 import sys
-
-# Machine-dependent fields, skipped wherever they appear.
-HOST_FIELDS = frozenset({
-    "host_ms", "host_ms_batched", "host_ms_scalar", "host_ops_per_sec",
-    "host_txns_per_sec", "serial_host_ms", "fleet_host_ms", "threads", "steals",
-    "hardware_concurrency",
-})
-# `speedup` is a fleet wall-time ratio in these files only. In
-# BENCH_throughput.json it is the simulated batched/scalar B/cyc ratio and
-# is compared like any other simulated figure.
-HOST_FIELDS_BY_FILE = {
-    "BENCH_fleet.json": frozenset({"speedup"}),
-    "BENCH_keyslot.json": frozenset({"speedup"}),
-}
-
-
-def host_fields(name):
-    return HOST_FIELDS | HOST_FIELDS_BY_FILE.get(name, frozenset())
 
 
 def compare(name, base, new):
     """Returns (compared leaf count, list of difference descriptions)."""
-    skip = host_fields(name)
     diffs = []
     compared = 0
 
@@ -50,8 +32,6 @@ def compare(name, base, new):
         nonlocal compared
         if isinstance(a, dict) and isinstance(b, dict):
             for key in sorted(set(a) | set(b)):
-                if key in skip:
-                    continue
                 if key not in a or key not in b:
                     diffs.append(f"{path}.{key}: only in {'new' if key in b else 'committed'}")
                     continue
@@ -70,13 +50,21 @@ def compare(name, base, new):
     return compared, diffs
 
 
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout
+
+
+def tracked():
+    return sorted(git("ls-files", "--", "BENCH_*.json").split())
+
+
 def committed(name):
-    return json.loads(subprocess.run(["git", "show", f"HEAD:{name}"], check=True,
-                                     capture_output=True, text=True).stdout)
+    return json.loads(git("show", f"HEAD:{name}"))
 
 
 def self_test():
-    """A changed host field passes; a changed simulated field fails."""
+    """An unchanged file passes; a changed simulated field fails."""
     def changed(v):
         if isinstance(v, bool):
             return not v
@@ -94,19 +82,24 @@ def self_test():
         return False
 
     cases = [
-        ("BENCH_throughput.json", "host_ms", True),
-        ("BENCH_throughput.json", "host_ops_per_sec", True),
-        ("BENCH_throughput.json", "speedup", False),  # simulated B/cyc ratio
-        ("BENCH_throughput.json", "batched_bytes_per_cycle", False),
-        ("BENCH_fleet.json", "speedup", True),
-        ("BENCH_fleet.json", "steals", True),
-        ("BENCH_fleet.json", "dram_fnv", False),
-        ("BENCH_keyslot.json", "speedup", True),
-        ("BENCH_keyslot.json", "draw_fnv", False),
-        ("BENCH_update.json", "update_cycles", False),
+        ("BENCH_throughput.json", "speedup"),  # simulated batched/scalar B/cyc ratio
+        ("BENCH_throughput.json", "batched_bytes_per_cycle"),
+        ("BENCH_authenticated.json", "tag_hit_rate"),
+        ("BENCH_fleet.json", "dram_fnv"),
+        ("BENCH_keyslot.json", "draw_fnv"),
+        ("BENCH_interconnect.json", "avg_latency"),  # the multimaster section
+        ("BENCH_interconnect.json", "latency_max"),
+        ("BENCH_update.json", "update_cycles"),
     ]
+    names = tracked()
     failed = 0
-    for name, key, should_pass in cases:
+    for name in names:
+        base = committed(name)
+        _, diffs = compare(name, base, json.loads(json.dumps(base)))
+        if diffs:
+            print(f"self-test: unchanged {name} should pass; diffs: {diffs}")
+            failed += 1
+    for name, key in cases:
         base = committed(name)
         new = json.loads(json.dumps(base))
         if not perturbed(new, key):
@@ -114,31 +107,34 @@ def self_test():
             failed += 1
             continue
         _, diffs = compare(name, base, new)
-        if (not diffs) != should_pass:
-            print(f"self-test: changing {name} {key} should "
-                  f"{'pass' if should_pass else 'fail'}; diffs: {diffs}")
+        if not diffs:
+            print(f"self-test: changing {name} {key} should fail")
             failed += 1
-    print(f"self-test: {len(cases) - failed}/{len(cases)} cases behave")
+    total = len(names) + len(cases)
+    print(f"self-test: {total - failed}/{total} cases behave")
     return failed == 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--self-test", action="store_true",
-                    help="check the host-field list against perturbed committed files")
+                    help="check that unchanged files pass and changed fields fail")
     if ap.parse_args().self_test:
         return 0 if self_test() else 1
 
-    files = sorted(glob.glob("BENCH_*.json"))
+    files = tracked()
     total = 0
     bad = []
     for name in files:
+        if not os.path.exists(name):
+            bad.append(f"{name}: missing; run its bench first")
+            continue
         with open(name) as f:
             new = json.load(f)
         compared, diffs = compare(name, committed(name), new)
         total += compared
         bad += diffs
-        print(f"{name}: {compared} simulated fields, {len(diffs)} differences")
+        print(f"{name}: {compared} fields, {len(diffs)} differences")
     for d in bad[:50]:
         print("  " + d)
     if len(bad) > 50:

@@ -12,79 +12,43 @@
 // before reporting the host-side speedup. A mismatch is a shared-state
 // bug and exits nonzero.
 //
-// Emits BENCH_fleet.json (machine-readable, consumed by CI) next to the
-// console table.
+// Emits BENCH_fleet.json (simulated figures, consumed by CI) and its
+// BENCH_fleet.host.json sidecar (walls, threads, steals, speedup) next to
+// the console table.
 
+#include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "fleet/fleet.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-namespace {
-
-struct cli {
-  unsigned threads = 0;        // 0 = hardware_concurrency
-  std::size_t accesses = 6000; // per-cell workload length
-  std::size_t seeds = 1;       // seed-sweep replicas of the whole matrix
-  bool auth_cells = true;      // include the keyslot auth trio
-  const char* json_path = "BENCH_fleet.json";
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--accesses"))
-      c.accesses = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--seeds"))
-      c.seeds = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else if (std::strcmp(argv[i], "--no-auth") == 0)
-      c.auth_cells = false;
-    else {
-      std::fprintf(stderr,
-                   "usage: tab10_fleet [--seed N] [--threads N] [--accesses N] [--seeds K]"
-                   " [--no-auth] [--json FILE]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
   using namespace buscrypt;
   const u64 base_seed = bench::seed_arg(argc, argv, 0x5EC5EEDULL);
-  const cli opt = parse(argc, argv);
+  // --threads 0 = hardware_concurrency; --accesses is the per-cell workload
+  // length; --seeds K replicates the whole matrix over K seeds; --no-auth
+  // drops the keyslot auth trio.
+  const auto threads = static_cast<unsigned>(bench::num_arg(argc, argv, "--threads"));
+  const std::size_t accesses = bench::num_arg(argc, argv, "--accesses", 6000);
+  const std::size_t seeds = bench::num_arg(argc, argv, "--seeds", 1);
+  const bool auth_cells = !bench::flag_arg(argc, argv, "--no-auth");
+  bench::end_args(argc, argv, "[--threads N] [--accesses N] [--seeds K] [--no-auth]");
   bench::banner("Tab. 10 — many-SoC fleet: parallel scenario matrix",
                 "horizontal scale over the whole survey (tab1/tab7 matrices)");
 
   // The cell matrix: every engine (auth none), plus the keyslot engine
   // under each authentication scheme, replicated across --seeds seeds.
   const u64 kSeed = base_seed;
-  std::vector<fleet::fleet_cell> base = fleet::engine_matrix(opt.accesses, kSeed);
-  if (opt.auth_cells) {
+  std::vector<fleet::fleet_cell> base = fleet::engine_matrix(accesses, kSeed);
+  if (auth_cells) {
     for (const engine::auth_mode m : {engine::auth_mode::mac, engine::auth_mode::area,
                                       engine::auth_mode::hash_tree}) {
       fleet::fleet_cell c;
       c.kind = edu::engine_kind::inline_keyslot;
-      c.accesses = opt.accesses;
+      c.accesses = accesses;
       c.seed = kSeed;
       c.auth = m;
       if (m == engine::auth_mode::area) c.backend = "aes-ecb"; // AREA rejects CTR
@@ -92,7 +56,7 @@ int main(int argc, char** argv) {
     }
   }
   fleet::fleet_config cfg;
-  for (std::size_t s = 0; s < opt.seeds; ++s)
+  for (std::size_t s = 0; s < seeds; ++s)
     for (fleet::fleet_cell c : base) {
       c.seed = kSeed + s;
       cfg.cells.push_back(std::move(c));
@@ -106,7 +70,7 @@ int main(int argc, char** argv) {
 
   // The fleet proper: work-stealing pool, deterministically shuffled
   // execution order — the anti-ordering stress for shared state.
-  cfg.threads = opt.threads;
+  cfg.threads = threads;
   cfg.shuffle = true;
   cfg.shuffle_seed = kSeed;
   const fleet::fleet_result fleet_run = fleet::run_fleet(cfg);
@@ -146,42 +110,39 @@ int main(int argc, char** argv) {
   std::printf("determinism: all %zu cells bit-identical serial vs fleet\n",
               cfg.cells.size());
 
-  std::FILE* json = std::fopen(opt.json_path, "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab10_fleet\",\n  \"cells\": %zu,\n"
-               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
-               "  \"steals\": %llu,\n  \"accesses\": %zu,\n  \"seeds\": %zu,\n"
-               "  \"equivalent\": true,\n"
-               "  \"serial_host_ms\": %.1f,\n  \"fleet_host_ms\": %.1f,\n"
-               "  \"speedup\": %.2f,\n  \"host_txns_per_sec\": %.0f,\n"
-               "  \"matrix\": [\n",
-               cfg.cells.size(), fleet_run.pool.threads,
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(fleet_run.pool.steals), opt.accesses,
-               opt.seeds, serial.host_ms, fleet_run.host_ms, speedup,
-               fleet_run.host_txns_per_sec());
+  bench::json matrix = bench::json::array();
   for (std::size_t i = 0; i < cfg.cells.size(); ++i) {
     const fleet::cell_result& c = serial.cells[i];
-    std::fprintf(json,
-                 "    {\"cell\": \"%s\", \"auth\": \"%s\", \"ops\": %llu, "
-                 "\"bytes\": %llu, \"cycles\": %llu, \"bytes_per_cycle\": %.6f, "
-                 "\"integrity_faults\": %llu, \"dram_fnv\": \"%016llx\", "
-                 "\"serial_host_ms\": %.1f, \"fleet_host_ms\": %.1f}%s\n",
-                 c.label.c_str(),
-                 std::string(engine::auth_mode_name(cfg.cells[i].auth)).c_str(),
-                 static_cast<unsigned long long>(c.ops),
-                 static_cast<unsigned long long>(c.bytes),
-                 static_cast<unsigned long long>(c.total_cycles), c.bytes_per_cycle(),
-                 static_cast<unsigned long long>(c.integrity_faults),
-                 static_cast<unsigned long long>(c.dram_fnv), c.host_ms,
-                 fleet_run.cells[i].host_ms, i + 1 == cfg.cells.size() ? "" : ",");
+    matrix.push(bench::json::object({
+        {"cell", c.label},
+        {"auth", engine::auth_mode_name(cfg.cells[i].auth)},
+        {"ops", c.ops},
+        {"bytes", c.bytes},
+        {"cycles", c.total_cycles},
+        {"bytes_per_cycle", bench::fixed(c.bytes_per_cycle(), 6)},
+        {"integrity_faults", c.integrity_faults},
+        {"dram_fnv", bench::hex64(c.dram_fnv)},
+        {"serial_host_ms", bench::host(bench::fixed(c.host_ms, 1))},
+        {"fleet_host_ms", bench::host(bench::fixed(fleet_run.cells[i].host_ms, 1))},
+    }));
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote %s\n", opt.json_path);
-  return 0;
+  const bool wrote = bench::write_bench(
+      "fleet",
+      bench::json::object({
+          {"bench", "tab10_fleet"},
+          {"cells", cfg.cells.size()},
+          {"threads", bench::host(fleet_run.pool.threads)},
+          {"hardware_concurrency", bench::host(std::thread::hardware_concurrency())},
+          {"steals", bench::host(fleet_run.pool.steals)},
+          {"accesses", accesses},
+          {"seeds", seeds},
+          {"equivalent", true},
+          {"serial_host_ms", bench::host(bench::fixed(serial.host_ms, 1))},
+          {"fleet_host_ms", bench::host(bench::fixed(fleet_run.host_ms, 1))},
+          {"speedup", bench::host(bench::fixed(speedup, 2))},
+          {"host_txns_per_sec",
+           bench::host(bench::fixed(fleet_run.host_txns_per_sec(), 0))},
+          {"matrix", std::move(matrix)},
+      }));
+  return wrote ? 0 : 1;
 }

@@ -16,74 +16,37 @@
 // bit-identical DRAM images (policies move telemetry, never bytes). A
 // failure of either exits nonzero.
 //
-// Emits BENCH_keyslot.json (machine-readable, consumed by CI) next to
-// the console table.
+// Emits BENCH_keyslot.json (simulated figures, consumed by CI) and its
+// BENCH_keyslot.host.json sidecar (walls, threads, speedup) next to the
+// console table.
 
+#include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "engine/churn.hpp"
 #include "fleet/fleet.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-namespace {
-
-struct cli {
-  unsigned threads = 0;           // 0 = hardware_concurrency
-  std::size_t contexts = 100'000; // Zipf rank population per cell
-  std::size_t ops = 150'000;      // storm length per cell
-  const char* json_path = "BENCH_keyslot.json";
-  // Storm-grid policy filter, parsed by slot_policy_name spelling; the
-  // cross-policy equivalence proof always runs all four.
-  bool one_policy = false;
-  buscrypt::engine::slot_policy policy = buscrypt::engine::slot_policy::lru;
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--contexts"))
-      c.contexts = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--ops"))
-      c.ops = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else if (const char* v = arg("--policy")) {
-      if (!buscrypt::engine::parse_slot_policy(v, c.policy)) {
-        std::fprintf(stderr, "unknown --policy '%s'\n", v);
-        std::exit(2);
-      }
-      c.one_policy = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: tab11_keyslot_churn [--seed N] [--threads N] [--contexts N]"
-                   " [--ops N] [--json FILE] [--policy NAME]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
   using namespace buscrypt;
   const u64 base_seed = bench::seed_arg(argc, argv, 0x5EC5EEDULL);
-  const cli opt = parse(argc, argv);
+  // --threads 0 = hardware_concurrency; --contexts is the Zipf rank
+  // population and --ops the storm length of each cell. --policy filters
+  // the storm grid by slot_policy_name spelling; the cross-policy
+  // equivalence proof always runs all four.
+  const auto threads = static_cast<unsigned>(bench::num_arg(argc, argv, "--threads"));
+  const std::size_t contexts = bench::num_arg(argc, argv, "--contexts", 100'000);
+  const std::size_t ops = bench::num_arg(argc, argv, "--ops", 150'000);
+  const char* policy_name = bench::take_arg(argc, argv, "--policy");
+  engine::slot_policy only = engine::slot_policy::lru;
+  if (policy_name != nullptr && !engine::parse_slot_policy(policy_name, only)) {
+    std::fprintf(stderr, "unknown --policy '%s'\n", policy_name);
+    return 2;
+  }
+  bench::end_args(argc, argv, "[--threads N] [--contexts N] [--ops N] [--policy NAME]");
   bench::banner("Tab. 11 — keyslot churn: Zipf context storms vs eviction policy",
                 "pool behaviour when contexts outnumber slots 1000:1 (blk-crypto)");
 
@@ -94,12 +57,12 @@ int main(int argc, char** argv) {
   // the large pool isolates pure eviction behaviour.
   fleet::churn_fleet_config cfg;
   for (const engine::slot_policy policy : engine::all_slot_policies) {
-    if (opt.one_policy && policy != opt.policy) continue;
+    if (policy_name != nullptr && policy != only) continue;
     for (const unsigned pool : {4u, 16u})
       for (const double skew : {0.8, 1.2}) {
         engine::churn_config c;
-        c.contexts = opt.contexts;
-        c.ops = opt.ops;
+        c.contexts = contexts;
+        c.ops = ops;
         c.zipf_s = skew;
         c.slots = pool;
         c.in_flight = 4;
@@ -116,7 +79,7 @@ int main(int argc, char** argv) {
   cfg.shuffle = false;
   const fleet::churn_fleet_result serial = fleet::run_churn_fleet(cfg);
 
-  cfg.threads = opt.threads;
+  cfg.threads = threads;
   cfg.shuffle = true;
   cfg.shuffle_seed = kSeed;
   const fleet::churn_fleet_result fleet_run = fleet::run_churn_fleet(cfg);
@@ -150,7 +113,7 @@ int main(int argc, char** argv) {
       cell.keyslot_slots = 2;
       pcfg.cells.push_back(std::move(cell));
     }
-    pcfg.threads = opt.threads;
+    pcfg.threads = threads;
     const fleet::fleet_result pr = fleet::run_fleet(pcfg);
     for (std::size_t i = 0; i < pr.cells.size(); ++i) {
       fault_total += pr.cells[i].integrity_faults + pr.cells[i].domain_faults;
@@ -190,51 +153,48 @@ int main(int argc, char** argv) {
               cfg.cells.size());
   std::printf("equivalence: 4 policies, bit-identical DRAM, 0 faults\n");
 
-  std::FILE* json = std::fopen(opt.json_path, "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab11_keyslot_churn\",\n  \"cells\": %zu,\n"
-               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
-               "  \"contexts\": %zu,\n  \"ops\": %zu,\n  \"in_flight\": 4,\n"
-               "  \"equivalent\": true,\n  \"policies_equivalent\": true,\n"
-               "  \"policy_faults\": %llu,\n"
-               "  \"serial_host_ms\": %.1f,\n  \"fleet_host_ms\": %.1f,\n"
-               "  \"speedup\": %.2f,\n  \"matrix\": [\n",
-               cfg.cells.size(), fleet_run.pool.threads,
-               std::thread::hardware_concurrency(), opt.contexts, opt.ops,
-               static_cast<unsigned long long>(fault_total), serial.host_ms,
-               fleet_run.host_ms, speedup);
+  bench::json matrix = bench::json::array();
   for (std::size_t i = 0; i < cfg.cells.size(); ++i) {
     const engine::churn_result& c = serial.cells[i];
     const engine::churn_config& cc = cfg.cells[i];
-    std::fprintf(
-        json,
-        "    {\"cell\": \"%s\", \"policy\": \"%s\", \"pool\": %u, "
-        "\"zipf_s\": %.2f, \"ops\": %llu, \"warm_hit_rate\": %.6f, "
-        "\"cold_programs\": %llu, \"reprograms\": %llu, "
-        "\"prefetch_programs\": %llu, \"evictions\": %llu, "
-        "\"reprogram_stall_cycles\": %llu, \"fallbacks\": %llu, "
-        "\"fallback_rate\": %.6f, \"mean_occupancy\": %.4f, "
-        "\"bytes\": %llu, \"cycles\": %llu, \"bytes_per_cycle\": %.6f, "
-        "\"draw_fnv\": \"%016llx\"}%s\n",
-        c.label.c_str(), std::string(engine::slot_policy_name(cc.policy)).c_str(),
-        cc.slots, cc.zipf_s, static_cast<unsigned long long>(c.ops),
-        c.warm_hit_rate(), static_cast<unsigned long long>(c.slots.cold_programs),
-        static_cast<unsigned long long>(c.slots.reprograms),
-        static_cast<unsigned long long>(c.slots.prefetch_programs),
-        static_cast<unsigned long long>(c.slots.evictions),
-        static_cast<unsigned long long>(c.stall_cycles),
-        static_cast<unsigned long long>(c.fallbacks), c.fallback_rate(),
-        c.mean_occupancy(), static_cast<unsigned long long>(c.bytes),
-        static_cast<unsigned long long>(c.total_cycles), c.bytes_per_cycle(),
-        static_cast<unsigned long long>(c.draw_fnv),
-        i + 1 == cfg.cells.size() ? "" : ",");
+    matrix.push(bench::json::object({
+        {"cell", c.label},
+        {"policy", engine::slot_policy_name(cc.policy)},
+        {"pool", cc.slots},
+        {"zipf_s", bench::fixed(cc.zipf_s, 2)},
+        {"ops", c.ops},
+        {"warm_hit_rate", bench::fixed(c.warm_hit_rate(), 6)},
+        {"cold_programs", c.slots.cold_programs},
+        {"reprograms", c.slots.reprograms},
+        {"prefetch_programs", c.slots.prefetch_programs},
+        {"evictions", c.slots.evictions},
+        {"reprogram_stall_cycles", c.stall_cycles},
+        {"fallbacks", c.fallbacks},
+        {"fallback_rate", bench::fixed(c.fallback_rate(), 6)},
+        {"mean_occupancy", bench::fixed(c.mean_occupancy(), 4)},
+        {"bytes", c.bytes},
+        {"cycles", c.total_cycles},
+        {"bytes_per_cycle", bench::fixed(c.bytes_per_cycle(), 6)},
+        {"draw_fnv", bench::hex64(c.draw_fnv)},
+    }));
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote %s\n", opt.json_path);
-  return 0;
+  const bool wrote = bench::write_bench(
+      "keyslot",
+      bench::json::object({
+          {"bench", "tab11_keyslot_churn"},
+          {"cells", cfg.cells.size()},
+          {"threads", bench::host(fleet_run.pool.threads)},
+          {"hardware_concurrency", bench::host(std::thread::hardware_concurrency())},
+          {"contexts", contexts},
+          {"ops", ops},
+          {"in_flight", 4},
+          {"equivalent", true},
+          {"policies_equivalent", true},
+          {"policy_faults", fault_total},
+          {"serial_host_ms", bench::host(bench::fixed(serial.host_ms, 1))},
+          {"fleet_host_ms", bench::host(bench::fixed(fleet_run.host_ms, 1))},
+          {"speedup", bench::host(bench::fixed(speedup, 2))},
+          {"matrix", std::move(matrix)},
+      }));
+  return wrote ? 0 : 1;
 }

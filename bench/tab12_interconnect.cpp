@@ -1,15 +1,27 @@
-// tab12_interconnect — the topology-first interconnect at scale:
-// hierarchical arbitration, QoS classes and programmable bus firewalls.
+// tab12_interconnect — the topology-first interconnect at scale: the shared
+// bus under contention, hierarchical arbitration, QoS classes and
+// programmable bus firewalls.
 //
-// Three sections (tab8 runs the flat single-cluster bus through the same
-// run_topology driver):
+// Four sections:
 //
-//  1. scaling — the fleet noc cells: {4..64} masters x {flat, 4-cluster}
+//  1. multimaster — the flat shared bus under contention. The survey's SoCs
+//     are multi-master systems: the CPU, VLSI Technology's secure DMA engine
+//     (Fig. 4) and peripherals all initiate transfers on the one external
+//     bus the EDU protects. 1-4 masters of a fixed cast (CPU compute, two
+//     DMA bulk copies, a peripheral poller) run on every engine under
+//     round-robin and fixed-priority (with aging) arbitration. Aggregate
+//     bytes/cycle shows how far each engine's crypto datapath scales as
+//     bandwidth-bound masters join; per-master average latency and
+//     starvation streaks show what each policy costs the others. On the
+//     keyslot engine the DMA masters run inside private per-master
+//     protection domains (own keys) sharing the one slot pool.
+//
+//  2. scaling — the fleet noc cells: {4..64} masters x {flat, 4-cluster}
 //     x {QoS off, on} on Stream-OTP and the keyslot engine (the keyslot
 //     cells carry per-master firewall whitelists; in-slice traffic takes
 //     zero denials, so the tables are free).
 //
-//  2. containment — the untrusted-accelerator scenario: a master whose
+//  3. containment — the untrusted-accelerator scenario: a master whose
 //     workload strays outside its whitelist on a heterogeneous SoC (CPU
 //     cluster + DMA + peripheral poller + accelerator). Every stray
 //     access must be an *accounted* denial — 0xFF bus-error fill on
@@ -19,23 +31,24 @@
 //     runs with the firewall attached to show the attack surface is
 //     unchanged.
 //
-//  3. reconfig — rule tables reprogrammed under live traffic: staged by
+//  4. reconfig — rule tables reprogrammed under live traffic: staged by
 //     a grant observer, committed at window boundaries, stage-to-commit
 //     latency measured in simulated cycles.
 //
-// Usage: tab12_interconnect [--threads N] [--json FILE]
-// Emits BENCH_interconnect.json (machine-readable, consumed by CI).
+// Usage: tab12_interconnect [--seed N] [--threads N]
+// Emits BENCH_interconnect.json (simulated figures, consumed by CI) and its
+// BENCH_interconnect.host.json sidecar (host timings).
 
-#include "multimaster_cast.hpp"
+#include "bench_json.hpp"
+#include "bench_util.hpp"
 
 #include "attack/tamper.hpp"
 #include "edu/engine_edu.hpp"
 #include "fleet/fleet.hpp"
 #include "sim/interconnect.hpp"
 
-#include <array>
 #include <cstdio>
-#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,25 +59,74 @@ buscrypt::u64 g_seed = 0;
 
 using namespace buscrypt;
 
-struct cli {
-  unsigned threads = 0; ///< scaling-fleet pool; 0 = hardware_concurrency
-  const char* json_path = "BENCH_interconnect.json";
-};
+// The multimaster SoC and its arbitration constants; the containment SoC
+// reuses the geometry, the windows and the DMA and peripheral addresses.
+constexpr unsigned kBanks = 8;
+constexpr std::size_t kWindowTxns = 8;
+constexpr u64 kStarvationLimit = 32;
 
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      c.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      c.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: tab12_interconnect [--seed N] [--threads N] [--json FILE]\n");
-      std::exit(2);
-    }
+constexpr addr_t kDma1Src = 2u << 20;
+constexpr addr_t kDma1Dst = (2u << 20) + (1u << 19);
+constexpr addr_t kDma2Src = 4u << 20;
+constexpr addr_t kDma2Dst = (4u << 20) + (1u << 19);
+constexpr addr_t kPeriphRegs = 3u << 20;
+constexpr std::size_t kDmaBytes = 48 * 1024;
+
+edu::soc_config multimaster_soc() {
+  edu::soc_config cfg = bench::default_soc();
+  cfg.mem_timing.banks = kBanks;
+  return cfg;
+}
+
+/// The full 4-master cast; a run with N masters takes the first N.
+/// Order matters for the scaling story: the bandwidth-bound DMA engines
+/// join before the latency-bound peripheral.
+std::vector<edu::master_desc> multimaster_cast(bool keyslot_domains) {
+  std::vector<edu::master_desc> m(4);
+  m[0].role = edu::master_kind::cpu;
+  m[0].name = "cpu";
+  m[0].work = sim::make_data_rw(4000, 64 * 1024, 0.5, 0.4, 8, 0x7AB8);
+  m[0].priority = 5;
+  m[1].role = edu::master_kind::dma;
+  m[1].name = "dma0";
+  m[1].work = sim::make_dma_copy(kDmaBytes, kDma1Src, kDma1Dst, 128, 0x7AB9);
+  m[1].priority = 1;
+  m[2].role = edu::master_kind::dma;
+  m[2].name = "dma1";
+  m[2].work = sim::make_dma_copy(kDmaBytes, kDma2Src, kDma2Dst, 128, 0x7ABA);
+  m[2].priority = 1;
+  m[3].role = edu::master_kind::peripheral;
+  m[3].name = "periph";
+  m[3].work = sim::make_peripheral_poll(2000, kPeriphRegs, 8, 64, 16, 0x7ABB);
+  m[3].priority = 9;
+  if (keyslot_domains) {
+    m[1].domain_base = kDma1Src;
+    m[1].domain_len = 1u << 20;
+    m[2].domain_base = kDma2Src;
+    m[2].domain_len = 1u << 20;
   }
-  return c;
+  return m;
+}
+
+constexpr std::size_t kCast = 4;
+constexpr std::size_t kPolicies = std::size(sim::all_arb_policies);
+
+/// Every engine x policy x master count 1..4, on the fleet pool. Run i is
+/// engine i / (kPolicies * kCast), policy i / kCast % kPolicies and
+/// i % kCast + 1 masters.
+std::vector<sim::arbiter_stats> run_multimaster(const bytes& image, unsigned threads) {
+  std::vector<sim::arbiter_stats> runs(edu::all_engines().size() * kPolicies * kCast);
+  (void)fleet::run_jobs(runs.size(), threads, [&](std::size_t i) {
+    const edu::engine_kind kind = edu::all_engines()[i / (kPolicies * kCast)];
+    const sim::arb_policy policy = sim::all_arb_policies[i / kCast % kPolicies];
+    const auto cast = multimaster_cast(kind == edu::engine_kind::inline_keyslot);
+    edu::secure_soc soc(kind, multimaster_soc());
+    soc.load_image(0, image);
+    const u64 limit = policy == sim::arb_policy::fixed_priority ? kStarvationLimit : 0;
+    const sim::topology topo(sim::arbiter_config{policy, kWindowTxns, limit});
+    runs[i] = soc.run_topology(std::span(cast).first(i % kCast + 1), topo).noc.bus;
+  });
+  return runs;
 }
 
 struct containment_result {
@@ -116,24 +178,23 @@ std::vector<sim::firewall_rule> accel_rules(bool split) {
   return t;
 }
 
-containment_result run_containment() {
+containment_result run_containment(const bytes& image) {
   containment_result r;
 
-  edu::soc_config cfg = bench::multimaster_soc();
-  edu::secure_soc soc(edu::engine_kind::inline_keyslot, cfg);
-  soc.load_image(0, bench::firmware_image(64 * 1024, g_seed ^ 0x5EED));
+  edu::secure_soc soc(edu::engine_kind::inline_keyslot, multimaster_soc());
+  soc.load_image(0, image);
   bytes secret(kSecretLen);
   for (std::size_t i = 0; i < secret.size(); ++i)
     secret[i] = static_cast<u8>(0xA5 ^ i);
   soc.load_image(kSecretBase, secret);
 
   sim::topology topo(sim::arbiter_config{sim::arb_policy::round_robin,
-                                         bench::kMmWindowTxns, 0});
+                                         kWindowTxns, 0});
   const sim::cluster_id compute = topo.add_cluster(
-      {"compute", {sim::arb_policy::round_robin, bench::kMmWindowTxns, 0}, 0,
+      {"compute", {sim::arb_policy::round_robin, kWindowTxns, 0}, 0,
        sim::qos_class::none});
   const sim::cluster_id io = topo.add_cluster(
-      {"io", {sim::arb_policy::round_robin, bench::kMmWindowTxns, 0}, 0,
+      {"io", {sim::arb_policy::round_robin, kWindowTxns, 0}, 0,
        sim::qos_class::none});
   topo.add_master(compute, 0);
   topo.add_master(compute, 1, sim::qos_class::bulk);
@@ -148,13 +209,13 @@ containment_result run_containment() {
   m[0].work = sim::make_data_rw(3000, 64 * 1024, 0.5, 0.4, 8, 0x7AC0);
   m[1].role = edu::master_kind::dma;
   m[1].name = "dma";
-  m[1].work = sim::make_dma_copy(32 * 1024, bench::kMmDma1Src, bench::kMmDma1Dst,
+  m[1].work = sim::make_dma_copy(32 * 1024, kDma1Src, kDma1Dst,
                                  128, 0x7AC1);
-  m[1].domain_base = bench::kMmDma1Src;
+  m[1].domain_base = kDma1Src;
   m[1].domain_len = 1u << 20;
   m[2].role = edu::master_kind::peripheral;
   m[2].name = "periph";
-  m[2].work = sim::make_peripheral_poll(1500, bench::kMmPeriphRegs, 8, 64, 16, 0x7AC2);
+  m[2].work = sim::make_peripheral_poll(1500, kPeriphRegs, 8, 64, 16, 0x7AC2);
   m[3].role = edu::master_kind::dma;
   m[3].name = "accel";
   // The stray workload: loads and stores folded over the whole 128 KiB
@@ -280,14 +341,46 @@ containment_result run_containment() {
 
 int main(int argc, char** argv) {
   g_seed = bench::seed_arg(argc, argv);
-  const cli opt = parse(argc, argv);
-  bench::banner("Tab. 12 — topology-first interconnect: hierarchy, QoS, firewalls",
-                "clustered arbitration at scale; Cotret-style rule tables on the bus");
+  // The fleet pool of the multimaster and scaling sections; 0 =
+  // hardware_concurrency.
+  const auto threads = static_cast<unsigned>(bench::num_arg(argc, argv, "--threads"));
+  bench::end_args(argc, argv, "[--threads N]");
+  bench::banner("Tab. 12 — topology-first interconnect: contention, hierarchy, QoS, "
+                "firewalls",
+                "Fig. 4 secure DMA as a first-class master; clustered arbitration at "
+                "scale; Cotret-style rule tables on the bus");
 
   const bench::host_timer wall;
   unsigned long long total_txns = 0;
+  const bytes image = bench::firmware_image(64 * 1024, g_seed ^ 0x5EED);
 
-  // --- 1. scaling: masters x shape x QoS on the fleet noc cells -------------
+  // --- 1. multimaster: master count x policy on the flat shared bus ----------
+  const std::vector<sim::arbiter_stats> mm = run_multimaster(image, threads);
+  for (const sim::arbiter_stats& st : mm) total_txns += st.txns;
+  for (std::size_t p = 0; p < kPolicies; ++p) {
+    table t({"engine", "B/cyc x1", "B/cyc x2", "B/cyc x3", "B/cyc x4", "periph lat x4",
+             "cpu max-wait x4"});
+    for (std::size_t e = 0; e < edu::all_engines().size(); ++e) {
+      const sim::arbiter_stats* runs = &mm[(e * kPolicies + p) * kCast];
+      t.add_row({std::string(edu::engine_name(edu::all_engines()[e])),
+                 table::num(runs[0].bytes_per_cycle(), 4),
+                 table::num(runs[1].bytes_per_cycle(), 4),
+                 table::num(runs[2].bytes_per_cycle(), 4),
+                 table::num(runs[3].bytes_per_cycle(), 4),
+                 table::num(runs[3].masters[3].avg_txn_latency(), 0),
+                 table::num(static_cast<unsigned long long>(
+                     runs[3].masters[0].max_wait_streak))});
+    }
+    std::printf("policy: %s\n%s\n",
+                std::string(sim::arb_policy_name(sim::all_arb_policies[p])).c_str(),
+                t.str().c_str());
+  }
+  std::printf("masters join in order cpu, dma0, dma1, periph; %u banks, windows\n"
+              "of %zu txns, fixed-priority ages at %llu rounds. Keyslot DMA\n"
+              "masters run in private per-master protection domains.\n\n",
+              kBanks, kWindowTxns, static_cast<unsigned long long>(kStarvationLimit));
+
+  // --- 2. scaling: masters x shape x QoS on the fleet noc cells -------------
   fleet::fleet_config scfg;
   for (const edu::engine_kind kind :
        {edu::engine_kind::stream_otp, edu::engine_kind::inline_keyslot})
@@ -304,7 +397,7 @@ int main(int argc, char** argv) {
           cell.noc_firewall = kind == edu::engine_kind::inline_keyslot;
           scfg.cells.push_back(std::move(cell));
         }
-  scfg.threads = opt.threads;
+  scfg.threads = threads;
   const fleet::fleet_result scaling = fleet::run_fleet(scfg);
   for (const fleet::cell_result& c : scaling.cells) total_txns += c.ops;
   {
@@ -316,8 +409,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.str().c_str());
   }
 
-  // --- 2 + 3. containment and live reconfiguration --------------------------
-  containment_result cont = run_containment();
+  // --- 3 + 4. containment and live reconfiguration --------------------------
+  containment_result cont = run_containment(image);
   std::printf("containment: accel %llu/%llu spans denied (rule hits %llu, rule "
               "denies %llu), engine count %llu, secret %s, fill %s, sentinel "
               "%llu, tamper %s\n",
@@ -336,60 +429,91 @@ int main(int argc, char** argv) {
               cont.reconfig_latency_avg,
               static_cast<unsigned long long>(cont.reconfig_latency_max));
 
-  std::FILE* json = std::fopen(opt.json_path, "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-    return 1;
+  bench::json engines = bench::json::array();
+  for (std::size_t e = 0; e < edu::all_engines().size(); ++e) {
+    bench::json policies = bench::json::array();
+    for (std::size_t p = 0; p < kPolicies; ++p) {
+      bench::json runs = bench::json::array();
+      for (std::size_t n = 1; n <= kCast; ++n) {
+        const sim::arbiter_stats& st = mm[(e * kPolicies + p) * kCast + n - 1];
+        bench::json per_master = bench::json::array();
+        for (const sim::master_stats& ms : st.masters)
+          per_master.push(bench::json::object({
+              {"name", ms.name},
+              {"bytes", ms.bytes},
+              {"avg_latency", bench::fixed(ms.avg_txn_latency(), 1)},
+              {"max_wait_streak", ms.max_wait_streak},
+          }));
+        runs.push(bench::json::object({
+            {"masters", n},
+            {"bytes_per_cycle", bench::fixed(st.bytes_per_cycle(), 6)},
+            {"total_cycles", st.total_cycles},
+            {"per_master", std::move(per_master)},
+        }));
+      }
+      policies.push(bench::json::object({
+          {"policy", sim::arb_policy_name(sim::all_arb_policies[p])},
+          {"runs", std::move(runs)},
+      }));
+    }
+    engines.push(bench::json::object({
+        {"engine", edu::engine_name(edu::all_engines()[e])},
+        {"policies", std::move(policies)},
+    }));
   }
-  const double total_ms = wall.ms();
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab12_interconnect\",\n"
-               "  \"host_ms\": %.1f,\n  \"host_ops_per_sec\": %.0f,\n"
-               "  \"scaling\": [\n",
-               total_ms, bench::host_ops_per_sec(total_txns, total_ms));
+  bench::json cells = bench::json::array();
   for (std::size_t i = 0; i < scaling.cells.size(); ++i) {
     const fleet::fleet_cell& cell = scfg.cells[i];
     const fleet::cell_result& c = scaling.cells[i];
-    std::fprintf(json,
-                 "    {\"cell\": \"%s\", \"engine\": \"%s\", \"masters\": %zu, "
-                 "\"clusters\": %zu, \"qos\": %s, \"firewall\": %s, "
-                 "\"bytes_per_cycle\": %.6f, \"total_cycles\": %llu, "
-                 "\"firewall_denials\": %llu}%s\n",
-                 c.label.c_str(), std::string(edu::engine_name(cell.kind)).c_str(),
-                 cell.noc_masters, cell.noc_clusters, cell.noc_qos ? "true" : "false",
-                 cell.noc_firewall ? "true" : "false", c.bytes_per_cycle(),
-                 static_cast<unsigned long long>(c.total_cycles),
-                 static_cast<unsigned long long>(c.firewall_denials),
-                 i + 1 == scaling.cells.size() ? "" : ",");
+    cells.push(bench::json::object({
+        {"cell", c.label},
+        {"engine", edu::engine_name(cell.kind)},
+        {"masters", cell.noc_masters},
+        {"clusters", cell.noc_clusters},
+        {"qos", cell.noc_qos},
+        {"firewall", cell.noc_firewall},
+        {"bytes_per_cycle", bench::fixed(c.bytes_per_cycle(), 6)},
+        {"total_cycles", c.total_cycles},
+        {"firewall_denials", c.firewall_denials},
+    }));
   }
-  std::fprintf(json,
-               "  ],\n  \"containment\": {\n"
-               "    \"ok\": %s,\n    \"accel_checks\": %llu,\n"
-               "    \"accel_denials\": %llu,\n    \"rule_hits\": %llu,\n"
-               "    \"rule_denies\": %llu,\n    \"engine_denials\": %llu,\n"
-               "    \"sentinel_denials\": %llu,\n    \"secret_intact\": %s,\n"
-               "    \"fill_ok\": %s,\n    \"tamper_clean\": %s,\n"
-               "    \"bytes_per_cycle\": %.6f\n  },\n"
-               "  \"reconfig\": {\n    \"reprograms\": %llu,\n"
-               "    \"latency_avg\": %.1f,\n    \"latency_max\": %llu\n  }\n}\n",
-               cont.ok ? "true" : "false",
-               static_cast<unsigned long long>(cont.accel_checks),
-               static_cast<unsigned long long>(cont.accel_denials),
-               static_cast<unsigned long long>(cont.rule_hits),
-               static_cast<unsigned long long>(cont.rule_denies),
-               static_cast<unsigned long long>(cont.engine_denials),
-               static_cast<unsigned long long>(cont.sentinel_denials),
-               cont.secret_intact ? "true" : "false", cont.fill_ok ? "true" : "false",
-               cont.tamper_clean ? "true" : "false", cont.bytes_per_cycle,
-               static_cast<unsigned long long>(cont.reprograms),
-               cont.reconfig_latency_avg,
-               static_cast<unsigned long long>(cont.reconfig_latency_max));
-  std::fclose(json);
-  std::printf("wrote %s\n", opt.json_path);
-
+  const double total_ms = wall.ms();
+  const bool wrote = bench::write_bench(
+      "interconnect",
+      bench::json::object({
+          {"bench", "tab12_interconnect"},
+          {"host_ms", bench::host(bench::fixed(total_ms, 1))},
+          {"host_ops_per_sec",
+           bench::host(bench::fixed(bench::host_ops_per_sec(total_txns, total_ms), 0))},
+          {"multimaster", bench::json::object({
+                              {"banks", kBanks},
+                              {"window_txns", kWindowTxns},
+                              {"starvation_limit", kStarvationLimit},
+                              {"engines", std::move(engines)},
+                          })},
+          {"scaling", std::move(cells)},
+          {"containment", bench::json::object({
+                              {"ok", cont.ok},
+                              {"accel_checks", cont.accel_checks},
+                              {"accel_denials", cont.accel_denials},
+                              {"rule_hits", cont.rule_hits},
+                              {"rule_denies", cont.rule_denies},
+                              {"engine_denials", cont.engine_denials},
+                              {"sentinel_denials", cont.sentinel_denials},
+                              {"secret_intact", cont.secret_intact},
+                              {"fill_ok", cont.fill_ok},
+                              {"tamper_clean", cont.tamper_clean},
+                              {"bytes_per_cycle", bench::fixed(cont.bytes_per_cycle, 6)},
+                          })},
+          {"reconfig", bench::json::object({
+                           {"reprograms", cont.reprograms},
+                           {"latency_avg", bench::fixed(cont.reconfig_latency_avg, 1)},
+                           {"latency_max", cont.reconfig_latency_max},
+                       })},
+      }));
   if (!cont.ok) {
     std::fprintf(stderr, "tab12_interconnect: FAILED\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }

@@ -18,10 +18,12 @@
 //     scale, with the tab10 cell-by-cell bit-equivalence proof.
 //
 // Any torn image, accepted downgrade, missed replay or fleet divergence
-// exits nonzero. Emits BENCH_update.json (machine-readable, consumed by
-// CI; --seed 0 reproduces the committed baseline).
+// exits nonzero. Emits BENCH_update.json (simulated figures, consumed by
+// CI; --seed 0 reproduces the committed baseline) and its
+// BENCH_update.host.json sidecar (host timings).
 
 #include "attack/tamper.hpp"
+#include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "fleet/fleet.hpp"
 #include "update/lifetime.hpp"
@@ -47,39 +49,6 @@ constexpr const char* kBackends[] = {"aes-ctr", "aes-ecb", "3des-cbc"};
 constexpr engine::auth_mode kSchemes[] = {
     engine::auth_mode::none, engine::auth_mode::mac, engine::auth_mode::area,
     engine::auth_mode::hash_tree};
-
-struct cli {
-  std::size_t runs = 24; ///< fleet interruptions per (fault x auth) pair
-  unsigned threads = 0;  ///< fleet pool; 0 = hardware_concurrency
-  const char* json_path = "BENCH_update.json";
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--runs"))
-      c.runs = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else {
-      std::fprintf(stderr,
-                   "usage: tab13_update [--seed N] [--runs N] [--threads N]"
-                   " [--json FILE]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
 
 struct matrix_cell {
   const char* backend = "";
@@ -137,7 +106,11 @@ std::vector<matrix_cell> plan_matrix(u64 seed) {
 
 int main(int argc, char** argv) {
   const u64 seed = bench::seed_arg(argc, argv);
-  const cli opt = parse(argc, argv);
+  // --runs: fleet interruptions per (fault x auth) pair; --threads: the
+  // fleet pool, 0 = hardware_concurrency.
+  const std::size_t runs = bench::num_arg(argc, argv, "--runs", 24);
+  const auto threads = static_cast<unsigned>(bench::num_arg(argc, argv, "--threads"));
+  bench::end_args(argc, argv, "[--runs N] [--threads N]");
   bench::banner("Tab. 13 — crash-safe update lifecycle: recovery matrix",
                 "A/B slots + on-chip journal under beat-level fault injection");
 
@@ -209,11 +182,11 @@ int main(int argc, char** argv) {
   bench::banner("Fleet lifetime cells: randomized interruptions, serial vs pool",
                 "tab10 determinism proof over whole-device update episodes");
   fleet::fleet_config fcfg;
-  fcfg.cells = fleet::lifetime_matrix(opt.runs, seed ^ 0x13F1EE7ULL);
+  fcfg.cells = fleet::lifetime_matrix(runs, seed ^ 0x13F1EE7ULL);
   fcfg.threads = 1;
   fcfg.shuffle = false;
   const fleet::fleet_result serial = fleet::run_fleet(fcfg);
-  fcfg.threads = opt.threads;
+  fcfg.threads = threads;
   fcfg.shuffle = true;
   fcfg.shuffle_seed = seed ^ 0x13F1EE7ULL;
   const fleet::fleet_result pooled = fleet::run_fleet(fcfg);
@@ -241,71 +214,65 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(breaches), mismatches);
 
   // --- JSON -------------------------------------------------------------------
-  std::FILE* json = std::fopen(opt.json_path, "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-    return 1;
-  }
+  bench::json matrix = bench::json::array();
+  for (const matrix_cell& c : cells)
+    matrix.push(bench::json::object({
+        {"fault", sim::fault_point_name(c.point)},
+        {"trigger", c.trigger},
+        {"stalls", c.stalls},
+        {"backend", c.backend},
+        {"auth", engine::auth_mode_name(c.mode)},
+        {"status", update::update_status_name(c.lr.status)},
+        {"cut", c.lr.cut},
+        {"committed_new", c.lr.committed_new},
+        {"old_intact", c.lr.old_intact},
+        {"torn", c.lr.torn},
+        {"downgrade_blocked", c.lr.downgrade_blocked},
+        {"retries", c.lr.retries},
+        {"update_cycles", c.lr.update_cycles},
+    }));
+  bench::json tamper = bench::json::array();
+  for (const tamper_row& t : tampers)
+    tamper.push(bench::json::object({
+        {"auth", engine::auth_mode_name(t.mode)},
+        {"backend", t.backend},
+        {"downgrade", t.rep.downgrade_detected},
+        {"partial_flash", t.rep.partial_flash_detected},
+        {"interrupted", t.rep.interrupted_update_detected},
+        {"journal", t.rep.journal_tamper_detected},
+    }));
   const double total_ms = wall.ms();
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab13_update\",\n  \"image_bytes\": %zu,\n"
-               "  \"chunk_bytes\": %zu,\n  \"host_ms\": %.1f,\n"
-               "  \"host_ops_per_sec\": %.0f,\n  \"matrix\": [\n",
-               kImageBytes, kChunkBytes, total_ms,
-               bench::host_ops_per_sec(total_episodes, total_ms));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const matrix_cell& c = cells[i];
-    std::fprintf(
-        json,
-        "    {\"fault\": \"%s\", \"trigger\": %llu, \"stalls\": %u, "
-        "\"backend\": \"%s\", \"auth\": \"%s\", \"status\": \"%s\", "
-        "\"cut\": %s, \"committed_new\": %s, \"old_intact\": %s, "
-        "\"torn\": %s, \"downgrade_blocked\": %s, \"retries\": %llu, "
-        "\"update_cycles\": %llu}%s\n",
-        std::string(sim::fault_point_name(c.point)).c_str(),
-        static_cast<unsigned long long>(c.trigger), c.stalls, c.backend,
-        std::string(engine::auth_mode_name(c.mode)).c_str(),
-        std::string(update::update_status_name(c.lr.status)).c_str(),
-        c.lr.cut ? "true" : "false", c.lr.committed_new ? "true" : "false",
-        c.lr.old_intact ? "true" : "false", c.lr.torn ? "true" : "false",
-        c.lr.downgrade_blocked ? "true" : "false",
-        static_cast<unsigned long long>(c.lr.retries),
-        static_cast<unsigned long long>(c.lr.update_cycles),
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"tamper\": [\n");
-  for (std::size_t i = 0; i < tampers.size(); ++i) {
-    const tamper_row& t = tampers[i];
-    std::fprintf(json,
-                 "    {\"auth\": \"%s\", \"backend\": \"%s\", \"downgrade\": %s, "
-                 "\"partial_flash\": %s, \"interrupted\": %s, \"journal\": %s}%s\n",
-                 std::string(engine::auth_mode_name(t.mode)).c_str(), t.backend,
-                 t.rep.downgrade_detected ? "true" : "false",
-                 t.rep.partial_flash_detected ? "true" : "false",
-                 t.rep.interrupted_update_detected ? "true" : "false",
-                 t.rep.journal_tamper_detected ? "true" : "false",
-                 i + 1 < tampers.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"fleet\": {\"cells\": %zu, \"runs_per_pair\": %zu, "
-               "\"committed\": %llu, \"rolled_back\": %llu, \"torn\": %llu, "
-               "\"downgrade_breaches\": %llu, \"mismatches\": %zu},\n"
-               "  \"all_recovered_or_rolled_back\": %s\n}\n",
-               fcfg.cells.size(), opt.runs,
-               static_cast<unsigned long long>(committed),
-               static_cast<unsigned long long>(rolled_back),
-               static_cast<unsigned long long>(torn),
-               static_cast<unsigned long long>(breaches), mismatches,
-               ok ? "true" : "false");
-  std::fclose(json);
+  const bool wrote = bench::write_bench(
+      "update",
+      bench::json::object({
+          {"bench", "tab13_update"},
+          {"image_bytes", kImageBytes},
+          {"chunk_bytes", kChunkBytes},
+          {"host_ms", bench::host(bench::fixed(total_ms, 1))},
+          {"host_ops_per_sec",
+           bench::host(
+               bench::fixed(bench::host_ops_per_sec(total_episodes, total_ms), 0))},
+          {"matrix", std::move(matrix)},
+          {"tamper", std::move(tamper)},
+          {"fleet", bench::json::object({
+                        {"cells", fcfg.cells.size()},
+                        {"runs_per_pair", runs},
+                        {"committed", committed},
+                        {"rolled_back", rolled_back},
+                        {"torn", torn},
+                        {"downgrade_breaches", breaches},
+                        {"mismatches", mismatches},
+                    })},
+          {"all_recovered_or_rolled_back", ok},
+      }));
 
-  std::printf("\nwrote %s (%zu matrix cells, %llu episodes, %.1f ms)\n",
-              opt.json_path, cells.size(), total_episodes, total_ms);
+  std::printf("%zu matrix cells, %llu episodes, %.1f ms\n", cells.size(),
+              total_episodes, total_ms);
   if (!ok) {
     std::fprintf(stderr,
                  "FAIL: torn image, accepted downgrade, missed replay or "
                  "nondeterministic cell\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   }
 
   bench::banner("Cache policy ablation: write-back absorbs the penalty",
-                "DESIGN.md ablation 6");
+                "Section 2.2 write penalty under each cache write policy");
   {
     table t({"policy", "XOM-AES overhead", "XOM RMW ops"});
     const auto w = sim::make_data_rw(30'000, 128 * 1024, 0.35, 0.5, 4, 92);

@@ -9,9 +9,11 @@
 // DRAM — and reports bytes/cycle for both, i.e. the requests/sec view that
 // throughput-oriented memory-encryption evaluation (Sealer-style) uses.
 //
-// Emits BENCH_throughput.json (machine-readable, consumed by CI) next to
-// the console table.
+// Emits BENCH_throughput.json (simulated figures, consumed by CI) and its
+// BENCH_throughput.host.json sidecar (host timings) next to the console
+// table.
 
+#include "bench_json.hpp"
 #include "bench_util.hpp"
 
 #include <cstdio>
@@ -107,34 +109,32 @@ int main(int argc, char** argv) {
               "stream both runs — the delta is pure overlap, not work elided.\n",
               w.name.c_str(), kBanks, kBatchTxns);
 
-  std::FILE* json = std::fopen("BENCH_throughput.json", "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write BENCH_throughput.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab7_throughput\",\n  \"workload\": \"%s\",\n"
-               "  \"banks\": %u,\n  \"batch_txns\": %zu,\n"
-               "  \"host_ms\": %.1f,\n  \"host_ops_per_sec\": %.0f,\n"
-               "  \"engines\": [\n",
-               w.name.c_str(), kBanks, kBatchTxns, total_ms,
-               bench::host_ops_per_sec(total_ops, total_ms));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const engine_result& r = results[i];
-    std::fprintf(json,
-                 "    {\"engine\": \"%s\", \"ops\": %llu, "
-                 "\"scalar_bytes_per_cycle\": %.6f, "
-                 "\"batched_bytes_per_cycle\": %.6f, \"speedup\": %.4f, "
-                 "\"host_ms\": %.1f, \"host_ms_scalar\": %.1f, "
-                 "\"host_ms_batched\": %.1f, \"host_ops_per_sec\": %.0f}%s\n",
-                 r.name.c_str(), static_cast<unsigned long long>(r.scalar.ops),
-                 r.scalar.bytes_per_cycle(), r.batched.bytes_per_cycle(), r.speedup(),
-                 r.host_ms(), r.host_ms_scalar, r.host_ms_batched,
-                 bench::host_ops_per_sec(r.scalar.ops + r.batched.ops, r.host_ms()),
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_throughput.json\n");
-  return 0;
+  bench::json engines = bench::json::array();
+  for (const engine_result& r : results)
+    engines.push(bench::json::object({
+        {"engine", r.name},
+        {"ops", r.scalar.ops},
+        {"scalar_bytes_per_cycle", bench::fixed(r.scalar.bytes_per_cycle(), 6)},
+        {"batched_bytes_per_cycle", bench::fixed(r.batched.bytes_per_cycle(), 6)},
+        {"speedup", bench::fixed(r.speedup(), 4)},
+        {"host_ms", bench::host(bench::fixed(r.host_ms(), 1))},
+        {"host_ms_scalar", bench::host(bench::fixed(r.host_ms_scalar, 1))},
+        {"host_ms_batched", bench::host(bench::fixed(r.host_ms_batched, 1))},
+        {"host_ops_per_sec",
+         bench::host(bench::fixed(
+             bench::host_ops_per_sec(r.scalar.ops + r.batched.ops, r.host_ms()), 0))},
+    }));
+  const bool wrote = bench::write_bench(
+      "throughput",
+      bench::json::object({
+          {"bench", "tab7_throughput"},
+          {"workload", w.name},
+          {"banks", kBanks},
+          {"batch_txns", kBatchTxns},
+          {"host_ms", bench::host(bench::fixed(total_ms, 1))},
+          {"host_ops_per_sec",
+           bench::host(bench::fixed(bench::host_ops_per_sec(total_ops, total_ms), 0))},
+          {"engines", std::move(engines)},
+      }));
+  return wrote ? 0 : 1;
 }

@@ -13,9 +13,11 @@
 // attack trio against each scheme so CI can gate on detection, not just
 // speed.
 //
-// Emits BENCH_authenticated.json (machine-readable, consumed by CI).
+// Emits BENCH_authenticated.json (simulated figures, consumed by CI) and its
+// BENCH_authenticated.host.json sidecar (host timings).
 
 #include "attack/tamper.hpp"
+#include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "edu/engine_edu.hpp"
 
@@ -229,74 +231,64 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", dt.str().c_str());
 
-  std::FILE* json = std::fopen("BENCH_authenticated.json", "w");
-  if (!json) {
-    std::fprintf(stderr, "cannot write BENCH_authenticated.json\n");
-    return 1;
-  }
   const double total_ms = wall.ms();
   unsigned long long total_ops = 0;
-  for (const engine_result& er : results)
-    for (const scheme_result& sr : er.schemes)
-      for (const run_result& r : sr.runs) total_ops += r.ops;
-  std::fprintf(json,
-               "{\n  \"bench\": \"tab9_authenticated\",\n  \"window_bytes\": %llu,\n"
-               "  \"banks\": %u,\n  \"batch_txns\": %zu,\n"
-               "  \"host_ms\": %.1f,\n  \"host_ops_per_sec\": %.0f,\n"
-               "  \"engines\": [\n",
-               static_cast<unsigned long long>(kWindow), kBanks, kBatchTxns, total_ms,
-               bench::host_ops_per_sec(total_ops, total_ms));
-  for (std::size_t e = 0; e < results.size(); ++e) {
-    const engine_result& er = results[e];
-    std::fprintf(json,
-                 "    {\"engine\": \"%s\", \"backend\": \"%s\", \"schemes\": [\n",
-                 er.name.c_str(), er.backend.c_str());
-    for (std::size_t s = 0; s < er.schemes.size(); ++s) {
-      const scheme_result& sr = er.schemes[s];
-      std::fprintf(json, "      {\"scheme\": \"%s\", \"supported\": %s",
-                   std::string(engine::auth_mode_name(sr.mode)).c_str(),
-                   sr.supported ? "true" : "false");
+  bench::json engines = bench::json::array();
+  for (const engine_result& er : results) {
+    bench::json schemes = bench::json::array();
+    for (const scheme_result& sr : er.schemes) {
+      bench::json scheme = bench::json::object({
+          {"scheme", engine::auth_mode_name(sr.mode)},
+          {"supported", sr.supported},
+      });
       if (sr.supported) {
-        std::fprintf(json, ", \"workloads\": [\n");
-        for (std::size_t i = 0; i < sr.runs.size(); ++i) {
-          const run_result& r = sr.runs[i];
-          std::fprintf(
-              json,
-              "        {\"workload\": \"%s\", \"bytes_per_cycle\": %.6f, "
-              "\"bus_beats\": %llu, \"traffic_overhead\": %.6f, "
-              "\"tag_hit_rate\": %.4f, \"integrity_faults\": %llu, "
-              "\"auth_cycles\": %llu, \"tag_memory_bytes\": %zu, "
-              "\"onchip_bytes\": %zu}%s\n",
-              r.workload.c_str(), r.bytes_per_cycle,
-              static_cast<unsigned long long>(r.bus_beats), r.traffic_overhead,
-              r.tag_hit_rate, static_cast<unsigned long long>(r.integrity_faults),
-              static_cast<unsigned long long>(r.auth_cycles), r.tag_memory_bytes,
-              r.onchip_bytes, i + 1 == sr.runs.size() ? "" : ",");
+        bench::json runs = bench::json::array();
+        for (const run_result& r : sr.runs) {
+          total_ops += r.ops;
+          runs.push(bench::json::object({
+              {"workload", r.workload},
+              {"bytes_per_cycle", bench::fixed(r.bytes_per_cycle, 6)},
+              {"bus_beats", r.bus_beats},
+              {"traffic_overhead", bench::fixed(r.traffic_overhead, 6)},
+              {"tag_hit_rate", bench::fixed(r.tag_hit_rate, 4)},
+              {"integrity_faults", r.integrity_faults},
+              {"auth_cycles", r.auth_cycles},
+              {"tag_memory_bytes", r.tag_memory_bytes},
+              {"onchip_bytes", r.onchip_bytes},
+          }));
         }
-        std::fprintf(json, "      ]}");
-      } else {
-        std::fprintf(json, "}");
+        scheme.add("workloads", std::move(runs));
       }
-      std::fprintf(json, "%s\n", s + 1 == er.schemes.size() ? "" : ",");
+      schemes.push(std::move(scheme));
     }
-    std::fprintf(json, "    ]}%s\n", e + 1 == results.size() ? "" : ",");
+    engines.push(bench::json::object({
+        {"engine", er.name},
+        {"backend", er.backend},
+        {"schemes", std::move(schemes)},
+    }));
   }
-  std::fprintf(json, "  ],\n  \"tamper\": [\n");
-  for (std::size_t i = 0; i < tampers.size(); ++i) {
-    const tamper_row& row = tampers[i];
-    std::fprintf(json,
-                 "    {\"backend\": \"%s\", \"scheme\": \"%s\", \"clean\": %s, "
-                 "\"spoof\": %s, \"splice\": %s, \"replay\": %s}%s\n",
-                 row.backend.c_str(),
-                 std::string(engine::auth_mode_name(row.mode)).c_str(),
-                 row.rep.clean_faulted ? "false" : "true",
-                 row.rep.spoof_detected ? "true" : "false",
-                 row.rep.splice_detected ? "true" : "false",
-                 row.rep.replay_detected ? "true" : "false",
-                 i + 1 == tampers.size() ? "" : ",");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_authenticated.json\n");
-  return 0;
+  bench::json tamper = bench::json::array();
+  for (const tamper_row& row : tampers)
+    tamper.push(bench::json::object({
+        {"backend", row.backend},
+        {"scheme", engine::auth_mode_name(row.mode)},
+        {"clean", !row.rep.clean_faulted},
+        {"spoof", row.rep.spoof_detected},
+        {"splice", row.rep.splice_detected},
+        {"replay", row.rep.replay_detected},
+    }));
+  const bool wrote = bench::write_bench(
+      "authenticated",
+      bench::json::object({
+          {"bench", "tab9_authenticated"},
+          {"window_bytes", kWindow},
+          {"banks", kBanks},
+          {"batch_txns", kBatchTxns},
+          {"host_ms", bench::host(bench::fixed(total_ms, 1))},
+          {"host_ops_per_sec",
+           bench::host(bench::fixed(bench::host_ops_per_sec(total_ops, total_ms), 0))},
+          {"engines", std::move(engines)},
+          {"tamper", std::move(tamper)},
+      }));
+  return wrote ? 0 : 1;
 }

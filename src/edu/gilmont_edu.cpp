@@ -31,8 +31,8 @@ void gilmont_edu::prefetch(addr_t line_addr) {
     return;
   }
   // The prefetch read + decrypt happen in the background; its cycles do
-  // not appear on the critical path (bus contention is the price, noted in
-  // DESIGN.md). Functional effect: the decrypted next line is staged.
+  // not appear on the critical path (bus contention is the price).
+  // Functional effect: the decrypted next line is staged.
   (void)lower_->read(line_addr, pf_data_);
   crypt_line(pf_data_, /*encrypt=*/false);
   pf_valid_ = true;
@@ -61,7 +61,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
     return total;
   }
 
-  if (cfg_.fetch_prediction && pf_valid_ && pf_addr_ == addr) {
+  if (pf_valid_ && pf_addr_ == addr) {
     // Predicted correctly: the line is already fetched AND deciphered.
     ++prefetch_hits_;
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = pf_data_[i];
@@ -76,7 +76,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
   const cycles crypt =
       cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(out.size())) : 0;
   stats_.crypto_cycles += crypt;
-  if (cfg_.fetch_prediction) prefetch(addr + cfg_.line_bytes);
+  prefetch(addr + cfg_.line_bytes);
   return mem + crypt;
 }
 
@@ -151,7 +151,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
       const addr_t a = txn.addr + off;
       std::span<u8> line = txn.data.subspan(off, lb);
       ++stats_.reads;
-      if (cfg_.fetch_prediction && wpf_valid && wpf_addr == a) {
+      if (wpf_valid && wpf_addr == a) {
         // Predicted: the line is fetched (or in flight in this very
         // window) and deciphered by retirement. The copy-out runs at
         // retirement too — the destination span may double as an
@@ -173,7 +173,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
       stats_.crypto_cycles += crypt;
       b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                   [this, line] { crypt_line(line, /*encrypt=*/false); });
-      if (cfg_.fetch_prediction) prefetch_native(a + lb);
+      prefetch_native(a + lb);
     }
   }
   b.flush();

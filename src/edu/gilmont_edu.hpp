@@ -14,11 +14,10 @@ namespace buscrypt::edu {
 
 struct gilmont_edu_config {
   std::size_t line_bytes = 32;
-  addr_t code_limit = 1 << 20;   ///< addresses below this are (static) code
-  bool fetch_prediction = true;  ///< the prefetcher (ablation switch)
-  bool encrypt = true;           ///< false = prefetcher only, no cipher —
-                                 ///< the baseline the paper's "<2.5%" is
-                                 ///< measured against
+  addr_t code_limit = 1 << 20; ///< addresses below this are (static) code
+  bool encrypt = true;         ///< false = prefetcher only, no cipher —
+                               ///< the baseline the paper's "<2.5%" is
+                               ///< measured against
   pipeline_model core = tdes_pipelined();
   u64 iv_tweak = 0x6117ULL;
 };

@@ -160,8 +160,8 @@ std::vector<edu::master_desc> noc_cast(const fleet_cell& cell) {
     edu::master_desc& d = cast[i];
     const addr_t base = noc_slice_base(cell, i);
     const u64 seed = cell.seed ^ (0x40C0000ULL + i);
-    // The tab8 cast ratio, repeated: one compute stream, two bulk movers,
-    // one poller per group of four.
+    // The cast ratio of tab12's multimaster section, repeated: one compute
+    // stream, two bulk movers, one poller per group of four.
     switch (i % 4) {
       case 1:
       case 2:
@@ -316,13 +316,17 @@ cell_result run_cell(const fleet_cell& cell) {
   return r;
 }
 
-fleet_result run_fleet(const fleet_config& cfg) {
+namespace {
+
+/// Run \p run over every cell of \p cfg on the pool. Execution order is a
+/// pure scheduling choice: results land at their cell's config index, so a
+/// shuffled run must be bit-identical to a serial one — that is the
+/// property the determinism tests hammer.
+template <class Result, class Config, class Run>
+Result run_shuffled(const Config& cfg, const Run& run) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t n = cfg.cells.size();
 
-  // Execution order is a pure scheduling choice: results land at their
-  // cell's config index, so a shuffled run must be bit-identical to a
-  // serial one — that is the property the determinism tests hammer.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (cfg.shuffle && n > 1) {
@@ -331,11 +335,11 @@ fleet_result run_fleet(const fleet_config& cfg) {
       std::swap(order[i], order[shuffle_rng.below(i + 1)]);
   }
 
-  fleet_result out;
+  Result out;
   out.cells.resize(n);
   out.pool = run_jobs(n, cfg.threads, [&](std::size_t i) {
     const std::size_t idx = order[i];
-    out.cells[idx] = run_cell(cfg.cells[idx]);
+    out.cells[idx] = run(cfg.cells[idx]);
   });
   out.host_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -343,28 +347,14 @@ fleet_result run_fleet(const fleet_config& cfg) {
   return out;
 }
 
+} // namespace
+
+fleet_result run_fleet(const fleet_config& cfg) {
+  return run_shuffled<fleet_result>(cfg, run_cell);
+}
+
 churn_fleet_result run_churn_fleet(const churn_fleet_config& cfg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t n = cfg.cells.size();
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (cfg.shuffle && n > 1) {
-    rng shuffle_rng(cfg.shuffle_seed ^ 0x5F1EE7ULL);
-    for (std::size_t i = n - 1; i > 0; --i) // Fisher-Yates, deterministic
-      std::swap(order[i], order[shuffle_rng.below(i + 1)]);
-  }
-
-  churn_fleet_result out;
-  out.cells.resize(n);
-  out.pool = run_jobs(n, cfg.threads, [&](std::size_t i) {
-    const std::size_t idx = order[i];
-    out.cells[idx] = engine::run_churn(cfg.cells[idx]);
-  });
-  out.host_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  return out;
+  return run_shuffled<churn_fleet_result>(cfg, engine::run_churn);
 }
 
 u64 fleet_result::total_ops() const noexcept {
@@ -479,69 +469,6 @@ std::vector<fleet_cell> seed_sweep(fleet_cell proto, std::size_t n) {
     cells.push_back(std::move(c));
   }
   return cells;
-}
-
-std::string fleet_json(const fleet_config& cfg, const fleet_result& r,
-                       bool include_host) {
-  std::string out;
-  out.reserve(r.cells.size() * 256 + 512);
-  char buf[512];
-  const auto add = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    out += buf;
-  };
-
-  out += "{\n  \"bench\": \"fleet\",\n";
-  add("  \"cells\": %zu,\n", r.cells.size());
-  if (include_host) {
-    add("  \"threads\": %u,\n  \"steals\": %llu,\n  \"host_ms\": %.1f,\n"
-        "  \"host_txns_per_sec\": %.0f,\n",
-        r.pool.threads, static_cast<unsigned long long>(r.pool.steals), r.host_ms,
-        r.host_txns_per_sec());
-  }
-  add("  \"total_ops\": %llu,\n  \"total_bytes\": %llu,\n"
-      "  \"total_cycles\": %llu,\n  \"matrix\": [\n",
-      static_cast<unsigned long long>(r.total_ops()),
-      static_cast<unsigned long long>(r.total_bytes()),
-      static_cast<unsigned long long>(r.total_cycles()));
-  for (std::size_t i = 0; i < r.cells.size(); ++i) {
-    const fleet_cell& c = cfg.cells[i];
-    const cell_result& cr = r.cells[i];
-    add("    {\"cell\": \"%s\", \"engine\": \"%s\", \"traffic\": \"%s\", "
-        "\"auth\": \"%s\", \"drive\": \"%s\", \"seed\": %llu, \"accesses\": %zu, ",
-        cr.label.c_str(), std::string(edu::engine_name(c.kind)).c_str(),
-        std::string(traffic_name(c.load)).c_str(),
-        std::string(engine::auth_mode_name(c.auth)).c_str(),
-        std::string(drive_mode_name(c.drive)).c_str(),
-        static_cast<unsigned long long>(c.seed), c.accesses);
-    add("\"ops\": %llu, \"bytes\": %llu, \"cycles\": %llu, "
-        "\"bytes_per_cycle\": %.6f, \"integrity_faults\": %llu, "
-        "\"domain_faults\": %llu, \"firewall_denials\": %llu, "
-        "\"fallbacks\": %llu, \"dram_fnv\": \"%016llx\"",
-        static_cast<unsigned long long>(cr.ops),
-        static_cast<unsigned long long>(cr.bytes),
-        static_cast<unsigned long long>(cr.total_cycles), cr.bytes_per_cycle(),
-        static_cast<unsigned long long>(cr.integrity_faults),
-        static_cast<unsigned long long>(cr.domain_faults),
-        static_cast<unsigned long long>(cr.firewall_denials),
-        static_cast<unsigned long long>(cr.fallbacks),
-        static_cast<unsigned long long>(cr.dram_fnv));
-    // Lifetime-only fields, emitted only for lifetime cells so the
-    // committed BENCH_fleet.json stays byte-identical.
-    if (c.drive == drive_mode::lifetime)
-      add(", \"fault\": \"%s\", \"updates_committed\": %llu, "
-          "\"updates_rolled_back\": %llu, \"torn_images\": %llu, "
-          "\"downgrade_breaches\": %llu",
-          std::string(sim::fault_point_name(c.inject)).c_str(),
-          static_cast<unsigned long long>(cr.updates_committed),
-          static_cast<unsigned long long>(cr.updates_rolled_back),
-          static_cast<unsigned long long>(cr.torn_images),
-          static_cast<unsigned long long>(cr.downgrade_breaches));
-    if (include_host) add(", \"host_ms\": %.1f", cr.host_ms);
-    out += i + 1 == r.cells.size() ? "}\n" : "},\n";
-  }
-  out += "  ]\n}\n";
-  return out;
 }
 
 } // namespace buscrypt::fleet

@@ -92,8 +92,9 @@ struct fleet_cell {
   // noc drive only (every other drive ignores all four): the interconnect
   // shape. The heterogeneous cast (CPU compute, DMA movers, peripheral
   // pollers — see noc_cast) partitions the footprint; noc_clusters == 0
-  // is the flat implicit cluster (the tab8 shared bus), >= 1
-  // deals the masters round-robin into that many explicit clusters.
+  // is the flat implicit cluster (the shared bus of tab12's multimaster
+  // section), >= 1 deals the masters round-robin into that many explicit
+  // clusters.
   std::size_t noc_masters = 4;
   std::size_t noc_clusters = 0;
   bool noc_qos = false;      ///< role-derived QoS classes (dma bulk, periph latency)
@@ -239,15 +240,6 @@ struct churn_fleet_result {
 /// Run every churn cell across the pool. Results land in config order;
 /// cell results are bit-identical for any threads/shuffle choice.
 [[nodiscard]] churn_fleet_result run_churn_fleet(const churn_fleet_config& cfg);
-
-// --- serialization -----------------------------------------------------------
-
-/// Deterministic JSON for a fleet run. With include_host = false every
-/// machine-dependent field (host_ms, pool stats) is omitted, so one
-/// config yields a byte-identical string across runs, thread counts and
-/// execution orders — the artifact the determinism tests diff.
-[[nodiscard]] std::string fleet_json(const fleet_config& cfg, const fleet_result& r,
-                                     bool include_host = true);
 
 /// The DRAM-image fingerprint (FNV-1a 64-bit, common/fnv.hpp).
 using buscrypt::fnv1a;

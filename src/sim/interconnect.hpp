@@ -11,9 +11,9 @@
 ///           ┌────┼────┐      ┌────┼────┐
 ///          m0   m1   m2     m3   m4   m5         (bus_master streams)
 ///
-/// A topology with one cluster is the flat shared bus (tab8): the root has
-/// a single child, so every grant decision is the cluster's, taken by the
-/// same policy code over the same master order.
+/// A topology with one cluster is the flat shared bus (tab12's multimaster
+/// section): the root has a single child, so every grant decision is the
+/// cluster's, taken by the same policy code over the same master order.
 ///
 /// Two grant policies, the classic pair, run at every node:
 ///  - round_robin: rotate among children with pending work. Fair by
@@ -238,7 +238,7 @@ struct qos_class_stats {
 };
 
 /// What one interconnect run measured: the flat arbiter_stats view (so
-/// every tab8 consumer keeps working) plus the tree/QoS/reconfig layers.
+/// every flat-bus consumer keeps working) plus the tree/QoS/reconfig layers.
 struct interconnect_stats {
   arbiter_stats bus; ///< aggregate + per-master, master bind order
   std::vector<cluster_stats> clusters;

@@ -46,7 +46,7 @@ namespace buscrypt::sim {
 // sim/bus_master.hpp): the VLSI secure-DMA engine's page-by-page bulk
 // transfers (Fig. 4) and a peripheral's register polling loop. Combined
 // with the CPU generators above they form the mixed-master scenarios
-// bench/tab8_multimaster sweeps.
+// bench/tab12_interconnect's multimaster section sweeps.
 
 /// Bulk DMA copy: \p n_bytes moved burst by burst from [src_base, ...) to
 /// [dst_base, ...). Each \p burst_bytes burst is fully covered by 8-byte

@@ -2,8 +2,9 @@
 // determinism, rank-frequency slope, skew monotonicity), the churn fleet
 // (thread-count/shuffle invariance, draw identity across policies), and
 // the cross-policy equivalence sweeps — every engine x policy produces
-// bit-identical DRAM, including under the tab8 multi-master domain
-// workload. Policies may move telemetry and cycles, never bytes.
+// bit-identical DRAM, including under the multi-master domain workload
+// of tab12's multimaster section. Policies may move telemetry and cycles,
+// never bytes.
 
 #include "edu/engine_edu.hpp"
 #include "edu/soc.hpp"
@@ -206,7 +207,7 @@ TEST(KeyslotPolicySweep, EveryEngineEveryPolicyDramBitIdentical) {
   }
 }
 
-// The tab8 multi-master mix with keyslot domains: CPU compute, DMA bulk
+// The tab12 multimaster mix with keyslot domains: CPU compute, DMA bulk
 // copy in its own domain, peripheral polling — against a deliberately
 // tiny pool so domain contexts churn through it. Every policy must leave
 // the exact same DRAM image and fault nobody.

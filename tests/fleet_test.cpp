@@ -1,8 +1,8 @@
 // Many-SoC fleet runner: work-stealing pool semantics (every job exactly
 // once, serial reference order, exception propagation, stealing under
 // skew), the multi-threaded make_keyed() hammer on the shared builtin
-// backend registry, fleet determinism (byte-identical fleet JSON across
-// thread counts and execution orders, stable seed sweeps), and the
+// backend registry, fleet determinism (bit-identical cells across thread
+// counts and execution orders, stable seed sweeps), and the
 // 16-engine x 4-auth fleet-vs-solo bit-equivalence sweep. These are the
 // proofs behind the cell-independence contract in fleet.hpp: scheduling
 // may never leak into simulated results.
@@ -194,10 +194,17 @@ TEST(FleetCell, DistinctSeedsProduceDistinctImages) {
     }
 }
 
-// The satellite-2 artifact: same fleet_config -> byte-identical
-// machine-independent JSON whether the fleet runs serially, on 4
-// threads, on hardware_concurrency threads, or in a shuffled order.
-TEST(FleetDeterminism, JsonByteIdenticalAcrossThreadCountsAndOrders) {
+/// Every cell of \p b is bit-identical to the same cell of \p a.
+void expect_cells_equal(const fleet_result& a, const fleet_result& b) {
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t i = 0; i < a.cells.size(); ++i)
+    EXPECT_TRUE(b.cells[i].sim_equal(a.cells[i])) << a.cells[i].label;
+}
+
+// Same fleet_config -> every cell bit-identical whether the fleet runs
+// serially, on 4 threads, on hardware_concurrency threads, or in a
+// shuffled order.
+TEST(FleetDeterminism, CellsBitIdenticalAcrossThreadCountsAndOrders) {
   fleet_config cfg;
   cfg.cells = fleet::engine_matrix(200, 0xDE7E12ULL);
   for (fleet_cell& c : cfg.cells) c.footprint = 64 * 1024;
@@ -212,19 +219,17 @@ TEST(FleetDeterminism, JsonByteIdenticalAcrossThreadCountsAndOrders) {
 
   cfg.threads = 1;
   cfg.shuffle = false;
-  const std::string serial = fleet::fleet_json(cfg, fleet::run_fleet(cfg), false);
-  const std::string serial_again =
-      fleet::fleet_json(cfg, fleet::run_fleet(cfg), false);
-  EXPECT_EQ(serial, serial_again);
+  const fleet_result serial = fleet::run_fleet(cfg);
+  expect_cells_equal(serial, fleet::run_fleet(cfg));
 
   cfg.threads = 4;
   cfg.shuffle = true;
   cfg.shuffle_seed = 1;
-  EXPECT_EQ(serial, fleet::fleet_json(cfg, fleet::run_fleet(cfg), false));
+  expect_cells_equal(serial, fleet::run_fleet(cfg));
 
   cfg.threads = 0; // hardware_concurrency
   cfg.shuffle_seed = 99;
-  EXPECT_EQ(serial, fleet::fleet_json(cfg, fleet::run_fleet(cfg), false));
+  expect_cells_equal(serial, fleet::run_fleet(cfg));
 }
 
 TEST(FleetDeterminism, SeedSweepFleetIsStableAcrossRuns) {
@@ -234,10 +239,7 @@ TEST(FleetDeterminism, SeedSweepFleetIsStableAcrossRuns) {
   cfg.threads = 3;
   cfg.shuffle = true;
   cfg.shuffle_seed = 7;
-  const std::string a = fleet::fleet_json(cfg, fleet::run_fleet(cfg), false);
-  const std::string b = fleet::fleet_json(cfg, fleet::run_fleet(cfg), false);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"dram_fnv\""), std::string::npos);
+  expect_cells_equal(fleet::run_fleet(cfg), fleet::run_fleet(cfg));
 }
 
 TEST(FleetDeterminism, CpuDriveCellsMatchSoloRuns) {
@@ -285,21 +287,6 @@ TEST(FleetDeterminism, BitslicedDesCellsAcrossWorkerThreads) {
   ASSERT_EQ(r.cells.size(), solo.size());
   for (std::size_t i = 0; i < solo.size(); ++i)
     EXPECT_TRUE(r.cells[i].sim_equal(solo[i])) << solo[i].label;
-}
-
-TEST(FleetJson, HostFieldsAppearOnlyWhenRequested) {
-  fleet_config cfg;
-  cfg.cells.push_back(small_cell(edu::engine_kind::plaintext,
-                                 engine::auth_mode::none, 100));
-  cfg.threads = 1;
-  const fleet_result r = fleet::run_fleet(cfg);
-  const std::string with_host = fleet::fleet_json(cfg, r, true);
-  const std::string without = fleet::fleet_json(cfg, r, false);
-  EXPECT_NE(with_host.find("\"host_ms\""), std::string::npos);
-  EXPECT_NE(with_host.find("\"threads\""), std::string::npos);
-  EXPECT_EQ(without.find("\"host_ms\""), std::string::npos);
-  EXPECT_EQ(without.find("\"threads\""), std::string::npos);
-  EXPECT_NE(without.find("\"total_cycles\""), std::string::npos);
 }
 
 // --- the 16-engine x 4-auth bit-equivalence sweep (satellite 3) -------------
