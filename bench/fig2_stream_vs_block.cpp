@@ -5,7 +5,6 @@
 // deciphering cannot start until a complete block has been received."
 
 #include "bench_util.hpp"
-#include "crypto/aes.hpp"
 #include "edu/timing.hpp"
 
 namespace buscrypt {
@@ -58,9 +57,6 @@ void block_latency_sweep() {
 
   table t({"core", "latency (cyc)", "II", "engine overhead"});
   for (const auto& core : {edu::aes_pipelined(), edu::aes_iterative()}) {
-    rng kr(42);
-    const crypto::aes cipher(kr.random_bytes(16));
-
     edu::soc_config cfg = bench::default_soc();
     edu::secure_soc soc(core.interval == 1 ? edu::engine_kind::xom_aes
                                            : edu::engine_kind::block_ecb_aes,

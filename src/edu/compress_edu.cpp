@@ -40,11 +40,9 @@ void compress_edu::install_code(addr_t base, std::span<const u8> code) {
 
     bytes chunk(image_.payload.begin() + static_cast<std::ptrdiff_t>(start_byte),
                 image_.payload.begin() + static_cast<std::ptrdiff_t>(end_byte));
-    if (cfg_.encrypt) {
-      bytes pad(chunk.size());
-      pad_.generate(phys, pad);
-      xor_bytes(chunk, pad);
-    }
+    bytes pad(chunk.size());
+    pad_.generate(phys, pad);
+    xor_bytes(chunk, pad);
     (void)lower_->write(phys, chunk);
     group_extent_.emplace_back(static_cast<u32>(phys - base), static_cast<u32>(len));
     phys += len;
@@ -93,19 +91,15 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
     // Fetch the *compressed* group: fewer bus beats than a raw line.
     bytes chunk(len);
     const cycles mem = lower_->read(phys, chunk);
-    cycles spent = mem;
-    if (cfg_.encrypt) {
-      bytes pad(chunk.size());
-      pad_.generate(phys, pad);
-      stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
-      xor_bytes(chunk, pad);
-      const cycles pad_t =
-          cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
-      spent = std::max(mem, pad_t) + cfg_.xor_cycles;
-    }
+    bytes pad(chunk.size());
+    pad_.generate(phys, pad);
+    stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
+    xor_bytes(chunk, pad);
+    const cycles pad_t =
+        cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
     // The decompressor streams: it consumes beats as they arrive (CodePack
     // style), so only its drain beyond the transfer is exposed.
-    const cycles mem_and_pad = spent;
+    const cycles mem_and_pad = std::max(mem, pad_t) + cfg_.xor_cycles;
 
     // Stream the decrypted chunk straight into the decompressor, exactly
     // as the hardware fill path would.
@@ -114,8 +108,9 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
         std::min(image_.group_bytes, image_.original_size - group_base);
     const bytes group_plain = engine_.decompress_chunk(
         chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
-    spent = std::max(mem_and_pad, cfg_.decomp.latency_for(group_plain.size())) +
-            cfg_.decomp.startup;
+    const cycles spent =
+        std::max(mem_and_pad, cfg_.decomp.latency_for(group_plain.size())) +
+        cfg_.decomp.startup;
     stats_.crypto_cycles += spent - mem;
 
     for (std::size_t i = 0; i < n; ++i) out[done + i] = group_plain[in_group + i];
@@ -128,29 +123,23 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
 cycles compress_edu::pad_io(addr_t addr, std::span<u8> buf, bool is_write,
                             std::span<const u8> wdata) {
   const std::size_t len = is_write ? wdata.size() : buf.size();
-  const cycles pad_t = cfg_.encrypt
-                           ? cfg_.pad_core.time_parallel(pad_.blocks_covering(addr, len))
-                           : 0;
+  const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(addr, len));
   cycles mem;
   if (is_write) {
     bytes ct(wdata.begin(), wdata.end());
-    if (cfg_.encrypt) {
-      bytes pad(ct.size());
-      pad_.generate(addr, pad);
-      stats_.cipher_blocks += pad_.blocks_covering(addr, ct.size());
-      xor_bytes(ct, pad);
-    }
+    bytes pad(ct.size());
+    pad_.generate(addr, pad);
+    stats_.cipher_blocks += pad_.blocks_covering(addr, ct.size());
+    xor_bytes(ct, pad);
     mem = lower_->write(addr, ct);
   } else {
     mem = lower_->read(addr, buf);
-    if (cfg_.encrypt) {
-      bytes pad(buf.size());
-      pad_.generate(addr, pad);
-      stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
-      xor_bytes(buf, pad);
-    }
+    bytes pad(buf.size());
+    pad_.generate(addr, pad);
+    stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
+    xor_bytes(buf, pad);
   }
-  const cycles total = cfg_.encrypt ? std::max(mem, pad_t) + cfg_.xor_cycles : mem;
+  const cycles total = std::max(mem, pad_t) + cfg_.xor_cycles;
   stats_.crypto_cycles += total - mem;
   return total;
 }
@@ -179,31 +168,25 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
     if (!code) {
       // Data region: the pad-overlap path.
       const cycles pad_t =
-          cfg_.encrypt ? cfg_.pad_core.time_parallel(
-                             pad_.blocks_covering(txn.addr, txn.data.size()))
-                       : 0;
+          cfg_.pad_core.time_parallel(pad_.blocks_covering(txn.addr, txn.data.size()));
       if (txn.is_write()) {
         bytes& ct = b.scratch_copy(txn.data);
-        if (cfg_.encrypt) {
-          bytes pad(ct.size());
-          pad_.generate(txn.addr, pad);
-          stats_.cipher_blocks += pad_.blocks_covering(txn.addr, ct.size());
-          xor_bytes(ct, pad);
-          b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
-          stats_.crypto_cycles += cfg_.xor_cycles;
-        }
+        bytes pad(ct.size());
+        pad_.generate(txn.addr, pad);
+        stats_.cipher_blocks += pad_.blocks_covering(txn.addr, ct.size());
+        xor_bytes(ct, pad);
+        b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
+        stats_.crypto_cycles += cfg_.xor_cycles;
         (void)b.queue(sim::txn_op::write, txn.master, txn.addr, ct);
       } else {
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, txn.addr, txn.data);
-        if (cfg_.encrypt) {
-          stats_.cipher_blocks += pad_.blocks_covering(txn.addr, txn.data.size());
-          stats_.crypto_cycles += cfg_.xor_cycles;
-          b.add_par(li, pad_t, cfg_.xor_cycles, [this, addr = txn.addr, data = txn.data] {
-            bytes pad(data.size());
-            pad_.generate(addr, pad);
-            xor_bytes(data, pad);
-          });
-        }
+        stats_.cipher_blocks += pad_.blocks_covering(txn.addr, txn.data.size());
+        stats_.crypto_cycles += cfg_.xor_cycles;
+        b.add_par(li, pad_t, cfg_.xor_cycles, [this, addr = txn.addr, data = txn.data] {
+          bytes pad(data.size());
+          pad_.generate(addr, pad);
+          xor_bytes(data, pad);
+        });
       }
       continue;
     }
@@ -221,16 +204,14 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
 
       bytes& chunk = b.scratch(len);
       const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
-      if (cfg_.encrypt) {
-        const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, len));
-        stats_.cipher_blocks += pad_.blocks_covering(phys, len);
-        stats_.crypto_cycles += cfg_.xor_cycles;
-        b.add_par(li, pad_t, cfg_.xor_cycles, [this, phys, &chunk] {
-          bytes pad(chunk.size());
-          pad_.generate(phys, pad);
-          xor_bytes(chunk, pad);
-        });
-      }
+      const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, len));
+      stats_.cipher_blocks += pad_.blocks_covering(phys, len);
+      stats_.crypto_cycles += cfg_.xor_cycles;
+      b.add_par(li, pad_t, cfg_.xor_cycles, [this, phys, &chunk] {
+        bytes pad(chunk.size());
+        pad_.generate(phys, pad);
+        xor_bytes(chunk, pad);
+      });
       const std::size_t group_base = g * image_.group_bytes;
       const std::size_t group_len =
           std::min(image_.group_bytes, image_.original_size - group_base);

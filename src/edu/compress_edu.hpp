@@ -24,7 +24,6 @@ struct compress_edu_config {
   pipeline_model pad_core = aes_pipelined();
   compress::codec_timing decomp = {4, 0.5}; ///< hardware decompressor model
   cycles xor_cycles = 1;
-  bool encrypt = true;        ///< ablation: compression-only
   u64 tweak = 0xC0305E55ULL;
 };
 
@@ -35,7 +34,7 @@ class compress_edu final : public edu {
                compress_edu_config cfg);
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return cfg_.encrypt ? "Compress+OTP" : "Compress-only";
+    return "Compress+OTP";
   }
 
   /// Compress, encrypt and lay out a static code image at \p base.

@@ -6,7 +6,7 @@ engine_edu::engine_edu(sim::memory_port& lower, std::span<const u8> key,
                        engine_edu_config cfg)
     : edu(lower), cfg_(std::move(cfg)),
       slots_(engine::backend_registry::builtin(), cfg_.num_slots, cfg_.policy),
-      engine_(lower, slots_, cfg_.engine),
+      engine_(lower, slots_),
       name_(std::string(keyslot_name_prefix) + cfg_.backend) {
   default_ctx_ = engine_.create_context(
       {cfg_.backend, bytes(key.begin(), key.end()), cfg_.data_unit_size});

@@ -1,10 +1,10 @@
 #include "engine/bus_encryption_engine.hpp"
 
-#include "common/bitops.hpp"
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace buscrypt::engine {
 
@@ -70,14 +70,14 @@ memory_authenticator& bus_encryption_engine::attach_auth(context_id ctx,
     // expanded AREA format at version 0. Offline, like install().
     const std::size_t du = k.data_unit_size;
     slot_lease lease = lease_slot(k, /*charge_time=*/false);
-    bytes plain(du), ct(du);
+    bytes unit(du);
     for (addr_t a = auth.config().base; a < auth.config().limit; a += du) {
-      (void)lower_->read(a, plain);
-      (void)transform_units(*lease.kc, k, a, plain, /*encrypt=*/false, lease.fallback,
+      (void)lower_->read(a, unit);
+      (void)transform_units(*lease.kc, k, a, unit, /*encrypt=*/false, lease.fallback,
                             /*charge=*/false);
-      (void)auth.area_encipher(*lease.kc, a, plain, ct, /*initial=*/true,
+      (void)auth.area_encipher(*lease.kc, a, unit, unit, /*initial=*/true,
                                /*charge=*/false);
-      (void)lower_->write(a, ct);
+      (void)lower_->write(a, unit);
     }
   } else {
     auth.seal_from_memory();
@@ -224,21 +224,6 @@ cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_ke
   return t;
 }
 
-void bus_encryption_engine::transform_units_bulk(keyed_cipher& kc, const keyslot_key& k,
-                                                 addr_t unit_base, std::span<u8> buf,
-                                                 bool encrypt) {
-  const std::size_t du = k.data_unit_size;
-  if (!kc.pad_precomputable() || buf.empty() || unit_base % du != 0 ||
-      buf.size() % du != 0) {
-    (void)transform_units(kc, k, unit_base, buf, encrypt, /*fallback=*/false,
-                          /*charge=*/false);
-    return;
-  }
-  bytes pad(buf.size());
-  kc.generate_pads(unit_base / du, du, pad);
-  xor_bytes(buf, pad); // u64-wide pad application
-}
-
 bus_encryption_engine::slot_lease
 bus_encryption_engine::lease_slot(const keyslot_key& k, bool charge_time, bool hw_only) {
   slot_lease lease;
@@ -251,10 +236,10 @@ bus_encryption_engine::lease_slot(const keyslot_key& k, bool charge_time, bool h
   if (lease.guard->valid()) {
     lease.kc = &lease.guard->keyed();
     if (charge_time && ks.cold_programs + ks.reprograms != demand_before) {
-      lease.setup = cfg_.slot_program_cycles;
-      stats_.crypto_cycles += cfg_.slot_program_cycles;
+      lease.setup = slot_program_cycles;
+      stats_.crypto_cycles += slot_program_cycles;
       ++stats_.reprogram_stalls;
-      stats_.reprogram_stall_cycles += cfg_.slot_program_cycles;
+      stats_.reprogram_stall_cycles += slot_program_cycles;
     }
     return lease;
   }
@@ -273,250 +258,182 @@ bus_encryption_engine::lease_slot(const keyslot_key& k, bool charge_time, bool h
   return lease;
 }
 
-cycles bus_encryption_engine::crypt_span(context_id ctx, addr_t addr, std::span<u8> data,
-                                         bool is_write, bool charge_time) {
+cycles bus_encryption_engine::open_units(master_id m, context_id ctx,
+                                         const slot_lease& lease, addr_t a0,
+                                         std::span<u8> units, bool charge) {
   const keyslot_key& k = contexts_[ctx];
   const std::size_t du = k.data_unit_size;
-  const addr_t a0 = addr / du * du;                      // covering range, unit aligned
-  const addr_t a1 = (addr + data.size() + du - 1) / du * du;
-  const bool head_partial = addr != a0;
-  const bool tail_partial = addr + data.size() != a1;
-
-  slot_lease lease = lease_slot(k, charge_time);
-  keyed_cipher* kc = lease.kc;
-  const bool fallback = lease.fallback;
-  cycles t = lease.setup;
-
   memory_authenticator* auth = auths_[ctx].get();
-  if (auth != nullptr && auth->mode() == auth_mode::area)
-    return t + area_span(*auth, *kc, k, addr, data, is_write, charge_time, fallback);
-
-  bytes cover(static_cast<std::size_t>(a1 - a0));
-
-  // mac/hash_tree verify the *ciphertext* of one covered unit; a mismatch
-  // is counted against the issuing master and the unit's plaintext is
-  // replaced by the bus-error fill (the CPU must never consume it).
-  auto verify_ct = [&](addr_t unit_addr, std::span<const u8> ct) -> bool {
-    if (auth == nullptr || !auth->covers(unit_addr)) return true;
-    const auto cr = auth->verify_unit(unit_addr, ct, charge_time);
-    t += cr.bus + cr.compute;
-    return cr.ok;
-  };
+  cycles t = 0;
+  // A unit whose check failed is counted against the issuing master and
+  // its plaintext replaced by the bus-error fill (the CPU must never
+  // consume it).
   auto fault_unit = [&](std::span<u8> plain) {
     std::fill(plain.begin(), plain.end(), fault_fill);
-    note_integrity_fault(active_master_);
-    if (charge_time) t += cfg_.fault_cycles;
+    note_integrity_fault(m);
+    if (charge) t += fault_cycles;
   };
 
-  if (!is_write) {
-    t += lower_->read(a0, cover);
-    std::vector<std::size_t> failed;
-    if (auth != nullptr)
-      for (std::size_t off = 0; off < cover.size(); off += du)
-        if (!verify_ct(a0 + off, std::span<const u8>(cover).subspan(off, du)))
-          failed.push_back(off);
-    t += transform_units(*kc, k, a0, cover, /*encrypt=*/false, fallback, charge_time);
-    for (const std::size_t off : failed)
-      fault_unit(std::span<u8>(cover).subspan(off, du));
-    std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), data.size(),
-                data.begin());
+  if (auth != nullptr && auth->mode() == auth_mode::area) {
+    // AREA unseals each unit in place of verify + decrypt: DRAM ciphertext
+    // + sideband -> plaintext, nonce slices checked on the way.
+    for (std::size_t off = 0; off < units.size(); off += du) {
+      const addr_t ua = a0 + off;
+      const std::span<u8> unit = units.subspan(off, du);
+      if (!auth->covers(ua)) {
+        t += transform_units(*lease.kc, k, ua, unit, /*encrypt=*/false, lease.fallback,
+                             charge);
+        continue;
+      }
+      const auto cr = auth->area_decipher(*lease.kc, ua, unit, unit, charge);
+      if (charge) t += charge_units(cr.compute, 1);
+      if (!cr.ok) fault_unit(unit);
+    }
     return t;
   }
 
-  // Write path. Partial edge units trigger the paper's five-step penalty:
-  // read, decipher, modify, re-cipher, write back.
-  if (head_partial || tail_partial) {
-    if (head_partial) {
-      std::span<u8> head(cover.data(), du);
-      t += lower_->read(a0, head);
-      const bool ok = verify_ct(a0, head);
-      t += transform_units(*kc, k, a0, head, /*encrypt=*/false, fallback, charge_time);
-      if (!ok) fault_unit(head);
-      ++stats_.rmw_ops;
-    }
-    if (tail_partial && (a1 - a0 > du || !head_partial)) {
-      std::span<u8> tail(cover.data() + cover.size() - du, du);
-      t += lower_->read(a1 - du, tail);
-      const bool ok = verify_ct(a1 - du, tail);
-      t += transform_units(*kc, k, a1 - du, tail, /*encrypt=*/false, fallback, charge_time);
-      if (!ok) fault_unit(tail);
-      ++stats_.rmw_ops; // guard above ensures this unit was not the head RMW
-    }
+  // mac/hash_tree verify the *ciphertext* of each unit before the decrypt.
+  std::vector<std::size_t> failed;
+  for (std::size_t off = 0; auth != nullptr && off < units.size(); off += du) {
+    if (!auth->covers(a0 + off)) continue;
+    const auto cr = auth->verify_unit(a0 + off, units.subspan(off, du), charge);
+    t += cr.bus + cr.compute;
+    if (!cr.ok) failed.push_back(off);
   }
-  std::copy(data.begin(), data.end(),
-            cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
-  t += transform_units(*kc, k, a0, cover, /*encrypt=*/true, fallback, charge_time);
-  if (auth != nullptr)
-    for (std::size_t off = 0; off < cover.size(); off += du) {
-      const addr_t ua = a0 + off;
-      if (!auth->covers(ua)) continue;
-      const auto cr =
-          auth->update_unit(ua, std::span<const u8>(cover).subspan(off, du), charge_time);
-      t += cr.bus + cr.compute;
-      if (!cr.ok) { // hash_tree caught a tampered stored path on the write walk
-        note_integrity_fault(active_master_);
-        if (charge_time) t += cfg_.fault_cycles;
-      }
-    }
-  t += lower_->write(a0, cover);
+  t += transform_units(*lease.kc, k, a0, units, /*encrypt=*/false, lease.fallback,
+                       charge);
+  for (const std::size_t off : failed) fault_unit(units.subspan(off, du));
   return t;
 }
 
-cycles bus_encryption_engine::area_span(memory_authenticator& auth, keyed_cipher& kc,
-                                        const keyslot_key& k, addr_t addr,
-                                        std::span<u8> data, bool is_write,
-                                        bool charge_time, bool fallback) {
+cycles bus_encryption_engine::seal_units(master_id m, context_id ctx,
+                                         const slot_lease& lease, addr_t a0,
+                                         std::span<u8> units, bool charge) {
+  const keyslot_key& k = contexts_[ctx];
   const std::size_t du = k.data_unit_size;
-  const addr_t a0 = addr / du * du;
-  const addr_t a1 = (addr + data.size() + du - 1) / du * du;
-  const bool head_partial = addr != a0;
-  const bool tail_partial = addr + data.size() != a1;
+  memory_authenticator* auth = auths_[ctx].get();
   cycles t = 0;
 
-  auto charge_unit = [&](cycles c) {
-    if (!charge_time) return;
-    t += c;
-    stats_.crypto_cycles += c;
-    ++stats_.units;
-  };
-  // Unseal one covered unit in place: DRAM ciphertext + sideband ->
-  // plaintext, nonce slices checked on the way.
-  auto unseal = [&](addr_t ua, std::span<u8> buf) {
-    bytes plain(du);
-    const auto cr = auth.area_decipher(kc, ua, buf, plain, charge_time);
-    std::copy(plain.begin(), plain.end(), buf.begin());
-    charge_unit(cr.compute);
-    if (!cr.ok) {
-      std::fill(buf.begin(), buf.end(), fault_fill);
-      note_integrity_fault(active_master_);
-      if (charge_time) t += cfg_.fault_cycles;
-    }
-  };
-
-  if (!is_write) {
-    bytes cover(static_cast<std::size_t>(a1 - a0));
-    t += lower_->read(a0, cover);
-    for (std::size_t off = 0; off < cover.size(); off += du) {
+  if (auth != nullptr && auth->mode() == auth_mode::area) {
+    // AREA seals each unit in place of encrypt + tag store.
+    for (std::size_t off = 0; off < units.size(); off += du) {
       const addr_t ua = a0 + off;
-      std::span<u8> unit = std::span<u8>(cover).subspan(off, du);
-      if (auth.covers(ua)) unseal(ua, unit);
-      else t += transform_units(kc, k, ua, unit, /*encrypt=*/false, fallback, charge_time);
+      const std::span<u8> unit = units.subspan(off, du);
+      if (!auth->covers(ua)) {
+        t += transform_units(*lease.kc, k, ua, unit, /*encrypt=*/true, lease.fallback,
+                             charge);
+        continue;
+      }
+      const cycles c =
+          auth->area_encipher(*lease.kc, ua, unit, unit, /*initial=*/false, charge);
+      if (charge) t += charge_units(c, 1);
     }
-    std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), data.size(),
-                data.begin());
     return t;
   }
 
-  // Write path: assemble the plaintext cover (RMW through the unseal for
-  // partial edges), then re-seal unit by unit and store in one burst.
-  bytes plain_cover(static_cast<std::size_t>(a1 - a0));
-  auto rmw_read = [&](addr_t ua, std::span<u8> buf) {
-    t += lower_->read(ua, buf);
-    if (auth.covers(ua)) unseal(ua, buf);
-    else t += transform_units(kc, k, ua, buf, /*encrypt=*/false, fallback, charge_time);
-    ++stats_.rmw_ops;
-  };
-  if (head_partial) rmw_read(a0, std::span<u8>(plain_cover.data(), du));
-  if (tail_partial && (a1 - a0 > du || !head_partial))
-    rmw_read(a1 - du, std::span<u8>(plain_cover.data() + plain_cover.size() - du, du));
-  std::copy(data.begin(), data.end(),
-            plain_cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
-
-  bytes ct_cover(plain_cover.size());
-  for (std::size_t off = 0; off < plain_cover.size(); off += du) {
-    const addr_t ua = a0 + off;
-    std::span<u8> ct = std::span<u8>(ct_cover).subspan(off, du);
-    if (auth.covers(ua)) {
-      const cycles c = auth.area_encipher(
-          kc, ua, std::span<const u8>(plain_cover).subspan(off, du), ct,
-          /*initial=*/false, charge_time);
-      charge_unit(c);
-    } else {
-      std::copy_n(plain_cover.begin() + static_cast<std::ptrdiff_t>(off), du, ct.begin());
-      t += transform_units(kc, k, ua, ct, /*encrypt=*/true, fallback, charge_time);
+  t += transform_units(*lease.kc, k, a0, units, /*encrypt=*/true, lease.fallback, charge);
+  for (std::size_t off = 0; auth != nullptr && off < units.size(); off += du) {
+    if (!auth->covers(a0 + off)) continue;
+    const auto cr = auth->update_unit(a0 + off, units.subspan(off, du), charge);
+    t += cr.bus + cr.compute;
+    if (!cr.ok) { // hash_tree caught a tampered stored path on the write walk
+      note_integrity_fault(m);
+      if (charge) t += fault_cycles;
     }
   }
-  t += lower_->write(a0, ct_cover);
+  return t;
+}
+
+cycles bus_encryption_engine::read_covered(master_id m, context_id ctx, addr_t addr,
+                                           std::span<u8> out, bool charge) {
+  const std::size_t du = contexts_[ctx].data_unit_size;
+  const addr_t a0 = addr / du * du; // covering range, unit aligned
+  const addr_t a1 = (addr + out.size() + du - 1) / du * du;
+  const slot_lease lease = lease_slot(contexts_[ctx], charge);
+  bytes cover(static_cast<std::size_t>(a1 - a0));
+  cycles t = lease.setup + lower_->read(a0, cover);
+  t += open_units(m, ctx, lease, a0, cover, charge);
+  std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), out.size(),
+              out.begin());
+  return t;
+}
+
+cycles bus_encryption_engine::write_covered(master_id m, context_id ctx, addr_t addr,
+                                            std::span<const u8> in, bool charge) {
+  const std::size_t du = contexts_[ctx].data_unit_size;
+  const addr_t a0 = addr / du * du;
+  const addr_t a1 = (addr + in.size() + du - 1) / du * du;
+  const slot_lease lease = lease_slot(contexts_[ctx], charge);
+  bytes cover(static_cast<std::size_t>(a1 - a0));
+  cycles t = lease.setup;
+  // Partial edge units trigger the paper's five-step penalty: read,
+  // decipher, modify, re-cipher, write back.
+  auto rmw_read = [&](addr_t ua) {
+    const std::span<u8> unit = std::span<u8>(cover).subspan(ua - a0, du);
+    t += lower_->read(ua, unit);
+    t += open_units(m, ctx, lease, ua, unit, charge);
+    ++stats_.rmw_ops;
+  };
+  const bool head_partial = addr != a0;
+  if (head_partial) rmw_read(a0);
+  if (addr + in.size() != a1 && (a1 - a0 > du || !head_partial)) rmw_read(a1 - du);
+  std::copy(in.begin(), in.end(), cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
+  t += seal_units(m, ctx, lease, a0, cover, charge);
+  return t + lower_->write(a0, cover);
+}
+
+template <class Span>
+cycles bus_encryption_engine::access(master_id m, addr_t addr, Span data) {
+  constexpr bool is_write = std::is_const_v<typename Span::element_type>;
+  ++(is_write ? stats_.writes : stats_.reads);
+  cycles t = 0;
+  // A denied span is blocked on-chip, with no lower traffic to probe: a
+  // read gets the bus-error fill, never plaintext, and a write is dropped
+  // whole, leaving the owning domain's ciphertext untouched.
+  auto deny = [&](Span part) {
+    if constexpr (!is_write) std::fill(part.begin(), part.end(), fault_fill);
+    t += fault_cycles;
+  };
+  std::size_t off = 0;
+  while (off < data.size()) {
+    std::size_t lim = data.size() - off;
+    if (fw_ != nullptr) {
+      // Rule tables sit in front of the domain map: a span they deny is
+      // never looked up in it.
+      const sim::fw_span fd = fw_->check(m, addr + off, lim, is_write);
+      if (!fd.allowed) {
+        deny(data.subspan(off, fd.len));
+        note_firewall(m);
+        off += fd.len;
+        continue;
+      }
+      lim = fd.len;
+    }
+    const access_span s = span_for(m, addr + off, lim);
+    const Span part = data.subspan(off, s.len);
+    if (!s.allowed) {
+      deny(part);
+      note_domain(m, is_write, s.len, /*fault=*/true);
+    } else if (s.ctx == no_context) {
+      if constexpr (is_write) t += lower_->write(addr + off, part);
+      else t += lower_->read(addr + off, part);
+      ++stats_.passthrough;
+    } else {
+      if constexpr (is_write) t += write_covered(m, s.ctx, addr + off, part, true);
+      else t += read_covered(m, s.ctx, addr + off, part, true);
+      note_domain(m, is_write, s.len, /*fault=*/false);
+    }
+    off += s.len;
+  }
   return t;
 }
 
 cycles bus_encryption_engine::read(addr_t addr, std::span<u8> out) {
-  ++stats_.reads;
-  cycles t = 0;
-  std::size_t off = 0;
-  while (off < out.size()) {
-    std::size_t lim = out.size() - off;
-    if (fw_ != nullptr) {
-      // Rule tables sit in front of the domain map: a denied span is the
-      // bus-error fill, never plaintext, and span_for is not consulted.
-      const sim::fw_span fd = fw_->check(active_master_, addr + off, lim,
-                                         /*is_write=*/false);
-      if (!fd.allowed) {
-        std::span<u8> part = out.subspan(off, fd.len);
-        std::fill(part.begin(), part.end(), fault_fill);
-        note_firewall(active_master_);
-        t += cfg_.fault_cycles;
-        off += fd.len;
-        continue;
-      }
-      lim = fd.len;
-    }
-    const access_span s = span_for(active_master_, addr + off, lim);
-    std::span<u8> part = out.subspan(off, s.len);
-    if (!s.allowed) {
-      // Firewall denial: bus-error fill, never the domain's plaintext,
-      // and the request is blocked on-chip (no lower traffic to probe).
-      std::fill(part.begin(), part.end(), fault_fill);
-      note_domain(active_master_, /*is_write=*/false, s.len, /*fault=*/true);
-      t += cfg_.fault_cycles;
-    } else if (s.ctx == no_context) {
-      t += lower_->read(addr + off, part);
-      ++stats_.passthrough;
-    } else {
-      t += crypt_span(s.ctx, addr + off, part, /*is_write=*/false, true);
-      note_domain(active_master_, /*is_write=*/false, s.len, /*fault=*/false);
-    }
-    off += s.len;
-  }
-  return t;
+  return access(sim::cpu_master, addr, out);
 }
 
 cycles bus_encryption_engine::write(addr_t addr, std::span<const u8> in) {
-  ++stats_.writes;
-  cycles t = 0;
-  std::size_t off = 0;
-  while (off < in.size()) {
-    std::size_t lim = in.size() - off;
-    if (fw_ != nullptr) {
-      const sim::fw_span fd = fw_->check(active_master_, addr + off, lim,
-                                         /*is_write=*/true);
-      if (!fd.allowed) {
-        // Denied writes are dropped whole, like domain denials below.
-        note_firewall(active_master_);
-        t += cfg_.fault_cycles;
-        off += fd.len;
-        continue;
-      }
-      lim = fd.len;
-    }
-    const access_span s = span_for(active_master_, addr + off, lim);
-    if (!s.allowed) {
-      // Denied writes are dropped whole: the owning domain's ciphertext
-      // (and plaintext) is untouched.
-      note_domain(active_master_, /*is_write=*/true, s.len, /*fault=*/true);
-      t += cfg_.fault_cycles;
-    } else if (s.ctx == no_context) {
-      t += lower_->write(addr + off, in.subspan(off, s.len));
-      ++stats_.passthrough;
-    } else {
-      bytes tmp(in.begin() + static_cast<std::ptrdiff_t>(off),
-                in.begin() + static_cast<std::ptrdiff_t>(off + s.len));
-      t += crypt_span(s.ctx, addr + off, tmp, /*is_write=*/true, true);
-      note_domain(active_master_, /*is_write=*/true, s.len, /*fault=*/false);
-    }
-    off += s.len;
-  }
-  return t;
+  return access(sim::cpu_master, addr, in);
 }
 
 void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
@@ -542,9 +459,9 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     return true;
   };
   // Lookup-only: a fresh lease here would bypass the contention protocol.
-  auto cipher_of = [&](context_id ctx) -> keyed_cipher& {
+  auto lease_of = [&](context_id ctx) -> const slot_lease& {
     for (auto& [id, lease] : live)
-      if (id == ctx) return *lease.kc;
+      if (id == ctx) return lease;
     throw std::logic_error("bus_encryption_engine: context staged without a pin");
   };
 
@@ -607,15 +524,10 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       retire();
       // The scalar datapath serves the detour as the txn's master, so
       // domain checks, fault fills and per-domain stats stay correct.
-      // RAII swap: a throw mid-detour (e.g. pinned pool with fallback
-      // off) must not leave the firewall subject stuck on this master.
-      struct scoped_master {
-        master_id* slot;
-        master_id prev;
-        scoped_master(master_id& s, master_id m) : slot(&s), prev(s) { s = m; }
-        ~scoped_master() { *slot = prev; }
-      } swap(active_master_, txn.master);
-      b.detour_via(txn, *this);
+      b.detour(txn, [&] {
+        return txn.is_write() ? access(txn.master, addr, std::span<const u8>(txn.data))
+                              : access(txn.master, addr, txn.data);
+      });
       continue;
     }
 
@@ -630,7 +542,8 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     const std::span<u8> data = // write ciphertext or read destination
         txn.is_write() ? std::span<u8>(b.scratch_copy(txn.data)) : txn.data;
     const std::size_t arrival = b.queue(txn.op, txn.master, addr, data);
-    keyed_cipher& kc = cipher_of(sp.ctx);
+    const slot_lease& lease = lease_of(sp.ctx);
+    keyed_cipher& kc = *lease.kc;
     const keyslot_key& k = contexts_[sp.ctx];
     memory_authenticator* auth = auths_[sp.ctx].get();
     const auth_mode mode = auth != nullptr ? auth->mode() : auth_mode::none;
@@ -640,24 +553,14 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     note_domain(txn.master, txn.is_write(), len, /*fault=*/false);
 
     if (txn.is_write() && mode == auth_mode::area) {
-      // Write data is in hand at staging: AREA seals and block-mode
-      // encipher occupy the cipher core up front, pads overlap the bus.
-      for (std::size_t off = 0; off < len; off += du) {
-        const addr_t ua = addr + off;
-        const std::span<const u8> plain = txn.data.subspan(off, du);
-        const std::span<u8> unit = data.subspan(off, du);
-        if (auth->covers(ua))
-          b.add_pre(charge_units(auth->area_encipher(kc, ua, plain, unit,
-                                                     /*initial=*/false, /*charge=*/true),
-                                 1));
-        else
-          b.add_pre(transform_units(kc, k, ua, unit, /*encrypt=*/true, /*fallback=*/false,
-                                    /*charge=*/true));
-      }
+      // Write data is in hand at staging: AREA seals occupy the cipher
+      // core up front.
+      b.add_pre(seal_units(txn.master, sp.ctx, lease, addr, data, /*charge=*/true));
     } else if (txn.is_write()) {
-      transform_units_bulk(kc, k, addr, data, /*encrypt=*/true);
-      const cycles c =
-          charge_units(unit_cycles(kc, du, /*encrypt=*/true, false), len / du);
+      // Block-mode encipher occupies the cipher core up front, pads
+      // overlap the bus.
+      const cycles c = transform_units(kc, k, addr, data, /*encrypt=*/true,
+                                       /*fallback=*/false, /*charge=*/true);
       if (kc.pad_precomputable()) b.add_overlap(c);
       else b.add_pre(c);
       // New MAC tags load the MAC unit and ride the window behind the data.
@@ -685,7 +588,6 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
                    snaps = std::move(snaps)] {
                     const std::size_t du = k.data_unit_size;
                     std::size_t snap = 0;
-                    bytes plain(du);
                     for (std::size_t off = 0; off < data.size(); off += du) {
                       const addr_t ua = addr + off;
                       std::span<u8> unit = data.subspan(off, du);
@@ -694,9 +596,8 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
                                               /*fallback=*/false, /*charge=*/false);
                         continue;
                       }
-                      const auto cr = auth->area_finish(kc, ua, unit, plain,
+                      const auto cr = auth->area_finish(kc, ua, unit, unit,
                                                         snaps[snap++], /*charge=*/true);
-                      std::copy(plain.begin(), plain.end(), unit.begin());
                       if (!cr.ok) fails.push_back({unit, m});
                     }
                   });
@@ -721,7 +622,8 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       const cycles c =
           charge_units(unit_cycles(kc, du, /*encrypt=*/false, false), len / du);
       auto decrypt = [this, &kc, &k, addr, data] {
-        transform_units_bulk(kc, k, addr, data, /*encrypt=*/false);
+        (void)transform_units(kc, k, addr, data, /*encrypt=*/false, /*fallback=*/false,
+                              /*charge=*/false);
       };
       if (kc.pad_precomputable()) b.add_overlap(c, decrypt);
       else b.add_gated(arrival, no_lower, c, decrypt);
@@ -735,13 +637,11 @@ void bus_encryption_engine::install(addr_t base, std::span<const u8> plain) {
   std::size_t off = 0;
   while (off < plain.size()) {
     const auto [ctx, n] = span_at(base + off, plain.size() - off);
-    if (ctx == no_context) {
+    if (ctx == no_context)
       (void)lower_->write(base + off, plain.subspan(off, n));
-    } else {
-      bytes tmp(plain.begin() + static_cast<std::ptrdiff_t>(off),
-                plain.begin() + static_cast<std::ptrdiff_t>(off + n));
-      (void)crypt_span(ctx, base + off, tmp, /*is_write=*/true, false);
-    }
+    else
+      (void)write_covered(sim::cpu_master, ctx, base + off, plain.subspan(off, n),
+                          /*charge=*/false);
     off += n;
   }
 }
@@ -752,7 +652,7 @@ void bus_encryption_engine::read_plain(addr_t base, std::span<u8> out) {
     const auto [ctx, n] = span_at(base + off, out.size() - off);
     std::span<u8> part = out.subspan(off, n);
     if (ctx == no_context) (void)lower_->read(base + off, part);
-    else (void)crypt_span(ctx, base + off, part, /*is_write=*/false, false);
+    else (void)read_covered(sim::cpu_master, ctx, base + off, part, /*charge=*/false);
     off += n;
   }
 }

@@ -35,20 +35,10 @@
 namespace buscrypt::engine {
 
 struct engine_config {
-  /// Cycles to program key material into a hardware slot (charged on each
-  /// slot miss; the warm-slot hit path is free, which is the point of the
-  /// pool).
-  cycles slot_program_cycles = 40;
   /// When no slot is free, transform with a software one-shot cipher
   /// instead of failing (the blk-crypto-fallback analogue). Disabling it
   /// makes a pinned-out pool throw, which the tests exercise.
   bool allow_fallback = true;
-  /// Cycle multiplier for the fallback path (software is slower than the
-  /// inline hardware datapath).
-  cycles fallback_penalty = 4;
-  /// Cycles a denied cross-domain access costs (the firewall's bus-error
-  /// response). Denials never touch the lower port.
-  cycles fault_cycles = 8;
 };
 
 /// Per-engine counters.
@@ -93,6 +83,16 @@ class bus_encryption_engine final : public sim::memory_port {
   /// Fill byte a denied read returns — the bus-error pattern a firewall
   /// drives instead of data (never the region's plaintext).
   static constexpr u8 fault_fill = 0xFF;
+  /// Cycles to program key material into a hardware slot (charged on each
+  /// demand program; the warm-slot hit path is free, which is the point of
+  /// the pool).
+  static constexpr cycles slot_program_cycles = 40;
+  /// Cycle multiplier for the software fallback path (software is slower
+  /// than the inline hardware datapath).
+  static constexpr cycles fallback_penalty = 4;
+  /// Cycles a denied access or a failed integrity check costs (the
+  /// firewall's bus-error response). Denials never touch the lower port.
+  static constexpr cycles fault_cycles = 8;
 
   /// \param lower the external path (bus + DRAM); referenced, not owned.
   /// \param slots shared keyslot pool; referenced, not owned.
@@ -160,13 +160,6 @@ class bus_encryption_engine final : public sim::memory_port {
   [[nodiscard]] const memory_authenticator* auth_of(context_id ctx) const noexcept {
     return ctx < auths_.size() ? auths_[ctx].get() : nullptr;
   }
-
-  /// Master whose scalar read()/write() calls are being served: always
-  /// sim::cpu_master, except while submit() detours a tagged transaction
-  /// through the scalar datapath (the batch path tags transactions, so
-  /// there is deliberately no public setter — the firewall subject cannot
-  /// be switched from outside).
-  [[nodiscard]] master_id active_master() const noexcept { return active_master_; }
 
   /// Attach the interconnect's bus firewall: every request is checked
   /// against it *before* the protection-domain map — Cotret et al.'s rule
@@ -240,15 +233,31 @@ class bus_encryption_engine final : public sim::memory_port {
   [[nodiscard]] slot_lease lease_slot(const keyslot_key& k, bool charge_time,
                                       bool hw_only = false);
 
-  /// One mapped-region segment of a request, expressed in covering units.
-  [[nodiscard]] cycles crypt_span(context_id ctx, addr_t addr, std::span<u8> data,
-                                  bool is_write, bool charge_time);
+  /// The one request datapath: [addr, addr+data.size()) as master \p m
+  /// sees it, span by span — firewall rule tables, then the domain map,
+  /// then passthrough or the covered span. Span is std::span<u8> for a
+  /// read and std::span<const u8> for a write.
+  template <class Span>
+  [[nodiscard]] cycles access(master_id m, addr_t addr, Span data);
 
-  /// crypt_span's AREA datapath: per-unit expanded payloads through the
-  /// context's leased cipher instead of the in-place unit transform.
-  [[nodiscard]] cycles area_span(memory_authenticator& auth, keyed_cipher& kc,
-                                 const keyslot_key& k, addr_t addr, std::span<u8> data,
-                                 bool is_write, bool charge_time, bool fallback);
+  /// One mapped-region span of a request, expressed in covering units.
+  /// read_covered fetches the unit-aligned cover and opens its units;
+  /// write_covered read-modify-writes the partial edge units, seals the
+  /// cover and stores it. A failed check is charged to \p m.
+  [[nodiscard]] cycles read_covered(master_id m, context_id ctx, addr_t addr,
+                                    std::span<u8> out, bool charge);
+  [[nodiscard]] cycles write_covered(master_id m, context_id ctx, addr_t addr,
+                                     std::span<const u8> in, bool charge);
+
+  /// The per-unit codec, in place over the whole units of \p units
+  /// (starting at the unit address \p a0). open_units verifies the
+  /// ciphertext (mac/hash_tree) and deciphers, or AREA-unseals; a unit
+  /// whose check fails becomes the bus-error fill. seal_units enciphers
+  /// and stores the tags (mac/hash_tree), or AREA-seals.
+  [[nodiscard]] cycles open_units(master_id m, context_id ctx, const slot_lease& lease,
+                                  addr_t a0, std::span<u8> units, bool charge);
+  [[nodiscard]] cycles seal_units(master_id m, context_id ctx, const slot_lease& lease,
+                                  addr_t a0, std::span<u8> units, bool charge);
 
   /// Charge one verified-failed unit: engine + per-master counters, the
   /// bus-error fill already applied by the caller.
@@ -258,19 +267,12 @@ class bus_encryption_engine final : public sim::memory_port {
                                        addr_t unit_base, std::span<u8> buf,
                                        bool encrypt, bool fallback, bool charge);
 
-  /// The uncharged transform_units via one bulk keystream call
-  /// (generate_pads) plus one XOR pass — the batch path's hot loop for
-  /// pad-precomputable backends (CTR, streams). Byte-identical to
-  /// transform_units; defers to it for block modes or unit-unaligned spans.
-  void transform_units_bulk(keyed_cipher& kc, const keyslot_key& k, addr_t unit_base,
-                            std::span<u8> buf, bool encrypt);
-
   /// Cycles one \p nbytes unit costs through \p kc, with the fallback
   /// penalty when \p fallback.
   [[nodiscard]] cycles unit_cycles(const keyed_cipher& kc, std::size_t nbytes,
                                    bool encrypt, bool fallback) const noexcept {
     const cycles c = kc.unit_cost(nbytes, encrypt);
-    return fallback ? c * cfg_.fallback_penalty : c;
+    return fallback ? c * fallback_penalty : c;
   }
 
   /// Count \p n transformed units of \p c cycles each into the engine
@@ -300,7 +302,6 @@ class bus_encryption_engine final : public sim::memory_port {
   std::vector<region> regions_;
   std::vector<std::pair<master_id, domain_stats>> domains_; ///< few masters: linear
   sim::bus_firewall* fw_ = nullptr; ///< checked before span_for when attached
-  master_id active_master_ = sim::cpu_master;
   engine_stats stats_;
 };
 

@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "engine/bus_encryption_engine.hpp"
 #include "engine/keyslot_manager.hpp"
 
 #include <string>
@@ -54,8 +55,10 @@ struct churn_config {
   unsigned in_flight = 4;
   std::string backend = "aes-ctr"; ///< registry name for every context
   std::size_t data_unit = 32;      ///< bytes transformed per operation
-  cycles slot_program_cycles = 40; ///< stall charged per demand program
-  cycles fallback_penalty = 4;     ///< software-path cycle multiplier
+  /// Stall charged per demand program and the software-path cycle
+  /// multiplier, as the engine charges them.
+  cycles slot_program_cycles = bus_encryption_engine::slot_program_cycles;
+  cycles fallback_penalty = bus_encryption_engine::fallback_penalty;
   u64 seed = 0x5EC5EEDULL;         ///< draws + key material derivation
 
   /// "<policy>/p<slots>/s<skew> c<contexts> seed" — unique per axis point.

@@ -253,6 +253,9 @@ class memory_authenticator {
                                           sim::master_id master);
 
   // --- area: payload-level hooks (the engine passes its leased cipher) -----
+  // area_encipher, area_decipher and area_finish copy their input into the
+  // expanded-payload scratch before writing any output, so one span may be
+  // passed as both input and output (the engine seals and unseals in place).
 
   /// Stored bytes per unit under area: ceil(unit / (granule - tag_bytes))
   /// cipher blocks. The first unit_bytes go to DRAM at the unit's address

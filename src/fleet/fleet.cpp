@@ -363,12 +363,6 @@ u64 fleet_result::total_ops() const noexcept {
   return t;
 }
 
-u64 fleet_result::total_bytes() const noexcept {
-  u64 t = 0;
-  for (const cell_result& c : cells) t += c.bytes;
-  return t;
-}
-
 cycles fleet_result::total_cycles() const noexcept {
   cycles t = 0;
   for (const cell_result& c : cells) t += c.total_cycles;

@@ -164,7 +164,6 @@ struct fleet_result {
   double host_ms = 0.0;           ///< wall time of the whole fleet run
 
   [[nodiscard]] u64 total_ops() const noexcept;
-  [[nodiscard]] u64 total_bytes() const noexcept;
   [[nodiscard]] cycles total_cycles() const noexcept;
   /// Aggregate host throughput: simulated port txns retired per host
   /// second across the whole fleet — the "million-user day" figure.

@@ -38,8 +38,11 @@
 /// read-after-write inside one window observes staged effects in
 /// submission order — the \ref txn_contract invariants hold by
 /// construction. Transactions a port cannot schedule natively detour
-/// through its scalar path with detour_via(): pending native work retires
-/// first, then the scalar call is accounted and the transaction stamped.
+/// through its scalar path: pending native work retires first, then the
+/// scalar call is accounted and the transaction stamped. detour() takes
+/// that call as a callable, so the keyslot engine serves the detour as the
+/// transaction's own master; detour_via() is the same detour through a
+/// port's read() or write(), which is what every EDU uses.
 ///
 /// Every EDU with a lower window schedules here. Only cacheside_edu keeps a
 /// hand-rolled batch path: it has no lower window, since its keystream-RAM
@@ -160,15 +163,22 @@ class txn_batcher {
   void advance(cycles c) { clock_ += c; }
 
   /// The ordered detour every native path uses for a transaction it cannot
-  /// schedule: flush pending native work, serve \p txn with one call to
-  /// \p scalar's read() or write() (the EDU's own scalar datapath), and
-  /// stamp it.
-  void detour_via(mem_txn& txn, memory_port& scalar) {
+  /// schedule: flush pending native work, serve \p txn with \p serve (the
+  /// port's scalar datapath, returning its cycles), and stamp it.
+  template <class Serve>
+  void detour(mem_txn& txn, Serve&& serve) {
     begin_txn(txn);
     flush();
-    clock_ += txn.is_write() ? scalar.write(txn.addr, txn.data)
-                             : scalar.read(txn.addr, txn.data);
+    clock_ += serve();
     txn.complete_cycle = base_ + clock_;
+  }
+
+  /// detour() through one call to \p scalar's read() or write().
+  void detour_via(mem_txn& txn, memory_port& scalar) {
+    detour(txn, [&] {
+      return txn.is_write() ? scalar.write(txn.addr, txn.data)
+                            : scalar.read(txn.addr, txn.data);
+    });
   }
 
   /// Cycles consumed by every window and detour so far (the submit()'s

@@ -105,15 +105,12 @@ lifetime_result run_lifetime(const lifetime_config& cfg) {
   lr.version = agent.version();
 
   // --- downgrade probe: replay a stale version, expect fail-stop --------------
-  if (cfg.downgrade_probe) {
-    const update_package stale =
-        make_update_package(image_v1, 1, keys->pub, net, r, cfg.chunk_bytes);
-    const update_report drep = agent.apply(stale);
-    const u64 v_after = agent.version();
-    lr.downgrade_blocked = drep.status == update_status::downgrade_blocked &&
-                           v_after == lr.version &&
-                           agent.active_image() == now;
-  }
+  const update_package stale =
+      make_update_package(image_v1, 1, keys->pub, net, r, cfg.chunk_bytes);
+  const update_report drep = agent.apply(stale);
+  const u64 v_after = agent.version();
+  lr.downgrade_blocked = drep.status == update_status::downgrade_blocked &&
+                         v_after == lr.version && agent.active_image() == now;
 
   // --- teardown ---------------------------------------------------------------
   lr.dram_fingerprint = fnv1a(chip.raw());

@@ -29,8 +29,6 @@ struct lifetime_config {
   /// Whether the updater daemon re-offers the package after the power
   /// cycle (resume path) or not (rollback path).
   bool offer_package = true;
-  /// Probe that a stale-version replay fail-stops after the episode.
-  bool downgrade_probe = true;
   /// Amortise RSA keygen across cells (not owned; nullptr = generate).
   const crypto::rsa_keypair* keys = nullptr;
 };
@@ -43,7 +41,7 @@ struct lifetime_result {
   bool committed_new = false;     ///< device ended on the new image
   bool old_intact = false;        ///< device ended on the old image
   bool torn = false;              ///< neither — the crash-safety failure
-  bool downgrade_blocked = true;  ///< probe result (true when not probed)
+  bool downgrade_blocked = true;  ///< a stale-version replay fail-stopped
   unsigned active_slot = 0;
   u64 version = 0;
   unsigned retries = 0;

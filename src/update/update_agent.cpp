@@ -13,6 +13,12 @@ namespace buscrypt::update {
 namespace {
 
 constexpr std::size_t k_mac_bytes = 16;
+/// Tag bytes of every window authenticator the agent attaches.
+constexpr std::size_t k_auth_tag_bytes = 8;
+/// Bounded retry/backoff against a stalled bus (DFU-style): up to
+/// k_max_retries waits, the n-th costing k_retry_backoff << n cycles.
+constexpr unsigned k_max_retries = 6;
+constexpr cycles k_retry_backoff = 32;
 
 void put_le64(bytes& out, u64 v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
@@ -193,7 +199,7 @@ engine::auth_config update_agent::window_auth(addr_t base, std::size_t len,
   a.key = cfg_.device_key;
   a.base = base;
   a.limit = base + len;
-  a.tag_bytes = cfg_.auth_tag_bytes;
+  a.tag_bytes = k_auth_tag_bytes;
   a.tag_base = tags;
   return a;
 }
@@ -244,9 +250,9 @@ void update_agent::provision(std::span<const u8> image, u64 version) {
 }
 
 bool update_agent::wait_bus(update_report& rep, cycles& acc) {
-  cycles backoff = cfg_.retry_backoff;
+  cycles backoff = k_retry_backoff;
   for (unsigned tries = 0; fi_->stall_pending(); backoff *= 2) {
-    if (++tries > cfg_.max_retries) return false;
+    if (++tries > k_max_retries) return false;
     ++rep.retries;
     acc += backoff;
   }

@@ -209,7 +209,6 @@ struct update_config {
   addr_t staging_base = 512u << 10;
   /// Authentication scheme guarding all three windows (none = bare).
   engine::auth_mode auth = engine::auth_mode::none;
-  std::size_t auth_tag_bytes = 8;
   /// Per-window tag/node regions (mac & hash-tree store material there).
   addr_t tag_base_a = 1u << 20;
   addr_t tag_base_b = (1u << 20) + (384u << 10);
@@ -219,10 +218,6 @@ struct update_config {
   std::string backend = "aes-ctr";
   std::size_t data_unit = 32;
   std::size_t chunk_bytes = 1024;
-  /// Bounded retry/backoff against a stalled bus (DFU-style): up to
-  /// max_retries waits, the n-th costing retry_backoff << n cycles.
-  unsigned max_retries = 6;
-  cycles retry_backoff = 32;
   /// Device key material (boot contexts, window auth, journal MAC). Empty
   /// derives a fixed test key.
   bytes device_key;

@@ -3,8 +3,10 @@
 // operator new to count every allocation, which is why it links apart from
 // buscrypt_tests: a replaced allocator is process-wide. After one warm-up
 // call, a verify, an update, and an AREA seal and unseal each make no
-// allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; and
-// a batched issue of line txns makes as many for 4096 txns as for 64.
+// allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; a
+// warm engine's scalar write of a unit makes no more than a read of it, and
+// its AREA read of four units as many as of one; and a batched issue of
+// line txns makes as many for 4096 txns as for 64.
 
 #include "crypto/aes.hpp"
 #include "crypto/modes.hpp"
@@ -183,6 +185,42 @@ TEST(AllocFree, BatchedIssueAllocationsDoNotGrowWithTxnCount) {
   const unsigned long long small = issue_allocs(64);
   EXPECT_EQ(issue_allocs(4096), small);
   std::printf("issue_batched: %llu allocations for 64 and for 4096 line txns\n", small);
+}
+
+TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
+  // A scalar write builds its ciphertext in the one cover buffer a read
+  // also needs, and AREA opens and seals its units in place, so neither a
+  // write nor an extra AREA unit costs an allocation.
+  sim::dram mem{1u << 20};
+  sim::external_memory ext{mem};
+  keyslot_manager slots{backend_registry::builtin(), 4};
+  bus_encryption_engine eng{ext, slots};
+  const auto ctr = eng.create_context({"aes-ctr", bytes(16, 0x31), 32});
+  eng.map_region(0, 64 * 1024, ctr);
+  const auto ecb = eng.create_context({"aes-ecb", bytes(16, 0x32), 32});
+  eng.map_region(64 * 1024, 64 * 1024, ecb);
+  auth_config a = window(auth_mode::area);
+  a.base = 64 * 1024;
+  a.limit = 128 * 1024;
+  (void)eng.attach_auth(ecb, a);
+
+  const bytes unit(32, 0x44);
+  bytes one(32), four(128);
+  constexpr addr_t area_at = 64 * 1024 + 0x100;
+  (void)eng.write(0x100, unit); // warm: slots programmed, domain seen
+  (void)eng.read(0x100, one);
+  (void)eng.read(area_at, four);
+  const auto write1 = allocs_of([&] { (void)eng.write(0x100, unit); });
+  const auto read1 = allocs_of([&] { (void)eng.read(0x100, one); });
+  EXPECT_LE(write1, read1);
+  EXPECT_EQ(one, unit);
+  const auto area4 = allocs_of([&] { (void)eng.read(area_at, four); });
+  const auto area1 = allocs_of([&] { (void)eng.read(area_at, one); });
+  EXPECT_EQ(area4, area1);
+  EXPECT_EQ(eng.stats().integrity_faults, 0u);
+  std::printf("scalar aes-ctr unit: %llu allocations to write, %llu to read; "
+              "AREA read: %llu for 4 units, %llu for 1\n",
+              write1, read1, area4, area1);
 }
 
 TEST(AllocFree, AddressPadGenerateIsHeapFree) {

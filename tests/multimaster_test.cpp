@@ -350,8 +350,12 @@ TEST(ProtectionDomains, ScalarDetourHonoursTheTxnMaster) {
   w.master = 2; // domain 1's range
   (void)rig.submit_one(std::move(w));
   EXPECT_EQ(rig.eng.domain(2).faults, 1u);
-  EXPECT_EQ(rig.eng.active_master(), cpu_master)
-      << "detour must restore the scalar master";
+  // The master travels with the request: a later CPU access into domain 1
+  // is charged to the CPU, not to the detoured txn's master.
+  bytes cpu_view(8, 0);
+  (void)rig.eng.read(4, cpu_view);
+  EXPECT_EQ(rig.eng.domain(cpu_master).faults, 1u);
+  EXPECT_EQ(rig.eng.domain(2).faults, 1u) << "the CPU's denial leaked onto master 2";
 
   bytes out(8, 0);
   mem_txn r = mem_txn::read_of(4, out);
