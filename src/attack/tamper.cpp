@@ -25,7 +25,7 @@ bytes pattern_line(std::size_t n, u8 seed) {
 
 tamper_report run_tamper_suite(edu::integrity_edu& target, sim::dram& chip,
                                addr_t line_a, addr_t line_b) {
-  const std::size_t lb = target.config().line_bytes;
+  constexpr std::size_t lb = edu::integrity_edu::line_bytes;
   // Null at level none: no tags to relocate or roll back.
   const engine::memory_authenticator* auth = target.authenticator();
   if (line_a % lb != 0 || line_b % lb != 0 || line_a == line_b)

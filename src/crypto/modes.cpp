@@ -9,11 +9,23 @@ namespace buscrypt::crypto {
 
 namespace {
 
-void check_blocked(const block_cipher& c, std::span<const u8> in, std::span<const u8> out) {
+void check_blocked(const block_cipher& c, std::span<const u8> in,
+                   std::span<const u8> out) {
   if (in.size() != out.size())
     throw std::invalid_argument("mode: in/out size mismatch");
   if (in.size() % c.block_size() != 0)
     throw std::invalid_argument("mode: data not a multiple of the block size");
+}
+
+/// E_K(counter_block(hi, lo)) in \p buf, viewed as one cipher block.
+std::span<const u8> iv_at(const block_cipher& c, u64 hi, u64 lo,
+                          std::array<u8, max_block>& buf) {
+  if (c.block_size() > max_block)
+    throw std::invalid_argument("cbc_at: cipher block wider than max_block");
+  const std::span<u8> iv(buf.data(), c.block_size());
+  counter_block(iv, hi, lo);
+  c.encrypt_block(iv, iv);
+  return iv;
 }
 
 } // namespace
@@ -62,6 +74,16 @@ void cbc_decrypt(const block_cipher& c, std::span<const u8> iv,
   xor_bytes(out.subspan(bs), std::span<const u8>(ct).first(ct.size() - bs));
 }
 
+void cbc_encrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain) {
+  std::array<u8, max_block> iv{};
+  cbc_encrypt(c, iv_at(c, hi, lo, iv), chain, chain);
+}
+
+void cbc_decrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain) {
+  std::array<u8, max_block> iv{};
+  cbc_decrypt(c, iv_at(c, hi, lo, iv), chain, chain);
+}
+
 void ctr_crypt(const block_cipher& c, u64 nonce, u64 initial_counter,
                std::span<const u8> in, std::span<u8> out) {
   if (in.size() != out.size())
@@ -70,28 +92,19 @@ void ctr_crypt(const block_cipher& c, u64 nonce, u64 initial_counter,
 
   // Generate a window of counter blocks, run them through the bulk
   // encrypt (one bitsliced call for wide windows), then XOR u64-wide. The
-  // window is sized to fill the widest bitsliced lane group (512 blocks)
-  // for 8-byte ciphers; the 4 KiB pad buffer stays L1-resident.
+  // window is sized to the input, capped at the widest bitsliced lane
+  // group (512 blocks) for 8-byte ciphers; the 4 KiB pad buffer stays
+  // L1-resident.
   constexpr std::size_t k_window_blocks = 512;
-  bytes pad(bs * k_window_blocks);
+  bytes pad(bs * std::min(k_window_blocks, (in.size() + bs - 1) / bs));
 
   u64 ctr = initial_counter;
   std::size_t off = 0;
   while (off < in.size()) {
     const std::size_t remaining = in.size() - off;
     const std::size_t nblocks = std::min(k_window_blocks, (remaining + bs - 1) / bs);
-    for (std::size_t b = 0; b < nblocks; ++b, ++ctr) {
-      u8* cb = pad.data() + b * bs;
-      std::fill(cb, cb + bs, u8{0});
-      // Counter block layout: nonce in the top 8 bytes (when they exist),
-      // counter in the bottom 8; for 8-byte ciphers they are XORed together.
-      if (bs >= 16) {
-        store_be64(cb, nonce);
-        store_be64(cb + bs - 8, ctr);
-      } else {
-        store_be64(cb, nonce ^ ctr);
-      }
-    }
+    for (std::size_t b = 0; b < nblocks; ++b, ++ctr)
+      counter_block(std::span<u8>(pad).subspan(b * bs, bs), nonce, ctr);
     const std::span<u8> window = std::span<u8>(pad).first(nblocks * bs);
     c.encrypt_blocks(window, window);
     const std::size_t n = std::min(remaining, nblocks * bs);
@@ -171,28 +184,18 @@ bytes pkcs7_unpad(std::span<const u8> in, std::size_t block) {
   return bytes(in.begin(), in.end() - pad);
 }
 
-void address_pad::generate(addr_t addr, std::span<u8> out) const {
+void address_pad::apply(addr_t addr, std::span<u8> buf) const {
   const std::size_t bs = cipher_->block_size();
-  std::array<u8, max_block> counter_buf{};
-  std::array<u8, max_block> pad_buf{};
-  const std::span<u8> counter_block(counter_buf.data(), bs);
-  const std::span<u8> pad(pad_buf.data(), bs);
-
-  std::size_t produced = 0;
-  addr_t block_base = addr - (addr % bs);
-  while (produced < out.size()) {
-    if (bs >= 16) {
-      store_be64(counter_block.data(), tweak_);
-      store_be64(counter_block.data() + bs - 8, block_base / bs);
-    } else {
-      store_be64(counter_block.data(), tweak_ ^ (block_base / bs));
-    }
-    cipher_->encrypt_block(counter_block, pad);
-    const std::size_t skip = produced == 0 ? static_cast<std::size_t>(addr - block_base) : 0;
-    const std::size_t n = std::min(bs - skip, out.size() - produced);
-    for (std::size_t i = 0; i < n; ++i) out[produced + i] = pad[skip + i];
-    produced += n;
-    block_base += bs;
+  std::array<u8, max_block> block{};
+  const std::span<u8> pad(block.data(), bs);
+  std::size_t skip = static_cast<std::size_t>(addr % bs);
+  for (std::size_t done = 0; done < buf.size();) {
+    counter_block(pad, tweak_, (addr + done) / bs);
+    cipher_->encrypt_block(pad, pad);
+    const std::size_t n = std::min(bs - skip, buf.size() - done);
+    xor_bytes(buf.subspan(done, n), pad.subspan(skip, n));
+    done += n;
+    skip = 0;
   }
 }
 

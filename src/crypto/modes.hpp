@@ -7,13 +7,38 @@
 ///     system due to the random data access problem (JUMP instructions)";
 ///   - CTR: the seekable mode the AEGIS IV discussion gestures at — we
 ///     include it because it is what makes the stream-EDU random-access.
-/// Plus address_pad, the seekable one-time-pad generator bus EDUs use.
+/// Every address-derived input the engines feed the cipher is one
+/// counter_block: CTR's counter blocks, address_pad's pads (the stream
+/// EDUs' seekable one-time pad) and the IVs of cbc_encrypt_at /
+/// cbc_decrypt_at (the per-line, per-segment and per-page CBC engines).
 
+#include "common/bitops.hpp"
 #include "crypto/block_cipher.hpp"
 
-#include <array>
+#include <algorithm>
 
 namespace buscrypt::crypto {
+
+/// Widest cipher block the on-stack counter, IV and pad blocks hold.
+inline constexpr std::size_t max_block = 16;
+
+/// The one counter-block layout: be64(hi) || be64(lo) in a 16-byte block,
+/// be64(hi ^ lo) in an 8-byte one (block.size() >= 8). CTR puts its nonce
+/// in hi and its block counter in lo; the address-derived pads and IVs put
+/// the address (alone or XORed with a per-engine tweak) in one half and a
+/// tweak, nonce, version or 0 in the other. The 8-byte fold keeps distinct
+/// inputs apart only while one half is fixed per key (a tweak, CTR's
+/// nonce, or 0); the AEGIS and integrity EDUs, whose two halves both vary,
+/// accept only 16-byte ciphers.
+inline void counter_block(std::span<u8> block, u64 hi, u64 lo) noexcept {
+  std::fill(block.begin(), block.end(), u8{0});
+  if (block.size() >= 16) {
+    store_be64(block.data(), hi);
+    store_be64(block.data() + block.size() - 8, lo);
+  } else {
+    store_be64(block.data(), hi ^ lo);
+  }
+}
 
 /// ECB: each block enciphered independently. Data length must be a
 /// multiple of the cipher block size.
@@ -28,8 +53,16 @@ void cbc_encrypt(const block_cipher& c, std::span<const u8> iv,
 void cbc_decrypt(const block_cipher& c, std::span<const u8> iv,
                  std::span<const u8> in, std::span<u8> out);
 
-/// CTR mode: pad block i = E_K(nonce ⊕ i); fully seekable, encrypt ==
-/// decrypt. \p nonce is folded into the counter block.
+/// CBC in place over one chain under the address-derived IV
+/// E_K(counter_block(hi, lo)), built on the stack: recomputable from the
+/// address alone, so random access needs no IV storage.
+/// \throws std::invalid_argument when the cipher's block is wider than
+///         max_block or \p chain is not a block multiple.
+void cbc_encrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain);
+void cbc_decrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain);
+
+/// CTR mode: pad block i = E_K(counter_block(nonce, initial_counter + i));
+/// fully seekable, encrypt == decrypt.
 void ctr_crypt(const block_cipher& c, u64 nonce, u64 initial_counter,
                std::span<const u8> in, std::span<u8> out);
 
@@ -52,16 +85,14 @@ void ofb_crypt(const block_cipher& c, std::span<const u8> iv,
 [[nodiscard]] bytes pkcs7_pad(std::span<const u8> in, std::size_t block);
 [[nodiscard]] bytes pkcs7_unpad(std::span<const u8> in, std::size_t block);
 
-/// Seekable pad generator: pad(addr) = E_K(addr-block), the hardware trick
-/// that lets a stream EDU start keystream generation from the address alone,
-/// in parallel with the memory fetch (Section 2.2's stream-cipher argument).
+/// Seekable pad generator: pad block i = E_K(counter_block(tweak, i)), the
+/// hardware trick that lets a stream EDU start keystream generation from
+/// the address alone, in parallel with the memory fetch (Section 2.2's
+/// stream-cipher argument).
 class address_pad {
  public:
-  /// Widest cipher block the on-stack counter and pad blocks hold.
-  static constexpr std::size_t max_block = 16;
-
   /// \param cipher block cipher used as the PRF; referenced, not owned.
-  /// \param tweak  per-device constant mixed into every counter block.
+  /// \param tweak  per-device constant, the hi half of every counter block.
   /// \throws std::invalid_argument when the cipher's block is wider than
   ///         max_block.
   address_pad(const block_cipher& cipher, u64 tweak) : cipher_(&cipher), tweak_(tweak) {
@@ -69,12 +100,12 @@ class address_pad {
       throw std::invalid_argument("address_pad: cipher block wider than max_block");
   }
 
-  /// Fill \p out with pad bytes for byte-address \p addr. The pad for a
-  /// given address is stable across calls (deterministic), so write-back
-  /// re-encryption reproduces it. Uses one cipher invocation per
-  /// block_size() bytes, aligned down to the enclosing pad block, and no
-  /// heap allocation.
-  void generate(addr_t addr, std::span<u8> out) const;
+  /// XOR the pad for byte-address \p addr into \p buf in place. The pad
+  /// for a given address is stable across calls (deterministic), so
+  /// write-back re-encryption reproduces it. Uses one cipher invocation
+  /// per block_size() bytes, aligned down to the enclosing pad block, and
+  /// no heap allocation.
+  void apply(addr_t addr, std::span<u8> buf) const;
 
   /// Cipher invocations needed to cover \p len bytes starting at \p addr —
   /// the number the timing model charges for.

@@ -1,6 +1,5 @@
 #include "edu/aegis_edu.hpp"
 
-#include "common/bitops.hpp"
 #include "crypto/modes.hpp"
 #include "sim/txn_batcher.hpp"
 
@@ -11,17 +10,11 @@ namespace buscrypt::edu {
 aegis_edu::aegis_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
                      aegis_edu_config cfg)
     : edu(lower), cipher_(&cipher), cfg_(cfg), counter_state_(cfg.seed) {
+  // An 8-byte counter block would fold line and nonce together.
+  if (cipher.block_size() != crypto::max_block)
+    throw std::invalid_argument("aegis_edu: cipher block must be 16 bytes");
   if (cfg_.line_bytes % cipher.block_size() != 0)
     throw std::invalid_argument("aegis_edu: line must be a block multiple");
-}
-
-void aegis_edu::derive_iv(addr_t line_addr, u64 nonce, std::span<u8> iv) const {
-  // IV = E_K(block address || nonce) — unpredictable, per-line, fresh.
-  bytes src(cipher_->block_size(), 0);
-  store_be64(src.data(), line_addr);
-  if (cipher_->block_size() >= 16) store_be64(src.data() + 8, nonce);
-  else for (std::size_t i = 0; i < 8; ++i) src[i] ^= static_cast<u8>(nonce >> (8 * i));
-  cipher_->encrypt_block(src, iv);
 }
 
 u64 aegis_edu::nonce_for(addr_t line_addr) const noexcept {
@@ -56,17 +49,15 @@ cycles aegis_edu::read(addr_t addr, std::span<u8> out) {
   }
 
   const cycles mem = lower_->read(addr, out);
+  // IV = E_K(block address || nonce) — unpredictable, per-line, fresh.
+  crypto::cbc_decrypt_at(*cipher_, addr, nonce_for(addr), out);
 
-  bytes iv(cipher_->block_size());
-  derive_iv(addr, nonce_for(addr), iv);
-  crypto::cbc_decrypt(*cipher_, iv, out, out);
-
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.line_bytes);
+  const std::size_t nblocks = core.blocks_for(cfg_.line_bytes);
   stats_.cipher_blocks += nblocks + 1;
   // IV generation overlaps the fetch (address & nonce known at request);
   // CBC decryption is block-parallel but the whole line must finish before
   // the processor sees anything (no critical-word-first).
-  const cycles crypt = cfg_.core.time_parallel(nblocks);
+  const cycles crypt = core.time_parallel(nblocks);
   stats_.crypto_cycles += crypt;
   return mem + crypt;
 }
@@ -75,7 +66,7 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
   const std::size_t lb = cfg_.line_bytes;
-  const std::size_t nblocks = cfg_.core.blocks_for(lb);
+  const std::size_t nblocks = core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     if (txn.data.empty() || txn.addr % lb != 0 || txn.data.size() % lb != 0) {
@@ -92,10 +83,8 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
         // Fresh nonce in submission order, exactly as scalar issue.
         const u64 nonce = fresh_nonce(a);
         bytes& ct = b.scratch_copy(line);
-        bytes iv(cipher_->block_size());
-        derive_iv(a, nonce, iv);
-        crypto::cbc_encrypt(*cipher_, iv, ct, ct);
-        const cycles enc = cfg_.core.time_chained(nblocks) + cfg_.core.latency;
+        crypto::cbc_encrypt_at(*cipher_, a, nonce, ct);
+        const cycles enc = core.time_chained(nblocks) + core.latency;
         stats_.crypto_cycles += enc;
         b.add_pre(enc);
         (void)b.queue(sim::txn_op::write, txn.master, a, ct);
@@ -105,12 +94,10 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
         // change the IV this read's ciphertext was produced under.
         const u64 nonce = nonce_for(a);
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
-        const cycles dec = cfg_.core.time_parallel(nblocks);
+        const cycles dec = core.time_parallel(nblocks);
         stats_.crypto_cycles += dec;
         b.add_gated(li, sim::txn_batcher::no_lower, dec, [this, a, nonce, line] {
-          bytes iv(cipher_->block_size());
-          derive_iv(a, nonce, iv);
-          crypto::cbc_decrypt(*cipher_, iv, line, line);
+          crypto::cbc_decrypt_at(*cipher_, a, nonce, line);
         });
       }
     }
@@ -141,16 +128,13 @@ cycles aegis_edu::write(addr_t addr, std::span<const u8> in) {
 
   // Fresh nonce per write: random vector or monotonic counter.
   const u64 nonce = fresh_nonce(addr);
-
-  bytes iv(cipher_->block_size());
-  derive_iv(addr, nonce, iv);
   bytes ct(in.begin(), in.end());
-  crypto::cbc_encrypt(*cipher_, iv, ct, ct);
+  crypto::cbc_encrypt_at(*cipher_, addr, nonce, ct);
 
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.line_bytes);
+  const std::size_t nblocks = core.blocks_for(cfg_.line_bytes);
   stats_.cipher_blocks += nblocks + 1;
   // CBC encryption is chained across the line; IV generation precedes it.
-  const cycles crypt = cfg_.core.time_chained(nblocks) + cfg_.core.latency;
+  const cycles crypt = core.time_chained(nblocks) + core.latency;
   stats_.crypto_cycles += crypt;
   return crypt + lower_->write(addr, ct);
 }

@@ -26,17 +26,23 @@ enum class aegis_iv_mode {
 struct aegis_edu_config {
   std::size_t line_bytes = 32;
   aegis_iv_mode iv_mode = aegis_iv_mode::counter;
-  pipeline_model core = aes_pipelined(); // the 300 k-gate pipelined AES
   u64 seed = 0xAE615ULL;
 };
 
-/// Per-cache-line CBC engine with (address, nonce)-derived IVs.
+/// Per-cache-line CBC engine with (address, nonce)-derived IVs: a line's
+/// IV is E_K(counter_block(line address, nonce)).
 class aegis_edu final : public edu {
  public:
+  /// \param cipher block cipher with a 16-byte block, so the line address
+  ///        and the nonce fill separate halves of the IV's counter block.
+  /// \throws std::invalid_argument when the block is not 16 bytes or does
+  ///         not divide the line.
   aegis_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
             aegis_edu_config cfg);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "AEGIS-AES-CBC"; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "AEGIS-AES-CBC";
+  }
 
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
@@ -60,7 +66,8 @@ class aegis_edu final : public edu {
   }
 
  private:
-  void derive_iv(addr_t line_addr, u64 nonce, std::span<u8> iv) const;
+  static constexpr pipeline_model core = aes_pipelined(); ///< the 300 k-gate AES
+
   [[nodiscard]] u64 nonce_for(addr_t line_addr) const noexcept;
   /// Mint (and record) the fresh per-write nonce for \p line_addr —
   /// monotonic counter or random vector per cfg — shared by the scalar

@@ -1,6 +1,5 @@
 #include "edu/block_edu.hpp"
 
-#include "common/bitops.hpp"
 #include "crypto/modes.hpp"
 #include "sim/txn_batcher.hpp"
 
@@ -26,14 +25,6 @@ block_edu::block_edu(sim::memory_port& lower, const crypto::block_cipher& cipher
 
 std::string_view block_edu::name() const noexcept { return name_; }
 
-void block_edu::derive_iv(addr_t granule_addr, std::span<u8> iv) const {
-  // IV = E(tweak ^ addr): unpredictable to the attacker, recomputable from
-  // the address alone (no IV storage) — the AEGIS-style construction.
-  bytes block(cipher_->block_size(), 0);
-  store_be64(block.data(), cfg_.iv_tweak ^ granule_addr);
-  cipher_->encrypt_block(block, iv);
-}
-
 void block_edu::encrypt_range(addr_t addr, std::span<u8> buf) {
   const std::size_t bs = cipher_->block_size();
   stats_.cipher_blocks += buf.size() / bs;
@@ -41,11 +32,11 @@ void block_edu::encrypt_range(addr_t addr, std::span<u8> buf) {
     crypto::ecb_encrypt(*cipher_, buf, buf);
     return;
   }
-  bytes iv(bs);
+  // IV = E(addr): unpredictable to the attacker, recomputable from the
+  // address alone (no IV storage) — the AEGIS-style construction.
   for (std::size_t off = 0; off < buf.size(); off += granule_) {
-    derive_iv(addr + off, iv);
     ++stats_.cipher_blocks; // the IV generation encryption
-    crypto::cbc_encrypt(*cipher_, iv, buf.subspan(off, granule_), buf.subspan(off, granule_));
+    crypto::cbc_encrypt_at(*cipher_, addr + off, 0, buf.subspan(off, granule_));
   }
 }
 
@@ -56,11 +47,9 @@ void block_edu::decrypt_range(addr_t addr, std::span<u8> buf) {
     crypto::ecb_decrypt(*cipher_, buf, buf);
     return;
   }
-  bytes iv(bs);
   for (std::size_t off = 0; off < buf.size(); off += granule_) {
-    derive_iv(addr + off, iv);
     ++stats_.cipher_blocks;
-    crypto::cbc_decrypt(*cipher_, iv, buf.subspan(off, granule_), buf.subspan(off, granule_));
+    crypto::cbc_decrypt_at(*cipher_, addr + off, 0, buf.subspan(off, granule_));
   }
 }
 

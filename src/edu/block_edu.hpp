@@ -17,14 +17,13 @@ namespace buscrypt::edu {
 
 enum class block_mode {
   ecb,      ///< independent blocks; same plaintext -> same ciphertext
-  cbc_line, ///< CBC chained within each line-sized granule, IV = E(tweak ^ addr)
+  cbc_line, ///< CBC chained within each line-sized granule, IV = E(addr)
 };
 
 struct block_edu_config {
   block_mode mode = block_mode::ecb;
   pipeline_model core = aes_pipelined();
   std::size_t chain_bytes = 32; ///< CBC granule (cache-line sized)
-  u64 iv_tweak = 0x0DDB1A5E5BA11ADULL;
 };
 
 /// Block-cipher EDU between cache and memory controller.
@@ -64,8 +63,6 @@ class block_edu : public edu {
   [[nodiscard]] virtual cycles encrypt_time(std::size_t nbytes);
 
  private:
-  void derive_iv(addr_t granule_addr, std::span<u8> iv) const;
-
   const crypto::block_cipher* cipher_;
   block_edu_config cfg_;
   std::size_t granule_; ///< alignment unit: block (ECB) or chain (CBC)

@@ -1,18 +1,15 @@
 #include "edu/cacheside_edu.hpp"
 
-#include "common/bitops.hpp"
-
 #include <algorithm>
 
 namespace buscrypt::edu {
 
-cacheside_edu::cacheside_edu(sim::cache& l1, const crypto::block_cipher& prf,
-                             cacheside_edu_config cfg)
-    : edu(l1), cache_(&l1), pad_(prf, cfg.tweak), cfg_(cfg) {}
+cacheside_edu::cacheside_edu(sim::cache& l1, const crypto::block_cipher& prf)
+    : edu(l1), cache_(&l1), pad_(prf, tweak) {}
 
-void cacheside_edu::pad_for(addr_t addr, std::span<u8> pad_out) {
-  pad_.generate(addr, pad_out);
-  stats_.cipher_blocks += pad_.blocks_covering(addr, pad_out.size());
+void cacheside_edu::apply_pad(addr_t addr, std::span<u8> buf) {
+  pad_.apply(addr, buf);
+  stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
 }
 
 cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> inout,
@@ -25,32 +22,28 @@ cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> ino
   if (is_write) {
     // Encrypt the store data, then let the (ciphertext) cache absorb it.
     bytes ct(wdata.begin(), wdata.end());
-    bytes pad(ct.size());
-    pad_for(addr, pad);
-    xor_bytes(ct, pad);
+    apply_pad(addr, ct);
     io.below = lower_->write(addr, ct);
     ++stats_.writes;
   } else {
     io.below = lower_->read(addr, inout);
-    bytes pad(inout.size());
-    pad_for(addr, pad);
-    xor_bytes(inout, pad);
+    apply_pad(addr, inout);
     ++stats_.reads;
   }
 
   // The cipher stage sits on the CPU<->cache path: charged on EVERY access.
-  io.below += cfg_.xor_cycles;
-  stats_.crypto_cycles += cfg_.xor_cycles;
+  io.below += xor_cycles;
+  stats_.crypto_cycles += xor_cycles;
 
   if (!was_resident) {
     // A line (re)entered the cache: its keystream must be regenerated into
     // the keystream RAM. Generation runs concurrently with the external
     // fetch; the fetch time is what the cache charged beyond its hit
     // latency (and the XOR stage just added).
-    const cycles beyond = cc.hit_latency + cfg_.xor_cycles;
+    const cycles beyond = cc.hit_latency + xor_cycles;
     io.fetch = io.below > beyond ? io.below - beyond : 0;
     const addr_t line_addr = addr - addr % cc.line_size;
-    io.ks = cfg_.pad_core.time_parallel(pad_.blocks_covering(line_addr, cc.line_size));
+    io.ks = pad_core.time_parallel(pad_.blocks_covering(line_addr, cc.line_size));
     stats_.cipher_blocks += pad_.blocks_covering(line_addr, cc.line_size);
   }
   return io;

@@ -19,23 +19,19 @@
 
 namespace buscrypt::edu {
 
-struct cacheside_edu_config {
-  pipeline_model pad_core = aes_pipelined();
-  cycles xor_cycles = 1;        ///< per-access cipher stage on the hit path
-  u64 tweak = 0xCAC4E51DEULL;
-};
-
 /// EDU between CPU and cache. The wrapped cache stores ciphertext; this
-/// class XORs the keystream on every access. Keystream is tracked per
-/// cache line in a model of the on-chip keystream RAM.
+/// class XORs the keystream (a crypto::address_pad) on every access, the
+/// XOR stage on the hit path. Keystream is tracked per cache line in a
+/// model of the on-chip keystream RAM.
 class cacheside_edu final : public edu {
  public:
   /// \param l1  the cache this EDU fronts (also its memory_port lower).
   /// \param prf block cipher generating the keystream; referenced.
-  cacheside_edu(sim::cache& l1, const crypto::block_cipher& prf,
-                cacheside_edu_config cfg);
+  cacheside_edu(sim::cache& l1, const crypto::block_cipher& prf);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "CacheSide-OTP"; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "CacheSide-OTP";
+  }
 
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
@@ -70,11 +66,13 @@ class cacheside_edu final : public edu {
                                     std::span<const u8> wdata);
   [[nodiscard]] cycles access(addr_t addr, std::span<u8> inout, bool is_write,
                               std::span<const u8> wdata);
-  void pad_for(addr_t addr, std::span<u8> pad_out);
+  void apply_pad(addr_t addr, std::span<u8> buf);
+
+  static constexpr pipeline_model pad_core = aes_pipelined();
+  static constexpr u64 tweak = 0xCAC4E51DEULL;
 
   sim::cache* cache_;
   crypto::address_pad pad_;
-  cacheside_edu_config cfg_;
 };
 
 } // namespace buscrypt::edu

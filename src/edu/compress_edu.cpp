@@ -1,6 +1,5 @@
 #include "edu/compress_edu.hpp"
 
-#include "common/bitops.hpp"
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
@@ -10,7 +9,7 @@ namespace buscrypt::edu {
 
 compress_edu::compress_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                            compress_edu_config cfg)
-    : edu(lower), pad_(prf, cfg.tweak), cfg_(cfg), engine_(cfg.group_bytes) {}
+    : edu(lower), pad_(prf, tweak), cfg_(cfg), engine_(cfg.group_bytes) {}
 
 bool compress_edu::in_code(addr_t addr, std::size_t len) const noexcept {
   return code_installed_ && addr >= code_base_ &&
@@ -40,9 +39,7 @@ void compress_edu::install_code(addr_t base, std::span<const u8> code) {
 
     bytes chunk(image_.payload.begin() + static_cast<std::ptrdiff_t>(start_byte),
                 image_.payload.begin() + static_cast<std::ptrdiff_t>(end_byte));
-    bytes pad(chunk.size());
-    pad_.generate(phys, pad);
-    xor_bytes(chunk, pad);
+    pad_.apply(phys, chunk);
     (void)lower_->write(phys, chunk);
     group_extent_.emplace_back(static_cast<u32>(phys - base), static_cast<u32>(len));
     phys += len;
@@ -82,7 +79,8 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
   while (done < out.size()) {
     const addr_t a = addr + done;
     const std::size_t g = static_cast<std::size_t>(a - code_base_) / image_.group_bytes;
-    const std::size_t in_group = static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
+    const std::size_t in_group =
+        static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
     const std::size_t n = std::min(image_.group_bytes - in_group, out.size() - done);
 
     const auto [phys_off, len] = group_extent_[g];
@@ -91,15 +89,12 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
     // Fetch the *compressed* group: fewer bus beats than a raw line.
     bytes chunk(len);
     const cycles mem = lower_->read(phys, chunk);
-    bytes pad(chunk.size());
-    pad_.generate(phys, pad);
+    pad_.apply(phys, chunk);
     stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
-    xor_bytes(chunk, pad);
-    const cycles pad_t =
-        cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
+    const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
     // The decompressor streams: it consumes beats as they arrive (CodePack
     // style), so only its drain beyond the transfer is exposed.
-    const cycles mem_and_pad = std::max(mem, pad_t) + cfg_.xor_cycles;
+    const cycles mem_and_pad = std::max(mem, pad_t) + xor_cycles;
 
     // Stream the decrypted chunk straight into the decompressor, exactly
     // as the hardware fill path would.
@@ -109,8 +104,7 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
     const bytes group_plain = engine_.decompress_chunk(
         chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
     const cycles spent =
-        std::max(mem_and_pad, cfg_.decomp.latency_for(group_plain.size())) +
-        cfg_.decomp.startup;
+        std::max(mem_and_pad, decomp.latency_for(group_plain.size())) + decomp.startup;
     stats_.crypto_cycles += spent - mem;
 
     for (std::size_t i = 0; i < n; ++i) out[done + i] = group_plain[in_group + i];
@@ -123,23 +117,18 @@ cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
 cycles compress_edu::pad_io(addr_t addr, std::span<u8> buf, bool is_write,
                             std::span<const u8> wdata) {
   const std::size_t len = is_write ? wdata.size() : buf.size();
-  const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(addr, len));
+  const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(addr, len));
+  stats_.cipher_blocks += pad_.blocks_covering(addr, len);
   cycles mem;
   if (is_write) {
     bytes ct(wdata.begin(), wdata.end());
-    bytes pad(ct.size());
-    pad_.generate(addr, pad);
-    stats_.cipher_blocks += pad_.blocks_covering(addr, ct.size());
-    xor_bytes(ct, pad);
+    pad_.apply(addr, ct);
     mem = lower_->write(addr, ct);
   } else {
     mem = lower_->read(addr, buf);
-    bytes pad(buf.size());
-    pad_.generate(addr, pad);
-    stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
-    xor_bytes(buf, pad);
+    pad_.apply(addr, buf);
   }
-  const cycles total = std::max(mem, pad_t) + cfg_.xor_cycles;
+  const cycles total = std::max(mem, pad_t) + xor_cycles;
   stats_.crypto_cycles += total - mem;
   return total;
 }
@@ -167,25 +156,19 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
     else ++stats_.reads;
     if (!code) {
       // Data region: the pad-overlap path.
-      const cycles pad_t =
-          cfg_.pad_core.time_parallel(pad_.blocks_covering(txn.addr, txn.data.size()));
+      const std::size_t nblocks = pad_.blocks_covering(txn.addr, txn.data.size());
+      const cycles pad_t = pad_core.time_parallel(nblocks);
+      stats_.cipher_blocks += nblocks;
+      stats_.crypto_cycles += xor_cycles;
       if (txn.is_write()) {
         bytes& ct = b.scratch_copy(txn.data);
-        bytes pad(ct.size());
-        pad_.generate(txn.addr, pad);
-        stats_.cipher_blocks += pad_.blocks_covering(txn.addr, ct.size());
-        xor_bytes(ct, pad);
-        b.add_par(sim::txn_batcher::no_lower, pad_t, cfg_.xor_cycles);
-        stats_.crypto_cycles += cfg_.xor_cycles;
+        pad_.apply(txn.addr, ct);
+        b.add_par(sim::txn_batcher::no_lower, pad_t, xor_cycles);
         (void)b.queue(sim::txn_op::write, txn.master, txn.addr, ct);
       } else {
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, txn.addr, txn.data);
-        stats_.cipher_blocks += pad_.blocks_covering(txn.addr, txn.data.size());
-        stats_.crypto_cycles += cfg_.xor_cycles;
-        b.add_par(li, pad_t, cfg_.xor_cycles, [this, addr = txn.addr, data = txn.data] {
-          bytes pad(data.size());
-          pad_.generate(addr, pad);
-          xor_bytes(data, pad);
+        b.add_par(li, pad_t, xor_cycles, [this, addr = txn.addr, data = txn.data] {
+          pad_.apply(addr, data);
         });
       }
       continue;
@@ -204,23 +187,19 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
 
       bytes& chunk = b.scratch(len);
       const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
-      const cycles pad_t = cfg_.pad_core.time_parallel(pad_.blocks_covering(phys, len));
+      const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, len));
       stats_.cipher_blocks += pad_.blocks_covering(phys, len);
-      stats_.crypto_cycles += cfg_.xor_cycles;
-      b.add_par(li, pad_t, cfg_.xor_cycles, [this, phys, &chunk] {
-        bytes pad(chunk.size());
-        pad_.generate(phys, pad);
-        xor_bytes(chunk, pad);
-      });
+      stats_.crypto_cycles += xor_cycles;
+      b.add_par(li, pad_t, xor_cycles, [this, phys, &chunk] { pad_.apply(phys, chunk); });
       const std::size_t group_base = g * image_.group_bytes;
       const std::size_t group_len =
           std::min(image_.group_bytes, image_.original_size - group_base);
       const bool first_in_window = warm_window != b.flush_seq();
       warm_window = b.flush_seq();
-      const cycles decomp = cfg_.decomp.latency_for(group_len) +
-                            (first_in_window ? cfg_.decomp.startup : 0);
-      stats_.crypto_cycles += decomp;
-      b.add_gated(li, sim::txn_batcher::no_lower, decomp,
+      const cycles decomp_t =
+          decomp.latency_for(group_len) + (first_in_window ? decomp.startup : 0);
+      stats_.crypto_cycles += decomp_t;
+      b.add_gated(li, sim::txn_batcher::no_lower, decomp_t,
                   [this, g, &chunk, group_len, in_group,
                    out = txn.data.subspan(done, n)] {
                     const bytes plain = engine_.decompress_chunk(

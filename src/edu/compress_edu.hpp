@@ -6,9 +6,10 @@
 /// properties of encrypted data."
 ///
 /// Code region: CodePack-compressed groups, packed tight in external
-/// memory, each group pad-encrypted over its compressed bytes. A line
-/// fetch reads *fewer bus bytes* (the performance upside) but pays the
-/// decompressor (the downside) — the origin of CodePack's "+/- 10%".
+/// memory, each group pad-encrypted (crypto::address_pad) over its
+/// compressed bytes. A line fetch reads *fewer bus bytes* (the performance
+/// upside) but pays the decompressor (the downside) — the origin of
+/// CodePack's "+/- 10%".
 /// Data region: pad-encrypted, uncompressed (data is written at runtime;
 /// the survey's proposal compresses the static code image).
 
@@ -21,10 +22,6 @@ namespace buscrypt::edu {
 
 struct compress_edu_config {
   std::size_t group_bytes = 64;
-  pipeline_model pad_core = aes_pipelined();
-  compress::codec_timing decomp = {4, 0.5}; ///< hardware decompressor model
-  cycles xor_cycles = 1;
-  u64 tweak = 0xC0305E55ULL;
 };
 
 /// Compression + encryption EDU.
@@ -69,6 +66,10 @@ class compress_edu final : public edu {
   [[nodiscard]] cycles read_code(addr_t addr, std::span<u8> out);
   [[nodiscard]] cycles pad_io(addr_t addr, std::span<u8> buf, bool is_write,
                               std::span<const u8> wdata);
+
+  static constexpr pipeline_model pad_core = aes_pipelined();
+  static constexpr compress::codec_timing decomp{4, 0.5}; ///< hardware decompressor
+  static constexpr u64 tweak = 0xC0305E55ULL;
 
   crypto::address_pad pad_;
   compress_edu_config cfg_;

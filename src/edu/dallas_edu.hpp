@@ -26,7 +26,9 @@ class dallas_byte_edu final : public edu {
                   cycles per_access_cycles = 1)
       : edu(lower), cipher_(&cipher), per_access_(per_access_cycles) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "DS5002FP-byte"; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "DS5002FP-byte";
+  }
 
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override {
     ++stats_.reads;
@@ -87,7 +89,7 @@ class dallas_des_edu final : public block_edu {
  public:
   dallas_des_edu(sim::memory_port& lower, const crypto::block_cipher& des_cipher)
       : block_edu(lower, des_cipher,
-                  block_edu_config{block_mode::ecb, des_iterative(), 32, 0}) {}
+                  block_edu_config{block_mode::ecb, des_iterative(), 32}) {}
 
   [[nodiscard]] std::string_view name() const noexcept override { return "DS5240-DES"; }
 };

@@ -1,6 +1,5 @@
 #include "edu/dma_edu.hpp"
 
-#include "common/bitops.hpp"
 #include "crypto/modes.hpp"
 #include "sim/txn_batcher.hpp"
 
@@ -20,15 +19,11 @@ dma_edu::dma_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
 }
 
 void dma_edu::cipher_page(addr_t base, std::span<u8> buf, bool encrypt) {
-  bytes iv(cipher_->block_size(), 0);
-  bytes iv_src(cipher_->block_size(), 0);
-  store_be64(iv_src.data(), cfg_.iv_tweak ^ base);
-  cipher_->encrypt_block(iv_src, iv);
   stats_.cipher_blocks += 1 + buf.size() / cipher_->block_size();
   if (encrypt)
-    crypto::cbc_encrypt(*cipher_, iv, buf, buf);
+    crypto::cbc_encrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
   else
-    crypto::cbc_decrypt(*cipher_, iv, buf, buf);
+    crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
 }
 
 cycles dma_edu::encrypt_and_writeback(page_buffer& pb) {
@@ -37,11 +32,11 @@ cycles dma_edu::encrypt_and_writeback(page_buffer& pb) {
   cipher_page(pb.base, ct, /*encrypt=*/true);
   // CBC encryption of the page is chained; DMA overlaps the bus transfer
   // with encryption of later blocks, so charge the longer of the two.
-  const cycles crypt = cfg_.core.time_chained(cfg_.core.blocks_for(cfg_.page_bytes));
+  const cycles crypt = core.time_chained(core.blocks_for(cfg_.page_bytes));
   const cycles mem = lower_->write(pb.base, ct);
   stats_.crypto_cycles += crypt;
   pb.dirty = false;
-  return std::max(crypt, mem) + cfg_.core.latency;
+  return std::max(crypt, mem) + core.latency;
 }
 
 dma_edu::page_buffer* dma_edu::find_buffer(addr_t page_base) noexcept {
@@ -74,9 +69,9 @@ std::pair<dma_edu::page_buffer*, cycles> dma_edu::fault_in(addr_t page_base) {
   const cycles mem = lower_->read(page_base, victim->data);
   cipher_page(page_base, victim->data, /*encrypt=*/false);
   // CBC decryption pipelines behind the incoming burst.
-  const cycles crypt = cfg_.core.time_parallel(cfg_.core.blocks_for(cfg_.page_bytes));
+  const cycles crypt = core.time_parallel(core.blocks_for(cfg_.page_bytes));
   stats_.crypto_cycles += crypt;
-  spent += std::max(mem, crypt) + cfg_.core.latency;
+  spent += std::max(mem, crypt) + core.latency;
 
   victim->valid = true;
   victim->dirty = false;
@@ -96,7 +91,7 @@ cycles dma_edu::read(addr_t addr, std::span<u8> out) {
     const std::size_t n = std::min(cfg_.page_bytes - off, out.size() - done);
     auto [pb, spent] = fault_in(base);
     for (std::size_t i = 0; i < n; ++i) out[done + i] = pb->data[off + i];
-    total += spent + cfg_.sram_latency;
+    total += spent + sram_latency;
     done += n;
   }
   return total;
@@ -114,7 +109,7 @@ cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
     auto [pb, spent] = fault_in(base);
     for (std::size_t i = 0; i < n; ++i) pb->data[off + i] = in[done + i];
     pb->dirty = true;
-    total += spent + cfg_.sram_latency;
+    total += spent + sram_latency;
     done += n;
   }
   return total;
@@ -123,7 +118,7 @@ cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
 void dma_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.page_bytes);
+  const std::size_t nblocks = core.blocks_for(cfg_.page_bytes);
   // Buffers whose data is still in flight in the current window: a pending
   // fill or a store whose copy-in runs at window retirement. Evicting one
   // would encrypt unsettled bytes, so the window retires first.
@@ -154,9 +149,9 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
         if (pb->valid && pb->dirty) {
           bytes& ct = b.scratch_copy(pb->data);
           cipher_page(pb->base, ct, /*encrypt=*/true);
-          const cycles enc = cfg_.core.time_chained(nblocks);
+          const cycles enc = core.time_chained(nblocks);
           stats_.crypto_cycles += enc;
-          b.add_pre(enc + cfg_.core.latency);
+          b.add_pre(enc + core.latency);
           (void)b.queue(sim::txn_op::write, txn.master, pb->base, ct);
           pb->dirty = false;
         }
@@ -164,9 +159,9 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, fill);
         // CBC decryption pipelines behind the incoming burst (the scalar
         // path's max(mem, crypt)): overlapped work, not arrival-gated.
-        const cycles dec = cfg_.core.time_parallel(nblocks);
+        const cycles dec = core.time_parallel(nblocks);
         stats_.crypto_cycles += dec;
-        b.add_par(li, dec, cfg_.core.latency, [this, pb, &fill, base] {
+        b.add_par(li, dec, core.latency, [this, pb, &fill, base] {
           std::copy(fill.begin(), fill.end(), pb->data.begin());
           cipher_page(base, pb->data, /*encrypt=*/false);
         });
@@ -182,13 +177,13 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
       if (txn.is_write()) {
         pb->dirty = true;
         if (!unsettled(pb)) in_flight.push_back(pb);
-        b.add_local(cfg_.sram_latency,
+        b.add_local(sram_latency,
                     [pb, off, src = std::span<const u8>(txn.data.subspan(done, n))] {
                       std::copy(src.begin(), src.end(),
                                 pb->data.begin() + static_cast<std::ptrdiff_t>(off));
                     });
       } else {
-        b.add_local(cfg_.sram_latency, [pb, off, dst = txn.data.subspan(done, n)] {
+        b.add_local(sram_latency, [pb, off, dst = txn.data.subspan(done, n)] {
           std::copy_n(pb->data.begin() + static_cast<std::ptrdiff_t>(off), dst.size(),
                       dst.begin());
         });

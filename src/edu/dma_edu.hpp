@@ -23,18 +23,18 @@ namespace buscrypt::edu {
 struct dma_edu_config {
   std::size_t page_bytes = 4096;
   unsigned n_buffers = 4;        ///< on-chip page buffers
-  cycles sram_latency = 2;       ///< access into a resident page buffer
-  pipeline_model core = aes_pipelined();
-  u64 iv_tweak = 0xD41A5EC0DEULL;
 };
 
-/// Page-granular secure DMA engine with CBC-per-page ciphering.
+/// Page-granular secure DMA engine with CBC-per-page ciphering; a page's
+/// IV is E_K(counter_block(iv_tweak ^ page base, 0)).
 class dma_edu final : public edu {
  public:
   dma_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
           dma_edu_config cfg);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "SecureDMA-page"; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "SecureDMA-page";
+  }
 
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
@@ -56,6 +56,10 @@ class dma_edu final : public edu {
   [[nodiscard]] const dma_edu_config& config() const noexcept { return cfg_; }
 
  private:
+  static constexpr cycles sram_latency = 2; ///< access into a resident page buffer
+  static constexpr pipeline_model core = aes_pipelined();
+  static constexpr u64 iv_tweak = 0xD41A5EC0DEULL;
+
   struct page_buffer {
     bool valid = false;
     bool dirty = false;

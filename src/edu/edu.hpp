@@ -41,17 +41,6 @@ class edu : public sim::memory_port {
   /// without charging time (verification/test hook).
   virtual void read_image(addr_t base, std::span<u8> plain_out);
 
-  /// Default transaction adapter: every surveyed EDU is batch-capable out
-  /// of the box by serialising the batch through its own scalar
-  /// read()/write() (functionally identical, no overlap). EDUs whose
-  /// hardware overlaps crypto with the bus override this with a native
-  /// batch path on sim::txn_batcher (cacheside_edu, which has no lower
-  /// window, schedules its own).
-  void submit(std::span<sim::mem_txn> batch) override {
-    note_batch(batch.size());
-    sim::memory_port::submit(batch);
-  }
-
   [[nodiscard]] const edu_stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 

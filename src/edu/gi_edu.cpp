@@ -14,26 +14,18 @@ gi_edu::gi_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
     : edu(lower), cipher_(&cipher), mac_key_(mac_key), cfg_(cfg) {
   if (cfg_.segment_bytes % cipher.block_size() != 0)
     throw std::invalid_argument("gi_edu: segment must be a block multiple");
-  if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
-    throw std::invalid_argument("gi_edu: tag_bytes must be 1..32");
-}
-
-void gi_edu::derive_iv(addr_t seg_base, std::span<u8> iv) const {
-  bytes src(cipher_->block_size(), 0);
-  store_be64(src.data(), cfg_.iv_tweak ^ seg_base);
-  cipher_->encrypt_block(src, iv);
 }
 
 bytes gi_edu::compute_tag(addr_t seg_base, std::span<const u8> plain) const {
   // Keyed hash over (address || plaintext) so segments cannot be swapped.
   u8 head[8];
   store_be64(head, seg_base);
-  return mac_key_.tag(cfg_.tag_bytes, head, plain);
+  return mac_key_.tag(tag_bytes, head, plain);
 }
 
 cycles gi_edu::hash_time(std::size_t nbytes) const noexcept {
-  return cfg_.hash_startup +
-         static_cast<cycles>(static_cast<double>(nbytes) * cfg_.hash_cycles_per_byte);
+  return hash_startup +
+         static_cast<cycles>(static_cast<double>(nbytes) * hash_cycles_per_byte);
 }
 
 void gi_edu::touch_verified(addr_t seg_base) {
@@ -53,13 +45,10 @@ gi_edu::segment_io gi_edu::load_segment(addr_t seg_base) {
   segment_io io;
   io.plain.resize(cfg_.segment_bytes);
   const cycles mem = lower_->read(seg_base, io.plain);
-
-  bytes iv(cipher_->block_size());
-  derive_iv(seg_base, iv);
-  crypto::cbc_decrypt(*cipher_, iv, io.plain, io.plain);
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
+  crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ seg_base, 0, io.plain);
+  const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
   stats_.cipher_blocks += nblocks + 1;
-  const cycles crypt = cfg_.core.time_parallel(nblocks);
+  const cycles crypt = core.time_parallel(nblocks);
 
   io.spent = mem + crypt;
   if (cfg_.authenticate && !recently_verified(seg_base)) {
@@ -75,13 +64,11 @@ gi_edu::segment_io gi_edu::load_segment(addr_t seg_base) {
 
 cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
   bytes ct(plain.begin(), plain.end());
-  bytes iv(cipher_->block_size());
-  derive_iv(seg_base, iv);
-  crypto::cbc_encrypt(*cipher_, iv, ct, ct);
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
+  crypto::cbc_encrypt_at(*cipher_, iv_tweak ^ seg_base, 0, ct);
+  const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
   stats_.cipher_blocks += nblocks + 1;
 
-  cycles spent = cfg_.core.time_chained(nblocks); // CBC encrypt is serial
+  cycles spent = core.time_chained(nblocks); // CBC encrypt is serial
   if (cfg_.authenticate) {
     tags_[seg_base] = compute_tag(seg_base, plain);
     spent += hash_time(cfg_.segment_bytes);
@@ -112,7 +99,7 @@ cycles gi_edu::read(addr_t addr, std::span<u8> out) {
 void gi_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
+  const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     // Writes RMW whole segments (data-dependent ciphertext): scalar detour.
@@ -134,15 +121,13 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
       // submission order now so later ops in the window see it.
       const bool verify = cfg_.authenticate && !recently_verified(base);
       if (verify) touch_verified(base);
-      const cycles crypt = cfg_.core.time_parallel(nblocks) +
+      const cycles crypt = core.time_parallel(nblocks) +
                            (verify ? hash_time(cfg_.segment_bytes) : 0);
       stats_.cipher_blocks += nblocks + 1;
       stats_.crypto_cycles += crypt;
       b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                   [this, base, &buf, off, out = txn.data.subspan(done, n), verify] {
-                    bytes iv(cipher_->block_size());
-                    derive_iv(base, iv);
-                    crypto::cbc_decrypt(*cipher_, iv, buf, buf);
+                    crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
                     if (verify) {
                       const bytes tag = compute_tag(base, buf);
                       const auto it = tags_.find(base);

@@ -19,23 +19,21 @@ namespace buscrypt::edu {
 
 struct gi_edu_config {
   std::size_t segment_bytes = 1024; ///< one CBC chain + one MAC per segment
-  std::size_t tag_bytes = 8;
   bool authenticate = true;         ///< verify the keyed hash on fetch
   unsigned verified_cache_entries = 4; ///< recently-verified segments
-  pipeline_model core = tdes_pipelined(); ///< the patent assumes HW 3-DES
-  cycles hash_startup = 20;
-  double hash_cycles_per_byte = 1.0;
-  u64 iv_tweak = 0x61C0DEULL;
 };
 
-/// Whole-segment CBC + keyed-hash EDU.
+/// Whole-segment CBC + keyed-hash EDU. A segment's IV is
+/// E_K(counter_block(iv_tweak ^ segment base, 0)).
 class gi_edu final : public edu {
  public:
   /// \param cipher the 3-DES core; \param mac_key keyed-hash key.
   gi_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
          bytes mac_key, gi_edu_config cfg);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "GI-3DES-CBC+MAC"; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "GI-3DES-CBC+MAC";
+  }
 
   [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
@@ -60,6 +58,12 @@ class gi_edu final : public edu {
   }
 
  private:
+  static constexpr pipeline_model core = tdes_pipelined(); ///< the patent's HW 3-DES
+  static constexpr std::size_t tag_bytes = 8;
+  static constexpr cycles hash_startup = 20;
+  static constexpr double hash_cycles_per_byte = 1.0;
+  static constexpr u64 iv_tweak = 0x61C0DEULL;
+
   struct segment_io {
     bytes plain;
     cycles spent = 0;
@@ -70,7 +74,6 @@ class gi_edu final : public edu {
   /// Encrypt + tag + write back a whole segment.
   [[nodiscard]] cycles store_segment(addr_t seg_base, std::span<const u8> plain);
 
-  void derive_iv(addr_t seg_base, std::span<u8> iv) const;
   [[nodiscard]] bytes compute_tag(addr_t seg_base, std::span<const u8> plain) const;
   [[nodiscard]] cycles hash_time(std::size_t nbytes) const noexcept;
   void touch_verified(addr_t seg_base);

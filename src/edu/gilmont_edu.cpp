@@ -26,7 +26,7 @@ void gilmont_edu::crypt_line(std::span<u8> buf, bool encrypt) {
 }
 
 void gilmont_edu::prefetch(addr_t line_addr) {
-  if (line_addr + cfg_.line_bytes > cfg_.code_limit) {
+  if (line_addr + cfg_.line_bytes > code_limit) {
     pf_valid_ = false;
     return;
   }
@@ -42,7 +42,7 @@ void gilmont_edu::prefetch(addr_t line_addr) {
 cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
   // Data region: clear-form passthrough (the surveyed limitation).
-  if (addr >= cfg_.code_limit) return lower_->read(addr, out);
+  if (addr >= code_limit) return lower_->read(addr, out);
 
   if (addr % cfg_.line_bytes != 0 || out.size() != cfg_.line_bytes) {
     // Split to line-aligned requests.
@@ -74,7 +74,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
   const cycles mem = lower_->read(addr, out);
   crypt_line(out, /*encrypt=*/false);
   const cycles crypt =
-      cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(out.size())) : 0;
+      cfg_.encrypt ? core.time_parallel(core.blocks_for(out.size())) : 0;
   stats_.crypto_cycles += crypt;
   prefetch(addr + cfg_.line_bytes);
   return mem + crypt;
@@ -110,7 +110,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
   };
   auto prefetch_native = [&](addr_t line_addr) {
     hook();
-    if (line_addr + lb > cfg_.code_limit) {
+    if (line_addr + lb > code_limit) {
       wpf_valid = false;
       return;
     }
@@ -126,7 +126,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    if (txn.addr >= cfg_.code_limit) { // clear-form data passthrough
+    if (txn.addr >= code_limit) { // clear-form data passthrough
       if (txn.is_write()) ++stats_.writes;
       else ++stats_.reads;
       (void)b.queue(txn.op, txn.master, txn.addr, txn.data);
@@ -137,7 +137,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
     // invalidate the prefetch buffer before any later fetch), unaligned
     // code reads, boundary straddles — detours in order.
     if (txn.is_write() || txn.addr % lb != 0 || txn.data.size() % lb != 0 ||
-        txn.data.empty() || txn.addr + txn.data.size() > cfg_.code_limit) {
+        txn.data.empty() || txn.addr + txn.data.size() > code_limit) {
       // The flush inside commits the window's prefetch state into
       // pf_data_; the scalar detour may then move the predictor, so
       // resynchronise the window view afterwards.
@@ -169,7 +169,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
       ++prefetch_misses_;
       const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
       const cycles crypt =
-          cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(lb)) : 0;
+          cfg_.encrypt ? core.time_parallel(core.blocks_for(lb)) : 0;
       stats_.crypto_cycles += crypt;
       b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                   [this, line] { crypt_line(line, /*encrypt=*/false); });
@@ -182,7 +182,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
 
 cycles gilmont_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
-  if (addr >= cfg_.code_limit) return lower_->write(addr, in); // data: clear form
+  if (addr >= code_limit) return lower_->write(addr, in); // data: clear form
 
   // Static code is installed through the cipher; runtime code writes are
   // rare (self-modifying code) but handled: line-aligned encrypt, with the
@@ -201,7 +201,7 @@ cycles gilmont_edu::write(addr_t addr, std::span<const u8> in) {
   bytes buf(span_len);
   cycles total = 0;
   const cycles crypt_cost =
-      cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(span_len)) : 0;
+      cfg_.encrypt ? core.time_parallel(core.blocks_for(span_len)) : 0;
   if (span_len != in.size()) {
     ++stats_.rmw_ops;
     total += lower_->read(base, buf);

@@ -14,17 +14,17 @@ namespace buscrypt::edu {
 
 struct gilmont_edu_config {
   std::size_t line_bytes = 32;
-  addr_t code_limit = 1 << 20; ///< addresses below this are (static) code
   bool encrypt = true;         ///< false = prefetcher only, no cipher —
                                ///< the baseline the paper's "<2.5%" is
                                ///< measured against
-  pipeline_model core = tdes_pipelined();
-  u64 iv_tweak = 0x6117ULL;
 };
 
 /// Static-code decryption engine with next-line fetch prediction.
 class gilmont_edu final : public edu {
  public:
+  /// Addresses below this are (static) code.
+  static constexpr addr_t code_limit = 1 << 20;
+
   gilmont_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
               gilmont_edu_config cfg);
 
@@ -54,6 +54,8 @@ class gilmont_edu final : public edu {
   [[nodiscard]] const gilmont_edu_config& config() const noexcept { return cfg_; }
 
  private:
+  static constexpr pipeline_model core = tdes_pipelined();
+
   /// Decrypt one line-aligned code region in place (ECB over the line; the
   /// original uses 3-DES per 8-byte block).
   void crypt_line(std::span<u8> buf, bool encrypt);

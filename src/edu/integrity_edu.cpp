@@ -1,9 +1,10 @@
 #include "edu/integrity_edu.hpp"
 
 #include "common/bitops.hpp"
+#include "crypto/modes.hpp"
 #include "sim/txn_batcher.hpp"
 
-#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace buscrypt::edu {
@@ -11,8 +12,9 @@ namespace buscrypt::edu {
 integrity_edu::integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                              bytes mac_key, integrity_edu_config cfg)
     : edu(lower), prf_(&prf), cfg_(cfg) {
-  if (cfg_.line_bytes == 0 || cfg_.line_bytes % prf.block_size() != 0)
-    throw std::invalid_argument("integrity_edu: line must be a PRF-block multiple");
+  // An 8-byte counter block would fold block index and version together.
+  if (prf.block_size() != crypto::max_block)
+    throw std::invalid_argument("integrity_edu: PRF block must be 16 bytes");
   if (cfg_.level == integrity_level::none) return;
   engine::auth_config a;
   a.mode = engine::auth_mode::mac;
@@ -21,7 +23,7 @@ integrity_edu::integrity_edu(sim::memory_port& lower, const crypto::block_cipher
   a.tag_bytes = cfg_.tag_bytes;
   a.tag_base = cfg_.tag_base;
   a.versioned = cfg_.level == integrity_level::mac_versioned;
-  auth_.emplace(lower, std::move(a), cfg_.line_bytes);
+  auth_.emplace(lower, std::move(a), line_bytes);
 }
 
 std::string_view integrity_edu::name() const noexcept {
@@ -33,20 +35,19 @@ std::string_view integrity_edu::name() const noexcept {
   return "?";
 }
 
+static_assert(integrity_edu::line_bytes % crypto::max_block == 0);
+
 void integrity_edu::pad_line(addr_t line_addr, u64 version, std::span<u8> buf) const {
-  // Pad block i = E(tweak ^ block_index || version): seekable by address
-  // AND fresh per version, so pad reuse across writes never happens when
-  // versioning is on.
-  const std::size_t bs = prf_->block_size();
-  bytes block(bs, 0);
-  bytes pad(bs);
+  // Pad block i = E(counter_block(tweak ^ block index, version)): the
+  // index and the version fill separate halves of the 16-byte block, so
+  // the pad is seekable by address AND fresh per version, and no pad
+  // repeats across writes when versioning is on.
+  constexpr std::size_t bs = crypto::max_block;
+  std::array<u8, bs> pad{};
   for (std::size_t off = 0; off < buf.size(); off += bs) {
-    store_be64(block.data(), cfg_.tweak ^ ((line_addr + off) / bs));
-    if (bs >= 16) store_be64(block.data() + 8, version);
-    else block[0] ^= static_cast<u8>(version);
-    prf_->encrypt_block(block, pad);
-    const std::size_t n = std::min(bs, buf.size() - off);
-    xor_bytes(buf.subspan(off, n), pad);
+    crypto::counter_block(pad, tweak ^ ((line_addr + off) / bs), version);
+    prf_->encrypt_block(pad, pad);
+    xor_bytes(buf.subspan(off, bs), pad);
   }
 }
 
@@ -67,24 +68,24 @@ cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {
 
   // Decrypt: pad generation overlapped with the fetch.
   pad_line(line_addr, version_of(line_addr), out);
-  const std::size_t nblocks = cfg_.pad_core.blocks_for(cfg_.line_bytes);
+  const std::size_t nblocks = pad_core.blocks_for(line_bytes);
   stats_.cipher_blocks += nblocks;
-  const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
+  const cycles pad_t = pad_core.time_parallel(nblocks);
   if (pad_t > mem) {
     total += pad_t - mem;
     stats_.crypto_cycles += pad_t - mem;
   }
-  total += 1; // XOR stage
+  total += xor_cycles;
   return total;
 }
 
 cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
   bytes ct(in.begin(), in.end());
   pad_line(line_addr, next_version(line_addr), ct);
-  const std::size_t nblocks = cfg_.pad_core.blocks_for(cfg_.line_bytes);
+  const std::size_t nblocks = pad_core.blocks_for(line_bytes);
   stats_.cipher_blocks += nblocks;
 
-  cycles total = cfg_.pad_core.time_parallel(nblocks) + 1;
+  cycles total = pad_core.time_parallel(nblocks) + xor_cycles;
   stats_.crypto_cycles += total;
   total += lower_->write(line_addr, ct);
 
@@ -100,9 +101,9 @@ cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
 void integrity_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
-  const std::size_t lb = cfg_.line_bytes;
-  const std::size_t nblocks = cfg_.pad_core.blocks_for(lb);
-  const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
+  const std::size_t lb = line_bytes;
+  const std::size_t nblocks = pad_core.blocks_for(lb);
+  const cycles pad_t = pad_core.time_parallel(nblocks);
   engine::memory_authenticator* auth = auth_ ? &*auth_ : nullptr;
 
   for (sim::mem_txn& txn : batch) {
@@ -120,8 +121,8 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
       if (txn.is_write()) {
         bytes& ct = b.scratch_copy(line);
         pad_line(a, next_version(a), ct);
-        b.add_par(sim::txn_batcher::no_lower, pad_t, 1);
-        stats_.crypto_cycles += pad_t + 1;
+        b.add_par(sim::txn_batcher::no_lower, pad_t, xor_cycles);
+        stats_.crypto_cycles += pad_t + xor_cycles;
         (void)b.queue(sim::txn_op::write, txn.master, a, ct);
         if (auth) {
           // Bumps the version and rides the tag store on this window.
@@ -147,8 +148,8 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
           (void)auth->batch_finish_verify(sv, line, /*charge=*/true);
         });
       }
-      stats_.crypto_cycles += 1; // the XOR stage
-      b.add_par(li, pad_t, 1, [this, a, v, line] { pad_line(a, v, line); });
+      stats_.crypto_cycles += xor_cycles;
+      b.add_par(li, pad_t, xor_cycles, [this, a, v, line] { pad_line(a, v, line); });
     }
   }
   b.flush();
@@ -157,7 +158,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
 
 cycles integrity_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
-  const std::size_t lb = cfg_.line_bytes;
+  const std::size_t lb = line_bytes;
   const addr_t base = addr - addr % lb;
   const addr_t end_addr = addr + out.size();
   const addr_t end = (end_addr % lb == 0) ? end_addr : end_addr + lb - end_addr % lb;
@@ -165,7 +166,8 @@ cycles integrity_edu::read(addr_t addr, std::span<u8> out) {
   bytes buf(static_cast<std::size_t>(end - base));
   cycles total = 0;
   for (addr_t a = base; a < end; a += lb)
-    total += read_line(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base), lb));
+    total +=
+        read_line(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base), lb));
   const std::size_t head = static_cast<std::size_t>(addr - base);
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf[head + i];
   return total;
@@ -173,7 +175,7 @@ cycles integrity_edu::read(addr_t addr, std::span<u8> out) {
 
 cycles integrity_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
-  const std::size_t lb = cfg_.line_bytes;
+  const std::size_t lb = line_bytes;
   const addr_t base = addr - addr % lb;
   const addr_t end_addr = addr + in.size();
   const addr_t end = (end_addr % lb == 0) ? end_addr : end_addr + lb - end_addr % lb;

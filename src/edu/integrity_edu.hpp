@@ -18,10 +18,12 @@
 /// work) made standard are all modeled: extra bus traffic for tags, MAC
 /// unit latency, and on-chip version RAM.
 ///
-/// The engine is an address+version pad plus an engine::memory_authenticator
-/// in its `mac` scheme (unversioned at level mac, none at level none): tags,
-/// tag addressing, version RAM, the on-chip tag cache, fault counting and
-/// the batch tag protocol all live there, shared with the keyslot engine.
+/// The engine is an address+version pad (pad block i of a line is
+/// E(counter_block(tweak ^ block index, version))) plus an
+/// engine::memory_authenticator in its `mac` scheme (unversioned at level
+/// mac, none at level none): tags, tag addressing, version RAM, the on-chip
+/// tag cache, fault counting and the batch tag protocol all live there,
+/// shared with the keyslot engine.
 /// What stays here is the pad and the cycle model: the MAC unit's latency
 /// exposed past the fetch, the pad overlapped with it, and the batcher
 /// lanes the two run on.
@@ -39,20 +41,21 @@ enum class integrity_level { none, mac, mac_versioned };
 
 /// The MAC unit's timing and the tag cache take the auth_config defaults.
 struct integrity_edu_config {
-  std::size_t line_bytes = 32;
   std::size_t tag_bytes = 8;
   integrity_level level = integrity_level::mac_versioned;
   addr_t protected_limit = 1 << 21; ///< end of the protected address range
   addr_t tag_base = 6u << 20;       ///< where tags live in external memory
-  pipeline_model pad_core = aes_pipelined();
-  u64 tweak = 0x17E617ULL;
 };
 
 /// Authenticating bus-encryption engine (pad cipher + per-line tags).
 class integrity_edu final : public edu {
  public:
-  /// \param prf     block cipher for the pad.
+  /// The unit one tag covers.
+  static constexpr std::size_t line_bytes = 32;
+
+  /// \param prf     block cipher for the pad, with a 16-byte block.
   /// \param mac_key key for the line MACs.
+  /// \throws std::invalid_argument when \p prf's block is not 16 bytes.
   integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                 bytes mac_key, integrity_edu_config cfg);
 
@@ -75,7 +78,7 @@ class integrity_edu final : public edu {
   void submit(std::span<sim::mem_txn> batch) override;
 
   [[nodiscard]] std::size_t preferred_chunk() const noexcept override {
-    return cfg_.line_bytes;
+    return line_bytes;
   }
 
   /// Tamper events detected so far (tag mismatches on fetch).
@@ -107,6 +110,9 @@ class integrity_edu final : public edu {
   [[nodiscard]] const integrity_edu_config& config() const noexcept { return cfg_; }
 
  private:
+  static constexpr pipeline_model pad_core = aes_pipelined();
+  static constexpr u64 tweak = 0x17E617ULL;
+
   [[nodiscard]] cycles read_line(addr_t line_addr, std::span<u8> out);
   [[nodiscard]] cycles write_line(addr_t line_addr, std::span<const u8> in);
 

@@ -44,7 +44,7 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
   if (edu_above_cache) {
     // Fig. 7b: cache below the EDU, plain external path.
     l1_ = std::make_unique<sim::cache>(cfg.l1, ext_);
-    edu_ = std::make_unique<cacheside_edu>(*l1_, *prf_, cacheside_edu_config{});
+    edu_ = std::make_unique<cacheside_edu>(*l1_, *prf_);
     cpu_ = std::make_unique<sim::cpu>(*edu_, cfg.l1.hit_latency);
     return;
   }
@@ -56,7 +56,7 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
     case engine_kind::best_stp:
       cipher_ = std::make_unique<crypto::best_cipher>(best_key_);
       edu_ = std::make_unique<block_edu>(
-          ext_, *cipher_, block_edu_config{block_mode::ecb, best_combinational(), 32, 0});
+          ext_, *cipher_, block_edu_config{block_mode::ecb, best_combinational(), 32});
       break;
     case engine_kind::dallas_byte:
       byte_cipher_ = std::make_unique<crypto::byte_bus_cipher>(byte_key_, 24);
@@ -68,12 +68,12 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
       break;
     case engine_kind::block_ecb_aes:
       edu_ = std::make_unique<block_edu>(
-          ext_, *prf_, block_edu_config{block_mode::ecb, aes_iterative(), 32, 0});
+          ext_, *prf_, block_edu_config{block_mode::ecb, aes_iterative(), 32});
       break;
     case engine_kind::block_cbc_aes:
       edu_ = std::make_unique<block_edu>(
           ext_, *prf_,
-          block_edu_config{block_mode::cbc_line, aes_iterative(), cfg.l1.line_size, 0});
+          block_edu_config{block_mode::cbc_line, aes_iterative(), cfg.l1.line_size});
       break;
     case engine_kind::xom_aes:
       edu_ = std::make_unique<xom_edu>(ext_, *prf_);

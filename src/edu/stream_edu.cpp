@@ -1,6 +1,5 @@
 #include "edu/stream_edu.hpp"
 
-#include "common/bitops.hpp"
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
@@ -9,17 +8,15 @@ namespace buscrypt::edu {
 
 stream_edu::stream_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
                        stream_edu_config cfg)
-    : edu(lower), pad_(prf, cfg.tweak), cfg_(cfg) {}
+    : edu(lower), pad_(prf, tweak), cfg_(cfg) {}
 
 cycles stream_edu::pad_time(addr_t addr, std::size_t len) const noexcept {
-  return cfg_.pad_core.time_parallel(pad_.blocks_covering(addr, len));
+  return pad_core.time_parallel(pad_.blocks_covering(addr, len));
 }
 
 void stream_edu::apply_pad(addr_t addr, std::span<u8> buf) {
-  bytes pad_bytes(buf.size());
-  pad_.generate(addr, pad_bytes);
+  pad_.apply(addr, buf);
   stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
-  xor_bytes(buf, pad_bytes);
 }
 
 cycles stream_edu::charge(addr_t addr, std::size_t len, cycles mem) {
@@ -27,8 +24,8 @@ cycles stream_edu::charge(addr_t addr, std::size_t len, cycles mem) {
   // With the parallel keystream, pad generation starts from the address
   // alone, concurrently with the bus transfer (a write buffer lets writes
   // overlap it the same way); only the excess, if any, is exposed.
-  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad) + cfg_.xor_cycles
-                                               : mem + pad + cfg_.xor_cycles;
+  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad) + xor_cycles
+                                               : mem + pad + xor_cycles;
   stats_.crypto_cycles += total - mem;
   return total;
 }
@@ -57,9 +54,9 @@ void stream_edu::submit(std::span<sim::mem_txn> batch) {
     const std::size_t li = b.queue(txn.op, txn.master, txn.addr, data);
     const cycles pad = pad_time(txn.addr, data.size());
     if (cfg_.parallel_keystream)
-      b.add_par(li, pad, cfg_.xor_cycles);
+      b.add_par(li, pad, xor_cycles);
     else
-      b.add_gated(li, sim::txn_batcher::no_lower, pad + cfg_.xor_cycles);
+      b.add_gated(li, sim::txn_batcher::no_lower, pad + xor_cycles);
   }
   b.flush();
 

@@ -2,7 +2,8 @@
 /// \file stream_edu.hpp
 /// Stream-cipher EDU (Fig. 2a applied at the Fig. 2c location): ciphertext
 /// = plaintext XOR pad(address), with the pad produced by a block-cipher
-/// PRF over the address (seekable, so random access costs nothing).
+/// PRF over the address (crypto::address_pad: seekable, so random access
+/// costs nothing).
 ///
 /// Carries the survey's central performance claim: "the key stream
 /// generation can be parallelised with external data fetch", unlike a
@@ -16,16 +17,16 @@
 namespace buscrypt::edu {
 
 struct stream_edu_config {
-  pipeline_model pad_core = aes_pipelined(); ///< PRF generating the pad
   bool parallel_keystream = true; ///< false = serialize pad after fetch (ablation)
-  cycles xor_cycles = 1;          ///< the XOR gate stage
-  u64 tweak = 0x57E4EA11C0DE5ULL;
 };
 
 /// One-time-pad style EDU; byte-addressable, so it NEVER pays the
 /// five-step sub-block write penalty (contrast with block_edu).
 class stream_edu final : public edu {
  public:
+  /// The PRF core generating the pad.
+  static constexpr pipeline_model pad_core = aes_pipelined();
+
   stream_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
              stream_edu_config cfg);
 
@@ -53,6 +54,8 @@ class stream_edu final : public edu {
   /// bus time; charges the excess to crypto_cycles.
   [[nodiscard]] cycles charge(addr_t addr, std::size_t len, cycles mem);
   void apply_pad(addr_t addr, std::span<u8> buf);
+
+  static constexpr u64 tweak = 0x57E4EA11C0DE5ULL;
 
   crypto::address_pad pad_;
   stream_edu_config cfg_;

@@ -84,4 +84,8 @@ struct pipeline_model {
   return {"stream-gen", 4, 1, 8, 3'000};
 }
 
+/// The XOR gate stage a pad engine (stream, cache-side, compress,
+/// integrity) puts after its keystream.
+inline constexpr cycles xor_cycles = 1;
+
 } // namespace buscrypt::edu

@@ -19,7 +19,7 @@ class xom_edu final : public block_edu {
  public:
   xom_edu(sim::memory_port& lower, const crypto::block_cipher& aes_cipher)
       : block_edu(lower, aes_cipher,
-                  block_edu_config{block_mode::ecb, aes_pipelined(), 32, 0}) {}
+                  block_edu_config{block_mode::ecb, aes_pipelined(), 32}) {}
 
   [[nodiscard]] std::string_view name() const noexcept override { return "XOM-AES"; }
 };

@@ -15,7 +15,8 @@ bus_encryption_engine::bus_encryption_engine(sim::memory_port& lower,
 bus_encryption_engine::context_id bus_encryption_engine::create_context(keyslot_key k) {
   const cipher_backend& backend = slots_->registry().at(k.backend);
   if (!backend.key_len_ok(k.key.size()))
-    throw std::invalid_argument("create_context: bad key length for backend " + k.backend);
+    throw std::invalid_argument("create_context: bad key length for backend " +
+                                k.backend);
   // Granule check needs a keyed instance's view; all our backends expose a
   // fixed granule independent of the key, so probe with the key itself.
   const auto probe = backend.make_keyed(k.key);
@@ -123,8 +124,8 @@ bus_encryption_engine::span_at(addr_t addr, std::size_t len) const noexcept {
   return {s.ctx, s.len};
 }
 
-bus_encryption_engine::access_span
-bus_encryption_engine::span_for(master_id m, addr_t addr, std::size_t len) const noexcept {
+bus_encryption_engine::access_span bus_encryption_engine::span_for(
+    master_id m, addr_t addr, std::size_t len) const noexcept {
   // Winning region = newest one containing addr (its index bounds which
   // later mappings can still override parts of the span). Ownership rides
   // the region, so domain boundaries and context boundaries split spans
@@ -232,7 +233,7 @@ bus_encryption_engine::lease_slot(const keyslot_key& k, bool charge_time, bool h
   // prefetched slot stays free — that is the policy's whole payoff.
   const keyslot_stats& ks = slots_->stats();
   const u64 demand_before = ks.cold_programs + ks.reprograms;
-  lease.guard = std::make_unique<slot_guard>(*slots_, k);
+  lease.guard.emplace(*slots_, k);
   if (lease.guard->valid()) {
     lease.kc = &lease.guard->keyed();
     if (charge_time && ks.cold_programs + ks.reprograms != demand_before) {

@@ -29,6 +29,7 @@
 #include "sim/firewall.hpp"
 #include "sim/memory_port.hpp"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -125,8 +126,8 @@ class bus_encryption_engine final : public sim::memory_port {
   /// The context at \p addr and the length of the longest prefix of
   /// [addr, addr+len) it uniformly covers, ignoring domain ownership
   /// (the offline/trusted view). One pass over the region list.
-  [[nodiscard]] std::pair<context_id, std::size_t> span_at(addr_t addr,
-                                                           std::size_t len) const noexcept;
+  [[nodiscard]] std::pair<context_id, std::size_t> span_at(
+      addr_t addr, std::size_t len) const noexcept;
 
   /// One uniform span of a request as master \p m sees it: the covering
   /// context, the prefix length it uniformly covers (splitting at both
@@ -218,7 +219,7 @@ class bus_encryption_engine final : public sim::memory_port {
   /// of the acquire/program-cost/fallback protocol, shared by the scalar
   /// and batched datapaths so their timing and stats cannot drift apart.
   struct slot_lease {
-    std::unique_ptr<slot_guard> guard;      ///< pins the hardware slot
+    std::optional<slot_guard> guard;        ///< pins the hardware slot
     std::unique_ptr<keyed_cipher> software; ///< fallback instance, if used
     keyed_cipher* kc = nullptr;
     bool fallback = false;

@@ -24,7 +24,8 @@ void check_unit(std::size_t granule, std::span<const u8> in, std::span<const u8>
   if (in.size() != out.size())
     throw std::invalid_argument("keyed_cipher: in/out size mismatch");
   if (granule != 0 && in.size() % granule != 0)
-    throw std::invalid_argument("keyed_cipher: unit not a multiple of the cipher granule");
+    throw std::invalid_argument(
+        "keyed_cipher: unit not a multiple of the cipher granule");
 }
 
 void check_units(std::size_t unit_len, std::span<const u8> in, std::span<const u8> out) {
@@ -91,7 +92,8 @@ class block_keyed final : public keyed_cipher {
     }
   }
 
-  [[nodiscard]] cycles unit_cost(std::size_t nbytes, bool encrypt) const noexcept override {
+  [[nodiscard]] cycles unit_cost(std::size_t nbytes,
+                                 bool encrypt) const noexcept override {
     return cost_.time(nbytes, encrypt);
   }
 
@@ -127,16 +129,8 @@ class block_keyed final : public keyed_cipher {
     std::size_t w = 0;
     for (std::size_t u = 0; u < nunits; ++u) {
       u64 ctr = (first_dun + u) << 16;
-      for (std::size_t b = 0; b < bpu; ++b, ++ctr, w += bs) {
-        u8* cb = work.data() + w;
-        std::fill(cb, cb + bs, u8{0});
-        if (bs >= 16) {
-          store_be64(cb, k_ctr_tweak);
-          store_be64(cb + bs - 8, ctr);
-        } else {
-          store_be64(cb, k_ctr_tweak ^ ctr);
-        }
-      }
+      for (std::size_t b = 0; b < bpu; ++b, ++ctr, w += bs)
+        crypto::counter_block(work.subspan(w, bs), k_ctr_tweak, ctr);
     }
     cipher_->encrypt_blocks(work, work);
     if (!aligned)
@@ -162,7 +156,8 @@ class block_keyed final : public keyed_cipher {
                          std::span<u8> out) {
     const std::size_t bs = cipher_->block_size();
     if (unit_len % bs != 0)
-      throw std::invalid_argument("keyed_cipher: unit not a multiple of the cipher granule");
+      throw std::invalid_argument(
+          "keyed_cipher: unit not a multiple of the cipher granule");
     if (in.empty()) return;
     const std::size_t nunits = in.size() / unit_len;
     bytes ivs(nunits * bs, 0);
@@ -216,8 +211,10 @@ class block_keyed final : public keyed_cipher {
 /// Keyed stream cipher: reseed(key, DUN-iv) per unit.
 class stream_keyed final : public keyed_cipher {
  public:
-  stream_keyed(std::string name, backend_cost cost, bytes key, stream_backend::factory make)
-      : name_(std::move(name)), cost_(cost), key_(std::move(key)), make_(std::move(make)) {}
+  stream_keyed(std::string name, backend_cost cost, bytes key,
+               stream_backend::factory make)
+      : name_(std::move(name)), cost_(cost), key_(std::move(key)),
+        make_(std::move(make)) {}
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] std::size_t granule() const noexcept override { return 1; }
@@ -229,7 +226,8 @@ class stream_keyed final : public keyed_cipher {
     crypt(dun, in, out);
   }
 
-  [[nodiscard]] cycles unit_cost(std::size_t nbytes, bool encrypt) const noexcept override {
+  [[nodiscard]] cycles unit_cost(std::size_t nbytes,
+                                 bool encrypt) const noexcept override {
     return cost_.time(nbytes, encrypt);
   }
 
@@ -269,16 +267,16 @@ class stream_keyed final : public keyed_cipher {
 
 // --- keyed_cipher -----------------------------------------------------------
 
-void keyed_cipher::encrypt_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
-                                 std::span<u8> out) {
+void keyed_cipher::encrypt_units(u64 first_dun, std::size_t unit_len,
+                                 std::span<const u8> in, std::span<u8> out) {
   check_units(unit_len, in, out);
   for (std::size_t off = 0; off < in.size(); off += unit_len)
     encrypt_unit(first_dun + off / unit_len, in.subspan(off, unit_len),
                  out.subspan(off, unit_len));
 }
 
-void keyed_cipher::decrypt_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
-                                 std::span<u8> out) {
+void keyed_cipher::decrypt_units(u64 first_dun, std::size_t unit_len,
+                                 std::span<const u8> in, std::span<u8> out) {
   check_units(unit_len, in, out);
   for (std::size_t off = 0; off < in.size(); off += unit_len)
     decrypt_unit(first_dun + off / unit_len, in.subspan(off, unit_len),
@@ -342,7 +340,8 @@ bool stream_backend::key_len_ok(std::size_t len) const noexcept {
 std::unique_ptr<keyed_cipher> stream_backend::make_keyed(std::span<const u8> key) const {
   if (!key_len_ok(key.size()))
     throw std::invalid_argument("backend " + name_ + ": unsupported key length");
-  return std::make_unique<stream_keyed>(name_, cost_, bytes(key.begin(), key.end()), make_);
+  return std::make_unique<stream_keyed>(name_, cost_, bytes(key.begin(), key.end()),
+                                        make_);
 }
 
 // --- backend_registry -------------------------------------------------------
@@ -365,7 +364,9 @@ const cipher_backend* backend_registry::find(std::string_view name) const noexce
 
 const cipher_backend& backend_registry::at(std::string_view name) const {
   const cipher_backend* b = find(name);
-  if (!b) throw std::out_of_range("backend_registry: no backend named '" + std::string(name) + "'");
+  if (!b)
+    throw std::out_of_range("backend_registry: no backend named '" + std::string(name) +
+                            "'");
   return *b;
 }
 
@@ -395,9 +396,12 @@ backend_registry make_builtin() {
   backend_registry reg;
   const std::vector<std::size_t> aes_keys{16, 24, 32};
 
-  reg.add(std::make_unique<block_backend>("aes-ecb", unit_mode::ecb, aes_cost, aes_keys, make_aes));
-  reg.add(std::make_unique<block_backend>("aes-cbc", unit_mode::cbc, aes_cbc_cost, aes_keys, make_aes));
-  reg.add(std::make_unique<block_backend>("aes-ctr", unit_mode::ctr, aes_cost, aes_keys, make_aes));
+  reg.add(std::make_unique<block_backend>("aes-ecb", unit_mode::ecb, aes_cost, aes_keys,
+                                          make_aes));
+  reg.add(std::make_unique<block_backend>("aes-cbc", unit_mode::cbc, aes_cbc_cost,
+                                          aes_keys, make_aes));
+  reg.add(std::make_unique<block_backend>("aes-ctr", unit_mode::ctr, aes_cost, aes_keys,
+                                          make_aes));
 
   reg.add(std::make_unique<block_backend>(
       "des-cbc", unit_mode::cbc, des_cost, std::vector<std::size_t>{8},
@@ -422,19 +426,22 @@ backend_registry make_builtin() {
 
   reg.add(std::make_unique<stream_backend>(
       "rc4-stream", stream_cost, std::vector<std::size_t>{8, 16, 32},
-      [](std::span<const u8> key, std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
+      [](std::span<const u8> key,
+         std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
         auto g = std::make_unique<crypto::rc4>(key);
         g->reseed(key, iv);
         return g;
       }));
   reg.add(std::make_unique<stream_backend>(
       "lfsr-stream", stream_cost, std::vector<std::size_t>{8, 16},
-      [](std::span<const u8> key, std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
+      [](std::span<const u8> key,
+         std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
         return std::make_unique<crypto::galois_lfsr>(key, iv);
       }));
   reg.add(std::make_unique<stream_backend>(
       "trivium-stream", stream_cost, std::vector<std::size_t>{8, 10},
-      [](std::span<const u8> key, std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
+      [](std::span<const u8> key,
+         std::span<const u8> iv) -> std::unique_ptr<crypto::stream_cipher> {
         return std::make_unique<crypto::trivium>(key, iv);
       }));
   return reg;

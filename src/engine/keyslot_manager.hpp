@@ -20,6 +20,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace buscrypt::engine {
 
@@ -82,7 +83,9 @@ class keyslot_manager {
   /// The key programmed into \p slot, if any.
   [[nodiscard]] const keyslot_key* key_of(int slot) const;
 
-  [[nodiscard]] unsigned num_slots() const noexcept { return static_cast<unsigned>(slots_.size()); }
+  [[nodiscard]] unsigned num_slots() const noexcept {
+    return static_cast<unsigned>(slots_.size());
+  }
   [[nodiscard]] unsigned slots_in_use() const noexcept;
   /// Slots currently holding a programmed key schedule.
   [[nodiscard]] unsigned slots_programmed() const noexcept { return programmed_; }
@@ -131,11 +134,14 @@ class keyslot_manager {
 };
 
 /// RAII acquire/release. Evaluates to the slot index; valid() is false on
-/// the fallback path.
+/// the fallback path. Movable, so a lease can hold it by value: the
+/// moved-from guard releases nothing.
 class slot_guard {
  public:
   slot_guard(keyslot_manager& mgr, const keyslot_key& k)
       : mgr_(&mgr), slot_(mgr.acquire(k)) {}
+  slot_guard(slot_guard&& o) noexcept
+      : mgr_(o.mgr_), slot_(std::exchange(o.slot_, keyslot_manager::no_slot)) {}
   ~slot_guard() {
     if (valid()) mgr_->release(slot_);
   }

@@ -5,12 +5,16 @@
 // call, a verify, an update, and an AREA seal and unseal each make no
 // allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; a
 // warm engine's scalar write of a unit makes no more than a read of it, and
-// its AREA read of four units as many as of one; and a batched issue of
-// line txns makes as many for 4096 txns as for 64.
+// its AREA read of four units as many as of one; a batched issue of line
+// txns makes as many for 4096 txns as for 64; and the pad and CBC EDUs
+// build their pads and IVs on the stack.
 
 #include "crypto/aes.hpp"
 #include "crypto/modes.hpp"
+#include "edu/aegis_edu.hpp"
+#include "edu/block_edu.hpp"
 #include "edu/plain_edu.hpp"
+#include "edu/stream_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "engine/memory_authenticator.hpp"
 #include "sim/bus.hpp"
@@ -213,6 +217,8 @@ TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
   const auto write1 = allocs_of([&] { (void)eng.write(0x100, unit); });
   const auto read1 = allocs_of([&] { (void)eng.read(0x100, one); });
   EXPECT_LE(write1, read1);
+  // The cover buffer and the CTR pad window; the slot lease is a value.
+  EXPECT_LE(read1, 2u);
   EXPECT_EQ(one, unit);
   const auto area4 = allocs_of([&] { (void)eng.read(area_at, four); });
   const auto area1 = allocs_of([&] { (void)eng.read(area_at, one); });
@@ -223,13 +229,43 @@ TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
               write1, read1, area4, area1);
 }
 
-TEST(AllocFree, AddressPadGenerateIsHeapFree) {
-  // The counter and pad blocks live on the stack, so the pad-XOR EDUs
-  // (stream, compress, cache-side) pay no heap traffic per pad.
+TEST(AllocFree, AddressPadApplyIsHeapFree) {
+  // The counter/pad block lives on the stack and the pad is XORed in
+  // place, so the pad-XOR EDUs (stream, compress, cache-side) pay no heap
+  // traffic per pad.
   const crypto::aes prf{bytes(16, 0x2F)};
   const crypto::address_pad pad{prf, 0x57E4EA11ULL};
-  std::array<u8, 32> out{};
-  EXPECT_EQ(allocs_of([&] { pad.generate(0x1007, out); }), 0u);
+  std::array<u8, 32> buf{};
+  EXPECT_EQ(allocs_of([&] { pad.apply(0x1007, buf); }), 0u);
+}
+
+TEST(AllocFree, WarmScalarLineReadsBuildPadsAndIvsOnTheStack) {
+  // A Stream-OTP read XORs its pad in place; AES-CBCline allocates only its
+  // cover buffer and CBC-decrypt's ciphertext copy, AEGIS only the latter.
+  sim::dram mem{1u << 20};
+  sim::external_memory ext{mem};
+  const crypto::aes prf{bytes(16, 0x2F)};
+  edu::stream_edu stream{ext, prf, {}};
+  edu::block_edu cbc{ext, prf, {edu::block_mode::cbc_line, edu::aes_iterative(), 32}};
+  edu::aegis_edu aegis{ext, prf, {}};
+  const bytes line(32, 0x66);
+  bytes out(32);
+  auto warm_read = [&](edu::edu& e, addr_t a) {
+    (void)e.write(a, line);
+    (void)e.read(a, out);
+    const auto n = allocs_of([&] { (void)e.read(a, out); });
+    EXPECT_EQ(out, line) << e.name();
+    return n;
+  };
+  const auto s = warm_read(stream, 0x1000);
+  const auto c = warm_read(cbc, 0x2000);
+  const auto a = warm_read(aegis, 0x3000);
+  EXPECT_EQ(s, 0u);
+  EXPECT_LE(c, 2u);
+  EXPECT_LE(a, 1u);
+  std::printf("warm line read: %llu allocations for Stream-OTP, %llu for "
+              "AES-CBCline, %llu for AEGIS\n",
+              s, c, a);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 #include "compress/entropy.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/des.hpp"
@@ -70,7 +71,8 @@ TEST_P(EveryEngine, DramHoldsCiphertextExceptBaselines) {
   const auto raw = soc.memory().raw();
   for (std::size_t i = 0; i < img.size(); ++i)
     if (raw[i] == img[i]) ++matches;
-  const double match_rate = static_cast<double>(matches) / static_cast<double>(img.size());
+  const double match_rate =
+      static_cast<double>(matches) / static_cast<double>(img.size());
 
   if (GetParam() == engine_kind::plaintext) {
     EXPECT_GT(match_rate, 0.99);
@@ -141,8 +143,8 @@ TEST(StreamEdu, ParallelKeystreamHidesPadLatency) {
   EXPECT_LT(t_par, t_ser);
   // Parallel ~ max(mem, pad) + 1: barely above raw memory for a line.
   const cycles mem_only = ext3.read(0x100, buf);
-  EXPECT_LE(t_par, std::max(mem_only, par.pad_core.time_parallel(2)) +
-                       par.xor_cycles);
+  EXPECT_LE(t_par,
+            std::max(mem_only, stream_edu::pad_core.time_parallel(2)) + xor_cycles);
 }
 
 TEST(StreamEdu, NoRmwForSubBlockWrites) {
@@ -164,7 +166,7 @@ TEST(BlockEdu, SubBlockWritePaysRmw) {
   sim::external_memory ext(d);
   rng r(7);
   const crypto::aes cipher(r.random_bytes(16));
-  block_edu b(ext, cipher, {block_mode::ecb, aes_iterative(), 32, 0});
+  block_edu b(ext, cipher, {block_mode::ecb, aes_iterative(), 32});
 
   bytes line(16);
   (void)b.write(0, line); // aligned full block: no RMW
@@ -189,8 +191,8 @@ TEST(BlockEdu, CbcEncryptChainsSerially) {
   sim::external_memory ext1(d1), ext2(d2);
   rng r(8);
   const crypto::aes cipher(r.random_bytes(16));
-  block_edu ecb(ext1, cipher, {block_mode::ecb, aes_pipelined(), 32, 0});
-  block_edu cbc(ext2, cipher, {block_mode::cbc_line, aes_pipelined(), 32, 0});
+  block_edu ecb(ext1, cipher, {block_mode::ecb, aes_pipelined(), 32});
+  block_edu cbc(ext2, cipher, {block_mode::cbc_line, aes_pipelined(), 32});
 
   bytes line(32);
   const cycles t_ecb = ecb.write(0, line);
@@ -203,8 +205,8 @@ TEST(BlockEdu, EcbLeaksStructureCbcDoesNot) {
   sim::external_memory ext(d);
   rng r(9);
   const crypto::aes cipher(r.random_bytes(16));
-  block_edu ecb(ext, cipher, {block_mode::ecb, aes_iterative(), 32, 0});
-  block_edu cbc(ext, cipher, {block_mode::cbc_line, aes_iterative(), 32, 1});
+  block_edu ecb(ext, cipher, {block_mode::ecb, aes_iterative(), 32});
+  block_edu cbc(ext, cipher, {block_mode::cbc_line, aes_iterative(), 32});
 
   const bytes img(4096, 0xAA); // maximally repetitive
   ecb.install_image(0, img);
@@ -237,14 +239,12 @@ TEST(GilmontEdu, DataRegionIsClearForm) {
   sim::external_memory ext(d);
   rng r(12);
   const crypto::triple_des cipher(r.random_bytes(24));
-  gilmont_edu_config cfg;
-  cfg.code_limit = 1 << 20;
-  gilmont_edu g(ext, cipher, cfg);
+  gilmont_edu g(ext, cipher, {});
 
   const bytes data = {1, 2, 3, 4};
-  (void)g.write((1 << 20) + 64, data);
+  (void)g.write(gilmont_edu::code_limit + 64, data);
   bytes raw(4);
-  d.read_bytes((1 << 20) + 64, raw);
+  d.read_bytes(gilmont_edu::code_limit + 64, raw);
   EXPECT_EQ(raw, data); // the surveyed limitation: data travels in clear
 }
 
@@ -279,7 +279,7 @@ TEST(DmaEdu, DirtyPageWritebackPreservesData) {
   sim::external_memory ext(d);
   rng r(15);
   const crypto::aes cipher(r.random_bytes(16));
-  dma_edu dma(ext, cipher, {4096, 2, 2, aes_pipelined(), 0x99});
+  dma_edu dma(ext, cipher, {4096, 2});
 
   const bytes v1 = {0xDE, 0xAD};
   (void)dma.write(100, v1);
@@ -362,10 +362,41 @@ TEST(AegisEdu, CounterNoncesAreSequential) {
   sim::external_memory ext(d);
   rng r(22);
   const crypto::aes cipher(r.random_bytes(16));
-  aegis_edu a(ext, cipher, {32, aegis_iv_mode::counter, aes_pipelined(), 1});
+  aegis_edu a(ext, cipher, {32, aegis_iv_mode::counter, 1});
   bytes line(32);
   for (int i = 0; i < 5; ++i) (void)a.write(64, line);
   EXPECT_EQ(a.nonces().at(64), 5u);
+}
+
+TEST(AegisEdu, IvsNeverRepeatAcrossLinesOrNonces) {
+  // A zero line's first ciphertext block is E_K(IV), so distinct IVs show
+  // as distinct first blocks: four adjacent lines, 40 counter nonces each.
+  sim::dram d(1 << 20);
+  sim::external_memory ext(d);
+  rng r(27);
+  const crypto::aes cipher(r.random_bytes(16));
+  aegis_edu a(ext, cipher, {});
+  const bytes zero(32, 0);
+  std::set<bytes> first_blocks;
+  for (int n = 1; n <= 40; ++n) {
+    for (addr_t line = 0; line < 0x80; line += 32) {
+      (void)a.write(line, zero);
+      bytes c0(16);
+      d.read_bytes(line, c0);
+      first_blocks.insert(c0);
+    }
+  }
+  EXPECT_EQ(first_blocks.size(), 40u * 4u);
+}
+
+TEST(AegisEdu, RejectsCipherNarrowerThanSixteenBytes) {
+  // An 8-byte counter block folds line and nonce into one half: line 0x20
+  // at nonce 1 and line 0 at nonce 33 would share an IV.
+  sim::dram d(1 << 20);
+  sim::external_memory ext(d);
+  rng r(28);
+  const crypto::des cipher(r.random_bytes(8));
+  EXPECT_THROW(aegis_edu(ext, cipher, {}), std::invalid_argument);
 }
 
 TEST(CompressEdu, DensityGainOnCode) {

@@ -6,11 +6,14 @@
 #include "attack/trace_analysis.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/des.hpp"
 #include "edu/integrity_edu.hpp"
 #include "edu/soc.hpp"
 #include "edu/stream_edu.hpp"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 namespace buscrypt {
 namespace {
@@ -78,6 +81,28 @@ TEST(IntegrityEdu, VersionedWritesChangeCiphertext) {
   EXPECT_NE(ct1, ct2); // fresh pad per version: no two-time pad
 }
 
+TEST(IntegrityEdu, PadsNeverRepeatAcrossVersionsOrBlockOffsets) {
+  // A zero line stores its pad. Every pad block of four adjacent lines over
+  // 260 versions each is distinct, across offsets, lines and versions
+  // (versions 1 and 257 share their low byte).
+  rig rg;
+  integrity_edu e = rg.make(integrity_level::mac_versioned);
+  const bytes zero(integrity_edu::line_bytes, 0);
+  std::set<bytes> pads;
+  std::size_t blocks = 0;
+  for (int v = 1; v <= 260; ++v) {
+    for (addr_t line = 0x200; line < 0x280; line += integrity_edu::line_bytes) {
+      (void)e.write(line, zero);
+      bytes ct(integrity_edu::line_bytes);
+      rg.chip.read_bytes(line, ct);
+      for (std::size_t off = 0; off < ct.size(); off += 16, ++blocks)
+        pads.emplace(ct.begin() + off, ct.begin() + off + 16);
+    }
+  }
+  EXPECT_EQ(blocks, 260u * 4u * 2u);
+  EXPECT_EQ(pads.size(), blocks);
+}
+
 TEST(IntegrityEdu, UnversionedWritesReusePad) {
   rig rg;
   integrity_edu e = rg.make(integrity_level::mac);
@@ -130,6 +155,11 @@ TEST(IntegrityEdu, RejectsBadConfig) {
   cfg.level = integrity_level::mac_versioned;
   cfg.tag_bytes = 12; // some tags would straddle two 64-byte tag lines
   EXPECT_THROW(integrity_edu(rg.ext, rg.prf, rg.mac_key, cfg), std::invalid_argument);
+  // An 8-byte counter block folds block index and version into one half:
+  // at line 0x200, block 0 at version 1 and block 3 at version 2 would
+  // share a pad.
+  const crypto::des narrow(rg.r.random_bytes(8));
+  EXPECT_THROW(integrity_edu(rg.ext, narrow, rg.mac_key, {}), std::invalid_argument);
 }
 
 // --- the detection matrix ---------------------------------------------------
@@ -177,8 +207,10 @@ TEST(PadReuse, StreamEduLeaksXorOfPlaintexts) {
 
   const char* msg1 = "balance: $0000100.00 USD acct#777 ";
   const char* msg2 = "balance: $9999999.99 USD acct#777 ";
-  const bytes pt1(reinterpret_cast<const u8*>(msg1), reinterpret_cast<const u8*>(msg1) + 34);
-  const bytes pt2(reinterpret_cast<const u8*>(msg2), reinterpret_cast<const u8*>(msg2) + 34);
+  const bytes pt1(reinterpret_cast<const u8*>(msg1),
+                  reinterpret_cast<const u8*>(msg1) + 34);
+  const bytes pt2(reinterpret_cast<const u8*>(msg2),
+                  reinterpret_cast<const u8*>(msg2) + 34);
 
   (void)s.write(0x500, pt1);
   bytes ct1(34);

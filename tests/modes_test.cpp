@@ -1,5 +1,6 @@
 // Mode-of-operation semantics: the ECB determinism weakness, CBC chaining,
-// CTR seekability, PKCS#7, and the address_pad the stream EDUs rely on.
+// CTR seekability, PKCS#7, the address_pad the stream EDUs rely on, and
+// the one counter-block layout behind CTR, the pads and the CBC IVs.
 
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
@@ -8,8 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace buscrypt::crypto {
 namespace {
+
+/// A 32-byte-block cipher: wider than the on-stack counter/IV/pad block.
+struct wide_cipher final : block_cipher {
+  std::size_t block_size() const noexcept override { return 32; }
+  std::string_view name() const noexcept override { return "wide"; }
+  void encrypt_block(std::span<const u8>, std::span<u8>) const override {}
+  void decrypt_block(std::span<const u8>, std::span<u8>) const override {}
+};
 
 TEST(Ecb, IdenticalBlocksLeak) {
   // "a same data will be ciphered to the same value".
@@ -137,8 +148,8 @@ TEST(AddressPad, DeterministicPerAddress) {
   const aes c(r.random_bytes(16));
   const address_pad pad(c, 0x1234);
   bytes a(64), b(64);
-  pad.generate(0x1000, a);
-  pad.generate(0x1000, b);
+  pad.apply(0x1000, a);
+  pad.apply(0x1000, b);
   EXPECT_EQ(a, b);
 }
 
@@ -147,8 +158,8 @@ TEST(AddressPad, DifferentAddressesDifferentPads) {
   const aes c(r.random_bytes(16));
   const address_pad pad(c, 0x1234);
   bytes a(32), b(32);
-  pad.generate(0x1000, a);
-  pad.generate(0x2000, b);
+  pad.apply(0x1000, a);
+  pad.apply(0x2000, b);
   EXPECT_NE(a, b);
 }
 
@@ -159,11 +170,12 @@ TEST(AddressPad, UnalignedWindowsAreConsistent) {
   const aes c(r.random_bytes(16));
   const address_pad pad(c, 0x99);
   bytes whole(64);
-  pad.generate(0x500, whole);
+  pad.apply(0x500, whole);
   for (std::size_t off : {1u, 7u, 15u, 16u, 17u, 31u}) {
     bytes part(64 - off);
-    pad.generate(0x500 + off, part);
-    EXPECT_TRUE(std::equal(part.begin(), part.end(), whole.begin() + static_cast<std::ptrdiff_t>(off)))
+    pad.apply(0x500 + off, part);
+    EXPECT_TRUE(std::equal(part.begin(), part.end(),
+                           whole.begin() + static_cast<std::ptrdiff_t>(off)))
         << off;
   }
 }
@@ -185,21 +197,115 @@ TEST(AddressPad, TweakSeparatesDomains) {
   const aes c(r.random_bytes(16));
   const address_pad p1(c, 1), p2(c, 2);
   bytes a(32), b(32);
-  p1.generate(0, a);
-  p2.generate(0, b);
+  p1.apply(0, a);
+  p2.apply(0, b);
   EXPECT_NE(a, b);
 }
 
 TEST(AddressPad, RejectsBlockWiderThanItsBuffer) {
-  // The counter and pad blocks live on the stack, max_block (16) bytes each.
-  struct wide_cipher final : block_cipher {
-    std::size_t block_size() const noexcept override { return 32; }
-    std::string_view name() const noexcept override { return "wide"; }
-    void encrypt_block(std::span<const u8>, std::span<u8>) const override {}
-    void decrypt_block(std::span<const u8>, std::span<u8>) const override {}
-  };
+  // The counter/pad block lives on the stack, max_block (16) bytes.
   const wide_cipher c{};
   EXPECT_THROW((void)address_pad(c, 0), std::invalid_argument);
+}
+
+// --- counter_block ------------------------------------------------------------
+
+/// E_K(counter_block(hi, lo)): the pad or IV block an address derives.
+bytes enciphered_counter(const block_cipher& c, u64 hi, u64 lo) {
+  bytes b(c.block_size());
+  counter_block(b, hi, lo);
+  c.encrypt_block(b, b);
+  return b;
+}
+
+TEST(CounterBlock, LayoutOfA16And8ByteBlock) {
+  constexpr u64 hi = 0x0102030405060708ULL;
+  constexpr u64 lo = 0xF0E0D0C0B0A09080ULL;
+  std::array<u8, 16> wide{};
+  wide.fill(0xFF); // every byte is written
+  counter_block(wide, hi, lo);
+  EXPECT_EQ(bytes(wide.begin(), wide.end()),
+            (bytes{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, //
+                   0xF0, 0xE0, 0xD0, 0xC0, 0xB0, 0xA0, 0x90, 0x80}));
+  std::array<u8, 8> narrow{};
+  narrow.fill(0xFF);
+  counter_block(narrow, hi, lo);
+  EXPECT_EQ(bytes(narrow.begin(), narrow.end()),
+            (bytes{0xF1, 0xE2, 0xD3, 0xC4, 0xB5, 0xA6, 0x97, 0x88}));
+}
+
+/// One AES and one DES instance: the 16- and the 8-byte layout.
+struct both_widths {
+  rng r{40};
+  aes a{r.random_bytes(16)};
+  des d{r.random_bytes(8)};
+  std::array<const block_cipher*, 2> ciphers{&a, &d};
+};
+
+TEST(CounterBlock, CtrKeystreamBlockIsTheEncipheredCounterBlock) {
+  both_widths w;
+  for (const block_cipher* c : w.ciphers) {
+    SCOPED_TRACE(c->name());
+    const std::size_t bs = c->block_size();
+    constexpr u64 nonce = 0x42E5C0DE0D1E5EEDULL;
+    constexpr u64 ctr0 = ~u64{0} - 1; // the counter wraps mid-run
+    bytes ks(5 * bs - 3, 0);          // a zero input yields the keystream
+    ctr_crypt(*c, nonce, ctr0, ks, ks);
+    for (std::size_t i = 0; i * bs < ks.size(); ++i) {
+      const bytes want = enciphered_counter(*c, nonce, ctr0 + i);
+      const std::size_t n = std::min(bs, ks.size() - i * bs);
+      EXPECT_TRUE(std::equal(want.begin(), want.begin() + static_cast<std::ptrdiff_t>(n),
+                             ks.begin() + static_cast<std::ptrdiff_t>(i * bs)))
+          << "block " << i;
+    }
+  }
+}
+
+TEST(CounterBlock, AddressPadXorsTheEncipheredCounterBlock) {
+  both_widths w;
+  for (const block_cipher* c : w.ciphers) {
+    SCOPED_TRACE(c->name());
+    const std::size_t bs = c->block_size();
+    constexpr u64 tweak = 0x57E4EA11C0DE5ULL;
+    const address_pad pad(*c, tweak);
+    constexpr addr_t addr = 0x1003; // unaligned start and end
+    const bytes data = w.r.random_bytes(3 * bs);
+    bytes buf = data;
+    pad.apply(addr, buf);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      const addr_t a = addr + i;
+      const bytes p = enciphered_counter(*c, tweak, a / bs);
+      EXPECT_EQ(buf[i], data[i] ^ p[a % bs]) << "byte " << i;
+    }
+  }
+}
+
+TEST(CounterBlock, CbcAtIsCbcUnderTheEncipheredCounterBlock) {
+  both_widths w;
+  for (const block_cipher* c : w.ciphers) {
+    SCOPED_TRACE(c->name());
+    constexpr u64 hi = 0x61C0DEULL ^ 0x400, lo = 7;
+    const bytes iv = enciphered_counter(*c, hi, lo);
+    const bytes pt = w.r.random_bytes(4 * c->block_size());
+    bytes want(pt.size());
+    cbc_encrypt(*c, iv, pt, want);
+    bytes got = pt;
+    cbc_encrypt_at(*c, hi, lo, got);
+    EXPECT_EQ(got, want);
+
+    const bytes ct = w.r.random_bytes(pt.size());
+    cbc_decrypt(*c, iv, ct, want);
+    got = ct;
+    cbc_decrypt_at(*c, hi, lo, got);
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(CounterBlock, CbcAtRejectsBlockWiderThanMaxBlock) {
+  const wide_cipher c{};
+  bytes chain(32);
+  EXPECT_THROW(cbc_encrypt_at(c, 1, 2, chain), std::invalid_argument);
+  EXPECT_THROW(cbc_decrypt_at(c, 1, 2, chain), std::invalid_argument);
 }
 
 } // namespace
