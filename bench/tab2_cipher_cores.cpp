@@ -13,9 +13,9 @@
 #include "crypto/rc4.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/toy_cipher.hpp"
-#include "edu/timing.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
+#include "sim/core_timing.hpp"
 #include "sim/dram.hpp"
 
 #include <benchmark/benchmark.h>
@@ -49,7 +49,7 @@ void stream_throughput(benchmark::State& state, crypto::stream_cipher& c) {
 }
 
 void print_hw_model_table() {
-  using namespace edu;
+  using namespace sim;
   bench::banner("Modeled hardware cores (figures quoted by the survey)",
                 "Section 3: XOM 14-cycle AES @ 1/cycle; AEGIS 300k gates;\n"
                 "Gilmont pipelined 3-DES; DS5002FP combinational byte cipher");

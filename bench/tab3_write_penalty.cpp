@@ -15,7 +15,6 @@ sim::run_stats run_with_policy(engine_kind kind, const sim::workload& w,
                                const bytes& img, bool write_back, u64* rmw_out) {
   edu::soc_config cfg = bench::default_soc();
   cfg.l1.write_back = write_back;
-  cfg.l1.write_allocate = write_back;
   edu::secure_soc soc(kind, cfg);
   soc.load_image(0, img);
   soc.load_image(1 << 20, bytes(256 * 1024, 0));
@@ -43,7 +42,8 @@ int main(int argc, char** argv) {
       const auto base = run_with_policy(engine_kind::plaintext, w, img, false, nullptr);
       const auto blk = run_with_policy(engine_kind::xom_aes, w, img, false, &rmw_block);
       const auto des = run_with_policy(engine_kind::dallas_des, w, img, false, nullptr);
-      const auto str = run_with_policy(engine_kind::stream_otp, w, img, false, &rmw_stream);
+      const auto str =
+          run_with_policy(engine_kind::stream_otp, w, img, false, &rmw_stream);
       t.add_row({table::num(static_cast<unsigned long long>(size)) + " B",
                  table::pct(blk.slowdown_vs(base) - 1.0),
                  table::num(static_cast<unsigned long long>(rmw_block)),

@@ -3,7 +3,7 @@
 /// AES-128/192/256 per FIPS-197. This is the cipher the XOM [13] and
 /// AEGIS [14] engines surveyed in Section 3 pipeline in hardware; here it is
 /// a byte-oriented software model whose hardware cost is attached separately
-/// via edu::pipeline_model.
+/// via sim::pipeline_model (sim/core_timing.hpp).
 ///
 /// The S-box is computed at compile time from the GF(2^8) inverse plus the
 /// affine map, eliminating the possibility of a mistyped table.

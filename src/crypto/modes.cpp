@@ -1,6 +1,7 @@
 #include "crypto/modes.hpp"
 
 #include "common/bitops.hpp"
+#include "crypto/des_bitslice.hpp"
 
 #include <array>
 #include <stdexcept>
@@ -15,6 +16,36 @@ void check_blocked(const block_cipher& c, std::span<const u8> in,
     throw std::invalid_argument("mode: in/out size mismatch");
   if (in.size() % c.block_size() != 0)
     throw std::invalid_argument("mode: data not a multiple of the block size");
+}
+
+/// Bytes one cbc_decrypt_chains window deciphers in one bulk call: enough
+/// DES blocks for the bitsliced lanes.
+constexpr std::size_t k_cbc_window = 4096;
+static_assert(k_cbc_window / 8 >= bitslice::k_min_wide_blocks);
+
+/// \p c's block size once \p buf is whole chains of \p chain_len bytes,
+/// each a whole number of blocks, with one IV block per chain in \p ivs.
+std::size_t check_chains(const block_cipher& c, std::span<const u8> ivs,
+                         std::span<const u8> buf, std::size_t chain_len) {
+  const std::size_t bs = c.block_size();
+  if (bs > max_block)
+    throw std::invalid_argument("cbc: cipher block wider than max_block");
+  if (chain_len == 0 || chain_len % bs != 0 || buf.size() % chain_len != 0)
+    throw std::invalid_argument("cbc: data not whole chains of whole blocks");
+  if (ivs.size() != buf.size() / chain_len * bs)
+    throw std::invalid_argument("cbc: need one iv block per chain");
+  return bs;
+}
+
+/// Checks one explicit-IV chain and copies \p in to \p out for the
+/// in-place pass; false when the chain is empty.
+bool stage_chain(const block_cipher& c, std::span<const u8> iv, std::span<const u8> in,
+                 std::span<u8> out) {
+  check_blocked(c, in, out);
+  if (iv.size() != c.block_size())
+    throw std::invalid_argument("cbc: iv size != block size");
+  if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
+  return !in.empty();
 }
 
 /// E_K(counter_block(hi, lo)) in \p buf, viewed as one cipher block.
@@ -40,38 +71,56 @@ void ecb_decrypt(const block_cipher& c, std::span<const u8> in, std::span<u8> ou
   c.decrypt_blocks(in, out);
 }
 
+void cbc_encrypt_chains(const block_cipher& c, std::span<const u8> ivs, std::span<u8> buf,
+                        std::size_t chain_len) {
+  const std::size_t bs = check_chains(c, ivs, buf, chain_len);
+  for (std::size_t k = 0; k < buf.size(); k += chain_len) {
+    std::span<const u8> prev = ivs.subspan(k / chain_len * bs, bs);
+    for (std::size_t off = k; off < k + chain_len; off += bs) {
+      const std::span<u8> block = buf.subspan(off, bs);
+      xor_bytes(block, prev);
+      c.encrypt_block(block, block);
+      prev = block;
+    }
+  }
+}
+
+void cbc_decrypt_chains(const block_cipher& c, std::span<const u8> ivs, std::span<u8> buf,
+                        std::size_t chain_len) {
+  const std::size_t bs = check_chains(c, ivs, buf, chain_len);
+  // No serial dependency: every block deciphers on its own, then XORs the
+  // ciphertext before it, kept in a stack copy of the window. Windows run
+  // back to front, so the block before one is still ciphertext.
+  std::array<u8, k_cbc_window> saved;
+  for (std::size_t end = buf.size(); end > 0;) {
+    const std::size_t begin = (end - 1) / k_cbc_window * k_cbc_window;
+    const std::span<u8> window = buf.subspan(begin, end - begin);
+    const std::span<const u8> ct(saved.data(), window.size());
+    std::copy(window.begin(), window.end(), saved.begin());
+    c.decrypt_blocks(ct, window);
+    // Per chain piece: the first block XORs its IV or the block before the
+    // window, the rest the saved blocks before them.
+    for (std::size_t off = begin; off < end;) {
+      const std::size_t piece_end = std::min(end, (off / chain_len + 1) * chain_len);
+      xor_bytes(buf.subspan(off, bs),
+                off % chain_len == 0 ? ivs.subspan(off / chain_len * bs, bs)
+                                     : std::span<const u8>(buf).subspan(off - bs, bs));
+      xor_bytes(buf.subspan(off + bs, piece_end - off - bs),
+                ct.subspan(off - begin, piece_end - off - bs));
+      off = piece_end;
+    }
+    end = begin;
+  }
+}
+
 void cbc_encrypt(const block_cipher& c, std::span<const u8> iv,
                  std::span<const u8> in, std::span<u8> out) {
-  check_blocked(c, in, out);
-  const std::size_t bs = c.block_size();
-  if (iv.size() != bs) throw std::invalid_argument("cbc: iv size != block size");
-
-  bytes chain(iv.begin(), iv.end());
-  bytes scratch(bs);
-  for (std::size_t off = 0; off < in.size(); off += bs) {
-    xor_bytes(scratch, in.subspan(off, bs), chain);
-    c.encrypt_block(scratch, out.subspan(off, bs));
-    chain.assign(out.begin() + static_cast<std::ptrdiff_t>(off),
-                 out.begin() + static_cast<std::ptrdiff_t>(off + bs));
-  }
+  if (stage_chain(c, iv, in, out)) cbc_encrypt_chains(c, iv, out, out.size());
 }
 
 void cbc_decrypt(const block_cipher& c, std::span<const u8> iv,
                  std::span<const u8> in, std::span<u8> out) {
-  check_blocked(c, in, out);
-  const std::size_t bs = c.block_size();
-  if (iv.size() != bs) throw std::invalid_argument("cbc: iv size != block size");
-
-  // Unlike encryption, CBC decryption has no serial dependency: every block
-  // decrypts independently and the chain is a post-XOR with the previous
-  // ciphertext. Copy the ciphertext (in/out may alias and the chain XOR
-  // needs it afterwards), decrypt the whole run through the bulk path
-  // (which the bitsliced DES cores feed on), then apply the chain u64-wide.
-  if (in.empty()) return;
-  const bytes ct(in.begin(), in.end());
-  c.decrypt_blocks(ct, out);
-  xor_bytes(out.first(bs), iv);
-  xor_bytes(out.subspan(bs), std::span<const u8>(ct).first(ct.size() - bs));
+  if (stage_chain(c, iv, in, out)) cbc_decrypt_chains(c, iv, out, out.size());
 }
 
 void cbc_encrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain) {

@@ -11,6 +11,8 @@
 /// counter_block: CTR's counter blocks, address_pad's pads (the stream
 /// EDUs' seekable one-time pad) and the IVs of cbc_encrypt_at /
 /// cbc_decrypt_at (the per-line, per-segment and per-page CBC engines).
+/// Every CBC pass, whatever its IV scheme, is one heap-free
+/// cbc_encrypt_chains / cbc_decrypt_chains call.
 
 #include "common/bitops.hpp"
 #include "crypto/block_cipher.hpp"
@@ -45,9 +47,24 @@ inline void counter_block(std::span<u8> block, u64 hi, u64 lo) noexcept {
 void ecb_encrypt(const block_cipher& c, std::span<const u8> in, std::span<u8> out);
 void ecb_decrypt(const block_cipher& c, std::span<const u8> in, std::span<u8> out);
 
+/// CBC in place over consecutive chains of \p chain_len bytes, chain k
+/// under the IV block at ivs[k * block_size()]: the one CBC routine behind
+/// the survey's line, segment and page chains and the engine's data units.
+/// Decryption sends each window of up to 4 KiB through one decrypt_blocks
+/// call (3DES reaches its bitsliced lanes) from an on-stack copy of its
+/// ciphertext. No heap allocation.
+/// \throws std::invalid_argument when the cipher's block is wider than
+///         max_block, buf is not whole chains of whole blocks, or ivs does
+///         not hold one block per chain.
+void cbc_encrypt_chains(const block_cipher& c, std::span<const u8> ivs, std::span<u8> buf,
+                        std::size_t chain_len);
+void cbc_decrypt_chains(const block_cipher& c, std::span<const u8> ivs, std::span<u8> buf,
+                        std::size_t chain_len);
+
 /// CBC with explicit IV (iv.size() == block size). The whole buffer is one
 /// chain; random access into the result requires deciphering from the IV —
-/// exactly the JUMP-instruction problem the paper describes.
+/// exactly the JUMP-instruction problem the paper describes. in and out
+/// may alias exactly. One cbc_*_chains call, so it throws as those do.
 void cbc_encrypt(const block_cipher& c, std::span<const u8> iv,
                  std::span<const u8> in, std::span<u8> out);
 void cbc_decrypt(const block_cipher& c, std::span<const u8> iv,

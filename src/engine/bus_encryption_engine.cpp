@@ -198,31 +198,13 @@ const keyslot_key& bus_encryption_engine::context_key(context_id ctx) const {
 cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_key& k,
                                               addr_t unit_base, std::span<u8> buf,
                                               bool encrypt, bool fallback, bool charge) {
+  // One bulk call: the backend sees the entire run (bitsliced DES, batched
+  // ESSIV IVs, windowed CTR pads) instead of one unit at a time.
   const std::size_t du = k.data_unit_size;
-  cycles t = 0;
-  // Whole-unit prefix in one bulk call: the backend sees the entire run
-  // (bitsliced DES, batched ESSIV IVs, windowed CTR pads) instead of one
-  // unit at a time. Charging is per full unit with the same formula as the
-  // scalar loop below, so simulated cycles are bit-identical.
-  std::size_t off = 0;
-  const std::size_t whole =
-      unit_base % du == 0 ? buf.size() - buf.size() % du : 0;
-  if (whole != 0) {
-    std::span<u8> run = buf.first(whole);
-    if (encrypt) kc.encrypt_units(unit_base / du, du, run, run);
-    else kc.decrypt_units(unit_base / du, du, run, run);
-    off = whole;
-    if (charge) t += charge_units(unit_cycles(kc, du, encrypt, fallback), whole / du);
-  }
-  for (; off < buf.size(); off += du) {
-    const std::size_t n = std::min(du, buf.size() - off);
-    const u64 dun = (unit_base + off) / du;
-    std::span<u8> unit = buf.subspan(off, n);
-    if (encrypt) kc.encrypt_unit(dun, unit, unit);
-    else kc.decrypt_unit(dun, unit, unit);
-    if (charge) t += charge_units(unit_cycles(kc, n, encrypt, fallback), 1);
-  }
-  return t;
+  if (encrypt) kc.encrypt_units(unit_base / du, du, buf, buf);
+  else kc.decrypt_units(unit_base / du, du, buf, buf);
+  if (!charge) return 0;
+  return charge_units(unit_cycles(kc, du, encrypt, fallback), buf.size() / du);
 }
 
 bus_encryption_engine::slot_lease

@@ -264,6 +264,9 @@ class bus_encryption_engine final : public sim::memory_port {
   /// bus-error fill already applied by the caller.
   void note_integrity_fault(master_id m);
 
+  /// En- or decipher \p buf in place: whole data units of \p k starting
+  /// at the unit-aligned \p unit_base, in one encrypt_units/decrypt_units
+  /// call. Charges the units' cipher cycles when \p charge.
   [[nodiscard]] cycles transform_units(keyed_cipher& kc, const keyslot_key& k,
                                        addr_t unit_base, std::span<u8> buf,
                                        bool encrypt, bool fallback, bool charge);

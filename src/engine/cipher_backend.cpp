@@ -9,6 +9,7 @@
 #include "crypto/rc4.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -20,23 +21,23 @@ namespace {
 /// the keystream comes from the globally-unique counter, not the nonce.
 constexpr u64 k_ctr_tweak = 0x42E5'C0DE'0D1E'5EEDULL;
 
-void check_unit(std::size_t granule, std::span<const u8> in, std::span<const u8> out) {
+/// Throws unless \p in and \p out match and hold whole units of
+/// \p unit_len bytes, each a multiple of \p granule (an empty run may have
+/// unit_len 0: a per-unit call on an empty unit).
+void check_units(std::size_t unit_len, std::size_t granule, std::span<const u8> in,
+                 std::span<const u8> out) {
   if (in.size() != out.size())
     throw std::invalid_argument("keyed_cipher: in/out size mismatch");
-  if (granule != 0 && in.size() % granule != 0)
+  if (unit_len == 0 ? !in.empty() : in.size() % unit_len != 0)
+    throw std::invalid_argument("keyed_cipher: run must be whole units");
+  if (unit_len % granule != 0)
     throw std::invalid_argument(
         "keyed_cipher: unit not a multiple of the cipher granule");
 }
 
-void check_units(std::size_t unit_len, std::span<const u8> in, std::span<const u8> out) {
-  if (in.size() != out.size())
-    throw std::invalid_argument("keyed_cipher: in/out size mismatch");
-  if (unit_len == 0 || in.size() % unit_len != 0)
-    throw std::invalid_argument("keyed_cipher: run must be whole units");
-}
-
 /// Keyed block cipher + mode over data units. Owns its expanded core: each
-/// make_keyed() expands the key once for this instance alone.
+/// make_keyed() expands the key once for this instance alone. Each mode
+/// has one transform over a run of units; a per-unit call is a run of one.
 class block_keyed final : public keyed_cipher {
  public:
   block_keyed(std::string name, unit_mode mode, backend_cost cost,
@@ -50,46 +51,18 @@ class block_keyed final : public keyed_cipher {
   }
 
   void encrypt_unit(u64 dun, std::span<const u8> in, std::span<u8> out) override {
-    crypt(dun, in, out, /*encrypt=*/true);
+    transform(dun, in.size(), in, out, /*encrypt=*/true);
   }
   void decrypt_unit(u64 dun, std::span<const u8> in, std::span<u8> out) override {
-    crypt(dun, in, out, /*encrypt=*/false);
+    transform(dun, in.size(), in, out, /*encrypt=*/false);
   }
-
   void encrypt_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
                      std::span<u8> out) override {
-    check_units(unit_len, in, out);
-    switch (mode_) {
-      case unit_mode::ecb:
-        // Unit boundaries don't matter without an IV: one bulk pass.
-        check_unit(granule(), in, out);
-        cipher_->encrypt_blocks(in, out);
-        break;
-      case unit_mode::ctr:
-        ctr_units(first_dun, unit_len, in, out);
-        break;
-      case unit_mode::cbc:
-        // Encryption chains serially within each unit; nothing to widen.
-        keyed_cipher::encrypt_units(first_dun, unit_len, in, out);
-        break;
-    }
+    transform(first_dun, unit_len, in, out, /*encrypt=*/true);
   }
-
   void decrypt_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
                      std::span<u8> out) override {
-    check_units(unit_len, in, out);
-    switch (mode_) {
-      case unit_mode::ecb:
-        check_unit(granule(), in, out);
-        cipher_->decrypt_blocks(in, out);
-        break;
-      case unit_mode::ctr:
-        ctr_units(first_dun, unit_len, in, out); // XOR pad: decrypt == encrypt
-        break;
-      case unit_mode::cbc:
-        cbc_decrypt_units(first_dun, unit_len, in, out);
-        break;
-    }
+    transform(first_dun, unit_len, in, out, /*encrypt=*/false);
   }
 
   [[nodiscard]] cycles unit_cost(std::size_t nbytes,
@@ -112,6 +85,30 @@ class block_keyed final : public keyed_cipher {
   }
 
  private:
+  void transform(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
+                 std::span<u8> out, bool encrypt) {
+    check_units(unit_len, granule(), in, out);
+    if (in.empty()) return;
+    switch (mode_) {
+      case unit_mode::ecb:
+        // Unit boundaries don't matter without an IV: one bulk pass.
+        encrypt ? cipher_->encrypt_blocks(in, out) : cipher_->decrypt_blocks(in, out);
+        break;
+      case unit_mode::ctr: {
+        // One bulk pad fill for the whole run, then a u64-wide XOR against
+        // the payload (encrypt and decrypt are the same operation).
+        bytes pads(in.size());
+        fill_ctr_pads(first_dun, unit_len, pads);
+        xor_bytes(out, in, pads);
+        break;
+      }
+      case unit_mode::cbc:
+        if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
+        cbc_units(first_dun, unit_len, out, encrypt);
+        break;
+    }
+  }
+
   /// CTR pad fill for a run of units: build every counter block of the run,
   /// encrypt them all in one bulk call (a whole bitsliced batch for the DES
   /// cores), then lay the pads out per unit. Same bytes ctr_crypt produces.
@@ -128,6 +125,8 @@ class block_keyed final : public keyed_cipher {
     }
     std::size_t w = 0;
     for (std::size_t u = 0; u < nunits; ++u) {
+      // A globally-unique counter per cipher block: units may be any size
+      // up to 2^16 blocks without keystream reuse.
       u64 ctr = (first_dun + u) << 16;
       for (std::size_t b = 0; b < bpu; ++b, ++ctr, w += bs)
         crypto::counter_block(work.subspan(w, bs), k_ctr_tweak, ctr);
@@ -139,66 +138,26 @@ class block_keyed final : public keyed_cipher {
                     out.begin() + static_cast<std::ptrdiff_t>(u * unit_len));
   }
 
-  /// CTR unit run: one bulk pad fill for the whole window, then a u64-wide
-  /// XOR against the payload (encrypt and decrypt are the same operation).
-  void ctr_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
-                 std::span<u8> out) {
-    bytes pads(in.size());
-    fill_ctr_pads(first_dun, unit_len, pads);
-    xor_bytes(out, in, pads);
-  }
-
-  /// CBC decryption over a unit run: ESSIV IVs for every unit derived in
-  /// one bulk encrypt, the whole window block-decrypted in one bulk call
-  /// (where the bitsliced DES path lives), then the per-unit chain applied
-  /// u64-wide. Byte-identical to per-unit cbc_decrypt.
-  void cbc_decrypt_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
-                         std::span<u8> out) {
+  /// CBC in place over a run: each unit is one chain under the ESSIV-style
+  /// IV E_K(le64(DUN)), so equal plaintext units at different addresses
+  /// produce unrelated ciphertext. Up to 4 KiB of IVs at a time are built
+  /// on the stack in one bulk encrypt, then their units run in one
+  /// cbc_*_chains call.
+  void cbc_units(u64 first_dun, std::size_t unit_len, std::span<u8> buf, bool encrypt) {
     const std::size_t bs = cipher_->block_size();
-    if (unit_len % bs != 0)
-      throw std::invalid_argument(
-          "keyed_cipher: unit not a multiple of the cipher granule");
-    if (in.empty()) return;
-    const std::size_t nunits = in.size() / unit_len;
-    bytes ivs(nunits * bs, 0);
-    for (std::size_t u = 0; u < nunits; ++u)
-      store_le64(ivs.data() + u * bs, first_dun + u);
-    cipher_->encrypt_blocks(ivs, ivs);
-    const bytes ct(in.begin(), in.end()); // in/out may alias; chain needs ct
-    cipher_->decrypt_blocks(ct, out);
-    for (std::size_t u = 0; u < nunits; ++u) {
-      const std::size_t base = u * unit_len;
-      xor_bytes(out.subspan(base, bs), std::span<const u8>(ivs).subspan(u * bs, bs));
-      if (unit_len > bs)
-        xor_bytes(out.subspan(base + bs, unit_len - bs),
-                  std::span<const u8>(ct).subspan(base, unit_len - bs));
-    }
-  }
-
-  void crypt(u64 dun, std::span<const u8> in, std::span<u8> out, bool encrypt) {
-    check_unit(granule(), in, out);
-    switch (mode_) {
-      case unit_mode::ecb:
-        encrypt ? crypto::ecb_encrypt(*cipher_, in, out)
-                : crypto::ecb_decrypt(*cipher_, in, out);
-        break;
-      case unit_mode::cbc: {
-        // ESSIV-style address IV: IV = E_K(DUN), so equal plaintext units
-        // at different addresses produce unrelated ciphertext.
-        bytes iv(cipher_->block_size(), 0);
-        store_le64(iv.data(), dun);
-        cipher_->encrypt_block(iv, iv);
-        encrypt ? crypto::cbc_encrypt(*cipher_, iv, in, out)
-                : crypto::cbc_decrypt(*cipher_, iv, in, out);
-        break;
-      }
-      case unit_mode::ctr: {
-        // A globally-unique counter per cipher block: units may be any
-        // size up to 2^16 blocks without keystream reuse.
-        const u64 ctr0 = dun << 16;
-        crypto::ctr_crypt(*cipher_, k_ctr_tweak, ctr0, in, out);
-        break;
-      }
+    std::array<u8, 4096> iv_buf;
+    const std::size_t per_batch = iv_buf.size() / bs;
+    const std::size_t nunits = buf.size() / unit_len;
+    for (std::size_t u = 0; u < nunits; u += per_batch) {
+      const std::size_t n = std::min(per_batch, nunits - u);
+      const std::span<u8> ivs(iv_buf.data(), n * bs);
+      std::fill(ivs.begin(), ivs.end(), u8{0});
+      for (std::size_t i = 0; i < n; ++i)
+        store_le64(ivs.data() + i * bs, first_dun + u + i);
+      cipher_->encrypt_blocks(ivs, ivs);
+      const std::span<u8> run = buf.subspan(u * unit_len, n * unit_len);
+      encrypt ? crypto::cbc_encrypt_chains(*cipher_, ivs, run, unit_len)
+              : crypto::cbc_decrypt_chains(*cipher_, ivs, run, unit_len);
     }
   }
 
@@ -220,10 +179,12 @@ class stream_keyed final : public keyed_cipher {
   [[nodiscard]] std::size_t granule() const noexcept override { return 1; }
 
   void encrypt_unit(u64 dun, std::span<const u8> in, std::span<u8> out) override {
-    crypt(dun, in, out);
+    check_units(in.size(), 1, in, out);
+    if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
+    reseed(dun).apply(out);
   }
   void decrypt_unit(u64 dun, std::span<const u8> in, std::span<u8> out) override {
-    crypt(dun, in, out);
+    encrypt_unit(dun, in, out); // XOR keystream: decrypt == encrypt
   }
 
   [[nodiscard]] cycles unit_cost(std::size_t nbytes,
@@ -236,24 +197,18 @@ class stream_keyed final : public keyed_cipher {
   void generate_pads(u64 first_dun, std::size_t unit_len, std::span<u8> out) override {
     // Bulk keystream: one reseed per unit, generated straight into the
     // batch pad buffer — no per-unit copy + XOR round trip.
-    u8 iv[8];
-    for (std::size_t uoff = 0; uoff < out.size(); uoff += unit_len) {
-      store_le64(iv, first_dun + uoff / unit_len);
-      if (!gen_) gen_ = make_(key_, iv);
-      else gen_->reseed(key_, iv);
-      gen_->keystream(out.subspan(uoff, unit_len));
-    }
+    for (std::size_t uoff = 0; uoff < out.size(); uoff += unit_len)
+      reseed(first_dun + uoff / unit_len).keystream(out.subspan(uoff, unit_len));
   }
 
  private:
-  void crypt(u64 dun, std::span<const u8> in, std::span<u8> out) {
-    check_unit(1, in, out);
+  /// The generator, reseeded with the IV le64(\p dun) for one unit.
+  crypto::stream_cipher& reseed(u64 dun) {
     u8 iv[8];
     store_le64(iv, dun);
     if (!gen_) gen_ = make_(key_, iv);
     else gen_->reseed(key_, iv);
-    std::copy(in.begin(), in.end(), out.begin());
-    gen_->apply(out);
+    return *gen_;
   }
 
   std::string name_; // owned: see block_keyed
@@ -269,7 +224,7 @@ class stream_keyed final : public keyed_cipher {
 
 void keyed_cipher::encrypt_units(u64 first_dun, std::size_t unit_len,
                                  std::span<const u8> in, std::span<u8> out) {
-  check_units(unit_len, in, out);
+  check_units(unit_len, granule(), in, out);
   for (std::size_t off = 0; off < in.size(); off += unit_len)
     encrypt_unit(first_dun + off / unit_len, in.subspan(off, unit_len),
                  out.subspan(off, unit_len));
@@ -277,7 +232,7 @@ void keyed_cipher::encrypt_units(u64 first_dun, std::size_t unit_len,
 
 void keyed_cipher::decrypt_units(u64 first_dun, std::size_t unit_len,
                                  std::span<const u8> in, std::span<u8> out) {
-  check_units(unit_len, in, out);
+  check_units(unit_len, granule(), in, out);
   for (std::size_t off = 0; off < in.size(); off += unit_len)
     decrypt_unit(first_dun + off / unit_len, in.subspan(off, unit_len),
                  out.subspan(off, unit_len));
@@ -316,7 +271,7 @@ bool block_backend::key_len_ok(std::size_t len) const noexcept {
 std::size_t block_backend::max_data_unit_size() const noexcept {
   // CTR reserves 2^16 counter values per DUN; a larger unit would reuse
   // keystream across adjacent units (the pad_reuse break).
-  return mode_ == unit_mode::ctr ? (std::size_t{1} << 16) * cost_.block_bytes
+  return mode_ == unit_mode::ctr ? (std::size_t{1} << 16) * cost_.core.block_bytes
                                  : std::numeric_limits<std::size_t>::max();
 }
 
@@ -383,14 +338,15 @@ std::unique_ptr<crypto::block_cipher> make_aes(std::span<const u8> key) {
   return std::make_unique<crypto::aes>(key);
 }
 
-// Cost figures follow edu/timing.hpp's surveyed cores.
-constexpr backend_cost aes_cost{11, 11, 16, false};
-constexpr backend_cost aes_cbc_cost{11, 11, 16, true};
-constexpr backend_cost des_cost{16, 16, 8, true};
-constexpr backend_cost tdes_cost{48, 48, 8, true};
-constexpr backend_cost tdes_ctr_cost{48, 48, 8, false};
-constexpr backend_cost best_cost{2, 1, 8, false};
-constexpr backend_cost stream_cost{4, 1, 8, false};
+// Each backend is priced as one of the surveyed cores; the CBC backends
+// chain their encryption.
+constexpr backend_cost aes_cost{sim::aes_iterative()};
+constexpr backend_cost aes_cbc_cost{sim::aes_iterative(), true};
+constexpr backend_cost des_cost{sim::des_iterative(), true};
+constexpr backend_cost tdes_cost{sim::tdes_iterative(), true};
+constexpr backend_cost tdes_ctr_cost{sim::tdes_iterative()};
+constexpr backend_cost best_cost{sim::best_combinational()};
+constexpr backend_cost stream_cost{sim::stream_generator()};
 
 backend_registry make_builtin() {
   backend_registry reg;

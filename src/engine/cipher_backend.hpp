@@ -19,6 +19,7 @@
 #include "common/types.hpp"
 #include "crypto/block_cipher.hpp"
 #include "crypto/stream_cipher.hpp"
+#include "sim/core_timing.hpp"
 
 #include <functional>
 #include <memory>
@@ -29,23 +30,15 @@
 
 namespace buscrypt::engine {
 
-/// Hardware cost model for one backend (cycles charged by the simulator —
-/// same role as edu::pipeline_model, kept independent so engine does not
-/// depend on the edu layer).
+/// Hardware cost model for one backend: one of the surveyed cores of
+/// sim/core_timing.hpp, plus whether encryption chains block to block.
 struct backend_cost {
-  cycles latency = 11;        ///< cycles for the first block through the core
-  cycles interval = 11;       ///< initiation interval between blocks
-  std::size_t block_bytes = 16;
+  sim::pipeline_model core = sim::aes_iterative();
   bool chained_encrypt = false; ///< CBC-style dependency: no pipelining on encrypt
 
-  [[nodiscard]] std::size_t blocks_for(std::size_t nbytes) const noexcept {
-    return (nbytes + block_bytes - 1) / block_bytes;
-  }
   [[nodiscard]] cycles time(std::size_t nbytes, bool encrypt) const noexcept {
-    const std::size_t n = blocks_for(nbytes);
-    if (n == 0) return 0;
-    if (encrypt && chained_encrypt) return static_cast<cycles>(n) * latency;
-    return latency + (static_cast<cycles>(n) - 1) * interval;
+    const std::size_t n = core.blocks_for(nbytes);
+    return encrypt && chained_encrypt ? core.time_chained(n) : core.time_parallel(n);
   }
 };
 
@@ -82,7 +75,8 @@ class keyed_cipher {
                              std::span<u8> out);
 
   /// Cycles the hardware model charges for \p nbytes on this path.
-  [[nodiscard]] virtual cycles unit_cost(std::size_t nbytes, bool encrypt) const noexcept = 0;
+  [[nodiscard]] virtual cycles unit_cost(std::size_t nbytes,
+                                         bool encrypt) const noexcept = 0;
 
   /// True when the keystream depends only on the data-unit number, never on
   /// the data (CTR mode, stream generators): the engine can generate the pad
@@ -155,7 +149,8 @@ enum class unit_mode {
 /// engine either way).
 class block_backend final : public cipher_backend {
  public:
-  using factory = std::function<std::unique_ptr<crypto::block_cipher>(std::span<const u8>)>;
+  using factory =
+      std::function<std::unique_ptr<crypto::block_cipher>(std::span<const u8>)>;
 
   /// \param key_lens accepted key lengths in bytes.
   block_backend(std::string name, unit_mode mode, backend_cost cost,
@@ -163,7 +158,8 @@ class block_backend final : public cipher_backend {
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] bool key_len_ok(std::size_t len) const noexcept override;
-  [[nodiscard]] std::unique_ptr<keyed_cipher> make_keyed(std::span<const u8> key) const override;
+  [[nodiscard]] std::unique_ptr<keyed_cipher> make_keyed(
+      std::span<const u8> key) const override;
   [[nodiscard]] backend_cost cost() const noexcept override { return cost_; }
   [[nodiscard]] std::size_t max_data_unit_size() const noexcept override;
 
@@ -188,7 +184,8 @@ class stream_backend final : public cipher_backend {
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] bool key_len_ok(std::size_t len) const noexcept override;
-  [[nodiscard]] std::unique_ptr<keyed_cipher> make_keyed(std::span<const u8> key) const override;
+  [[nodiscard]] std::unique_ptr<keyed_cipher> make_keyed(
+      std::span<const u8> key) const override;
   [[nodiscard]] backend_cost cost() const noexcept override { return cost_; }
 
  private:

@@ -53,36 +53,32 @@ int keyslot_manager::acquire(const keyslot_key& k) {
     return no_slot;
   }
 
-  slot& s = slots_[static_cast<std::size_t>(victim)];
-  const bool displacing = s.key.has_value();
+  const auto i = static_cast<std::size_t>(victim);
+  const bool displacing = slots_[i].key.has_value();
+  program(i, k, /*pins=*/1);
+  ++(displacing ? stats_.reprograms : stats_.cold_programs);
 
-  // Program the slot: resolve the backend and expand the key schedule.
-  // Resolution may throw (unknown backend, bad key length); the victim
-  // keeps its old key in that case, so nothing is counted before it.
-  const cipher_backend& backend = registry_->at(k.backend);
-  std::unique_ptr<keyed_cipher> cipher = backend.make_keyed(k.key);
+  if (policy_->wants_prefetch()) maybe_prefetch();
+  return victim;
+}
 
-  if (displacing) {
+void keyslot_manager::program(std::size_t i, const keyslot_key& k, unsigned pins) {
+  slot& s = slots_[i];
+  std::unique_ptr<keyed_cipher> cipher = registry_->at(k.backend).make_keyed(k.key);
+  if (s.key) {
     ++stats_.evictions;
-    policy_->on_evict(static_cast<std::size_t>(victim));
+    policy_->on_evict(i);
     note_victim(s);
   } else {
     ++programmed_;
   }
   s.cipher = std::move(cipher);
   s.key = k;
-  s.refcount = 1;
+  s.refcount = pins;
   s.last_use = tick_;
   s.uses = 1;
   ++stats_.programs;
-  if (displacing)
-    ++stats_.reprograms;
-  else
-    ++stats_.cold_programs;
-  policy_->on_program(static_cast<std::size_t>(victim));
-
-  if (policy_->wants_prefetch()) maybe_prefetch();
-  return victim;
+  policy_->on_program(i);
 }
 
 void keyslot_manager::note_victim(const slot& s) {
@@ -136,23 +132,10 @@ void keyslot_manager::maybe_prefetch() {
   const victim_entry entry = std::move(victims_.back());
   victims_.pop_back();
 
-  slot& s = slots_[static_cast<std::size_t>(target)];
-  const cipher_backend& backend = registry_->at(entry.key.backend);
-  std::unique_ptr<keyed_cipher> cipher = backend.make_keyed(entry.key.key);
-  if (s.key) {
-    ++stats_.evictions;
-    policy_->on_evict(static_cast<std::size_t>(target));
-  } else {
-    ++programmed_;
-  }
-  s.cipher = std::move(cipher);
-  s.key = entry.key;
-  s.refcount = 0; // programmed warm, not pinned — the next acquire hits
-  s.last_use = tick_;
-  s.uses = 1;
-  ++stats_.programs;
+  // Programmed warm, not pinned: the next acquire hits. A target holding
+  // a key has served at most one use, so note_victim ignores it.
+  program(static_cast<std::size_t>(target), entry.key, /*pins=*/0);
   ++stats_.prefetch_programs;
-  policy_->on_program(static_cast<std::size_t>(target));
 }
 
 void keyslot_manager::release(int slot_idx) {

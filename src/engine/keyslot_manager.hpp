@@ -114,6 +114,11 @@ class keyslot_manager {
   /// pick against the pinned-slot invariant.
   [[nodiscard]] int pick_victim();
 
+  /// Program slot \p i with \p k for \p pins holders (demand programs and
+  /// prefetch refills). make_keyed runs first: if it throws (unknown
+  /// backend, bad key length) the slot keeps its old key, nothing counted.
+  void program(std::size_t i, const keyslot_key& k, unsigned pins);
+
   /// Remember a displaced hot key (prefetch policy only).
   void note_victim(const slot& s);
 

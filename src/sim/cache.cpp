@@ -134,17 +134,6 @@ cycles cache::write(addr_t addr, std::span<const u8> in) {
       if (hit) ++stats_.hits;
       else ++stats_.misses;
 
-      if (!hit && cfg_.write_allocate) {
-        auto [entry, extra] = locate(line_addr, /*for_write=*/true);
-        // locate() counted another access path; rebalance the counters so
-        // one store == one access.
-        --stats_.accesses;
-        --stats_.misses;
-        for (std::size_t i = 0; i < n; ++i) entry->data[offset + i] = in[done + i];
-        stats_.stall_cycles += extra;
-        total += extra;
-      }
-
       ++stats_.bypass_writes;
       const cycles below = lower_->write(a, in.subspan(done, n));
       stats_.stall_cycles += below;

@@ -20,8 +20,7 @@ struct cache_config {
   std::size_t size = 16 * 1024; ///< total data bytes
   std::size_t line_size = 32;   ///< bytes per line
   unsigned ways = 4;            ///< associativity
-  bool write_back = true;       ///< false => write-through
-  bool write_allocate = true;   ///< false => store misses bypass the cache
+  bool write_back = true;       ///< false => write-through, store misses bypass
   cycles hit_latency = 1;       ///< access time on a hit
 };
 
@@ -35,7 +34,8 @@ struct cache_stats {
   cycles stall_cycles = 0;      ///< cycles spent beyond hit latency
 
   [[nodiscard]] double miss_rate() const noexcept {
-    return accesses == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(accesses);
+    return accesses == 0 ? 0.0
+                         : static_cast<double>(misses) / static_cast<double>(accesses);
   }
 };
 

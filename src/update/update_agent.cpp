@@ -6,6 +6,7 @@
 #include "crypto/rsa.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace buscrypt::update {
@@ -336,21 +337,28 @@ update_report update_agent::drive(const update_package& up, std::span<const u8> 
   bytes buf(cfg_.chunk_bytes);
   const crypto::hmac_sha256_key mac_k(k);
 
-  const auto faults = [&] { return eng_->stats().integrity_faults; };
+  // The checked-chunk step of every pass: wait for the bus, read chunk i
+  // at base + its offset into `chunk`, and require no new integrity fault
+  // and a matching chunk MAC. Returns the status to roll back with, if any.
+  std::span<u8> chunk;
+  const auto check_chunk = [&](std::size_t i, addr_t base,
+                               cycles& spent) -> std::optional<update_status> {
+    const std::size_t off = i * cfg_.chunk_bytes;
+    chunk = std::span<u8>(buf).first(
+        std::min(cfg_.chunk_bytes, static_cast<std::size_t>(up.image_bytes) - off));
+    if (!wait_bus(rep, spent)) return update_status::stall_aborted;
+    const u64 before = eng_->stats().integrity_faults;
+    spent += eng_->read(base + off, chunk);
+    if (eng_->stats().integrity_faults > before ||
+        !crypto::tag_equal(chunk_mac(mac_k, up.version, i, chunk), up.chunk_macs[i]))
+      return update_status::verify_failed;
+    return std::nullopt;
+  };
 
   // --- phase 1: verify the staged copy chunk by chunk ------------------------
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t off = i * cfg_.chunk_bytes;
-    const std::size_t n =
-        std::min(cfg_.chunk_bytes, static_cast<std::size_t>(up.image_bytes) - off);
-    const std::span<u8> chunk = std::span<u8>(buf).first(n);
-    if (!wait_bus(rep, rep.verify_cycles)) return roll_back(update_status::stall_aborted);
-    const u64 before = faults();
-    rep.verify_cycles += eng_->read(cfg_.staging_base + off, chunk);
-    if (faults() > before ||
-        !crypto::tag_equal(chunk_mac(mac_k, up.version, i, chunk), up.chunk_macs[i]))
-      return roll_back(update_status::verify_failed);
-  }
+  for (std::size_t i = 0; i < chunks; ++i)
+    if (const auto fail = check_chunk(i, cfg_.staging_base, rep.verify_cycles))
+      return roll_back(*fail);
   fi_->on_flush();
   journal_.append(update_state::installing, static_cast<u8>(target), up.version,
                   up.image_bytes, *fi_);
@@ -361,37 +369,18 @@ update_report update_agent::drive(const update_package& up, std::span<const u8> 
   // the program pass.
   rebuild_slot_context(target);
   for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t off = i * cfg_.chunk_bytes;
-    const std::size_t n =
-        std::min(cfg_.chunk_bytes, static_cast<std::size_t>(up.image_bytes) - off);
-    const std::span<u8> chunk = std::span<u8>(buf).first(n);
-    if (!wait_bus(rep, rep.install_cycles))
-      return roll_back(update_status::stall_aborted);
-    const u64 before = faults();
-    rep.install_cycles += eng_->read(cfg_.staging_base + off, chunk);
-    if (faults() > before ||
-        !crypto::tag_equal(chunk_mac(mac_k, up.version, i, chunk), up.chunk_macs[i]))
-      return roll_back(update_status::verify_failed);
-    rep.install_cycles += eng_->write(slot_base(target) + off, chunk);
+    if (const auto fail = check_chunk(i, cfg_.staging_base, rep.install_cycles))
+      return roll_back(*fail);
+    rep.install_cycles += eng_->write(slot_base(target) + i * cfg_.chunk_bytes, chunk);
   }
   fi_->on_flush();
   journal_.append(update_state::installed, static_cast<u8>(target), up.version,
                   up.image_bytes, *fi_);
 
   // --- phase 3: readback verify — no torn or partial flash commits ------------
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t off = i * cfg_.chunk_bytes;
-    const std::size_t n =
-        std::min(cfg_.chunk_bytes, static_cast<std::size_t>(up.image_bytes) - off);
-    const std::span<u8> chunk = std::span<u8>(buf).first(n);
-    if (!wait_bus(rep, rep.install_cycles))
-      return roll_back(update_status::stall_aborted);
-    const u64 before = faults();
-    rep.install_cycles += eng_->read(slot_base(target) + off, chunk);
-    if (faults() > before ||
-        !crypto::tag_equal(chunk_mac(mac_k, up.version, i, chunk), up.chunk_macs[i]))
-      return roll_back(update_status::verify_failed);
-  }
+  for (std::size_t i = 0; i < chunks; ++i)
+    if (const auto fail = check_chunk(i, slot_base(target), rep.install_cycles))
+      return roll_back(*fail);
 
   // --- phase 4: atomic commit -------------------------------------------------
   // This single journal append IS the commit: before it lands (and MACs),

@@ -70,7 +70,8 @@ TEST(Cache, ReadsReturnWrittenData) {
     const addr_t a = r.below((1 << 16) - 8);
     (void)c.read(a, buf);
     for (int k = 0; k < 8; ++k)
-      ASSERT_EQ(buf[static_cast<std::size_t>(k)], mem.image_[a + static_cast<std::size_t>(k)]);
+      ASSERT_EQ(buf[static_cast<std::size_t>(k)],
+                mem.image_[a + static_cast<std::size_t>(k)]);
   }
 }
 
@@ -120,7 +121,6 @@ TEST(Cache, LruPrefersRecentlyUsed) {
 TEST(Cache, WriteThroughAlwaysWritesBelow) {
   cache_config cfg = small_cache();
   cfg.write_back = false;
-  cfg.write_allocate = false;
   scripted_memory mem(1 << 16);
   cache c(cfg, mem);
   const bytes data = {9, 9};
@@ -134,7 +134,6 @@ TEST(Cache, WriteThroughAlwaysWritesBelow) {
 TEST(Cache, WriteThroughUpdatesResidentLine) {
   cache_config cfg = small_cache();
   cfg.write_back = false;
-  cfg.write_allocate = false;
   scripted_memory mem(1 << 16);
   mem.image_[0x100] = 5;
   cache c(cfg, mem);
@@ -156,7 +155,8 @@ TEST(Cache, AccessStraddlingLines) {
   bytes buf(8);
   (void)c.read(32 - 4, buf); // 4 bytes in line 0, 4 in line 1
   for (int k = 0; k < 8; ++k)
-    EXPECT_EQ(buf[static_cast<std::size_t>(k)], mem.image_[28 + static_cast<std::size_t>(k)]);
+    EXPECT_EQ(buf[static_cast<std::size_t>(k)],
+              mem.image_[28 + static_cast<std::size_t>(k)]);
   EXPECT_EQ(c.stats().accesses, 2u);
   EXPECT_EQ(c.stats().misses, 2u);
 }

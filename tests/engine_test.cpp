@@ -1,8 +1,13 @@
-// Keyslot-based bus-encryption engine: slot lifecycle, backend round-trips,
-// address-derived IV uniqueness, RMW writes, fallback, and the Fig. 1
-// session-key -> keyslot integration.
+// Keyslot-based bus-encryption engine: slot lifecycle, backend round-trips
+// and known answers, address-derived IV uniqueness, RMW writes, fallback,
+// and the Fig. 1 session-key -> keyslot integration.
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/best_cipher.hpp"
+#include "crypto/des.hpp"
+#include "crypto/modes.hpp"
 #include "edu/engine_edu.hpp"
 #include "edu/soc.hpp"
 #include "engine/bus_encryption_engine.hpp"
@@ -98,6 +103,88 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, EveryBackend,
                            for (char& c : n) if (c == '-') c = '_';
                            return n;
                          });
+
+// --- known answers: the block backends' DRAM format -------------------------
+
+/// One unit as the backend's mode lays it out, built block by block from
+/// the bare core: ECB blocks; CBC under the ESSIV IV E_K(le64(DUN)); CTR
+/// XORing the pads E_K(counter_block(nonce, (DUN << 16) + i)).
+bytes known_unit(const crypto::block_cipher& c, unit_mode mode, u64 dun,
+                 std::span<const u8> pt) {
+  constexpr u64 ctr_nonce = 0x42E5'C0DE'0D1E'5EEDULL;
+  const std::size_t bs = c.block_size();
+  bytes out(pt.begin(), pt.end());
+  bytes chain(bs, 0);
+  store_le64(chain.data(), dun);
+  c.encrypt_block(chain, chain);
+  for (std::size_t off = 0, i = 0; off < out.size(); off += bs, ++i) {
+    const std::span<u8> block = std::span<u8>(out).subspan(off, bs);
+    bytes pad(bs);
+    switch (mode) {
+      case unit_mode::ecb:
+        c.encrypt_block(block, block);
+        break;
+      case unit_mode::cbc:
+        for (std::size_t j = 0; j < bs; ++j) block[j] ^= chain[j];
+        c.encrypt_block(block, block);
+        chain.assign(block.begin(), block.end());
+        break;
+      case unit_mode::ctr:
+        crypto::counter_block(pad, ctr_nonce, (dun << 16) + i);
+        c.encrypt_block(pad, pad);
+        for (std::size_t j = 0; j < bs; ++j) block[j] ^= pad[j];
+        break;
+    }
+  }
+  return out;
+}
+
+void expect_known_answers(const char* backend, unit_mode mode,
+                          const crypto::block_cipher& core, std::span<const u8> key) {
+  SCOPED_TRACE(backend);
+  const auto kc = backend_registry::builtin().at(backend).make_keyed(key);
+  rng r(44);
+  constexpr std::size_t unit = 32;
+  for (const u64 dun : {u64{0}, u64{1}, u64{77}, u64{1} << 20}) {
+    const bytes pt = r.random_bytes(4 * unit);
+    bytes want;
+    for (u64 u = 0; u < 4; ++u) {
+      const bytes one =
+          known_unit(core, mode, dun + u, std::span(pt).subspan(u * unit, unit));
+      want.insert(want.end(), one.begin(), one.end());
+    }
+    bytes got(unit);
+    kc->encrypt_unit(dun, std::span(pt).first(unit), got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << "unit at " << dun;
+    got.resize(pt.size());
+    kc->encrypt_units(dun, unit, pt, got);
+    EXPECT_EQ(got, want) << "4-unit run at " << dun;
+    kc->decrypt_units(dun, unit, got, got);
+    EXPECT_EQ(got, pt);
+  }
+}
+
+TEST(BackendKnownAnswer, AesBackends) {
+  const bytes key(16, 0xA5);
+  const crypto::aes core(key);
+  expect_known_answers("aes-ecb", unit_mode::ecb, core, key);
+  expect_known_answers("aes-cbc", unit_mode::cbc, core, key);
+  expect_known_answers("aes-ctr", unit_mode::ctr, core, key);
+}
+
+TEST(BackendKnownAnswer, DesAndTripleDesBackends) {
+  const bytes key8(8, 0x3C);
+  expect_known_answers("des-cbc", unit_mode::cbc, crypto::des(key8), key8);
+  const bytes key24 = rng(45).random_bytes(24);
+  const crypto::triple_des core(key24);
+  expect_known_answers("3des-cbc", unit_mode::cbc, core, key24);
+  expect_known_answers("3des-ctr", unit_mode::ctr, core, key24);
+}
+
+TEST(BackendKnownAnswer, BestEcbBackend) {
+  const bytes key(16, 0x69);
+  expect_known_answers("best-ecb", unit_mode::ecb, crypto::best_cipher(key), key);
+}
 
 // --- keyslot manager --------------------------------------------------------
 
@@ -246,7 +333,8 @@ TEST(BusEncryptionEngine, RegionsIsolateContextsAndPassthrough) {
   bytes raw(12288);
   (void)rig.ext.read(0, raw);
   // Both protected regions differ from plaintext; the unmapped tail matches.
-  EXPECT_NE(bytes(raw.begin(), raw.begin() + 4096), bytes(img.begin(), img.begin() + 4096));
+  EXPECT_NE(bytes(raw.begin(), raw.begin() + 4096),
+            bytes(img.begin(), img.begin() + 4096));
   EXPECT_NE(bytes(raw.begin() + 4096, raw.begin() + 8192),
             bytes(img.begin() + 4096, img.begin() + 8192));
   EXPECT_EQ(bytes(raw.begin() + 8192, raw.end()), bytes(img.begin() + 8192, img.end()));

@@ -98,7 +98,6 @@ TEST(CacheFuzz, AllGeometriesMatchReference) {
         cfg.line_size = line;
         cfg.ways = ways;
         cfg.write_back = write_back;
-        cfg.write_allocate = write_back;
         sim::cache c(cfg, ext);
 
         rng r(ways * 131 + line + (write_back ? 7 : 0));

@@ -169,7 +169,6 @@ TEST(Integration, WritePolicyInteractsWithRmw) {
   soc_config wb = default_cfg();
   soc_config wt = default_cfg();
   wt.l1.write_back = false;
-  wt.l1.write_allocate = false;
 
   const auto w = sim::make_data_rw(15'000, 32 * 1024, 0.4, 0.6, 4, 12);
 

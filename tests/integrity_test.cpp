@@ -285,7 +285,6 @@ TEST(TraceAnalysis, WriteFractionVisible) {
   cfg.l1.size = 1024;
   cfg.l1.ways = 2;
   cfg.l1.write_back = false;
-  cfg.l1.write_allocate = false;
   cfg.mem_size = 4u << 20;
   edu::secure_soc soc(edu::engine_kind::stream_otp, cfg);
   rng r(10);

@@ -1,6 +1,7 @@
 // Mode-of-operation semantics: the ECB determinism weakness, CBC chaining,
-// CTR seekability, PKCS#7, the address_pad the stream EDUs rely on, and
-// the one counter-block layout behind CTR, the pads and the CBC IVs.
+// CTR seekability, PKCS#7, the address_pad the stream EDUs rely on, the
+// one counter-block layout behind CTR, the pads and the CBC IVs, and the
+// one multi-chain CBC routine against textbook CBC.
 
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 namespace buscrypt::crypto {
 namespace {
@@ -306,6 +308,98 @@ TEST(CounterBlock, CbcAtRejectsBlockWiderThanMaxBlock) {
   bytes chain(32);
   EXPECT_THROW(cbc_encrypt_at(c, 1, 2, chain), std::invalid_argument);
   EXPECT_THROW(cbc_decrypt_at(c, 1, 2, chain), std::invalid_argument);
+}
+
+// --- cbc_*_chains: the one CBC routine --------------------------------------
+
+/// Textbook CBC, block by block: chain k of \p chain_len bytes starts from
+/// the IV block k of \p ivs and feeds each ciphertext block forward.
+bytes textbook_cbc(const block_cipher& c, std::span<const u8> ivs,
+                   std::span<const u8> pt, std::size_t chain_len) {
+  const std::size_t bs = c.block_size();
+  bytes ct(pt.size());
+  for (std::size_t k = 0; k * chain_len < pt.size(); ++k) {
+    bytes prev(ivs.begin() + k * bs, ivs.begin() + (k + 1) * bs);
+    for (std::size_t off = k * chain_len; off < (k + 1) * chain_len; off += bs) {
+      for (std::size_t i = 0; i < bs; ++i) prev[i] ^= pt[off + i];
+      c.encrypt_block(prev, prev);
+      std::copy(prev.begin(), prev.end(), ct.begin() + static_cast<std::ptrdiff_t>(off));
+    }
+  }
+  return ct;
+}
+
+/// In-place chains of every shape against textbook_cbc: one block, one
+/// 32 B line, one 1 KiB segment and a 3-block chain (which straddles the
+/// 4 KiB decrypt windows), 1, 2 and 300 of each, plus chains longer than
+/// a window.
+void check_chains_against_textbook(const block_cipher& c, rng& r) {
+  const std::size_t bs = c.block_size();
+  struct shape {
+    std::size_t chain_len, chains;
+  };
+  std::vector<shape> shapes{{6 * 1024, 1}, {6 * 1024, 3}};
+  for (const std::size_t len : {bs, std::size_t{32}, std::size_t{1024}, 3 * bs})
+    for (const std::size_t n : {1, 2, 300}) shapes.push_back({len, n});
+  for (const auto& [chain_len, chains] : shapes) {
+    SCOPED_TRACE(testing::Message() << c.name() << ": " << chains << " chains of "
+                                    << chain_len << " B");
+    const bytes ivs = r.random_bytes(chains * bs);
+    const bytes pt = r.random_bytes(chains * chain_len);
+    const bytes want = textbook_cbc(c, ivs, pt, chain_len);
+    bytes buf = pt;
+    cbc_encrypt_chains(c, ivs, buf, chain_len);
+    EXPECT_EQ(buf, want);
+    cbc_decrypt_chains(c, ivs, buf, chain_len);
+    EXPECT_EQ(buf, pt);
+  }
+}
+
+TEST(CbcChains, AesMatchesTextbookPerChainCbc) {
+  rng r(31);
+  const aes c(r.random_bytes(16));
+  check_chains_against_textbook(c, r);
+}
+
+TEST(CbcChains, TripleDesMatchesTextbookPerChainCbc) {
+  rng r(32);
+  const triple_des c(r.random_bytes(24));
+  check_chains_against_textbook(c, r);
+}
+
+TEST(CbcChains, OneChainIsCbcUnderItsIv) {
+  rng r(33);
+  const aes c(r.random_bytes(16));
+  const bytes iv = r.random_bytes(16);
+  const bytes pt = r.random_bytes(5 * 1024);
+  bytes want(pt.size());
+  cbc_encrypt(c, iv, pt, want);
+  EXPECT_EQ(want, textbook_cbc(c, iv, pt, pt.size()));
+  bytes back(pt.size());
+  cbc_decrypt(c, iv, want, back);
+  EXPECT_EQ(back, pt);
+}
+
+TEST(CbcChains, RejectBadShapes) {
+  rng r(34);
+  const aes c(r.random_bytes(16));
+  bytes buf(4 * 32);
+  const bytes ivs = r.random_bytes(4 * 16);
+  // One IV block per chain: 3 or 5 for 4 chains throw.
+  EXPECT_THROW(cbc_encrypt_chains(c, std::span(ivs).first(48), buf, 32),
+               std::invalid_argument);
+  EXPECT_THROW(cbc_decrypt_chains(c, r.random_bytes(80), buf, 32), std::invalid_argument);
+  // Chains of whole blocks that tile the buffer.
+  EXPECT_THROW(cbc_encrypt_chains(c, ivs, buf, 24), std::invalid_argument);
+  bytes ragged(4 * 32 + 16);
+  EXPECT_THROW(cbc_decrypt_chains(c, ivs, ragged, 32), std::invalid_argument);
+  EXPECT_THROW(cbc_encrypt_chains(c, ivs, buf, 0), std::invalid_argument);
+  // Blocks wider than max_block.
+  const wide_cipher wide{};
+  bytes chain(64);
+  const bytes wide_iv(32);
+  EXPECT_THROW(cbc_encrypt_chains(wide, wide_iv, chain, 64), std::invalid_argument);
+  EXPECT_THROW(cbc_decrypt_chains(wide, wide_iv, chain, 64), std::invalid_argument);
 }
 
 } // namespace
