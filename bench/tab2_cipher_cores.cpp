@@ -89,7 +89,8 @@ double host_mbps(std::size_t bytes_per_pass, Fn&& fn) {
 // software tier — the retained per-bit FIPS reference, the scalar fused
 // SP-table path, and the bitsliced wide path — so the table shows what the
 // two-tier datapath actually buys on this host. AES rides along as the
-// context row the survey's AES-based engines compare against.
+// context row the survey's AES-based engines compare against (on the
+// active kernel: AES-NI where the CPU has it).
 void print_des_tier_table() {
   using namespace crypto;
   bench::banner("DES datapath tiers (host MB/s, 64 KiB ECB runs)",
@@ -133,7 +134,8 @@ void print_des_tier_table() {
                                     bitslice::des_crypt_wide({&des_enc, 1}, src, dst);
                                   }),
                         1)});
-  t.add_row({"3DES", table::num(per_block(tdes_ref), 1), table::num(per_block(tdes_fast), 1),
+  t.add_row({"3DES", table::num(per_block(tdes_ref), 1),
+             table::num(per_block(tdes_fast), 1),
              table::num(host_mbps(n,
                                   [&] {
                                     bitslice::des_crypt_wide(tdes_enc, src, dst);
@@ -143,7 +145,8 @@ void print_des_tier_table() {
              table::num(host_mbps(n, [&] { aes128.encrypt_blocks(src, dst); }), 1), "-"});
   std::fputs(t.str().c_str(), stdout);
   std::printf("encrypt_blocks() picks table vs bitsliced per run length; see\n"
-              "crypto::bitslice::k_min_wide_blocks for the crossover.\n");
+              "crypto::bitslice::k_min_wide_blocks for the crossover. The AES-128\n"
+              "row runs the active AES kernel (per-kernel rows below).\n");
 }
 
 // Mean host nanoseconds per call of `fn`, sampled like host_mbps.
@@ -190,18 +193,22 @@ double hash_tree_install_unit_ns(const bytes& key, const bytes& image) {
 // The per-primitive host costs behind the authenticated-memory, keyslot
 // and update simulations: SHA-256 bulk rate per kernel, one 48-byte HMAC
 // (a 16-byte address/version header plus a 32-byte unit, the mac scheme's
-// message) one-shot versus through a keyed object's cached midstates, one
-// AES-128 key expansion (every keyslot reprogram), one RSA-256 keygen
-// (every update-lifetime episode's Fig. 1 key exchange) and one unit of a
-// hash-tree install (the authenticator's host datapath end to end). CI
-// asserts floors on these rows.
+// message) one-shot versus through a keyed object's cached midstates, the
+// AES-128 bulk rate per kernel (every pad, IV and unit of the AES-cored
+// engines), one AES-128 key expansion (every keyslot reprogram), one
+// RSA-256 keygen (every update-lifetime episode's Fig. 1 key exchange) and
+// one unit of a hash-tree install (the authenticator's host datapath end to
+// end). CI asserts floors on these rows.
 void print_primitive_table() {
   using namespace crypto;
   const sha256_kernels::compress_fn ni = sha256_kernels::compress_shani();
+  const aes_kernels::kernel* aes_ni = aes_kernels::aes_ni();
   bench::banner("Hash and key-schedule primitives (host)",
                 "Fig. 5 keyed hash / integrity MAC unit and Fig. 1 key exchange, host\n"
                 "cost; keyed = ipad/opad midstates cached; SHA-256 kernel in use: " +
-                    std::string(ni != nullptr ? "sha-ni" : "portable"));
+                    std::string(ni != nullptr ? "sha-ni" : "portable") +
+                    "; AES kernel in use: " +
+                    std::string(aes_ni != nullptr ? "aes-ni" : "portable"));
   rng r(g_seed ^ 4);
   const bytes src = r.random_bytes(64 * 1024);
   const bytes key = r.random_bytes(16);
@@ -229,9 +236,23 @@ void print_primitive_table() {
              table::num(host_ns([&] { sink = sink + hmac_sha256(key, msg)[0]; }), 1)});
   t.add_row({"HMAC-SHA256 48 B keyed", "ns",
              table::num(host_ns([&] { sink = sink + keyed.mac(msg)[0]; }), 1)});
+  const auto aes_kernel_mbps = [&](const aes_kernels::kernel& k) {
+    aes_kernels::schedule enc{};
+    k.expand(key, enc);
+    bytes dst(src.size());
+    return host_mbps(src.size(), [&] {
+      k.encrypt(enc, 10, src.data(), dst.data(), src.size() / 16);
+      sink = sink + dst[0];
+    });
+  };
+  t.add_row({"AES-128 portable kernel", "MB/s",
+             table::num(aes_kernel_mbps(aes_kernels::portable()), 1)});
+  t.add_row({"AES-128 aes-ni kernel", "MB/s",
+             aes_ni != nullptr ? table::num(aes_kernel_mbps(*aes_ni), 1)
+                               : std::string("-")});
   const auto expand = [&] {
-    const aes c(key);
-    sink = sink + static_cast<u8>(c.round_keys()[4]);
+    aes c(key);
+    benchmark::DoNotOptimize(c);
   };
   t.add_row({"AES-128 key expansion", "ns", table::num(host_ns(expand), 1)});
   // How many prime candidates keygen tries depends on the seed, so the
@@ -285,8 +306,8 @@ int main(int argc, char** argv) {
                                [](benchmark::State& s) { stream_throughput(s, rc4_c); });
   benchmark::RegisterBenchmark("stream/LFSR-64",
                                [](benchmark::State& s) { stream_throughput(s, lfsr_c); });
-  benchmark::RegisterBenchmark("stream/Trivium",
-                               [](benchmark::State& s) { stream_throughput(s, trivium_c); });
+  benchmark::RegisterBenchmark(
+      "stream/Trivium", [](benchmark::State& s) { stream_throughput(s, trivium_c); });
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

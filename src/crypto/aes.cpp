@@ -4,6 +4,10 @@
 
 #include <stdexcept>
 
+#if defined(BUSCRYPT_AES_NI) && (defined(__x86_64__) || defined(__i386__))
+#include <cpuid.h>
+#endif
+
 namespace buscrypt::crypto {
 
 namespace {
@@ -49,7 +53,8 @@ constexpr std::array<u8, 256> k_sbox = make_sbox();
 
 constexpr std::array<u8, 256> make_inv_sbox() noexcept {
   std::array<u8, 256> inv{};
-  for (int i = 0; i < 256; ++i) inv[k_sbox[static_cast<std::size_t>(i)]] = static_cast<u8>(i);
+  for (int i = 0; i < 256; ++i)
+    inv[k_sbox[static_cast<std::size_t>(i)]] = static_cast<u8>(i);
   return inv;
 }
 
@@ -121,6 +126,13 @@ inline u32 inv_mix_word(u32 w) noexcept {
                 u32{k_sbox[(w >> 8) & 0xFF]} << 8, k_sbox[w & 0xFF]);
 }
 
+/// The 4*(nr+1) words of an nr-round schedule.
+std::vector<u32> schedule_words(const aes_kernels::schedule& s, int nr) {
+  std::vector<u32> w(static_cast<std::size_t>(4 * (nr + 1)));
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = load_be32(&s[4 * i]);
+  return w;
+}
+
 aes_bits bits_from_key_len(std::size_t n) {
   switch (n) {
     case 16: return aes_bits::k128;
@@ -132,44 +144,155 @@ aes_bits bits_from_key_len(std::size_t n) {
 
 } // namespace
 
-aes::aes(std::span<const u8> key) : aes(key, bits_from_key_len(key.size())) {}
+namespace aes_kernels {
 
-aes::aes(std::span<const u8> key, aes_bits bits) {
-  nk_ = static_cast<int>(bits) / 32;
-  nr_ = nk_ + 6;
-  if (key.size() != static_cast<std::size_t>(nk_) * 4)
-    throw std::invalid_argument("aes: key length disagrees with requested width");
+#if defined(BUSCRYPT_AES_NI) && (defined(__x86_64__) || defined(__i386__))
+// Defined in aes_ni.cpp, the only TU built with -maes.
+const kernel& x86_aesni() noexcept;
 
-  const int total = 4 * (nr_ + 1);
-  for (int i = 0; i < nk_; ++i)
-    round_keys_[static_cast<std::size_t>(i)] = load_be32(&key[static_cast<std::size_t>(4 * i)]);
+namespace {
 
+// The kernel needs AES-NI (leaf 1 ECX bit 25) plus the SSE4.1 its
+// translation unit is built with (leaf 1 ECX bit 19).
+bool cpu_has_aes_ni() noexcept {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  return (c & (1u << 25)) != 0 && (c & (1u << 19)) != 0;
+}
+
+} // namespace
+#endif
+
+namespace {
+
+void expand_portable(std::span<const u8> key, schedule& enc) noexcept {
+  const int nk = static_cast<int>(key.size() / 4);
+  const int total = 4 * (nk + 7);
+  std::array<u32, 60> w;
+  for (int i = 0; i < nk; ++i)
+    w[static_cast<std::size_t>(i)] = load_be32(&key[static_cast<std::size_t>(4 * i)]);
   u32 rcon = 0x01;
-  for (int i = nk_; i < total; ++i) {
-    u32 temp = round_keys_[static_cast<std::size_t>(i - 1)];
-    if (i % nk_ == 0) {
+  for (int i = nk; i < total; ++i) {
+    u32 temp = w[static_cast<std::size_t>(i - 1)];
+    if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^ (rcon << 24);
       rcon = gmul(static_cast<u8>(rcon), 2);
-    } else if (nk_ > 6 && i % nk_ == 4) {
+    } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    round_keys_[static_cast<std::size_t>(i)] =
-        round_keys_[static_cast<std::size_t>(i - nk_)] ^ temp;
+    w[static_cast<std::size_t>(i)] = w[static_cast<std::size_t>(i - nk)] ^ temp;
   }
+  for (int i = 0; i < total; ++i)
+    store_be32(&enc[static_cast<std::size_t>(4 * i)], w[static_cast<std::size_t>(i)]);
+}
 
-  // Equivalent inverse cipher: decryption consumes the schedule backwards
-  // with InvMixColumns applied to the inner round keys, so the T-table
-  // rounds serve both directions.
-  for (int j = 0; j < 4; ++j)
-    dec_round_keys_[static_cast<std::size_t>(j)] =
-        round_keys_[static_cast<std::size_t>(4 * nr_ + j)];
-  for (int round = 1; round < nr_; ++round)
-    for (int j = 0; j < 4; ++j)
-      dec_round_keys_[static_cast<std::size_t>(4 * round + j)] =
-          inv_mix_word(round_keys_[static_cast<std::size_t>(4 * (nr_ - round) + j)]);
-  for (int j = 0; j < 4; ++j)
-    dec_round_keys_[static_cast<std::size_t>(4 * nr_ + j)] =
-        round_keys_[static_cast<std::size_t>(j)];
+void invert_portable(const schedule& enc, int nr, schedule& dec) noexcept {
+  for (int round = 0; round <= nr; ++round)
+    for (std::size_t j = 0; j < 16; j += 4) {
+      const u32 w = load_be32(&enc[static_cast<std::size_t>(16 * (nr - round)) + j]);
+      store_be32(&dec[static_cast<std::size_t>(16 * round) + j],
+                 round == 0 || round == nr ? w : inv_mix_word(w));
+    }
+}
+
+void encrypt_portable(const schedule& ks, int nr, const u8* in, u8* out,
+                      std::size_t n) noexcept {
+  for (; n != 0; --n, in += 16, out += 16) {
+    const u8* rk = ks.data();
+    u32 c0 = load_be32(in) ^ load_be32(rk);
+    u32 c1 = load_be32(in + 4) ^ load_be32(rk + 4);
+    u32 c2 = load_be32(in + 8) ^ load_be32(rk + 8);
+    u32 c3 = load_be32(in + 12) ^ load_be32(rk + 12);
+    for (int round = 1; round < nr; ++round) {
+      rk += 16;
+      const u32 t0 = te_col(c0, c1, c2, c3) ^ load_be32(rk);
+      const u32 t1 = te_col(c1, c2, c3, c0) ^ load_be32(rk + 4);
+      const u32 t2 = te_col(c2, c3, c0, c1) ^ load_be32(rk + 8);
+      const u32 t3 = te_col(c3, c0, c1, c2) ^ load_be32(rk + 12);
+      c0 = t0;
+      c1 = t1;
+      c2 = t2;
+      c3 = t3;
+    }
+    rk += 16;
+    // Final round: SubBytes + ShiftRows only (no MixColumns).
+    auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
+      return (u32{k_sbox[(r0 >> 24) & 0xFF]} << 24) |
+             (u32{k_sbox[(r1 >> 16) & 0xFF]} << 16) |
+             (u32{k_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_sbox[r3 & 0xFF]};
+    };
+    store_be32(out, last(c0, c1, c2, c3) ^ load_be32(rk));
+    store_be32(out + 4, last(c1, c2, c3, c0) ^ load_be32(rk + 4));
+    store_be32(out + 8, last(c2, c3, c0, c1) ^ load_be32(rk + 8));
+    store_be32(out + 12, last(c3, c0, c1, c2) ^ load_be32(rk + 12));
+  }
+}
+
+void decrypt_portable(const schedule& ks, int nr, const u8* in, u8* out,
+                      std::size_t n) noexcept {
+  for (; n != 0; --n, in += 16, out += 16) {
+    const u8* rk = ks.data();
+    u32 c0 = load_be32(in) ^ load_be32(rk);
+    u32 c1 = load_be32(in + 4) ^ load_be32(rk + 4);
+    u32 c2 = load_be32(in + 8) ^ load_be32(rk + 8);
+    u32 c3 = load_be32(in + 12) ^ load_be32(rk + 12);
+    // InvShiftRows routes row r of output column j from column (j - r) mod 4.
+    for (int round = 1; round < nr; ++round) {
+      rk += 16;
+      const u32 t0 = td_col(c0, c3, c2, c1) ^ load_be32(rk);
+      const u32 t1 = td_col(c1, c0, c3, c2) ^ load_be32(rk + 4);
+      const u32 t2 = td_col(c2, c1, c0, c3) ^ load_be32(rk + 8);
+      const u32 t3 = td_col(c3, c2, c1, c0) ^ load_be32(rk + 12);
+      c0 = t0;
+      c1 = t1;
+      c2 = t2;
+      c3 = t3;
+    }
+    rk += 16;
+    auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
+      return (u32{k_inv_sbox[(r0 >> 24) & 0xFF]} << 24) |
+             (u32{k_inv_sbox[(r1 >> 16) & 0xFF]} << 16) |
+             (u32{k_inv_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_inv_sbox[r3 & 0xFF]};
+    };
+    store_be32(out, last(c0, c3, c2, c1) ^ load_be32(rk));
+    store_be32(out + 4, last(c1, c0, c3, c2) ^ load_be32(rk + 4));
+    store_be32(out + 8, last(c2, c1, c0, c3) ^ load_be32(rk + 8));
+    store_be32(out + 12, last(c3, c2, c1, c0) ^ load_be32(rk + 12));
+  }
+}
+
+} // namespace
+
+const kernel& portable() noexcept {
+  static constexpr kernel k{&expand_portable, &invert_portable, &encrypt_portable,
+                            &decrypt_portable};
+  return k;
+}
+
+const kernel* aes_ni() noexcept {
+#if defined(BUSCRYPT_AES_NI) && (defined(__x86_64__) || defined(__i386__))
+  static const bool supported = cpu_has_aes_ni();
+  return supported ? &x86_aesni() : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const kernel& active() noexcept {
+  static const kernel* const k = aes_ni() != nullptr ? aes_ni() : &portable();
+  return *k;
+}
+
+} // namespace aes_kernels
+
+aes::aes(std::span<const u8> key) : aes(key, bits_from_key_len(key.size())) {}
+
+aes::aes(std::span<const u8> key, aes_bits bits)
+    : kernel_(&aes_kernels::active()), nr_(static_cast<int>(bits) / 32 + 6) {
+  if (key.size() != static_cast<std::size_t>(nr_ - 6) * 4)
+    throw std::invalid_argument("aes: key length disagrees with requested width");
+  kernel_->expand(key, enc_);
+  kernel_->invert(enc_, nr_, dec_);
 }
 
 std::string_view aes::name() const noexcept {
@@ -182,66 +305,26 @@ std::string_view aes::name() const noexcept {
 
 void aes::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
-  const u32* rk = round_keys_.data();
-  u32 c0 = load_be32(&in[0]) ^ rk[0];
-  u32 c1 = load_be32(&in[4]) ^ rk[1];
-  u32 c2 = load_be32(&in[8]) ^ rk[2];
-  u32 c3 = load_be32(&in[12]) ^ rk[3];
-
-  for (int round = 1; round < nr_; ++round) {
-    rk += 4;
-    const u32 t0 = te_col(c0, c1, c2, c3) ^ rk[0];
-    const u32 t1 = te_col(c1, c2, c3, c0) ^ rk[1];
-    const u32 t2 = te_col(c2, c3, c0, c1) ^ rk[2];
-    const u32 t3 = te_col(c3, c0, c1, c2) ^ rk[3];
-    c0 = t0;
-    c1 = t1;
-    c2 = t2;
-    c3 = t3;
-  }
-  rk += 4;
-  // Final round: SubBytes + ShiftRows only (no MixColumns).
-  auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
-    return (u32{k_sbox[(r0 >> 24) & 0xFF]} << 24) |
-           (u32{k_sbox[(r1 >> 16) & 0xFF]} << 16) |
-           (u32{k_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_sbox[r3 & 0xFF]};
-  };
-  store_be32(&out[0], last(c0, c1, c2, c3) ^ rk[0]);
-  store_be32(&out[4], last(c1, c2, c3, c0) ^ rk[1]);
-  store_be32(&out[8], last(c2, c3, c0, c1) ^ rk[2]);
-  store_be32(&out[12], last(c3, c0, c1, c2) ^ rk[3]);
+  kernel_->encrypt(enc_, nr_, in.data(), out.data(), 1);
 }
 
 void aes::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
-  const u32* rk = dec_round_keys_.data();
-  u32 c0 = load_be32(&in[0]) ^ rk[0];
-  u32 c1 = load_be32(&in[4]) ^ rk[1];
-  u32 c2 = load_be32(&in[8]) ^ rk[2];
-  u32 c3 = load_be32(&in[12]) ^ rk[3];
-
-  // InvShiftRows routes row r of output column j from column (j - r) mod 4.
-  for (int round = 1; round < nr_; ++round) {
-    rk += 4;
-    const u32 t0 = td_col(c0, c3, c2, c1) ^ rk[0];
-    const u32 t1 = td_col(c1, c0, c3, c2) ^ rk[1];
-    const u32 t2 = td_col(c2, c1, c0, c3) ^ rk[2];
-    const u32 t3 = td_col(c3, c2, c1, c0) ^ rk[3];
-    c0 = t0;
-    c1 = t1;
-    c2 = t2;
-    c3 = t3;
-  }
-  rk += 4;
-  auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
-    return (u32{k_inv_sbox[(r0 >> 24) & 0xFF]} << 24) |
-           (u32{k_inv_sbox[(r1 >> 16) & 0xFF]} << 16) |
-           (u32{k_inv_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_inv_sbox[r3 & 0xFF]};
-  };
-  store_be32(&out[0], last(c0, c3, c2, c1) ^ rk[0]);
-  store_be32(&out[4], last(c1, c0, c3, c2) ^ rk[1]);
-  store_be32(&out[8], last(c2, c1, c0, c3) ^ rk[2]);
-  store_be32(&out[12], last(c3, c2, c1, c0) ^ rk[3]);
+  kernel_->decrypt(dec_, nr_, in.data(), out.data(), 1);
 }
+
+void aes::encrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
+  check_blocks(in, out);
+  kernel_->encrypt(enc_, nr_, in.data(), out.data(), in.size() / 16);
+}
+
+void aes::decrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
+  check_blocks(in, out);
+  kernel_->decrypt(dec_, nr_, in.data(), out.data(), in.size() / 16);
+}
+
+std::vector<u32> aes::round_keys() const { return schedule_words(enc_, nr_); }
+
+std::vector<u32> aes::decrypt_round_keys() const { return schedule_words(dec_, nr_); }
 
 } // namespace buscrypt::crypto

@@ -18,10 +18,11 @@ void check_blocked(const block_cipher& c, std::span<const u8> in,
     throw std::invalid_argument("mode: data not a multiple of the block size");
 }
 
-/// Bytes one cbc_decrypt_chains window deciphers in one bulk call: enough
-/// DES blocks for the bitsliced lanes.
-constexpr std::size_t k_cbc_window = 4096;
-static_assert(k_cbc_window / 8 >= bitslice::k_min_wide_blocks);
+/// Bytes one windowed pass (a cbc_decrypt_chains window, a window of CTR
+/// pads) runs through one bulk call: enough DES blocks for the widest
+/// bitsliced lane group.
+constexpr std::size_t k_window = 4096;
+static_assert(k_window / 8 >= 8 * bitslice::k_des_lanes);
 
 /// \p c's block size once \p buf is whole chains of \p chain_len bytes,
 /// each a whole number of blocks, with one IV block per chain in \p ivs.
@@ -59,6 +60,48 @@ std::span<const u8> iv_at(const block_cipher& c, u64 hi, u64 lo,
   return iv;
 }
 
+/// The one CTR pass: XORs \p in into \p out (which may alias exactly)
+/// with the keystream of consecutive units of \p unit_len bytes. Unit u
+/// takes bytes [skip, skip + unit_len) of the blocks
+/// E_K(counter_block(hi, lo + u * stride + i)), i = 0, 1, ...; the
+/// counter blocks of every unit go through stack windows, one
+/// encrypt_blocks call each.
+void ctr_xor(const block_cipher& c, u64 hi, u64 lo, u64 stride, std::size_t skip,
+             std::size_t unit_len, std::span<const u8> in, std::span<u8> out) {
+  if (in.empty()) return;
+  const std::size_t bs = c.block_size();
+  const std::size_t per_unit = (skip + unit_len + bs - 1) / bs; // counter blocks
+  const std::size_t unit_span = per_unit * bs;                  // keystream bytes
+  const std::size_t total = in.size() / unit_len * per_unit;
+  const std::size_t per_window = k_window / bs;
+  std::array<u8, k_window> window;
+  u64 unit_ctr = lo; // the current unit's first counter
+  std::size_t b = 0; // the next counter block's index in that unit
+  for (std::size_t first = 0; first < total; first += per_window) {
+    const std::size_t n = std::min(per_window, total - first);
+    const std::span<u8> pads(window.data(), n * bs);
+    for (std::size_t i = 0; i < n; ++i) {
+      counter_block(pads.subspan(i * bs, bs), hi, unit_ctr + b);
+      if (++b == per_unit) {
+        b = 0;
+        unit_ctr += stride;
+      }
+    }
+    c.encrypt_blocks(pads, pads);
+    // Each unit's share of keystream bytes [ks, ks_end) of this window.
+    const std::size_t ks = first * bs;
+    const std::size_t ks_end = ks + pads.size();
+    for (std::size_t u = ks / unit_span; u * unit_span < ks_end; ++u) {
+      const std::size_t from = std::max(ks, u * unit_span + skip);
+      const std::size_t to = std::min(ks_end, u * unit_span + skip + unit_len);
+      if (from >= to) continue;
+      const std::size_t at = u * unit_len + (from - u * unit_span - skip);
+      xor_bytes(out.subspan(at, to - from), in.subspan(at, to - from),
+                pads.subspan(from - ks, to - from));
+    }
+  }
+}
+
 } // namespace
 
 void ecb_encrypt(const block_cipher& c, std::span<const u8> in, std::span<u8> out) {
@@ -91,9 +134,9 @@ void cbc_decrypt_chains(const block_cipher& c, std::span<const u8> ivs, std::spa
   // No serial dependency: every block deciphers on its own, then XORs the
   // ciphertext before it, kept in a stack copy of the window. Windows run
   // back to front, so the block before one is still ciphertext.
-  std::array<u8, k_cbc_window> saved;
+  std::array<u8, k_window> saved;
   for (std::size_t end = buf.size(); end > 0;) {
-    const std::size_t begin = (end - 1) / k_cbc_window * k_cbc_window;
+    const std::size_t begin = (end - 1) / k_window * k_window;
     const std::span<u8> window = buf.subspan(begin, end - begin);
     const std::span<const u8> ct(saved.data(), window.size());
     std::copy(window.begin(), window.end(), saved.begin());
@@ -137,29 +180,17 @@ void ctr_crypt(const block_cipher& c, u64 nonce, u64 initial_counter,
                std::span<const u8> in, std::span<u8> out) {
   if (in.size() != out.size())
     throw std::invalid_argument("ctr: in/out size mismatch");
-  const std::size_t bs = c.block_size();
+  ctr_xor(c, nonce, initial_counter, 0, 0, in.size(), in, out);
+}
 
-  // Generate a window of counter blocks, run them through the bulk
-  // encrypt (one bitsliced call for wide windows), then XOR u64-wide. The
-  // window is sized to the input, capped at the widest bitsliced lane
-  // group (512 blocks) for 8-byte ciphers; the 4 KiB pad buffer stays
-  // L1-resident.
-  constexpr std::size_t k_window_blocks = 512;
-  bytes pad(bs * std::min(k_window_blocks, (in.size() + bs - 1) / bs));
-
-  u64 ctr = initial_counter;
-  std::size_t off = 0;
-  while (off < in.size()) {
-    const std::size_t remaining = in.size() - off;
-    const std::size_t nblocks = std::min(k_window_blocks, (remaining + bs - 1) / bs);
-    for (std::size_t b = 0; b < nblocks; ++b, ++ctr)
-      counter_block(std::span<u8>(pad).subspan(b * bs, bs), nonce, ctr);
-    const std::span<u8> window = std::span<u8>(pad).first(nblocks * bs);
-    c.encrypt_blocks(window, window);
-    const std::size_t n = std::min(remaining, nblocks * bs);
-    xor_bytes(out.subspan(off, n), in.subspan(off, n), window.first(n));
-    off += n;
-  }
+void ctr_crypt_units(const block_cipher& c, u64 nonce, u64 first_counter,
+                     u64 counter_stride, std::size_t unit_len, std::span<const u8> in,
+                     std::span<u8> out) {
+  if (in.size() != out.size())
+    throw std::invalid_argument("ctr: in/out size mismatch");
+  if (unit_len == 0 ? !in.empty() : in.size() % unit_len != 0)
+    throw std::invalid_argument("ctr: data not whole units");
+  ctr_xor(c, nonce, first_counter, counter_stride, 0, unit_len, in, out);
 }
 
 void cfb_encrypt(const block_cipher& c, std::span<const u8> iv,
@@ -235,17 +266,8 @@ bytes pkcs7_unpad(std::span<const u8> in, std::size_t block) {
 
 void address_pad::apply(addr_t addr, std::span<u8> buf) const {
   const std::size_t bs = cipher_->block_size();
-  std::array<u8, max_block> block{};
-  const std::span<u8> pad(block.data(), bs);
-  std::size_t skip = static_cast<std::size_t>(addr % bs);
-  for (std::size_t done = 0; done < buf.size();) {
-    counter_block(pad, tweak_, (addr + done) / bs);
-    cipher_->encrypt_block(pad, pad);
-    const std::size_t n = std::min(bs - skip, buf.size() - done);
-    xor_bytes(buf.subspan(done, n), pad.subspan(skip, n));
-    done += n;
-    skip = 0;
-  }
+  ctr_xor(*cipher_, tweak_, addr / bs, 0, static_cast<std::size_t>(addr % bs), buf.size(),
+          buf, buf);
 }
 
 std::size_t address_pad::blocks_covering(addr_t addr, std::size_t len) const noexcept {

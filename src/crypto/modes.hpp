@@ -12,7 +12,9 @@
 /// EDUs' seekable one-time pad) and the IVs of cbc_encrypt_at /
 /// cbc_decrypt_at (the per-line, per-segment and per-page CBC engines).
 /// Every CBC pass, whatever its IV scheme, is one heap-free
-/// cbc_encrypt_chains / cbc_decrypt_chains call.
+/// cbc_encrypt_chains / cbc_decrypt_chains call, and every CTR keystream
+/// (ctr_crypt, ctr_crypt_units, address_pad) one heap-free windowed pass
+/// of bulk encrypt_blocks calls.
 
 #include "common/bitops.hpp"
 #include "crypto/block_cipher.hpp"
@@ -79,9 +81,22 @@ void cbc_encrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain);
 void cbc_decrypt_at(const block_cipher& c, u64 hi, u64 lo, std::span<u8> chain);
 
 /// CTR mode: pad block i = E_K(counter_block(nonce, initial_counter + i));
-/// fully seekable, encrypt == decrypt.
+/// fully seekable, encrypt == decrypt. in and out may alias exactly. The
+/// pads go through a 4 KiB stack window, one encrypt_blocks call per
+/// window (3DES fills its widest bitsliced lane group); no heap allocation.
 void ctr_crypt(const block_cipher& c, u64 nonce, u64 initial_counter,
                std::span<const u8> in, std::span<u8> out);
+
+/// CTR over consecutive units of \p unit_len bytes (any length), unit u
+/// under initial counter first_counter + u * counter_stride: the bytes of
+/// one ctr_crypt call per unit, with the counter blocks of many units
+/// sharing each window's encrypt_blocks call. The keyslot engine's CTR
+/// backends run their data units through it.
+/// \throws std::invalid_argument unless in and out match and hold whole
+///         units.
+void ctr_crypt_units(const block_cipher& c, u64 nonce, u64 first_counter,
+                     u64 counter_stride, std::size_t unit_len, std::span<const u8> in,
+                     std::span<u8> out);
 
 /// CFB (full-block feedback): c_i = E(c_{i-1}) ^ p_i. Self-synchronising;
 /// decryption uses only the forward cipher — relevant for engines that
@@ -119,8 +134,9 @@ class address_pad {
 
   /// XOR the pad for byte-address \p addr into \p buf in place. The pad
   /// for a given address is stable across calls (deterministic), so
-  /// write-back re-encryption reproduces it. Uses one cipher invocation
-  /// per block_size() bytes, aligned down to the enclosing pad block, and
+  /// write-back re-encryption reproduces it. Enciphers one counter block
+  /// per block_size() bytes, aligned down to the enclosing pad block, all
+  /// of them in one encrypt_blocks call per 4 KiB stack window, and makes
   /// no heap allocation.
   void apply(addr_t addr, std::span<u8> buf) const;
 

@@ -41,14 +41,15 @@ void integrity_edu::pad_line(addr_t line_addr, u64 version, std::span<u8> buf) c
   // Pad block i = E(counter_block(tweak ^ block index, version)): the
   // index and the version fill separate halves of the 16-byte block, so
   // the pad is seekable by address AND fresh per version, and no pad
-  // repeats across writes when versioning is on.
+  // repeats across writes when versioning is on. The line's counter
+  // blocks go through one encrypt_blocks call.
   constexpr std::size_t bs = crypto::max_block;
-  std::array<u8, bs> pad{};
-  for (std::size_t off = 0; off < buf.size(); off += bs) {
-    crypto::counter_block(pad, tweak ^ ((line_addr + off) / bs), version);
-    prf_->encrypt_block(pad, pad);
-    xor_bytes(buf.subspan(off, bs), pad);
-  }
+  std::array<u8, line_bytes> pads;
+  for (std::size_t off = 0; off < pads.size(); off += bs)
+    crypto::counter_block(std::span<u8>(pads).subspan(off, bs),
+                          tweak ^ ((line_addr + off) / bs), version);
+  prf_->encrypt_blocks(pads, pads);
+  xor_bytes(buf, pads);
 }
 
 cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {

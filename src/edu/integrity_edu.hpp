@@ -116,6 +116,8 @@ class integrity_edu final : public edu {
   [[nodiscard]] cycles read_line(addr_t line_addr, std::span<u8> out);
   [[nodiscard]] cycles write_line(addr_t line_addr, std::span<const u8> in);
 
+  /// XOR the pad of the line at \p line_addr under \p version into \p buf
+  /// (one line_bytes line).
   void pad_line(addr_t line_addr, u64 version, std::span<u8> buf) const;
   /// The version a line's pad and tag cover now.
   [[nodiscard]] u64 version_of(addr_t line_addr) const noexcept {

@@ -468,6 +468,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       fails.clear();
     }
     live.clear();
+    area_snaps_.clear();
   };
   for (sim::mem_txn& txn : batch) {
     // The pipelined path handles whole data units inside one context; a
@@ -554,23 +555,27 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
                                                  /*charge=*/true, b, txn.master));
       }
     } else if (mode == auth_mode::area) {
-      // AREA unseal on the cipher core against staging-order snapshots:
-      // a later in-batch write of the unit must not bleed its bumped
-      // version or new sideband into this read's check.
-      std::vector<memory_authenticator::area_staged> snaps;
+      // AREA unseal on the cipher core against staging-order snapshots in
+      // area_snaps_: a later in-batch write of the unit must not bleed its
+      // bumped version or new sideband into this read's check.
+      const std::size_t snap_len = auth->area_snapshot_bytes(kc);
+      const std::size_t first_snap = area_snaps_.size();
       cycles c = 0;
       for (std::size_t off = 0; off < len; off += du) {
         const addr_t ua = addr + off;
-        if (auth->covers(ua)) snaps.push_back(auth->area_prepare(ua));
+        if (auth->covers(ua)) {
+          area_snaps_.resize(area_snaps_.size() + snap_len);
+          auth->area_prepare(ua, std::span<u8>(area_snaps_).last(snap_len));
+        }
         c += charge_units(auth->covers(ua) ? auth->area_unseal_cycles(kc)
                                            : unit_cycles(kc, du, false, false),
                           1);
       }
       b.add_gated(arrival, no_lower, c,
-                  [this, &kc, &k, &fails, auth, addr, data, m = txn.master,
-                   snaps = std::move(snaps)] {
+                  [this, &kc, &k, &fails, auth, addr, data, m = txn.master, first_snap,
+                   snap_len] {
                     const std::size_t du = k.data_unit_size;
-                    std::size_t snap = 0;
+                    std::size_t snap = first_snap;
                     for (std::size_t off = 0; off < data.size(); off += du) {
                       const addr_t ua = addr + off;
                       std::span<u8> unit = data.subspan(off, du);
@@ -579,8 +584,11 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
                                               /*fallback=*/false, /*charge=*/false);
                         continue;
                       }
-                      const auto cr = auth->area_finish(kc, ua, unit, unit,
-                                                        snaps[snap++], /*charge=*/true);
+                      const auto cr = auth->area_finish(
+                          kc, ua, unit, unit,
+                          std::span<const u8>(area_snaps_).subspan(snap, snap_len),
+                          /*charge=*/true);
+                      snap += snap_len;
                       if (!cr.ok) fails.push_back({unit, m});
                     }
                   });

@@ -306,6 +306,11 @@ class bus_encryption_engine final : public sim::memory_port {
   std::vector<region> regions_;
   std::vector<std::pair<master_id, domain_stats>> domains_; ///< few masters: linear
   sim::bus_firewall* fw_ = nullptr; ///< checked before span_for when attached
+  /// The open submit() window's AREA read snapshots
+  /// (memory_authenticator::area_prepare), back to back in staging order;
+  /// its unseal jobs index them by offset. Emptied when the window retires,
+  /// its capacity kept.
+  bytes area_snaps_;
   engine_stats stats_;
 };
 

@@ -81,7 +81,8 @@ class block_keyed final : public keyed_cipher {
     }
     if (unit_len == 0 || out.size() % unit_len != 0)
       throw std::invalid_argument("generate_pads: out must be whole units");
-    fill_ctr_pads(first_dun, unit_len, out);
+    std::fill(out.begin(), out.end(), u8{0});
+    ctr_units(first_dun, unit_len, out, out);
   }
 
  private:
@@ -94,14 +95,9 @@ class block_keyed final : public keyed_cipher {
         // Unit boundaries don't matter without an IV: one bulk pass.
         encrypt ? cipher_->encrypt_blocks(in, out) : cipher_->decrypt_blocks(in, out);
         break;
-      case unit_mode::ctr: {
-        // One bulk pad fill for the whole run, then a u64-wide XOR against
-        // the payload (encrypt and decrypt are the same operation).
-        bytes pads(in.size());
-        fill_ctr_pads(first_dun, unit_len, pads);
-        xor_bytes(out, in, pads);
+      case unit_mode::ctr: // encrypt and decrypt are the same operation
+        ctr_units(first_dun, unit_len, in, out);
         break;
-      }
       case unit_mode::cbc:
         if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
         cbc_units(first_dun, unit_len, out, encrypt);
@@ -109,33 +105,14 @@ class block_keyed final : public keyed_cipher {
     }
   }
 
-  /// CTR pad fill for a run of units: build every counter block of the run,
-  /// encrypt them all in one bulk call (a whole bitsliced batch for the DES
-  /// cores), then lay the pads out per unit. Same bytes ctr_crypt produces.
-  void fill_ctr_pads(u64 first_dun, std::size_t unit_len, std::span<u8> out) {
-    const std::size_t bs = cipher_->block_size();
-    const std::size_t nunits = out.size() / unit_len;
-    const std::size_t bpu = (unit_len + bs - 1) / bs; // counter blocks per unit
-    const bool aligned = unit_len % bs == 0;
-    bytes scratch;
-    std::span<u8> work = out;
-    if (!aligned) {
-      scratch.resize(nunits * bpu * bs);
-      work = scratch;
-    }
-    std::size_t w = 0;
-    for (std::size_t u = 0; u < nunits; ++u) {
-      // A globally-unique counter per cipher block: units may be any size
-      // up to 2^16 blocks without keystream reuse.
-      u64 ctr = (first_dun + u) << 16;
-      for (std::size_t b = 0; b < bpu; ++b, ++ctr, w += bs)
-        crypto::counter_block(work.subspan(w, bs), k_ctr_tweak, ctr);
-    }
-    cipher_->encrypt_blocks(work, work);
-    if (!aligned)
-      for (std::size_t u = 0; u < nunits; ++u)
-        std::copy_n(work.begin() + static_cast<std::ptrdiff_t>(u * bpu * bs), unit_len,
-                    out.begin() + static_cast<std::ptrdiff_t>(u * unit_len));
+  /// CTR over a run of units: a globally-unique counter per cipher block,
+  /// (DUN << 16) + block, so units may be any size up to 2^16 blocks
+  /// without keystream reuse. The pads of many units share each stack
+  /// window's bulk encrypt (a whole bitsliced batch for the DES cores).
+  void ctr_units(u64 first_dun, std::size_t unit_len, std::span<const u8> in,
+                 std::span<u8> out) {
+    crypto::ctr_crypt_units(*cipher_, k_ctr_tweak, first_dun << 16, u64{1} << 16,
+                            unit_len, in, out);
   }
 
   /// CBC in place over a run: each unit is one chain under the ESSIV-style

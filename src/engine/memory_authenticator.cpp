@@ -17,6 +17,9 @@ namespace {
   return (u64{level} << 56) | index;
 }
 
+/// An area_prepare snapshot's head: be64(version), then the sealed flag.
+constexpr std::size_t k_snap_head = 9;
+
 } // namespace
 
 memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config cfg,
@@ -272,13 +275,20 @@ cycles memory_authenticator::area_encipher(keyed_cipher& kc, addr_t unit_addr,
   return t;
 }
 
-memory_authenticator::area_staged
-memory_authenticator::area_prepare(addr_t unit_addr) const {
-  area_staged staged;
-  staged.version = version_of(unit_addr);
+std::size_t
+memory_authenticator::area_snapshot_bytes(const keyed_cipher& kc) const noexcept {
+  return k_snap_head + area_stored_bytes(kc.granule()) - unit_;
+}
+
+void memory_authenticator::area_prepare(addr_t unit_addr, std::span<u8> snap) const {
+  store_be64(snap.data(), version_of(unit_addr));
   const auto sb = sideband_.find(unit_addr);
-  if (sb != sideband_.end()) staged.sideband = sb->second;
-  return staged;
+  snap[8] = sb != sideband_.end();
+  const std::span<u8> cells = snap.subspan(k_snap_head);
+  std::fill(cells.begin(), cells.end(), u8{0});
+  if (sb != sideband_.end())
+    std::copy_n(sb->second.begin(), std::min(sb->second.size(), cells.size()),
+                cells.begin());
 }
 
 memory_authenticator::check_result
@@ -293,15 +303,17 @@ memory_authenticator::area_decipher(keyed_cipher& kc, addr_t unit_addr,
 cycles memory_authenticator::area_unseal_cycles(const keyed_cipher& kc) const noexcept {
   const std::size_t g = kc.granule();
   const std::size_t stored = area_stored_bytes(g);
-  return kc.unit_cost(stored, /*encrypt=*/false) + mac_time(cfg_.tag_bytes * (stored / g));
+  return kc.unit_cost(stored, /*encrypt=*/false) +
+         mac_time(cfg_.tag_bytes * (stored / g));
 }
 
 memory_authenticator::check_result
 memory_authenticator::area_finish(keyed_cipher& kc, addr_t unit_addr,
                                   std::span<const u8> dram_ct,
-                                  std::span<u8> plain_out, const area_staged& staged,
+                                  std::span<u8> plain_out, std::span<const u8> snap,
                                   bool charge) {
-  return area_unseal(kc, unit_addr, dram_ct, plain_out, staged.version, staged.sideband,
+  return area_unseal(kc, unit_addr, dram_ct, plain_out, load_be64(snap.data()),
+                     snap[8] != 0 ? snap.subspan(k_snap_head) : std::span<const u8>{},
                      charge);
 }
 

@@ -277,26 +277,28 @@ class memory_authenticator {
                                            std::span<const u8> dram_ct,
                                            std::span<u8> plain_out, bool charge);
 
-  /// Snapshot of one unit's unseal inputs at batch *staging* order. A later
-  /// write of the same unit in the same batch bumps the live version and
-  /// replaces the sideband, but the staged read's data arrives from before
-  /// that write (functional order) — it must unseal against this snapshot,
-  /// exactly as the mac path snapshots versions and forwards staged tags.
-  struct area_staged {
-    u64 version = 0;
-    bytes sideband;
-  };
-  [[nodiscard]] area_staged area_prepare(addr_t unit_addr) const;
+  /// Bytes of one unit's area_prepare snapshot for units sealed through
+  /// \p kc: be64(version), a sealed flag byte, then the sideband cells.
+  [[nodiscard]] std::size_t area_snapshot_bytes(const keyed_cipher& kc) const noexcept;
+
+  /// Snapshot of one unit's unseal inputs at batch *staging* order, into
+  /// \p snap (area_snapshot_bytes long), so a caller can stage a window's
+  /// snapshots back to back in one buffer. A later write of the same unit
+  /// in the same batch bumps the live version and replaces the sideband,
+  /// but the staged read's data arrives from before that write (functional
+  /// order) — it must unseal against this snapshot, exactly as the mac
+  /// path snapshots versions and forwards staged tags.
+  void area_prepare(addr_t unit_addr, std::span<u8> snap) const;
 
   /// Cycles one unseal through \p kc costs (the expanded decipher plus the
   /// nonce checks) — what area_finish charges, known before the data arrives.
   [[nodiscard]] cycles area_unseal_cycles(const keyed_cipher& kc) const noexcept;
 
-  /// area_decipher against a staging-order snapshot (the batch post pass).
+  /// area_decipher against an area_prepare snapshot (the batch post pass).
   [[nodiscard]] check_result area_finish(keyed_cipher& kc, addr_t unit_addr,
                                          std::span<const u8> dram_ct,
                                          std::span<u8> plain_out,
-                                         const area_staged& staged, bool charge);
+                                         std::span<const u8> snap, bool charge);
 
   // --- device lifecycle / attack-suite hooks -------------------------------
 

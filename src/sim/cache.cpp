@@ -23,31 +23,27 @@ std::size_t cache::set_index(addr_t line_addr) const noexcept {
   return static_cast<std::size_t>((line_addr / cfg_.line_size) & (n_sets_ - 1));
 }
 
-bool cache::contains(addr_t addr) const noexcept {
-  const addr_t line_addr = addr - addr % cfg_.line_size;
+std::size_t cache::find_line(addr_t line_addr) const noexcept {
   const std::size_t base = set_index(line_addr) * cfg_.ways;
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    const line& l = lines_[base + w];
-    if (l.valid && l.tag == line_addr) return true;
-  }
-  return false;
+  for (std::size_t i = base; i < base + cfg_.ways; ++i)
+    if (lines_[i].valid && lines_[i].tag == line_addr) return i;
+  return lines_.size();
+}
+
+bool cache::contains(addr_t addr) const noexcept {
+  return find_line(addr - addr % cfg_.line_size) != lines_.size();
 }
 
 cache::locate_result cache::locate(addr_t line_addr, bool for_write) {
-  const std::size_t base = set_index(line_addr) * cfg_.ways;
   ++tick_;
-
-  // Hit?
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    line& l = lines_[base + w];
-    if (l.valid && l.tag == line_addr) {
-      ++stats_.hits;
-      l.last_used = tick_;
-      return {&l, 0};
-    }
+  if (const std::size_t hit = find_line(line_addr); hit != lines_.size()) {
+    ++stats_.hits;
+    lines_[hit].last_used = tick_;
+    return {&lines_[hit], 0};
   }
 
   // Miss: pick a victim — first invalid way, else true LRU.
+  const std::size_t base = set_index(line_addr) * cfg_.ways;
   ++stats_.misses;
   line* victim = &lines_[base];
   for (unsigned w = 0; w < cfg_.ways; ++w) {
@@ -120,19 +116,14 @@ cycles cache::write(addr_t addr, std::span<const u8> in) {
       total += cfg_.hit_latency + extra;
     } else {
       // Write-through: update the line if resident, always write below.
-      const std::size_t base = set_index(line_addr) * cfg_.ways;
-      bool hit = false;
-      for (unsigned w = 0; w < cfg_.ways; ++w) {
-        line& l = lines_[base + w];
-        if (l.valid && l.tag == line_addr) {
-          for (std::size_t i = 0; i < n; ++i) l.data[offset + i] = in[done + i];
-          l.last_used = ++tick_;
-          hit = true;
-          break;
-        }
+      if (const std::size_t hit = find_line(line_addr); hit != lines_.size()) {
+        line& l = lines_[hit];
+        for (std::size_t i = 0; i < n; ++i) l.data[offset + i] = in[done + i];
+        l.last_used = ++tick_;
+        ++stats_.hits;
+      } else {
+        ++stats_.misses;
       }
-      if (hit) ++stats_.hits;
-      else ++stats_.misses;
 
       ++stats_.bypass_writes;
       const cycles below = lower_->write(a, in.subspan(done, n));

@@ -90,6 +90,10 @@ class cache final : public memory_port {
 
   [[nodiscard]] std::size_t set_index(addr_t line_addr) const noexcept;
 
+  /// Index in lines_ of the resident line holding \p line_addr, or
+  /// lines_.size() when it is not resident. Touches no LRU state.
+  [[nodiscard]] std::size_t find_line(addr_t line_addr) const noexcept;
+
   cache_config cfg_;
   memory_port* lower_;
   std::vector<line> lines_; // sets * ways, row-major by set

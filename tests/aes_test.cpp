@@ -1,5 +1,6 @@
 // AES known-answer tests (FIPS-197 appendix C, NIST SP 800-38A) plus
-// structural and property tests.
+// structural and property tests, and the two kernels pinned against each
+// other.
 
 #include "common/bitops.hpp"
 #include "common/hex.hpp"
@@ -8,6 +9,8 @@
 #include "crypto/modes.hpp"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 namespace buscrypt::crypto {
 namespace {
@@ -190,8 +193,8 @@ TEST(Aes, DecryptScheduleMatchesGfReference) {
   for (const std::size_t key_len : {16u, 24u, 32u}) {
     for (int trial = 0; trial < 32; ++trial) {
       const aes c(r.random_bytes(key_len));
-      const std::span<const u32> enc = c.round_keys();
-      const std::span<const u32> dec = c.decrypt_round_keys();
+      const std::vector<u32> enc = c.round_keys();
+      const std::vector<u32> dec = c.decrypt_round_keys();
       const std::size_t nr = static_cast<std::size_t>(c.rounds());
       ASSERT_EQ(enc.size(), 4 * (nr + 1));
       ASSERT_EQ(dec.size(), enc.size());
@@ -265,6 +268,129 @@ TEST_P(AesProperty, KeySensitivity) {
 INSTANTIATE_TEST_SUITE_P(AllKeyWidths, AesProperty,
                          ::testing::Values(std::size_t{16}, std::size_t{24},
                                            std::size_t{32}));
+
+// --- kernels ---------------------------------------------------------------
+
+int rounds_for(std::size_t key_len) { return static_cast<int>(key_len / 4 + 6); }
+
+/// \p k's encryption and inverted schedules of \p key.
+std::pair<aes_kernels::schedule, aes_kernels::schedule>
+schedules_of(const aes_kernels::kernel& k, std::span<const u8> key) {
+  aes_kernels::schedule enc{}, dec{};
+  k.expand(key, enc);
+  k.invert(enc, rounds_for(key.size()), dec);
+  return {enc, dec};
+}
+
+TEST(AesKernels, PortableKernelPassesFips197AndSp800_38A) {
+  // Called directly, so every host runs the T-table kernel on the vectors
+  // even where crypto::aes runs AES-NI.
+  const aes_kernels::kernel& k = aes_kernels::portable();
+  const bytes pt = H("00112233445566778899aabbccddeeff");
+  const std::pair<const char*, const char*> fips197[] = {
+      {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+      {"000102030405060708090a0b0c0d0e0f1011121314151617",
+       "dda97ca4864cdfe06eaf70a0ec0d7191"},
+      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+       "8ea2b7ca516745bfeafc49904b496089"}};
+  for (const auto& [key_hex, ct_hex] : fips197) {
+    const bytes key = H(key_hex);
+    const auto [enc, dec] = schedules_of(k, key);
+    bytes ct(16), back(16);
+    k.encrypt(enc, rounds_for(key.size()), pt.data(), ct.data(), 1);
+    EXPECT_EQ(to_hex(ct), ct_hex);
+    k.decrypt(dec, rounds_for(key.size()), ct.data(), back.data(), 1);
+    EXPECT_EQ(back, pt);
+  }
+  // SP 800-38A F.1.1/F.1.2 (ECB-AES128): four blocks in one call each way.
+  const bytes key = H(k_sp800_key);
+  const auto [enc, dec] = schedules_of(k, key);
+  const bytes blocks = H(k_sp800_pt);
+  bytes ct(blocks.size()), back(blocks.size());
+  k.encrypt(enc, 10, blocks.data(), ct.data(), 4);
+  EXPECT_EQ(to_hex(ct),
+            "3ad77bb40d7a3660a89ecaf32466ef97"
+            "f5d3d58503b9699de785895a96fdbaaf"
+            "43b1cd7f598ece23881b00e3ed030688"
+            "7b0c785e27e8ad3f8223207104725dd4");
+  k.decrypt(dec, 10, ct.data(), back.data(), 4);
+  EXPECT_EQ(back, blocks);
+}
+
+TEST(AesKernels, AesNiSchedulesAreByteEqualToPortable) {
+  const aes_kernels::kernel* ni = aes_kernels::aes_ni();
+  if (ni == nullptr) GTEST_SKIP() << "no AES-NI kernel in this build or on this CPU";
+  rng r(21);
+  for (const std::size_t key_len : {16u, 24u, 32u}) {
+    for (int trial = 0; trial < 16; ++trial) {
+      const bytes key = r.random_bytes(key_len);
+      const auto want = schedules_of(aes_kernels::portable(), key);
+      const auto got = schedules_of(*ni, key);
+      EXPECT_EQ(got.first, want.first) << key_len << "-byte key, encryption schedule";
+      EXPECT_EQ(got.second, want.second) << key_len << "-byte key, decryption schedule";
+    }
+  }
+}
+
+TEST(AesKernels, AesNiKernelMatchesPortable) {
+  // Runs of 1..33 blocks cover the 8-block groups and every tail size.
+  const aes_kernels::kernel* ni = aes_kernels::aes_ni();
+  if (ni == nullptr) GTEST_SKIP() << "no AES-NI kernel in this build or on this CPU";
+  const aes_kernels::kernel& ref = aes_kernels::portable();
+  rng r(22);
+  for (const std::size_t key_len : {16u, 24u, 32u}) {
+    const bytes key = r.random_bytes(key_len);
+    const int nr = rounds_for(key_len);
+    const auto [ref_enc, ref_dec] = schedules_of(ref, key);
+    const auto [ni_enc, ni_dec] = schedules_of(*ni, key);
+    for (std::size_t n = 1; n <= 33; ++n) {
+      const bytes in = r.random_bytes(16 * n);
+      for (const bool encrypt : {true, false}) {
+        SCOPED_TRACE(testing::Message() << key_len << "-byte key, " << n << " blocks, "
+                                        << (encrypt ? "encrypt" : "decrypt"));
+        bytes want(in.size()), got(in.size());
+        (encrypt ? ref.encrypt : ref.decrypt)(encrypt ? ref_enc : ref_dec, nr, in.data(),
+                                              want.data(), n);
+        const aes_kernels::crypt_fn crypt = encrypt ? ni->encrypt : ni->decrypt;
+        const aes_kernels::schedule& ks = encrypt ? ni_enc : ni_dec;
+        crypt(ks, nr, in.data(), got.data(), n);
+        EXPECT_EQ(got, want) << "out of place";
+        bytes buf = in;
+        crypt(ks, nr, buf.data(), buf.data(), n);
+        EXPECT_EQ(buf, want) << "in place";
+      }
+    }
+  }
+}
+
+TEST(AesKernels, AddressPadApplyMatchesPerBlockReference) {
+  // apply's bulk calls against a pad built one block per byte: pad byte
+  // a is byte a % 16 of E_K(counter_block(tweak, a / 16)).
+  rng r(23);
+  const aes c(r.random_bytes(16));
+  constexpr u64 tweak = 0x5EED'0F'ADD5ULL;
+  const address_pad pad(c, tweak);
+  auto check = [&](addr_t addr, std::size_t len) {
+    const bytes data = r.random_bytes(len);
+    bytes want = data;
+    for (std::size_t i = 0; i < len; ++i) {
+      std::array<u8, 16> block{};
+      store_be64(block.data(), tweak);
+      store_be64(block.data() + 8, (addr + i) / 16);
+      c.encrypt_block(block, block);
+      want[i] ^= block[(addr + i) % 16];
+    }
+    bytes got = data;
+    pad.apply(addr, got);
+    EXPECT_EQ(got, want) << "addr 0x" << std::hex << addr << std::dec << ", " << len
+                         << " bytes";
+  };
+  for (const addr_t addr : {addr_t{0x1000}, addr_t{0x1007}, addr_t{0x100F}})
+    for (std::size_t len = 1; len <= 70; ++len) check(addr, len);
+  // Spans past one 4 KiB pad window.
+  check(0x1007, 4096);
+  check(0x1007, 9000);
+}
 
 } // namespace
 } // namespace buscrypt::crypto

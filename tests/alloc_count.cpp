@@ -5,10 +5,11 @@
 // call, a verify, an update, and an AREA seal and unseal each make no
 // allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; a
 // warm engine's scalar write of a unit makes no more than a read of it, and
-// its AREA read of four units as many as of one; a batched issue of line
-// txns makes as many for 4096 txns as for 64; the CBC mode routines make
-// none; the pad and CBC EDUs build their pads and IVs on the stack; and a
-// warm aes-cbc engine unit allocates only its cover buffer.
+// its AREA read of four units as many as of one, scalar or batched; a
+// batched issue of line txns makes as many for 4096 txns as for 64; the AES
+// kernels and the CBC and CTR mode routines make none; the pad and CBC EDUs
+// build their pads and IVs on the stack; and a warm aes-cbc or aes-ctr
+// engine unit allocates only its cover buffer.
 
 #include "crypto/aes.hpp"
 #include "crypto/des.hpp"
@@ -219,8 +220,9 @@ TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
   const auto write1 = allocs_of([&] { (void)eng.write(0x100, unit); });
   const auto read1 = allocs_of([&] { (void)eng.read(0x100, one); });
   EXPECT_LE(write1, read1);
-  // The cover buffer and the CTR pad window; the slot lease is a value.
-  EXPECT_LE(read1, 2u);
+  // Only the cover buffer: the CTR pads go through a stack window and the
+  // slot lease is a value.
+  EXPECT_LE(read1, 1u);
   EXPECT_EQ(one, unit);
   const auto area4 = allocs_of([&] { (void)eng.read(area_at, four); });
   const auto area1 = allocs_of([&] { (void)eng.read(area_at, one); });
@@ -229,6 +231,56 @@ TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
   std::printf("scalar aes-ctr unit: %llu allocations to write, %llu to read; "
               "AREA read: %llu for 4 units, %llu for 1\n",
               write1, read1, area4, area1);
+}
+
+TEST(AllocFree, BatchedAreaReadAllocationsDoNotGrowWithUnits) {
+  // A batched AREA read stages each unit's version and sideband snapshot
+  // in the engine's one flat buffer, not in a heap object per unit.
+  sim::dram mem{1u << 20};
+  sim::external_memory ext{mem};
+  keyslot_manager slots{backend_registry::builtin(), 4};
+  bus_encryption_engine eng{ext, slots};
+  const auto ecb = eng.create_context({"aes-ecb", bytes(16, 0x32), 32});
+  eng.map_region(0, 64 * 1024, ecb);
+  (void)eng.attach_auth(ecb, window(auth_mode::area));
+  bytes one(32), sixteen(16 * 32);
+  auto batched_read = [&](bytes& buf) {
+    sim::mem_txn txn = sim::mem_txn::read_of(0x400, buf);
+    eng.submit(std::span<sim::mem_txn>(&txn, 1));
+    (void)eng.drain();
+  };
+  batched_read(sixteen); // warm: slot programmed, domain seen, buffers sized
+  batched_read(one);
+  const auto area16 = allocs_of([&] { batched_read(sixteen); });
+  const auto area1 = allocs_of([&] { batched_read(one); });
+  EXPECT_EQ(area16, area1);
+  EXPECT_EQ(eng.stats().integrity_faults, 0u);
+  std::printf("batched AREA read: %llu allocations for 16 units, %llu for 1\n", area16,
+              area1);
+}
+
+TEST(AllocFree, AesKernelsAndCtrRoutinesAreHeapFree) {
+  // Key expansion fills the object's schedule arrays; the kernels and the
+  // CTR routines work in the caller's buffers and one stack pad window.
+  const bytes key(16, 0x2F);
+  bytes buf(1024, 0x5A), out(1024);
+  EXPECT_EQ(allocs_of([&] {
+              const crypto::aes c{key};
+              c.encrypt_blocks(buf, out);
+              c.decrypt_blocks(out, buf);
+            }),
+            0u);
+  auto expect_heap_free = [&](const crypto::block_cipher& c) {
+    SCOPED_TRACE(c.name());
+    EXPECT_EQ(allocs_of([&] { crypto::ctr_crypt(c, 0x11, 0x22, buf, out); }), 0u);
+    EXPECT_EQ(allocs_of([&] { crypto::ctr_crypt(c, 0x11, 0x22, out, out); }), 0u);
+    EXPECT_EQ(allocs_of([&] {
+                crypto::ctr_crypt_units(c, 0x11, 0x22 << 16, 1 << 16, 32, buf, out);
+              }),
+              0u);
+  };
+  expect_heap_free(crypto::aes{key});
+  expect_heap_free(crypto::triple_des{bytes(24, 0x3E)});
 }
 
 TEST(AllocFree, AddressPadApplyIsHeapFree) {

@@ -1,7 +1,8 @@
 // Mode-of-operation semantics: the ECB determinism weakness, CBC chaining,
 // CTR seekability, PKCS#7, the address_pad the stream EDUs rely on, the
-// one counter-block layout behind CTR, the pads and the CBC IVs, and the
-// one multi-chain CBC routine against textbook CBC.
+// one counter-block layout behind CTR, the pads and the CBC IVs, the one
+// multi-chain CBC routine against textbook CBC, and the multi-unit CTR
+// routine against one ctr_crypt per unit.
 
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
@@ -400,6 +401,77 @@ TEST(CbcChains, RejectBadShapes) {
   const bytes wide_iv(32);
   EXPECT_THROW(cbc_encrypt_chains(wide, wide_iv, chain, 64), std::invalid_argument);
   EXPECT_THROW(cbc_decrypt_chains(wide, wide_iv, chain, 64), std::invalid_argument);
+}
+
+// --- ctr over units -----------------------------------------------------------
+
+TEST(CtrUnits, KeystreamCrossesPadWindows) {
+  // 9 KiB of keystream spans three 4 KiB pad windows.
+  both_widths w;
+  for (const block_cipher* c : w.ciphers) {
+    SCOPED_TRACE(c->name());
+    const std::size_t bs = c->block_size();
+    constexpr u64 nonce = 0x7E57;
+    bytes ks(9 * 1024 - 3, 0);
+    ctr_crypt(*c, nonce, 5, ks, ks);
+    for (std::size_t i = 0; i * bs < ks.size(); ++i) {
+      const bytes want = enciphered_counter(*c, nonce, 5 + i);
+      const std::size_t n = std::min(bs, ks.size() - i * bs);
+      ASSERT_TRUE(std::equal(want.begin(), want.begin() + static_cast<std::ptrdiff_t>(n),
+                             ks.begin() + static_cast<std::ptrdiff_t>(i * bs)))
+          << "block " << i;
+    }
+  }
+}
+
+/// ctr_crypt_units against one ctr_crypt per unit, out of place and in
+/// place, for units shorter than a block, ragged, line-sized and longer
+/// than a pad window, in runs that straddle windows.
+void check_units_against_ctr_crypt(const block_cipher& c, rng& r) {
+  constexpr u64 nonce = 0x42E5C0DE0D1E5EEDULL, first = u64{77} << 16, stride = 1 << 16;
+  struct shape {
+    std::size_t unit_len, units;
+  };
+  for (const auto& [unit_len, units] :
+       {shape{1, 5000}, shape{20, 300}, shape{32, 200}, shape{4100, 3}, shape{32, 1}}) {
+    SCOPED_TRACE(testing::Message() << c.name() << ": " << units << " units of "
+                                    << unit_len << " B");
+    const bytes pt = r.random_bytes(unit_len * units);
+    bytes want(pt.size());
+    for (std::size_t u = 0; u < units; ++u)
+      ctr_crypt(c, nonce, first + u * stride,
+                std::span(pt).subspan(u * unit_len, unit_len),
+                std::span(want).subspan(u * unit_len, unit_len));
+    bytes out(pt.size());
+    ctr_crypt_units(c, nonce, first, stride, unit_len, pt, out);
+    EXPECT_EQ(out, want);
+    bytes buf = pt;
+    ctr_crypt_units(c, nonce, first, stride, unit_len, buf, buf);
+    EXPECT_EQ(buf, want);
+  }
+}
+
+TEST(CtrUnits, AesMatchesOneCtrCryptPerUnit) {
+  rng r(35);
+  const aes c(r.random_bytes(16));
+  check_units_against_ctr_crypt(c, r);
+}
+
+TEST(CtrUnits, TripleDesMatchesOneCtrCryptPerUnit) {
+  rng r(36);
+  const triple_des c(r.random_bytes(24));
+  check_units_against_ctr_crypt(c, r);
+}
+
+TEST(CtrUnits, RejectBadShapes) {
+  rng r(37);
+  const aes c(r.random_bytes(16));
+  bytes in(96), out(96), short_out(64);
+  EXPECT_THROW(ctr_crypt_units(c, 1, 0, 1, 32, in, short_out), std::invalid_argument);
+  EXPECT_THROW(ctr_crypt_units(c, 1, 0, 1, 40, in, out), std::invalid_argument);
+  EXPECT_THROW(ctr_crypt_units(c, 1, 0, 1, 0, in, out), std::invalid_argument);
+  bytes none;
+  EXPECT_NO_THROW(ctr_crypt_units(c, 1, 0, 1, 0, none, none));
 }
 
 } // namespace
