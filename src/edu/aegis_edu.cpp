@@ -3,6 +3,7 @@
 #include "crypto/modes.hpp"
 #include "sim/txn_batcher.hpp"
 
+#include <functional>
 #include <stdexcept>
 
 namespace buscrypt::edu {
@@ -31,21 +32,13 @@ u64 aegis_edu::fresh_nonce(addr_t line_addr) {
 
 cycles aegis_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
-  if (addr % cfg_.line_bytes != 0 || out.size() != cfg_.line_bytes) {
-    // Non-line requests take the slow path: fetch covering lines.
-    const addr_t base = addr - addr % cfg_.line_bytes;
-    const addr_t end_addr = addr + out.size();
-    const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                           ? end_addr
-                           : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-    bytes buf(static_cast<std::size_t>(end - base));
-    cycles total = 0;
-    for (addr_t a = base; a < end; a += cfg_.line_bytes)
-      total += read(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base),
-                                                  cfg_.line_bytes));
-    const std::size_t head = static_cast<std::size_t>(addr - base);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf[head + i];
-    return total;
+  const std::size_t lb = cfg_.line_bytes;
+  if (out.size() != lb || !sim::whole_granules(addr, out.size(), lb)) {
+    // Non-line requests take the slow path: fetch covering lines, each
+    // through read().
+    return read_cover(addr, out, lb, [this, lb](addr_t base, std::span<u8> cover) {
+      return per_granule(base, cover, lb, std::bind_front(&aegis_edu::read, this));
+    });
   }
 
   const cycles mem = lower_->read(addr, out);
@@ -69,7 +62,7 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   const std::size_t nblocks = core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    if (txn.data.empty() || txn.addr % lb != 0 || txn.data.size() % lb != 0) {
+    if (txn.data.empty() || !sim::whole_granules(txn.addr, txn.data.size(), lb)) {
       b.detour_via(txn, *this);
       continue;
     }
@@ -108,35 +101,29 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
 
 cycles aegis_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
-  if (addr % cfg_.line_bytes != 0 || in.size() != cfg_.line_bytes) {
-    // Sub-line store: five-step read-modify-write at line granularity.
-    ++stats_.rmw_ops;
-    const addr_t base = addr - addr % cfg_.line_bytes;
-    const addr_t end_addr = addr + in.size();
-    const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                           ? end_addr
-                           : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-    bytes buf(static_cast<std::size_t>(end - base));
-    cycles total = read(base, buf);
-    const std::size_t head = static_cast<std::size_t>(addr - base);
-    for (std::size_t i = 0; i < in.size(); ++i) buf[head + i] = in[i];
-    for (addr_t a = base; a < end; a += cfg_.line_bytes)
-      total += write(a, std::span<const u8>(buf).subspan(
-                            static_cast<std::size_t>(a - base), cfg_.line_bytes));
-    return total;
+  const std::size_t lb = cfg_.line_bytes;
+  if (in.size() != lb || !sim::whole_granules(addr, in.size(), lb)) {
+    // Anything but one line: the five-step write at line granularity (its
+    // read only for partial lines), each line read and written through
+    // read() and write().
+    return write_cover(addr, in, lb, std::bind_front(&aegis_edu::read, this),
+                       [this, lb](addr_t base, std::span<u8> cover) {
+                         return per_granule(base, cover, lb,
+                                            std::bind_front(&aegis_edu::write, this));
+                       });
   }
 
   // Fresh nonce per write: random vector or monotonic counter.
   const u64 nonce = fresh_nonce(addr);
-  bytes ct(in.begin(), in.end());
-  crypto::cbc_encrypt_at(*cipher_, addr, nonce, ct);
+  sim::stack_window ct(in);
+  crypto::cbc_encrypt_at(*cipher_, addr, nonce, ct.span());
 
-  const std::size_t nblocks = core.blocks_for(cfg_.line_bytes);
+  const std::size_t nblocks = core.blocks_for(lb);
   stats_.cipher_blocks += nblocks + 1;
   // CBC encryption is chained across the line; IV generation precedes it.
   const cycles crypt = core.time_chained(nblocks) + core.latency;
   stats_.crypto_cycles += crypt;
-  return crypt + lower_->write(addr, ct);
+  return crypt + lower_->write(addr, ct.span());
 }
 
 } // namespace buscrypt::edu

@@ -53,16 +53,16 @@ class block_edu : public edu {
   [[nodiscard]] std::size_t preferred_chunk() const noexcept override { return granule_; }
   [[nodiscard]] const block_edu_config& config() const noexcept { return cfg_; }
 
- protected:
-  /// Functional transform of one granule-aligned range.
-  void encrypt_range(addr_t addr, std::span<u8> buf);
-  void decrypt_range(addr_t addr, std::span<u8> buf);
-
-  /// Timing charged for ciphering \p nbytes on each path.
-  [[nodiscard]] virtual cycles decrypt_time(std::size_t nbytes);
-  [[nodiscard]] virtual cycles encrypt_time(std::size_t nbytes);
-
  private:
+  /// En- or decipher one granule-aligned range in place.
+  void crypt_range(addr_t addr, std::span<u8> buf, bool encrypt);
+  /// Cycles charged for ciphering \p nbytes in that direction.
+  [[nodiscard]] cycles crypt_time(std::size_t nbytes, bool encrypt) const noexcept;
+  /// Fetch and decipher, or encipher in place and store, one
+  /// granule-aligned cover; each returns its memory plus cipher cycles.
+  [[nodiscard]] cycles load(addr_t base, std::span<u8> cover);
+  [[nodiscard]] cycles store(addr_t base, std::span<u8> cover);
+
   const crypto::block_cipher* cipher_;
   block_edu_config cfg_;
   std::size_t granule_; ///< alignment unit: block (ECB) or chain (CBC)

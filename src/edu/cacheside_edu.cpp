@@ -21,9 +21,9 @@ cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> ino
   access_io io;
   if (is_write) {
     // Encrypt the store data, then let the (ciphertext) cache absorb it.
-    bytes ct(wdata.begin(), wdata.end());
-    apply_pad(addr, ct);
-    io.below = lower_->write(addr, ct);
+    sim::stack_window ct(wdata);
+    apply_pad(addr, ct.span());
+    io.below = lower_->write(addr, ct.span());
     ++stats_.writes;
   } else {
     io.below = lower_->read(addr, inout);
@@ -42,7 +42,7 @@ cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> ino
     // latency (and the XOR stage just added).
     const cycles beyond = cc.hit_latency + xor_cycles;
     io.fetch = io.below > beyond ? io.below - beyond : 0;
-    const addr_t line_addr = addr - addr % cc.line_size;
+    const addr_t line_addr = sim::cover_of(addr, 1, cc.line_size).base;
     io.ks = pad_core.time_parallel(pad_.blocks_covering(line_addr, cc.line_size));
     stats_.cipher_blocks += pad_.blocks_covering(line_addr, cc.line_size);
   }

@@ -50,67 +50,53 @@ void compress_edu::install_code(addr_t base, std::span<const u8> code) {
 }
 
 void compress_edu::install_image(addr_t base, std::span<const u8> plain) {
-  if (!code_installed_) {
-    install_code(base, plain);
-    return;
-  }
-  // Subsequent regions are data: pad-encrypted, uncompressed.
-  constexpr std::size_t chunk = 64;
-  std::size_t off = 0;
-  while (off < plain.size()) {
-    const std::size_t n = std::min(chunk, plain.size() - off);
-    (void)write(base + off, plain.subspan(off, n));
-    off += n;
-  }
+  // Later regions are data: pad-encrypted, uncompressed.
+  if (code_installed_) edu::install_image(base, plain);
+  else install_code(base, plain);
 }
 
 void compress_edu::read_image(addr_t base, std::span<u8> plain_out) {
-  std::size_t off = 0;
-  while (off < plain_out.size()) {
-    const std::size_t n = std::min<std::size_t>(32, plain_out.size() - off);
-    (void)read(base + off, plain_out.subspan(off, n));
-    off += n;
-  }
+  sim::walk_granules(0, plain_out.size(), 32,
+                     [&](addr_t off, std::size_t, std::size_t n, std::size_t) {
+                       (void)read(base + off, plain_out.subspan(off, n));
+                     });
 }
 
 cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const addr_t a = addr + done;
-    const std::size_t g = static_cast<std::size_t>(a - code_base_) / image_.group_bytes;
-    const std::size_t in_group =
-        static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
-    const std::size_t n = std::min(image_.group_bytes - in_group, out.size() - done);
+  // Groups are laid out from the code base: walk the request's offsets.
+  sim::walk_granules(
+      addr - code_base_, out.size(), image_.group_bytes,
+      [&](addr_t group_base, std::size_t in_group, std::size_t n, std::size_t done) {
+        const std::size_t g = static_cast<std::size_t>(group_base) / image_.group_bytes;
+        const auto [phys_off, len] = group_extent_[g];
+        const addr_t phys = code_base_ + phys_off;
 
-    const auto [phys_off, len] = group_extent_[g];
-    const addr_t phys = code_base_ + phys_off;
+        // Fetch the *compressed* group: fewer bus beats than a raw line.
+        bytes chunk(len);
+        const cycles mem = lower_->read(phys, chunk);
+        pad_.apply(phys, chunk);
+        stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
+        const cycles pad_t =
+            pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
+        // The decompressor streams: it consumes beats as they arrive
+        // (CodePack style), so only its drain beyond the transfer is exposed.
+        const cycles mem_and_pad = std::max(mem, pad_t) + xor_cycles;
 
-    // Fetch the *compressed* group: fewer bus beats than a raw line.
-    bytes chunk(len);
-    const cycles mem = lower_->read(phys, chunk);
-    pad_.apply(phys, chunk);
-    stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
-    const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
-    // The decompressor streams: it consumes beats as they arrive (CodePack
-    // style), so only its drain beyond the transfer is exposed.
-    const cycles mem_and_pad = std::max(mem, pad_t) + xor_cycles;
+        // Stream the decrypted chunk straight into the decompressor, exactly
+        // as the hardware fill path would.
+        const std::size_t group_len =
+            std::min<std::size_t>(image_.group_bytes, image_.original_size - group_base);
+        const bytes group_plain = engine_.decompress_chunk(
+            chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
+        const cycles spent =
+            std::max(mem_and_pad, decomp.latency_for(group_plain.size())) +
+            decomp.startup;
+        stats_.crypto_cycles += spent - mem;
 
-    // Stream the decrypted chunk straight into the decompressor, exactly
-    // as the hardware fill path would.
-    const std::size_t group_base = g * image_.group_bytes;
-    const std::size_t group_len =
-        std::min(image_.group_bytes, image_.original_size - group_base);
-    const bytes group_plain = engine_.decompress_chunk(
-        chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
-    const cycles spent =
-        std::max(mem_and_pad, decomp.latency_for(group_plain.size())) + decomp.startup;
-    stats_.crypto_cycles += spent - mem;
-
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = group_plain[in_group + i];
-    total += spent;
-    done += n;
-  }
+        for (std::size_t i = 0; i < n; ++i) out[done + i] = group_plain[in_group + i];
+        total += spent;
+      });
   return total;
 }
 
@@ -121,9 +107,9 @@ cycles compress_edu::pad_io(addr_t addr, std::span<u8> buf, bool is_write,
   stats_.cipher_blocks += pad_.blocks_covering(addr, len);
   cycles mem;
   if (is_write) {
-    bytes ct(wdata.begin(), wdata.end());
-    pad_.apply(addr, ct);
-    mem = lower_->write(addr, ct);
+    sim::stack_window ct(wdata);
+    pad_.apply(addr, ct.span());
+    mem = lower_->write(addr, ct.span());
   } else {
     mem = lower_->read(addr, buf);
     pad_.apply(addr, buf);
@@ -174,41 +160,36 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
       continue;
     }
     // Code region read: group-by-group compressed fetches.
-    std::size_t done = 0;
-    while (done < txn.data.size()) {
-      const addr_t a = txn.addr + done;
-      const std::size_t g = static_cast<std::size_t>(a - code_base_) / image_.group_bytes;
-      const std::size_t in_group =
-          static_cast<std::size_t>(a - code_base_) % image_.group_bytes;
-      const std::size_t n =
-          std::min(image_.group_bytes - in_group, txn.data.size() - done);
-      const auto [phys_off, len] = group_extent_[g];
-      const addr_t phys = code_base_ + phys_off;
+    sim::walk_granules(
+        txn.addr - code_base_, txn.data.size(), image_.group_bytes,
+        [&](addr_t group_base, std::size_t in_group, std::size_t n, std::size_t done) {
+          const std::size_t g = static_cast<std::size_t>(group_base) / image_.group_bytes;
+          const auto [phys_off, len] = group_extent_[g];
+          const addr_t phys = code_base_ + phys_off;
 
-      bytes& chunk = b.scratch(len);
-      const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
-      const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, len));
-      stats_.cipher_blocks += pad_.blocks_covering(phys, len);
-      stats_.crypto_cycles += xor_cycles;
-      b.add_par(li, pad_t, xor_cycles, [this, phys, &chunk] { pad_.apply(phys, chunk); });
-      const std::size_t group_base = g * image_.group_bytes;
-      const std::size_t group_len =
-          std::min(image_.group_bytes, image_.original_size - group_base);
-      const bool first_in_window = warm_window != b.flush_seq();
-      warm_window = b.flush_seq();
-      const cycles decomp_t =
-          decomp.latency_for(group_len) + (first_in_window ? decomp.startup : 0);
-      stats_.crypto_cycles += decomp_t;
-      b.add_gated(li, sim::txn_batcher::no_lower, decomp_t,
-                  [this, g, &chunk, group_len, in_group,
-                   out = txn.data.subspan(done, n)] {
-                    const bytes plain = engine_.decompress_chunk(
-                        chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
-                    std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(in_group),
-                                out.size(), out.begin());
-                  });
-      done += n;
-    }
+          bytes& chunk = b.scratch(len);
+          const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
+          const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, len));
+          stats_.cipher_blocks += pad_.blocks_covering(phys, len);
+          stats_.crypto_cycles += xor_cycles;
+          b.add_par(li, pad_t, xor_cycles,
+                    [this, phys, &chunk] { pad_.apply(phys, chunk); });
+          const std::size_t group_len = std::min<std::size_t>(
+              image_.group_bytes, image_.original_size - group_base);
+          const bool first_in_window = warm_window != b.flush_seq();
+          warm_window = b.flush_seq();
+          const cycles decomp_t =
+              decomp.latency_for(group_len) + (first_in_window ? decomp.startup : 0);
+          stats_.crypto_cycles += decomp_t;
+          b.add_gated(li, sim::txn_batcher::no_lower, decomp_t,
+                      [this, g, &chunk, group_len, in_group,
+                       out = txn.data.subspan(done, n)] {
+                        const bytes plain = engine_.decompress_chunk(
+                            chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
+                        std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(in_group),
+                                    out.size(), out.begin());
+                      });
+        });
   }
   b.flush();
   pending_txn_cycles_ += b.clock();

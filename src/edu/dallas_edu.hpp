@@ -41,11 +41,11 @@ class dallas_byte_edu final : public edu {
 
   [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override {
     ++stats_.writes;
-    bytes ct(in.size());
-    cipher_->encrypt_range(addr, in, ct);
+    sim::stack_window ct(in.size());
+    cipher_->encrypt_range(addr, in, ct.span());
     stats_.cipher_blocks += in.size();
     stats_.crypto_cycles += per_access_;
-    return lower_->write(addr, ct) + per_access_;
+    return lower_->write(addr, ct.span()) + per_access_;
   }
 
   /// Native batch path. The byte cipher has no alignment constraints, so

@@ -28,12 +28,12 @@ void dma_edu::cipher_page(addr_t base, std::span<u8> buf, bool encrypt) {
 
 cycles dma_edu::encrypt_and_writeback(page_buffer& pb) {
   // Encrypt a copy: the resident buffer must keep serving plaintext.
-  bytes ct = pb.data;
-  cipher_page(pb.base, ct, /*encrypt=*/true);
+  sim::stack_window ct(pb.data);
+  cipher_page(pb.base, ct.span(), /*encrypt=*/true);
   // CBC encryption of the page is chained; DMA overlaps the bus transfer
   // with encryption of later blocks, so charge the longer of the two.
   const cycles crypt = core.time_chained(core.blocks_for(cfg_.page_bytes));
-  const cycles mem = lower_->write(pb.base, ct);
+  const cycles mem = lower_->write(pb.base, ct.span());
   stats_.crypto_cycles += crypt;
   pb.dirty = false;
   return std::max(crypt, mem) + core.latency;
@@ -83,35 +83,27 @@ std::pair<dma_edu::page_buffer*, cycles> dma_edu::fault_in(addr_t page_base) {
 cycles dma_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const addr_t a = addr + done;
-    const addr_t base = a - a % cfg_.page_bytes;
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n = std::min(cfg_.page_bytes - off, out.size() - done);
-    auto [pb, spent] = fault_in(base);
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = pb->data[off + i];
-    total += spent + sram_latency;
-    done += n;
-  }
+  sim::walk_granules(
+      addr, out.size(), cfg_.page_bytes,
+      [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+        auto [pb, spent] = fault_in(base);
+        for (std::size_t i = 0; i < n; ++i) out[done + i] = pb->data[off + i];
+        total += spent + sram_latency;
+      });
   return total;
 }
 
 cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const addr_t a = addr + done;
-    const addr_t base = a - a % cfg_.page_bytes;
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n = std::min(cfg_.page_bytes - off, in.size() - done);
-    auto [pb, spent] = fault_in(base);
-    for (std::size_t i = 0; i < n; ++i) pb->data[off + i] = in[done + i];
-    pb->dirty = true;
-    total += spent + sram_latency;
-    done += n;
-  }
+  sim::walk_granules(
+      addr, in.size(), cfg_.page_bytes,
+      [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+        auto [pb, spent] = fault_in(base);
+        for (std::size_t i = 0; i < n; ++i) pb->data[off + i] = in[done + i];
+        pb->dirty = true;
+        total += spent + sram_latency;
+      });
   return total;
 }
 
@@ -131,65 +123,60 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
     b.begin_txn(txn);
     if (txn.is_write()) ++stats_.writes;
     else ++stats_.reads;
-    std::size_t done = 0;
-    while (done < txn.data.size()) {
-      const addr_t a = txn.addr + done;
-      const addr_t base = a - a % cfg_.page_bytes;
-      const std::size_t off = static_cast<std::size_t>(a - base);
-      const std::size_t n = std::min(cfg_.page_bytes - off, txn.data.size() - done);
+    sim::walk_granules(
+        txn.addr, txn.data.size(), cfg_.page_bytes,
+        [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+          page_buffer* pb = find_buffer(base);
+          if (pb == nullptr) {
+            ++page_faults_;
+            pb = pick_victim();
+            if (unsettled(pb)) {
+              b.flush();
+              in_flight.clear();
+            }
+            if (pb->valid && pb->dirty) {
+              bytes& ct = b.scratch_copy(pb->data);
+              cipher_page(pb->base, ct, /*encrypt=*/true);
+              const cycles enc = core.time_chained(nblocks);
+              stats_.crypto_cycles += enc;
+              b.add_pre(enc + core.latency);
+              (void)b.queue(sim::txn_op::write, txn.master, pb->base, ct);
+              pb->dirty = false;
+            }
+            bytes& fill = b.scratch(cfg_.page_bytes);
+            const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, fill);
+            // CBC decryption pipelines behind the incoming burst (the scalar
+            // path's max(mem, crypt)): overlapped work, not arrival-gated.
+            const cycles dec = core.time_parallel(nblocks);
+            stats_.crypto_cycles += dec;
+            b.add_par(li, dec, core.latency, [this, pb, &fill, base] {
+              std::copy(fill.begin(), fill.end(), pb->data.begin());
+              cipher_page(base, pb->data, /*encrypt=*/false);
+            });
+            pb->valid = true;
+            pb->dirty = false;
+            pb->base = base;
+            in_flight.push_back(pb);
+          }
+          pb->last_used = ++tick_;
 
-      page_buffer* pb = find_buffer(base);
-      if (pb == nullptr) {
-        ++page_faults_;
-        pb = pick_victim();
-        if (unsettled(pb)) {
-          b.flush();
-          in_flight.clear();
-        }
-        if (pb->valid && pb->dirty) {
-          bytes& ct = b.scratch_copy(pb->data);
-          cipher_page(pb->base, ct, /*encrypt=*/true);
-          const cycles enc = core.time_chained(nblocks);
-          stats_.crypto_cycles += enc;
-          b.add_pre(enc + core.latency);
-          (void)b.queue(sim::txn_op::write, txn.master, pb->base, ct);
-          pb->dirty = false;
-        }
-        bytes& fill = b.scratch(cfg_.page_bytes);
-        const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, fill);
-        // CBC decryption pipelines behind the incoming burst (the scalar
-        // path's max(mem, crypt)): overlapped work, not arrival-gated.
-        const cycles dec = core.time_parallel(nblocks);
-        stats_.crypto_cycles += dec;
-        b.add_par(li, dec, core.latency, [this, pb, &fill, base] {
-          std::copy(fill.begin(), fill.end(), pb->data.begin());
-          cipher_page(base, pb->data, /*encrypt=*/false);
+          // The access itself: SRAM-latency on-chip work; the data movement
+          // runs at retirement, after any fill for this page has landed.
+          if (txn.is_write()) {
+            pb->dirty = true;
+            if (!unsettled(pb)) in_flight.push_back(pb);
+            b.add_local(sram_latency,
+                        [pb, off, src = std::span<const u8>(txn.data.subspan(done, n))] {
+                          std::copy(src.begin(), src.end(),
+                                    pb->data.begin() + static_cast<std::ptrdiff_t>(off));
+                        });
+          } else {
+            b.add_local(sram_latency, [pb, off, dst = txn.data.subspan(done, n)] {
+              std::copy_n(pb->data.begin() + static_cast<std::ptrdiff_t>(off), dst.size(),
+                          dst.begin());
+            });
+          }
         });
-        pb->valid = true;
-        pb->dirty = false;
-        pb->base = base;
-        in_flight.push_back(pb);
-      }
-      pb->last_used = ++tick_;
-
-      // The access itself: SRAM-latency on-chip work; the data movement
-      // runs at retirement, after any fill for this page has landed.
-      if (txn.is_write()) {
-        pb->dirty = true;
-        if (!unsettled(pb)) in_flight.push_back(pb);
-        b.add_local(sram_latency,
-                    [pb, off, src = std::span<const u8>(txn.data.subspan(done, n))] {
-                      std::copy(src.begin(), src.end(),
-                                pb->data.begin() + static_cast<std::ptrdiff_t>(off));
-                    });
-      } else {
-        b.add_local(sram_latency, [pb, off, dst = txn.data.subspan(done, n)] {
-          std::copy_n(pb->data.begin() + static_cast<std::ptrdiff_t>(off), dst.size(),
-                      dst.begin());
-        });
-      }
-      done += n;
-    }
   }
   b.flush();
   pending_txn_cycles_ += b.clock();

@@ -1,27 +1,22 @@
 #include "edu/edu.hpp"
 
-#include <algorithm>
-
 namespace buscrypt::edu {
 
+// Chunks count from base (a walk of the image's own offsets), so an
+// unaligned image is chunked the same as an aligned one.
+
 void edu::install_image(addr_t base, std::span<const u8> plain) {
-  const std::size_t chunk = preferred_chunk();
-  std::size_t off = 0;
-  while (off < plain.size()) {
-    const std::size_t n = std::min(chunk, plain.size() - off);
-    (void)write(base + off, plain.subspan(off, n));
-    off += n;
-  }
+  sim::walk_granules(0, plain.size(), preferred_chunk(),
+                     [&](addr_t off, std::size_t, std::size_t n, std::size_t) {
+                       (void)write(base + off, plain.subspan(off, n));
+                     });
 }
 
 void edu::read_image(addr_t base, std::span<u8> plain_out) {
-  const std::size_t chunk = preferred_chunk();
-  std::size_t off = 0;
-  while (off < plain_out.size()) {
-    const std::size_t n = std::min(chunk, plain_out.size() - off);
-    (void)read(base + off, plain_out.subspan(off, n));
-    off += n;
-  }
+  sim::walk_granules(0, plain_out.size(), preferred_chunk(),
+                     [&](addr_t off, std::size_t, std::size_t n, std::size_t) {
+                       (void)read(base + off, plain_out.subspan(off, n));
+                     });
 }
 
 } // namespace buscrypt::edu

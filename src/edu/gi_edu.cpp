@@ -63,8 +63,8 @@ gi_edu::segment_io gi_edu::load_segment(addr_t seg_base) {
 }
 
 cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
-  bytes ct(plain.begin(), plain.end());
-  crypto::cbc_encrypt_at(*cipher_, iv_tweak ^ seg_base, 0, ct);
+  sim::stack_window ct(plain);
+  crypto::cbc_encrypt_at(*cipher_, iv_tweak ^ seg_base, 0, ct.span());
   const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
   stats_.cipher_blocks += nblocks + 1;
 
@@ -75,24 +75,20 @@ cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
     touch_verified(seg_base);
   }
   stats_.crypto_cycles += spent;
-  spent += lower_->write(seg_base, ct);
+  spent += lower_->write(seg_base, ct.span());
   return spent;
 }
 
 cycles gi_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const addr_t a = addr + done;
-    const addr_t base = a - a % cfg_.segment_bytes;
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n = std::min(cfg_.segment_bytes - off, out.size() - done);
-    segment_io io = load_segment(base);
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = io.plain[off + i];
-    total += io.spent;
-    done += n;
-  }
+  sim::walk_granules(
+      addr, out.size(), cfg_.segment_bytes,
+      [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+        segment_io io = load_segment(base);
+        for (std::size_t i = 0; i < n; ++i) out[done + i] = io.plain[off + i];
+        total += io.spent;
+      });
   return total;
 }
 
@@ -108,37 +104,32 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
       continue;
     }
     ++stats_.reads; // one count per txn, as scalar issue of this op
-    std::size_t done = 0;
-    while (done < txn.data.size()) {
-      const addr_t a = txn.addr + done;
-      const addr_t base = a - a % cfg_.segment_bytes;
-      const std::size_t off = static_cast<std::size_t>(a - base);
-      const std::size_t n = std::min(cfg_.segment_bytes - off, txn.data.size() - done);
-
-      bytes& buf = b.scratch(cfg_.segment_bytes);
-      const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
-      // The verified-LRU decision is state, not data: advance it in
-      // submission order now so later ops in the window see it.
-      const bool verify = cfg_.authenticate && !recently_verified(base);
-      if (verify) touch_verified(base);
-      const cycles crypt = core.time_parallel(nblocks) +
-                           (verify ? hash_time(cfg_.segment_bytes) : 0);
-      stats_.cipher_blocks += nblocks + 1;
-      stats_.crypto_cycles += crypt;
-      b.add_gated(li, sim::txn_batcher::no_lower, crypt,
-                  [this, base, &buf, off, out = txn.data.subspan(done, n), verify] {
-                    crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
-                    if (verify) {
-                      const bytes tag = compute_tag(base, buf);
-                      const auto it = tags_.find(base);
-                      if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
-                        ++auth_failures_;
-                    }
-                    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                                out.size(), out.begin());
-                  });
-      done += n;
-    }
+    sim::walk_granules(
+        txn.addr, txn.data.size(), cfg_.segment_bytes,
+        [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+          bytes& buf = b.scratch(cfg_.segment_bytes);
+          const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
+          // The verified-LRU decision is state, not data: advance it in
+          // submission order now so later ops in the window see it.
+          const bool verify = cfg_.authenticate && !recently_verified(base);
+          if (verify) touch_verified(base);
+          const cycles crypt = core.time_parallel(nblocks) +
+                               (verify ? hash_time(cfg_.segment_bytes) : 0);
+          stats_.cipher_blocks += nblocks + 1;
+          stats_.crypto_cycles += crypt;
+          b.add_gated(li, sim::txn_batcher::no_lower, crypt,
+                      [this, base, &buf, off, out = txn.data.subspan(done, n), verify] {
+                        crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
+                        if (verify) {
+                          const bytes tag = compute_tag(base, buf);
+                          const auto it = tags_.find(base);
+                          if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
+                            ++auth_failures_;
+                        }
+                        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
+                                    out.size(), out.begin());
+                      });
+        });
   }
   b.flush();
   pending_txn_cycles_ += b.clock();
@@ -147,27 +138,22 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
 cycles gi_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const addr_t a = addr + done;
-    const addr_t base = a - a % cfg_.segment_bytes;
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n = std::min(cfg_.segment_bytes - off, in.size() - done);
-
-    if (off == 0 && n == cfg_.segment_bytes) {
-      // Full-segment write: no need to fetch the old contents.
-      total += store_segment(base, in.subspan(done, n));
-    } else {
-      // Whole-segment read-modify-write: the CBC chain and the tag both
-      // cover the full segment.
-      ++stats_.rmw_ops;
-      segment_io io = load_segment(base);
-      total += io.spent;
-      for (std::size_t i = 0; i < n; ++i) io.plain[off + i] = in[done + i];
-      total += store_segment(base, io.plain);
-    }
-    done += n;
-  }
+  sim::walk_granules(
+      addr, in.size(), cfg_.segment_bytes,
+      [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
+        if (n == cfg_.segment_bytes) {
+          // Full-segment write: no need to fetch the old contents.
+          total += store_segment(base, in.subspan(done, n));
+          return;
+        }
+        // Whole-segment read-modify-write: the CBC chain and the tag both
+        // cover the full segment.
+        ++stats_.rmw_ops;
+        segment_io io = load_segment(base);
+        total += io.spent;
+        for (std::size_t i = 0; i < n; ++i) io.plain[off + i] = in[done + i];
+        total += store_segment(base, io.plain);
+      });
   return total;
 }
 

@@ -4,6 +4,7 @@
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace buscrypt::edu {
@@ -44,21 +45,12 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
   // Data region: clear-form passthrough (the surveyed limitation).
   if (addr >= code_limit) return lower_->read(addr, out);
 
-  if (addr % cfg_.line_bytes != 0 || out.size() != cfg_.line_bytes) {
-    // Split to line-aligned requests.
-    const addr_t base = addr - addr % cfg_.line_bytes;
-    const addr_t end_addr = addr + out.size();
-    const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                           ? end_addr
-                           : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-    bytes buf(static_cast<std::size_t>(end - base));
-    cycles total = 0;
-    for (addr_t a = base; a < end; a += cfg_.line_bytes)
-      total += read(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base),
-                                                  cfg_.line_bytes));
-    const std::size_t head = static_cast<std::size_t>(addr - base);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf[head + i];
-    return total;
+  const std::size_t lb = cfg_.line_bytes;
+  if (out.size() != lb || !sim::whole_granules(addr, out.size(), lb)) {
+    // Split to line-aligned requests, each through read().
+    return read_cover(addr, out, lb, [this, lb](addr_t base, std::span<u8> cover) {
+      return per_granule(base, cover, lb, std::bind_front(&gilmont_edu::read, this));
+    });
   }
 
   if (pf_valid_ && pf_addr_ == addr) {
@@ -73,8 +65,7 @@ cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
   ++prefetch_misses_;
   const cycles mem = lower_->read(addr, out);
   crypt_line(out, /*encrypt=*/false);
-  const cycles crypt =
-      cfg_.encrypt ? core.time_parallel(core.blocks_for(out.size())) : 0;
+  const cycles crypt = crypt_time(out.size());
   stats_.crypto_cycles += crypt;
   prefetch(addr + cfg_.line_bytes);
   return mem + crypt;
@@ -136,7 +127,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
     // code-region reads. Everything else — code writes (they must
     // invalidate the prefetch buffer before any later fetch), unaligned
     // code reads, boundary straddles — detours in order.
-    if (txn.is_write() || txn.addr % lb != 0 || txn.data.size() % lb != 0 ||
+    if (txn.is_write() || !sim::whole_granules(txn.addr, txn.data.size(), lb) ||
         txn.data.empty() || txn.addr + txn.data.size() > code_limit) {
       // The flush inside commits the window's prefetch state into
       // pf_data_; the scalar detour may then move the predictor, so
@@ -168,8 +159,7 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
       }
       ++prefetch_misses_;
       const std::size_t li = b.queue(sim::txn_op::read, txn.master, a, line);
-      const cycles crypt =
-          cfg_.encrypt ? core.time_parallel(core.blocks_for(lb)) : 0;
+      const cycles crypt = crypt_time(lb);
       stats_.crypto_cycles += crypt;
       b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                   [this, line] { crypt_line(line, /*encrypt=*/false); });
@@ -187,33 +177,26 @@ cycles gilmont_edu::write(addr_t addr, std::span<const u8> in) {
   // Static code is installed through the cipher; runtime code writes are
   // rare (self-modifying code) but handled: line-aligned encrypt, with the
   // five-step penalty for partial lines.
-  const addr_t base = addr - addr % cfg_.line_bytes;
-  const addr_t end_addr = addr + in.size();
-  const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                         ? end_addr
-                         : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-  const std::size_t span_len = static_cast<std::size_t>(end - base);
-
+  const std::size_t lb = cfg_.line_bytes;
   // Invalidate the prefetch buffer if any written line overlaps it.
-  if (pf_valid_ && base < pf_addr_ + cfg_.line_bytes && pf_addr_ < end)
-    pf_valid_ = false;
+  const sim::granule_cover c = sim::cover_of(addr, in.size(), lb);
+  if (pf_valid_ && c.base < pf_addr_ + lb && pf_addr_ < c.base + c.len) pf_valid_ = false;
 
-  bytes buf(span_len);
-  cycles total = 0;
-  const cycles crypt_cost =
-      cfg_.encrypt ? core.time_parallel(core.blocks_for(span_len)) : 0;
-  if (span_len != in.size()) {
-    ++stats_.rmw_ops;
-    total += lower_->read(base, buf);
-    crypt_line(buf, /*encrypt=*/false);
-    total += crypt_cost;
-  }
-  const std::size_t head = static_cast<std::size_t>(addr - base);
-  for (std::size_t i = 0; i < in.size(); ++i) buf[head + i] = in[i];
-  crypt_line(buf, /*encrypt=*/true);
-  stats_.crypto_cycles += crypt_cost;
-  total += crypt_cost + lower_->write(base, buf);
-  return total;
+  return write_cover(
+      addr, in, lb,
+      [this](addr_t base, std::span<u8> cover) {
+        const cycles mem = lower_->read(base, cover);
+        crypt_line(cover, /*encrypt=*/false);
+        const cycles crypt = crypt_time(cover.size());
+        stats_.crypto_cycles += crypt;
+        return mem + crypt;
+      },
+      [this](addr_t base, std::span<u8> cover) {
+        crypt_line(cover, /*encrypt=*/true);
+        const cycles crypt = crypt_time(cover.size());
+        stats_.crypto_cycles += crypt;
+        return crypt + lower_->write(base, cover);
+      });
 }
 
 } // namespace buscrypt::edu

@@ -59,6 +59,11 @@ class gilmont_edu final : public edu {
   /// Decrypt one line-aligned code region in place (ECB over the line; the
   /// original uses 3-DES per 8-byte block).
   void crypt_line(std::span<u8> buf, bool encrypt);
+  /// Cycles the 3-DES core takes over \p nbytes (0 in the prefetch-only
+  /// baseline).
+  [[nodiscard]] cycles crypt_time(std::size_t nbytes) const noexcept {
+    return cfg_.encrypt ? core.time_parallel(core.blocks_for(nbytes)) : 0;
+  }
   /// Launch the predicted next-line fetch into the prefetch buffer.
   void prefetch(addr_t line_addr);
 

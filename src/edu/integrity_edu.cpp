@@ -5,6 +5,7 @@
 #include "sim/txn_batcher.hpp"
 
 #include <array>
+#include <functional>
 #include <stdexcept>
 
 namespace buscrypt::edu {
@@ -61,8 +62,8 @@ cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {
     // MAC unit streams over the beats as they arrive, so only its fill
     // latency plus any excess over the burst is exposed.
     const auto cr = auth_->verify_unit(line_addr, out, /*charge=*/true);
-    const cycles exposed =
-        auth_->config().mac_startup + (cr.compute > mem ? cr.compute - mem : 0);
+    const cycles exposed = engine::memory_authenticator::mac_startup +
+                           (cr.compute > mem ? cr.compute - mem : 0);
     total += cr.bus + exposed;
     stats_.crypto_cycles += exposed;
   }
@@ -80,8 +81,7 @@ cycles integrity_edu::read_line(addr_t line_addr, std::span<u8> out) {
   return total;
 }
 
-cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
-  bytes ct(in.begin(), in.end());
+cycles integrity_edu::write_line(addr_t line_addr, std::span<u8> ct) {
   pad_line(line_addr, next_version(line_addr), ct);
   const std::size_t nblocks = pad_core.blocks_for(line_bytes);
   stats_.cipher_blocks += nblocks;
@@ -109,7 +109,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
 
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    if (txn.data.empty() || txn.addr % lb != 0 || txn.data.size() % lb != 0) {
+    if (txn.data.empty() || !sim::whole_granules(txn.addr, txn.data.size(), lb)) {
       b.detour_via(txn, *this);
       continue;
     }
@@ -159,42 +159,21 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
 
 cycles integrity_edu::read(addr_t addr, std::span<u8> out) {
   ++stats_.reads;
-  const std::size_t lb = line_bytes;
-  const addr_t base = addr - addr % lb;
-  const addr_t end_addr = addr + out.size();
-  const addr_t end = (end_addr % lb == 0) ? end_addr : end_addr + lb - end_addr % lb;
-
-  bytes buf(static_cast<std::size_t>(end - base));
-  cycles total = 0;
-  for (addr_t a = base; a < end; a += lb)
-    total +=
-        read_line(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base), lb));
-  const std::size_t head = static_cast<std::size_t>(addr - base);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf[head + i];
-  return total;
+  return read_cover(addr, out, line_bytes, [this](addr_t base, std::span<u8> cover) {
+    return per_granule(base, cover, line_bytes,
+                       std::bind_front(&integrity_edu::read_line, this));
+  });
 }
 
 cycles integrity_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
-  const std::size_t lb = line_bytes;
-  const addr_t base = addr - addr % lb;
-  const addr_t end_addr = addr + in.size();
-  const addr_t end = (end_addr % lb == 0) ? end_addr : end_addr + lb - end_addr % lb;
-  const std::size_t span_len = static_cast<std::size_t>(end - base);
-
-  bytes buf(span_len);
-  cycles total = 0;
-  if (span_len != in.size()) {
-    // The tag covers whole lines: sub-line stores read-modify-write.
-    ++stats_.rmw_ops;
-    total += read(base, buf);
-  }
-  const std::size_t head = static_cast<std::size_t>(addr - base);
-  for (std::size_t i = 0; i < in.size(); ++i) buf[head + i] = in[i];
-  for (addr_t a = base; a < end; a += lb)
-    total += write_line(a, std::span<const u8>(buf).subspan(
-                               static_cast<std::size_t>(a - base), lb));
-  return total;
+  // The tag covers whole lines: sub-line stores read-modify-write.
+  return write_cover(
+      addr, in, line_bytes, std::bind_front(&integrity_edu::read, this),
+      [this](addr_t base, std::span<u8> cover) {
+        return per_granule(base, cover, line_bytes,
+                           std::bind_front(&integrity_edu::write_line, this));
+      });
 }
 
 } // namespace buscrypt::edu

@@ -39,7 +39,8 @@ namespace buscrypt::edu {
 
 enum class integrity_level { none, mac, mac_versioned };
 
-/// The MAC unit's timing and the tag cache take the auth_config defaults.
+/// The MAC unit's timing is memory_authenticator's; the tag cache takes
+/// the auth_config default.
 struct integrity_edu_config {
   std::size_t tag_bytes = 8;
   integrity_level level = integrity_level::mac_versioned;
@@ -114,7 +115,8 @@ class integrity_edu final : public edu {
   static constexpr u64 tweak = 0x17E617ULL;
 
   [[nodiscard]] cycles read_line(addr_t line_addr, std::span<u8> out);
-  [[nodiscard]] cycles write_line(addr_t line_addr, std::span<const u8> in);
+  /// Pad \p line in place into its ciphertext, store it and its tag.
+  [[nodiscard]] cycles write_line(addr_t line_addr, std::span<u8> line);
 
   /// XOR the pad of the line at \p line_addr under \p version into \p buf
   /// (one line_bytes line).

@@ -69,9 +69,9 @@ void stream_edu::submit(std::span<sim::mem_txn> batch) {
 
 cycles stream_edu::write(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
-  bytes ct(in.begin(), in.end());
-  apply_pad(addr, ct);
-  return charge(addr, in.size(), lower_->write(addr, ct));
+  sim::stack_window ct(in);
+  apply_pad(addr, ct.span());
+  return charge(addr, in.size(), lower_->write(addr, ct.span()));
 }
 
 } // namespace buscrypt::edu

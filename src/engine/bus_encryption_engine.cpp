@@ -1,5 +1,6 @@
 #include "engine/bus_encryption_engine.hpp"
 
+#include "sim/granule.hpp"
 #include "sim/txn_batcher.hpp"
 
 #include <algorithm>
@@ -329,40 +330,40 @@ cycles bus_encryption_engine::seal_units(master_id m, context_id ctx,
 
 cycles bus_encryption_engine::read_covered(master_id m, context_id ctx, addr_t addr,
                                            std::span<u8> out, bool charge) {
-  const std::size_t du = contexts_[ctx].data_unit_size;
-  const addr_t a0 = addr / du * du; // covering range, unit aligned
-  const addr_t a1 = (addr + out.size() + du - 1) / du * du;
+  const sim::granule_cover c =
+      sim::cover_of(addr, out.size(), contexts_[ctx].data_unit_size);
   const slot_lease lease = lease_slot(contexts_[ctx], charge);
-  bytes cover(static_cast<std::size_t>(a1 - a0));
-  cycles t = lease.setup + lower_->read(a0, cover);
-  t += open_units(m, ctx, lease, a0, cover, charge);
-  std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), out.size(),
-              out.begin());
+  sim::stack_window window(c.len);
+  const std::span<u8> cover = window.span();
+  cycles t = lease.setup + lower_->read(c.base, cover);
+  t += open_units(m, ctx, lease, c.base, cover, charge);
+  std::ranges::copy(cover.subspan(c.head, out.size()), out.begin());
   return t;
 }
 
 cycles bus_encryption_engine::write_covered(master_id m, context_id ctx, addr_t addr,
                                             std::span<const u8> in, bool charge) {
   const std::size_t du = contexts_[ctx].data_unit_size;
-  const addr_t a0 = addr / du * du;
-  const addr_t a1 = (addr + in.size() + du - 1) / du * du;
+  const sim::granule_cover c = sim::cover_of(addr, in.size(), du);
   const slot_lease lease = lease_slot(contexts_[ctx], charge);
-  bytes cover(static_cast<std::size_t>(a1 - a0));
+  sim::stack_window window(c.len);
+  const std::span<u8> cover = window.span();
   cycles t = lease.setup;
   // Partial edge units trigger the paper's five-step penalty: read,
-  // decipher, modify, re-cipher, write back.
+  // decipher, modify, re-cipher, write back. Only those units are read.
   auto rmw_read = [&](addr_t ua) {
-    const std::span<u8> unit = std::span<u8>(cover).subspan(ua - a0, du);
+    const std::span<u8> unit = cover.subspan(static_cast<std::size_t>(ua - c.base), du);
     t += lower_->read(ua, unit);
     t += open_units(m, ctx, lease, ua, unit, charge);
     ++stats_.rmw_ops;
   };
-  const bool head_partial = addr != a0;
-  if (head_partial) rmw_read(a0);
-  if (addr + in.size() != a1 && (a1 - a0 > du || !head_partial)) rmw_read(a1 - du);
-  std::copy(in.begin(), in.end(), cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
-  t += seal_units(m, ctx, lease, a0, cover, charge);
-  return t + lower_->write(a0, cover);
+  const bool head_partial = c.head != 0;
+  if (head_partial) rmw_read(c.base);
+  if (c.head + in.size() != c.len && (c.len > du || !head_partial))
+    rmw_read(c.base + c.len - du);
+  std::ranges::copy(in, cover.subspan(c.head).begin());
+  t += seal_units(m, ctx, lease, c.base, cover, charge);
+  return t + lower_->write(c.base, cover);
 }
 
 template <class Span>
@@ -491,7 +492,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       // Hash-tree verification is a causally serial walk (each level needs
       // the one below), so tree-guarded units take the scalar datapath.
       const memory_authenticator* a = auths_[sp.ctx].get();
-      eligible = addr % du == 0 && len % du == 0 &&
+      eligible = sim::whole_granules(addr, len, du) &&
                  !(a != nullptr && a->mode() == auth_mode::hash_tree &&
                    addr < a->config().limit && addr + len > a->config().base);
     }

@@ -73,11 +73,6 @@ memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config 
   }
 }
 
-cycles memory_authenticator::mac_time(std::size_t nbytes) const noexcept {
-  return cfg_.mac_startup +
-         static_cast<cycles>(static_cast<double>(nbytes) * cfg_.mac_cycles_per_byte);
-}
-
 u64 memory_authenticator::version_of(addr_t unit_addr) const noexcept {
   const auto it = versions_.find(unit_addr);
   return it == versions_.end() ? 0 : it->second;

@@ -87,9 +87,6 @@ struct auth_config {
   /// On-chip cache entries: 64-byte tag lines (mac) or tree nodes
   /// (hash_tree). 0 disables — the naive every-fetch-pays design.
   unsigned tag_cache_entries = 16;
-  /// Hardware MAC/hash unit: fill latency + streaming rate.
-  cycles mac_startup = 10;
-  double mac_cycles_per_byte = 0.5;
   /// hash_tree fan-out (2..8). Depth trades against per-level fetch width.
   unsigned tree_arity = 2;
   /// mac only: bump an on-chip version per write and bind it into the tag.
@@ -130,6 +127,9 @@ class memory_authenticator {
  public:
   /// Tag-cache fill granule (mac): one external burst of packed tags.
   static constexpr std::size_t k_tag_line = 64;
+  /// The hardware MAC/hash unit: fill latency and streaming rate.
+  static constexpr cycles mac_startup = 10;
+  static constexpr double mac_cycles_per_byte = 0.5;
 
   /// A tag, leaf, node digest or AREA nonce: the first tag_bytes bytes of
   /// an HMAC-SHA256, held inline and zero past tag_bytes.
@@ -383,7 +383,10 @@ class memory_authenticator {
     std::size_t oldest_ = 0; ///< once full: the slot the next insert evicts
   };
 
-  [[nodiscard]] cycles mac_time(std::size_t nbytes) const noexcept;
+  [[nodiscard]] static constexpr cycles mac_time(std::size_t nbytes) noexcept {
+    return mac_startup +
+           static_cast<cycles>(static_cast<double>(nbytes) * mac_cycles_per_byte);
+  }
   [[nodiscard]] u64 unit_index(addr_t unit_addr) const noexcept {
     return (unit_addr - cfg_.base) / unit_;
   }

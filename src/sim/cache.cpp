@@ -1,7 +1,9 @@
 #include "sim/cache.hpp"
 
 #include "common/bitops.hpp"
+#include "sim/granule.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace buscrypt::sim {
@@ -31,7 +33,7 @@ std::size_t cache::find_line(addr_t line_addr) const noexcept {
 }
 
 bool cache::contains(addr_t addr) const noexcept {
-  return find_line(addr - addr % cfg_.line_size) != lines_.size();
+  return find_line(cover_of(addr, 1, cfg_.line_size).base) != lines_.size();
 }
 
 cache::locate_result cache::locate(addr_t line_addr, bool for_write) {
@@ -81,57 +83,47 @@ cache::locate_result cache::locate(addr_t line_addr, bool for_write) {
 
 cycles cache::read(addr_t addr, std::span<u8> out) {
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const addr_t a = addr + done;
-    const addr_t line_addr = a - a % cfg_.line_size;
-    const std::size_t offset = static_cast<std::size_t>(a - line_addr);
-    const std::size_t n = std::min(cfg_.line_size - offset, out.size() - done);
-
-    ++stats_.accesses;
-    auto [entry, extra] = locate(line_addr, /*for_write=*/false);
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = entry->data[offset + i];
-    stats_.stall_cycles += extra;
-    total += cfg_.hit_latency + extra;
-    done += n;
-  }
+  walk_granules(
+      addr, out.size(), cfg_.line_size,
+      [&](addr_t line_addr, std::size_t offset, std::size_t n, std::size_t done) {
+        ++stats_.accesses;
+        auto [entry, extra] = locate(line_addr, /*for_write=*/false);
+        for (std::size_t i = 0; i < n; ++i) out[done + i] = entry->data[offset + i];
+        stats_.stall_cycles += extra;
+        total += cfg_.hit_latency + extra;
+      });
   return total;
 }
 
 cycles cache::write(addr_t addr, std::span<const u8> in) {
   cycles total = 0;
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const addr_t a = addr + done;
-    const addr_t line_addr = a - a % cfg_.line_size;
-    const std::size_t offset = static_cast<std::size_t>(a - line_addr);
-    const std::size_t n = std::min(cfg_.line_size - offset, in.size() - done);
+  walk_granules(
+      addr, in.size(), cfg_.line_size,
+      [&](addr_t line_addr, std::size_t offset, std::size_t n, std::size_t done) {
+        ++stats_.accesses;
+        if (cfg_.write_back) {
+          auto [entry, extra] = locate(line_addr, /*for_write=*/true);
+          for (std::size_t i = 0; i < n; ++i) entry->data[offset + i] = in[done + i];
+          entry->dirty = true;
+          stats_.stall_cycles += extra;
+          total += cfg_.hit_latency + extra;
+          return;
+        }
+        // Write-through: update the line if resident, always write below.
+        if (const std::size_t hit = find_line(line_addr); hit != lines_.size()) {
+          line& l = lines_[hit];
+          for (std::size_t i = 0; i < n; ++i) l.data[offset + i] = in[done + i];
+          l.last_used = ++tick_;
+          ++stats_.hits;
+        } else {
+          ++stats_.misses;
+        }
 
-    ++stats_.accesses;
-    if (cfg_.write_back) {
-      auto [entry, extra] = locate(line_addr, /*for_write=*/true);
-      for (std::size_t i = 0; i < n; ++i) entry->data[offset + i] = in[done + i];
-      entry->dirty = true;
-      stats_.stall_cycles += extra;
-      total += cfg_.hit_latency + extra;
-    } else {
-      // Write-through: update the line if resident, always write below.
-      if (const std::size_t hit = find_line(line_addr); hit != lines_.size()) {
-        line& l = lines_[hit];
-        for (std::size_t i = 0; i < n; ++i) l.data[offset + i] = in[done + i];
-        l.last_used = ++tick_;
-        ++stats_.hits;
-      } else {
-        ++stats_.misses;
-      }
-
-      ++stats_.bypass_writes;
-      const cycles below = lower_->write(a, in.subspan(done, n));
-      stats_.stall_cycles += below;
-      total += cfg_.hit_latency + below;
-    }
-    done += n;
-  }
+        ++stats_.bypass_writes;
+        const cycles below = lower_->write(line_addr + offset, in.subspan(done, n));
+        stats_.stall_cycles += below;
+        total += cfg_.hit_latency + below;
+      });
   return total;
 }
 

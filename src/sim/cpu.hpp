@@ -19,22 +19,21 @@ struct run_stats {
   cycles stall_cycles = 0; ///< cycles beyond 1-per-instruction issue
 
   [[nodiscard]] double cpi() const noexcept {
-    return instructions == 0 ? 0.0
-                             : static_cast<double>(total_cycles) / static_cast<double>(instructions);
+    if (instructions == 0) return 0.0;
+    return static_cast<double>(total_cycles) / static_cast<double>(instructions);
   }
 
   /// Sustained throughput of the run (the survey's overlap story is only
   /// visible in this metric, not in per-access latency).
   [[nodiscard]] double bytes_per_cycle() const noexcept {
-    return total_cycles == 0 ? 0.0
-                             : static_cast<double>(bytes) / static_cast<double>(total_cycles);
+    if (total_cycles == 0) return 0.0;
+    return static_cast<double>(bytes) / static_cast<double>(total_cycles);
   }
 
   /// Slowdown of this run against a baseline run (1.0 = no overhead).
   [[nodiscard]] double slowdown_vs(const run_stats& baseline) const noexcept {
-    return baseline.total_cycles == 0
-               ? 0.0
-               : static_cast<double>(total_cycles) / static_cast<double>(baseline.total_cycles);
+    if (baseline.total_cycles == 0) return 0.0;
+    return static_cast<double>(total_cycles) / static_cast<double>(baseline.total_cycles);
   }
 };
 

@@ -173,7 +173,8 @@ int arb_node::pick(std::span<const child> kids) {
       for (std::size_t c = 0; c < 4; ++c)
         credit_[c] = static_cast<long long>(params_[c].weight);
     for (std::size_t c = 0; c < 4; ++c)
-      if (pend[c] && (chosen < 0 || credit_[c] > credit_[static_cast<std::size_t>(chosen)]))
+      if (pend[c] &&
+          (chosen < 0 || credit_[c] > credit_[static_cast<std::size_t>(chosen)]))
         chosen = static_cast<int>(c);
   }
 
@@ -310,7 +311,8 @@ interconnect_stats interconnect::run() {
     mkids.clear();
     for (const std::size_t i : members[cu]) {
       const bound& b = masters_[i];
-      mkids.push_back({b.m->pending(), b.m->config().priority, b.m->wait_streak(), b.cls});
+      mkids.push_back(
+          {b.m->pending(), b.m->config().priority, b.m->wait_streak(), b.cls});
     }
     const int mi = nodes[cu].pick(mkids);
     if (mi < 0) break; // unreachable: the cluster was picked as pending

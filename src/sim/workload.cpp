@@ -43,7 +43,8 @@ workload make_sequential_code(std::size_t n_instr, std::size_t code_size,
       ++jumps;
     }
   }
-  w.jump_rate = n_instr == 0 ? 0.0 : static_cast<double>(jumps) / static_cast<double>(n_instr);
+  w.jump_rate =
+      n_instr == 0 ? 0.0 : static_cast<double>(jumps) / static_cast<double>(n_instr);
   return w;
 }
 
@@ -81,7 +82,8 @@ workload make_data_rw(std::size_t n_instr, std::size_t working_set, double mem_r
   w.name = "data-rw";
   w.footprint = working_set;
   w.write_fraction = mem_rate * write_fraction;
-  w.accesses.reserve(static_cast<std::size_t>(static_cast<double>(n_instr) * (1.0 + mem_rate)));
+  w.accesses.reserve(
+      static_cast<std::size_t>(static_cast<double>(n_instr) * (1.0 + mem_rate)));
 
   // Code region below the data region so they do not collide in the cache
   // in pathological ways; 16 KiB of code looped over.
@@ -149,7 +151,8 @@ workload make_streaming(std::size_t n_elems, std::size_t array_size,
       ++writes;
     }
   }
-  w.write_fraction = n_elems == 0 ? 0.0 : static_cast<double>(writes) / static_cast<double>(2 * n_elems);
+  w.write_fraction =
+      n_elems == 0 ? 0.0 : static_cast<double>(writes) / static_cast<double>(2 * n_elems);
   return w;
 }
 
@@ -196,9 +199,9 @@ workload make_peripheral_poll(std::size_t n_polls, addr_t reg_base, std::size_t 
       ++writes;
     }
   }
-  w.write_fraction =
-      w.accesses.empty() ? 0.0
-                         : static_cast<double>(writes) / static_cast<double>(w.accesses.size());
+  w.write_fraction = w.accesses.empty() ? 0.0
+                                        : static_cast<double>(writes) /
+                                              static_cast<double>(w.accesses.size());
   return w;
 }
 

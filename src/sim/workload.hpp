@@ -109,8 +109,8 @@ struct throughput_stats {
   cycles total_cycles = 0;
 
   [[nodiscard]] double bytes_per_cycle() const noexcept {
-    return total_cycles == 0 ? 0.0
-                             : static_cast<double>(bytes) / static_cast<double>(total_cycles);
+    if (total_cycles == 0) return 0.0;
+    return static_cast<double>(bytes) / static_cast<double>(total_cycles);
   }
 };
 

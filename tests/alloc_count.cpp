@@ -3,20 +3,23 @@
 // operator new to count every allocation, which is why it links apart from
 // buscrypt_tests: a replaced allocator is process-wide. After one warm-up
 // call, a verify, an update, and an AREA seal and unseal each make no
-// allocation; a hash-tree install makes as many at 64 KiB as at 4 KiB; a
-// warm engine's scalar write of a unit makes no more than a read of it, and
-// its AREA read of four units as many as of one, scalar or batched; a
-// batched issue of line txns makes as many for 4096 txns as for 64; the AES
-// kernels and the CBC and CTR mode routines make none; the pad and CBC EDUs
-// build their pads and IVs on the stack; and a warm aes-cbc or aes-ctr
-// engine unit allocates only its cover buffer.
+// allocation; a hash-tree install makes as many at 64 KiB as at 8 KiB, and
+// one fewer at 4 KiB, where its cover fits the stack window; a warm
+// engine's scalar unit write and read and its AREA reads make none, and a
+// batched AREA read as many for sixteen units as for one; a batched issue of
+// line txns makes as many for 4096 txns as for 64; the AES kernels and the
+// CBC and CTR mode routines make none; and once warm, a scalar line read,
+// line write or sub-line write allocates nothing on any engine but GI and
+// Compress+OTP's code region.
 
 #include "crypto/aes.hpp"
 #include "crypto/des.hpp"
 #include "crypto/modes.hpp"
 #include "edu/aegis_edu.hpp"
 #include "edu/block_edu.hpp"
+#include "edu/integrity_edu.hpp"
 #include "edu/plain_edu.hpp"
+#include "edu/soc.hpp"
 #include "edu/stream_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "engine/memory_authenticator.hpp"
@@ -172,9 +175,15 @@ TEST(AllocFree, HashTreeInstallAllocationsDoNotGrowWithImageSize) {
     const bytes image(len, 0x5C);
     return allocs_of([&] { eng.install(0, image); });
   };
-  const unsigned long long small = install_allocs(4 * 1024);
+  // A cover over the 4 KiB stack window takes one heap buffer, whatever
+  // its size; one within it takes none.
+  const unsigned long long window = install_allocs(4 * 1024);
+  const unsigned long long small = install_allocs(8 * 1024);
   EXPECT_EQ(install_allocs(64 * 1024), small);
-  std::printf("hash-tree install: %llu allocations at 4 KiB and at 64 KiB\n", small);
+  EXPECT_EQ(window + 1, small);
+  std::printf("hash-tree install: %llu allocations at 4 KiB, %llu at 8 KiB and at "
+              "64 KiB\n",
+              window, small);
 }
 
 TEST(AllocFree, BatchedIssueAllocationsDoNotGrowWithTxnCount) {
@@ -195,9 +204,10 @@ TEST(AllocFree, BatchedIssueAllocationsDoNotGrowWithTxnCount) {
 }
 
 TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
-  // A scalar write builds its ciphertext in the one cover buffer a read
-  // also needs, and AREA opens and seals its units in place, so neither a
-  // write nor an extra AREA unit costs an allocation.
+  // A scalar request builds its cover in a stack window, CTR pads go
+  // through another and the slot lease is a value; AREA opens and seals
+  // its units in place. So a warm write, read or AREA read allocates
+  // nothing, however many units it carries.
   sim::dram mem{1u << 20};
   sim::external_memory ext{mem};
   keyslot_manager slots{backend_registry::builtin(), 4};
@@ -219,14 +229,13 @@ TEST(AllocFree, WarmScalarRequestsAllocatePerRequestNotPerUnit) {
   (void)eng.read(area_at, four);
   const auto write1 = allocs_of([&] { (void)eng.write(0x100, unit); });
   const auto read1 = allocs_of([&] { (void)eng.read(0x100, one); });
-  EXPECT_LE(write1, read1);
-  // Only the cover buffer: the CTR pads go through a stack window and the
-  // slot lease is a value.
-  EXPECT_LE(read1, 1u);
+  EXPECT_EQ(write1, 0u);
+  EXPECT_EQ(read1, 0u);
   EXPECT_EQ(one, unit);
   const auto area4 = allocs_of([&] { (void)eng.read(area_at, four); });
   const auto area1 = allocs_of([&] { (void)eng.read(area_at, one); });
-  EXPECT_EQ(area4, area1);
+  EXPECT_EQ(area4, 0u);
+  EXPECT_EQ(area1, 0u);
   EXPECT_EQ(eng.stats().integrity_faults, 0u);
   std::printf("scalar aes-ctr unit: %llu allocations to write, %llu to read; "
               "AREA read: %llu for 4 units, %llu for 1\n",
@@ -338,8 +347,8 @@ struct warm_line_edus {
 
 TEST(AllocFree, WarmScalarLineReadsBuildPadsAndIvsOnTheStack) {
   // A Stream-OTP read XORs its pad in place and the CBC EDUs build their
-  // IVs and run their chains on the stack: only AES-CBCline's cover
-  // buffer is left.
+  // IVs and run their chains on the stack; a line is its own cover, read
+  // straight into the caller's buffer.
   warm_line_edus w;
   std::array<unsigned long long, 3> n{};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -348,7 +357,7 @@ TEST(AllocFree, WarmScalarLineReadsBuildPadsAndIvsOnTheStack) {
     EXPECT_EQ(w.out, w.line) << e.name();
   }
   EXPECT_EQ(n[0], 0u);
-  EXPECT_LE(n[1], 1u);
+  EXPECT_EQ(n[1], 0u);
   EXPECT_EQ(n[2], 0u);
   std::printf("warm line read: %llu allocations for Stream-OTP, %llu for "
               "AES-CBCline, %llu for AEGIS\n",
@@ -356,7 +365,8 @@ TEST(AllocFree, WarmScalarLineReadsBuildPadsAndIvsOnTheStack) {
 }
 
 TEST(AllocFree, WarmScalarLineWritesAllocateAtMostOnce) {
-  // The CBC EDUs' write chains run in place on the stack-built IV.
+  // The ciphertext copy of the const line is a stack window, and the CBC
+  // EDUs' write chains run in place in it on the stack-built IV.
   warm_line_edus w;
   std::array<unsigned long long, 3> n{};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -365,8 +375,9 @@ TEST(AllocFree, WarmScalarLineWritesAllocateAtMostOnce) {
     (void)e.read(w.line_at(i), w.out);
     EXPECT_EQ(w.out, w.line) << e.name();
   }
-  EXPECT_LE(n[1], 1u);
-  EXPECT_LE(n[2], 1u);
+  EXPECT_EQ(n[0], 0u);
+  EXPECT_EQ(n[1], 0u);
+  EXPECT_EQ(n[2], 0u);
   std::printf("warm line write: %llu allocations for Stream-OTP, %llu for "
               "AES-CBCline, %llu for AEGIS\n",
               n[0], n[1], n[2]);
@@ -374,7 +385,8 @@ TEST(AllocFree, WarmScalarLineWritesAllocateAtMostOnce) {
 
 TEST(AllocFree, WarmEngineCbcUnitAllocatesOnlyItsCover) {
   // The aes-cbc backend builds its ESSIV IVs on the stack and chains in
-  // place, so a warm unit write or read allocates only the cover buffer.
+  // place, in a cover that is itself a stack window: a warm unit write or
+  // read allocates nothing.
   sim::dram mem{1u << 20};
   sim::external_memory ext{mem};
   keyslot_manager slots{backend_registry::builtin(), 4};
@@ -387,11 +399,50 @@ TEST(AllocFree, WarmEngineCbcUnitAllocatesOnlyItsCover) {
   (void)eng.read(0x100, one);
   const auto write1 = allocs_of([&] { (void)eng.write(0x100, unit); });
   const auto read1 = allocs_of([&] { (void)eng.read(0x100, one); });
-  EXPECT_LE(write1, 1u);
-  EXPECT_LE(read1, 1u);
+  EXPECT_EQ(write1, 0u);
+  EXPECT_EQ(read1, 0u);
   EXPECT_EQ(one, unit);
   std::printf("scalar aes-cbc unit: %llu allocations to write, %llu to read\n", write1,
               read1);
+}
+
+/// Allocations of a warm line read, line write and 4-byte write at \p at
+/// through \p e, after one round of each.
+std::array<unsigned long long, 3> warm_request_allocs(edu::edu& e, addr_t at) {
+  const bytes line(32, 0x5C);
+  const bytes word(4, 0xA7);
+  bytes out(32);
+  auto line_read = [&] { (void)e.read(at, out); };
+  auto line_write = [&] { (void)e.write(at, line); };
+  auto word_write = [&] { (void)e.write(at + 0x0B, word); };
+  line_write();
+  line_read();
+  word_write();
+  return {allocs_of(line_read), allocs_of(line_write), allocs_of(word_write)};
+}
+
+TEST(AllocFree, WarmScalarRequestsOfEveryEngineAreHeapFree) {
+  // Covers and ciphertext copies are stack windows, so once a line's
+  // nonce, version, tag, page buffer, cache line or keyslot is in place a
+  // scalar request allocates nothing. Left out: GI-3DES-CBC+MAC, whose
+  // segment plaintext and tags are heap buffers, and Compress+OTP's
+  // read-only code region, whose compressed chunk and decompressed group
+  // are; Compress+OTP runs in its data region.
+  constexpr addr_t data_base = 1u << 20;
+  for (const edu::engine_kind kind : edu::all_engines()) {
+    if (kind == edu::engine_kind::gi_3des_cbc) continue;
+    edu::secure_soc soc(kind, edu::soc_config{});
+    soc.load_image(0, bytes(4096, 0)); // Compress+OTP's code region
+    const bool data_only = kind == edu::engine_kind::compress_otp;
+    const auto n = warm_request_allocs(soc.engine(), data_only ? data_base : 0x100);
+    EXPECT_EQ(n, (std::array<unsigned long long, 3>{})) << soc.engine().name();
+  }
+  sim::dram mem{8u << 20};
+  sim::external_memory ext{mem};
+  const crypto::aes prf{bytes(16, 0x3C)};
+  edu::integrity_edu integrity{ext, prf, bytes(16, 0x6B), {}};
+  const auto n = warm_request_allocs(integrity, 0x100);
+  EXPECT_EQ(n, (std::array<unsigned long long, 3>{})) << integrity.name();
 }
 
 } // namespace

@@ -248,6 +248,29 @@ TEST(GilmontEdu, DataRegionIsClearForm) {
   EXPECT_EQ(raw, data); // the surveyed limitation: data travels in clear
 }
 
+TEST(GilmontEdu, SubLineCodeWriteChargesItsDecipher) {
+  // The five-step write deciphers the line before re-ciphering it, and
+  // crypto_cycles counts both passes, as block_edu's does.
+  sim::dram d(1 << 20);
+  sim::external_memory ext(d);
+  rng r(14);
+  const crypto::triple_des cipher(r.random_bytes(24));
+  gilmont_edu g(ext, cipher, {});
+  g.install_image(0, make_image(4096, 15));
+  g.reset_stats();
+
+  const bytes word = {1, 2, 3, 4};
+  const cycles took = g.write(0x104, word);
+  constexpr pipeline_model core = tdes_pipelined();
+  const cycles line = core.time_parallel(core.blocks_for(32));
+  EXPECT_EQ(g.stats().rmw_ops, 1u);
+  EXPECT_EQ(g.stats().crypto_cycles, 2 * line);
+  EXPECT_EQ(took, 182u);
+  bytes back(4);
+  (void)g.read(0x104, back);
+  EXPECT_EQ(back, word);
+}
+
 TEST(DmaEdu, PageFaultsAmortize) {
   sim::dram d(1 << 20);
   sim::external_memory ext(d);
@@ -387,6 +410,29 @@ TEST(AegisEdu, IvsNeverRepeatAcrossLinesOrNonces) {
     }
   }
   EXPECT_EQ(first_blocks.size(), 40u * 4u);
+}
+
+TEST(AegisEdu, AlignedMultiLineWriteNeedsNoReadModifyWrite) {
+  // Two whole lines: each gets a fresh nonce and its own line write, with
+  // nothing to read, decipher or merge first.
+  sim::dram d(1 << 20);
+  sim::external_memory ext(d);
+  rng r(29);
+  const crypto::aes cipher(r.random_bytes(16));
+  aegis_edu a(ext, cipher, {});
+  bytes two(64);
+  for (std::size_t i = 0; i < two.size(); ++i) two[i] = static_cast<u8>(i * 3);
+  (void)a.write(0x100, two);
+  EXPECT_EQ(ext.bytes_read(), 0u);
+  EXPECT_EQ(a.stats().rmw_ops, 0u);
+  EXPECT_EQ(a.stats().reads, 0u);
+  EXPECT_EQ(a.stats().cipher_blocks, 6u); // 2 data blocks + the IV, per line
+  EXPECT_EQ(a.stats().crypto_cycles, 84u);
+  EXPECT_EQ(a.nonces().at(0x100), 1u);
+  EXPECT_EQ(a.nonces().at(0x120), 1u);
+  bytes back(64);
+  (void)a.read(0x100, back);
+  EXPECT_EQ(back, two);
 }
 
 TEST(AegisEdu, RejectsCipherNarrowerThanSixteenBytes) {

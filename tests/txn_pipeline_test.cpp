@@ -21,6 +21,7 @@
 #include <cctype>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -1056,6 +1057,254 @@ TEST(StreamGoldenStamps, SerialKeystream) {
             "reads=16 writes=12 blocks=133 crypto=42 rmw=0 batches=2 batched=28");
   EXPECT_EQ(got.fnv, "read=9d61ba2bd9ee3a5c dram=493ad633edc6390d");
   EXPECT_EQ(idle_tails(got.timing), (std::vector<long long>{0, 0}));
+}
+
+// --- scalar datapaths: golden stamps ----------------------------------------
+
+/// Gilmont's data region; every other engine ciphers it like the code.
+constexpr addr_t scalar_data_base = 1u << 20;
+
+/// The scalar script at \p base: sub-granule writes at unaligned addresses,
+/// reads straddling two and three granules, an unaligned multi-granule
+/// write, aligned single- and multi-line writes, spans crossing a DMA page
+/// and a GI segment, an aligned segment write and a cover over 4 KiB.
+/// Without \p writes only the reads remain (a read-only code region).
+std::vector<golden_op> scalar_script(addr_t base, bool writes) {
+  const std::vector<golden_op> script = {
+      wr(base + 0x104, 4),       wr(base + 0x20B, 3),        rd(base + 0x11C, 8),
+      rd(base + 0x1F8, 72),      wr(base + 0x31C, 40),       wr(base + 0x400),
+      wr(base + 0x440, 64),      rd(base + 0x3F0, 0x60),     wr(base + 0xFF0),
+      rd(base + 0xFE0, 0x40),    wr(base + 0x1000, 0x400),   wr(base + 0x13FE, 0x404),
+      rd(base + 0x100, 0x40),    wr(base + 0x2001, 0x1100),  rd(base + 0x7F8, 0x810),
+      rd(base + 0x1F00, 0x1300), rd(base + 0x440, 64)};
+  std::vector<golden_op> ops;
+  for (const golden_op& op : script)
+    if (writes || op.op == txn_op::read) ops.push_back(op);
+  return ops;
+}
+
+/// Run the scalar script over code (base 0) and data (scalar_data_base)
+/// on \p e, after installing 16 KiB of code-like words (compressible, for
+/// Compress+OTP) and 16 KiB of store pattern; \p flush writes back what
+/// the engine buffers before DRAM is hashed.
+golden_result run_scalar_golden(edu::edu& e, bool code_writes, const dram& mem,
+                                const std::function<void()>& flush) {
+  bytes image(16 * 1024);
+  static constexpr u32 words[] = {0xE5921000, 0xE5832004, 0x47702000, 0xB510F000};
+  for (std::size_t off = 0; off < image.size(); off += 4)
+    store_le32(&image[off], words[off / 4 % 4] ^ static_cast<u32>(off / 16 % 16));
+  e.install_image(0, image);
+  fill_store_pattern(scalar_data_base ^ 0x5A5A, image);
+  e.install_image(scalar_data_base, image);
+  golden_result out;
+  bytes reads;
+  std::size_t i = 0;
+  for (const golden_op& op :
+       concat(scalar_script(0, code_writes), scalar_script(scalar_data_base, true))) {
+    bytes buf(op.len);
+    cycles c;
+    if (op.op == txn_op::write) {
+      fill_store_pattern(op.addr + 7 * i, buf);
+      c = e.write(op.addr, buf);
+    } else {
+      c = e.read(op.addr, buf);
+      reads.insert(reads.end(), buf.begin(), buf.end());
+    }
+    out.timing += (out.timing.empty() ? "" : " ") + std::to_string(c);
+    ++i;
+  }
+  flush();
+  out.counters = edu_line(e.stats());
+  out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(mem.raw()));
+  return out;
+}
+
+/// The script on \p kind's engine, through secure_soc::engine().
+golden_result scalar_golden(engine_kind kind) {
+  edu::secure_soc soc(kind, edu::soc_config{});
+  return run_scalar_golden(soc.engine(), kind != engine_kind::compress_otp, soc.memory(),
+                           [&] { soc.flush(); });
+}
+
+/// The script on integrity_edu at mac_versioned, over 8 MiB of DRAM with
+/// the default protected range and tag region.
+golden_result integrity_scalar_golden() {
+  dram mem{8u << 20};
+  external_memory ext{mem};
+  const crypto::aes prf{bytes(16, 0x3C)};
+  edu::integrity_edu e(ext, prf, bytes(16, 0x6B), {});
+  return run_scalar_golden(e, true, mem, [] {});
+}
+
+void expect_scalar_golden(const golden_result& got, const char* timing,
+                          const char* counters, const char* fnv) {
+  EXPECT_EQ(got.timing, timing);
+  EXPECT_EQ(got.counters, counters);
+  EXPECT_EQ(got.fnv, fnv);
+}
+
+// These pins were taken on the hand-rolled scalar paths, with the AEGIS
+// aligned multi-line write and the Gilmont decipher charge already fixed;
+// the granule map moves none of them. Every engine's reads return the
+// same bytes but Compress+OTP's, whose script skips the code writes.
+
+TEST(ScalarGoldenStamps, Plaintext) {
+  expect_scalar_golden(scalar_golden(engine_kind::plaintext),
+                       "48 20 20 36 28 26 34 42 54 34 302 276 62 1134 562 1262 62 48 20 "
+                       "20 36 28 26 34 42 54 34 302 276 62 1134 562 1262 62",
+                       "reads=16 writes=530 blocks=0 crypto=0 rmw=0 batches=0 batched=0",
+                       "read=56e3ec1691e631ee dram=d035a6ed68e25c4b");
+}
+
+TEST(ScalarGoldenStamps, BestStp) {
+  expect_scalar_golden(scalar_golden(engine_kind::best_stp),
+                       "72 44 25 46 74 31 43 55 59 43 431 818 71 3336 821 1871 71 72 44 "
+                       "25 46 74 31 43 55 59 43 431 818 71 3336 821 1871 71",
+                       "reads=16 writes=4114 blocks=8942 crypto=13082 rmw=10 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=7d0a491b1a6d5298");
+}
+
+TEST(ScalarGoldenStamps, Ds5002fpByte) {
+  expect_scalar_golden(scalar_golden(engine_kind::dallas_byte),
+                       "49 21 21 37 29 27 35 43 55 35 303 277 63 1135 563 1263 63 49 21 "
+                       "21 37 29 27 35 43 55 35 303 277 63 1135 563 1263 63",
+                       "reads=16 writes=530 blocks=60518 crypto=546 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=7036a17f05e9fd6e");
+}
+
+TEST(ScalarGoldenStamps, Ds5240Des) {
+  expect_scalar_golden(scalar_golden(engine_kind::dallas_des),
+                       "100 72 54 180 252 90 162 234 118 162 2350 4716 190 19684 4690 "
+                       "10990 190 100 72 54 180 252 90 162 234 118 162 2350 4716 190 "
+                       "19684 4690 10990 190",
+                       "reads=16 writes=4114 blocks=8942 crypto=143072 rmw=10 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=6e31c9e52dd05fa2");
+}
+
+TEST(ScalarGoldenStamps, AesEcb) {
+  expect_scalar_golden(scalar_golden(engine_kind::block_ecb_aes),
+                       "94 66 48 93 156 48 78 108 76 78 1006 2016 106 8254 1996 4606 106 "
+                       "94 66 48 93 156 48 78 108 76 78 1006 2016 106 8254 1996 4606 106",
+                       "reads=16 writes=2066 blocks=4490 crypto=49390 rmw=10 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=613cbeed36803b20");
+}
+
+TEST(ScalarGoldenStamps, AesCbcLine) {
+  expect_scalar_golden(scalar_golden(engine_kind::block_cbc_aes),
+                       "124 96 78 108 216 48 78 138 184 78 1006 2076 106 8284 2026 4606 "
+                       "106 124 96 78 108 216 48 78 138 184 78 1006 2076 106 8284 2026 "
+                       "4606 106",
+                       "reads=16 writes=1042 blocks=6816 crypto=49984 rmw=12 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=1f3bdf3cf9d1fd73");
+}
+
+TEST(ScalarGoldenStamps, XomAes) {
+  expect_scalar_golden(scalar_golden(engine_kind::xom_aes),
+                       "100 72 41 56 102 41 51 61 69 51 379 722 79 2820 709 1579 79 100 "
+                       "72 41 56 102 41 51 61 69 51 379 722 79 2820 709 1579 79",
+                       "reads=16 writes=2066 blocks=4490 crypto=31686 rmw=10 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=613cbeed36803b20");
+}
+
+TEST(ScalarGoldenStamps, Aegis) {
+  expect_scalar_golden(scalar_golden(engine_kind::aegis_cbc),
+                       "137 109 82 123 327 68 136 164 330 138 2176 3790 110 15101 2790 "
+                       "6344 110 137 109 82 123 327 68 136 164 330 138 2176 3790 110 "
+                       "15101 2790 6344 110",
+                       "reads=846 writes=1466 blocks=6816 crypto=73230 rmw=12 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=cda3cf827b197fc6");
+}
+
+TEST(ScalarGoldenStamps, Gilmont) {
+  expect_scalar_golden(scalar_golden(engine_kind::gilmont_3des),
+                       "182 154 78 79 202 77 89 80 206 78 449 946 106 3446 170 256 106 "
+                       "48 20 20 36 28 26 34 42 54 34 302 276 62 1134 562 1262 62",
+                       "reads=249 writes=1042 blocks=4576 crypto=28789 rmw=6 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=20208c3146f94ca4");
+}
+
+TEST(ScalarGoldenStamps, Gi) {
+  expect_scalar_golden(scalar_golden(engine_kind::gi_3des_cbc),
+                       "8983 7911 449 449 7911 8955 7911 898 17966 954 7462 24356 1521 "
+                       "40380 6056 9070 1521 8983 7911 449 449 7911 8955 7911 898 17966 "
+                       "954 7462 24356 1521 40380 6056 9070 1521",
+                       "reads=16 writes=50 blocks=15738 crypto=509854 rmw=22 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=217c2da993ea9505");
+}
+
+TEST(ScalarGoldenStamps, StreamOtp) {
+  expect_scalar_golden(scalar_golden(engine_kind::stream_otp),
+                       "49 21 21 37 29 27 35 43 55 35 303 277 63 1135 563 1263 63 49 21 "
+                       "21 37 29 27 35 43 55 35 303 277 63 1135 563 1263 63",
+                       "reads=16 writes=530 blocks=3800 crypto=546 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=0fc7eb6a8ef1d6c1");
+}
+
+TEST(ScalarGoldenStamps, StreamSerial) {
+  expect_scalar_golden(scalar_golden(engine_kind::stream_serial),
+                       "63 35 36 55 46 42 52 62 70 52 380 356 80 1421 706 1580 80 63 35 "
+                       "36 55 46 42 52 62 70 52 380 356 80 1421 706 1580 80",
+                       "reads=16 writes=530 blocks=3800 crypto=11444 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=0fc7eb6a8ef1d6c1");
+}
+
+TEST(ScalarGoldenStamps, SecureDma) {
+  expect_scalar_golden(scalar_golden(engine_kind::secure_dma),
+                       "4684 2 2 2 2 2 2 2 4686 4 2 2 2 9368 4 6 2 4684 2 2 2 2 2 2 2 "
+                       "4686 4 2 2 2 9368 4 6 2",
+                       "reads=16 writes=530 blocks=8224 crypto=61648 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=64ea0d6d86a84e45");
+}
+
+TEST(ScalarGoldenStamps, CacheSideOtp) {
+  expect_scalar_golden(scalar_golden(engine_kind::cacheside_otp),
+                       "110 110 111 220 328 110 219 221 219 3 3381 3599 3 14934 6979 "
+                       "1773 3 110 110 111 138 328 110 219 221 219 3 3135 3517 3 8994 "
+                       "6297 1009 3",
+                       "reads=16 writes=530 blocks=4868 crypto=546 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=92a8b09c18c9728d");
+}
+
+TEST(ScalarGoldenStamps, CompressOtp) {
+  expect_scalar_golden(scalar_golden(engine_kind::compress_otp),
+                       "86 87 116 86 86 1942 4464 86 49 21 21 37 29 27 35 43 55 35 303 "
+                       "277 63 1135 563 1263 63",
+                       "reads=16 writes=265 blocks=2366 crypto=1438 rmw=0 batches=0 "
+                       "batched=0",
+                       "read=7e2b0ef9f3d04ef8 dram=d10327c3bb1bc71e");
+}
+
+TEST(ScalarGoldenStamps, Keyslot) {
+  expect_scalar_golden(scalar_golden(engine_kind::inline_keyslot),
+                       "124 96 78 108 204 48 78 138 258 78 1006 1190 106 4308 2026 4606 "
+                       "106 124 96 78 108 204 48 78 138 258 78 1006 1190 106 4308 2026 "
+                       "4606 106",
+                       "reads=16 writes=18 blocks=912 crypto=20064 rmw=20 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=aa488bfcbc64c951");
+}
+
+TEST(ScalarGoldenStamps, IntegrityMacVersioned) {
+  expect_scalar_golden(integrity_scalar_golden(),
+                       "271 271 102 111 605 144 288 266 542 130 4580 6722 102 26473 3370 "
+                       "7446 192 271 271 102 111 605 144 288 266 542 130 4580 6722 102 "
+                       "26473 3370 7446 192",
+                       "reads=28 writes=1042 blocks=4544 crypto=69120 rmw=12 batches=0 "
+                       "batched=0",
+                       "read=56e3ec1691e631ee dram=88180f1c0ea90af6");
 }
 
 // --- cache miss/evict pairs ride the batch path ------------------------------
