@@ -6,6 +6,7 @@
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
+#include "edu/gi_edu.hpp"
 #include "edu/integrity_edu.hpp"
 #include "edu/soc.hpp"
 #include "edu/stream_edu.hpp"
@@ -1083,12 +1084,9 @@ std::vector<golden_op> scalar_script(addr_t base, bool writes) {
   return ops;
 }
 
-/// Run the scalar script over code (base 0) and data (scalar_data_base)
-/// on \p e, after installing 16 KiB of code-like words (compressible, for
-/// Compress+OTP) and 16 KiB of store pattern; \p flush writes back what
-/// the engine buffers before DRAM is hashed.
-golden_result run_scalar_golden(edu::edu& e, bool code_writes, const dram& mem,
-                                const std::function<void()>& flush) {
+/// Install 16 KiB of code-like words (compressible, for Compress+OTP) at
+/// 0 and 16 KiB of store pattern at scalar_data_base through \p e.
+void install_golden_images(edu::edu& e) {
   bytes image(16 * 1024);
   static constexpr u32 words[] = {0xE5921000, 0xE5832004, 0x47702000, 0xB510F000};
   for (std::size_t off = 0; off < image.size(); off += 4)
@@ -1096,6 +1094,14 @@ golden_result run_scalar_golden(edu::edu& e, bool code_writes, const dram& mem,
   e.install_image(0, image);
   fill_store_pattern(scalar_data_base ^ 0x5A5A, image);
   e.install_image(scalar_data_base, image);
+}
+
+/// Run the scalar script over code (base 0) and data (scalar_data_base)
+/// on \p e, after install_golden_images(); \p flush writes back what the
+/// engine buffers before DRAM is hashed.
+golden_result run_scalar_golden(edu::edu& e, bool code_writes, const dram& mem,
+                                const std::function<void()>& flush) {
+  install_golden_images(e);
   golden_result out;
   bytes reads;
   std::size_t i = 0;
@@ -1305,6 +1311,76 @@ TEST(ScalarGoldenStamps, IntegrityMacVersioned) {
                        "reads=28 writes=1042 blocks=4544 crypto=69120 rmw=12 batches=0 "
                        "batched=0",
                        "read=56e3ec1691e631ee dram=88180f1c0ea90af6");
+}
+
+// --- GI and Compress+OTP batch paths: golden stamps --------------------------
+
+/// Batch windows on \p kind's engine (secure_soc defaults) after
+/// install_golden_images(): code reads straddling segments and groups,
+/// repeats and a straddle past the code image's end; data writes of 3, 4,
+/// 32 and 1024 bytes between reads of what they wrote; code writes (GI
+/// only: Compress+OTP's code is read-only); seeded code and data windows;
+/// then, on GI, a window reading a segment whose ciphertext was flipped.
+/// Pins every stamp, the edu_stats line (and GI's auth failures) and
+/// FNV-1a of the bytes read and of DRAM after flush().
+golden_result batch_golden(engine_kind kind) {
+  edu::secure_soc soc(kind, edu::soc_config{});
+  edu::edu& e = soc.engine();
+  install_golden_images(e);
+  e.reset_stats();
+  const bool gi = kind == engine_kind::gi_3des_cbc;
+  const addr_t d = scalar_data_base;
+  std::vector<std::vector<golden_op>> windows = {
+      {rd(0x3F0, 0x60), rd(0x400, 64), rd(0x11C, 8), rd(0x1F8, 72), rd(0xC00, 0x400),
+       rd(0x2000), rd(0x2400), rd(0x2800), rd(0x2C00), rd(0x3000), rd(0x400),
+       rd(0x3FF0, 32)},
+      {wr(d + 0x104, 4), rd(d + 0x100, 64), wr(d + 0x20B, 3), rd(d + 0x200),
+       wr(d + 0x400, 0x400), rd(d + 0x3F0, 0x60), wr(d + 0x800), rd(d + 0x7F8, 0x810),
+       rd(0x440, 64)},
+      seeded_ops(0xB6A1, 12, 0, 16 * 1024, gi ? 0.4 : 0.0),
+      seeded_ops(0xB6A2, 12, d, 16 * 1024, 0.4)};
+  if (gi)
+    windows.push_back({wr(0x104, 4), rd(0x100, 64), wr(0x1000, 0x400), rd(0x13F0, 0x20),
+                       wr(0x2001, 0x20), rd(0x1FF0, 0x40)});
+  golden_result out;
+  bytes reads;
+  out.timing = run_golden_batches(e, windows, reads);
+  if (gi) {
+    soc.memory().raw()[0x3810] ^= 0x04;
+    out.timing += " | " + run_golden_batches(e, {{rd(0x3800), rd(0x3820), rd(d)}}, reads);
+  }
+  soc.flush();
+  out.counters = edu_line(e.stats());
+  if (gi)
+    out.counters += " auth_failures=" +
+                    std::to_string(dynamic_cast<edu::gi_edu&>(e).auth_failures());
+  out.fnv = "read=" + hex64(fnv1a(reads)) + " dram=" + hex64(fnv1a(soc.memory().raw()));
+  return out;
+}
+
+TEST(BatchGoldenStamps, Gi) {
+  const golden_result got = batch_golden(engine_kind::gi_3des_cbc);
+  EXPECT_EQ(got.timing,
+            "2740 2915 3090 3265 4484 5703 6922 8141 9360 10579 11798 14236 -> 14236 | "
+            "8983 9432 17343 17792 25254 25977 34960 38276 39495 -> 39495 | 8983 10504 "
+            "11723 13117 14336 22275 23796 23971 25190 26409 27628 35567 -> 35567 | "
+            "1521 2740 2915 4134 13117 14610 22521 24042 25261 26480 26655 28049 -> "
+            "28049 | 8983 9432 16922 18689 27672 29368 -> 29368 | 1521 1696 2915 -> "
+            "2915");
+  EXPECT_EQ(got.counters, "reads=42 writes=12 blocks=9546 crypto=138866 rmw=10 "
+                          "batches=6 batched=54 auth_failures=2");
+  EXPECT_EQ(got.fnv, "read=96f0671c707fd8fb dram=05a497377c96a4e3");
+}
+
+TEST(BatchGoldenStamps, CompressOtp) {
+  const golden_result got = batch_golden(engine_kind::compress_otp);
+  EXPECT_EQ(got.timing,
+            "144 192 240 312 1108 1160 1184 1208 1260 1284 1336 1440 -> 1440 | 48 83 "
+            "102 129 402 445 498 1061 1156 -> 1166 | 116 216 316 368 468 516 540 640 740 "
+            "816 892 940 -> 969 | 79 133 183 245 322 357 390 445 507 569 647 717 -> 728");
+  EXPECT_EQ(got.counters,
+            "reads=39 writes=6 blocks=434 crypto=1713 rmw=0 batches=4 batched=45");
+  EXPECT_EQ(got.fnv, "read=7723e8ea71be7331 dram=5fabadfbc0769a68");
 }
 
 // --- cache miss/evict pairs ride the batch path ------------------------------

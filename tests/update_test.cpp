@@ -6,11 +6,13 @@
 // runner tab13 and the fleet lifetime cells use — so the invariant is
 // stated once: every episode ends exactly-old or exactly-new.
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "crypto/rsa.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "engine/cipher_backend.hpp"
 #include "engine/keyslot_manager.hpp"
+#include "fleet/fleet.hpp"
 #include "keymgmt/session.hpp"
 #include "sim/bus.hpp"
 #include "sim/dram.hpp"
@@ -19,6 +21,8 @@
 #include "update/update_agent.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 namespace buscrypt {
 namespace {
@@ -376,6 +380,46 @@ TEST(Update, LifetimeEpisodesAreDeterministic) {
   EXPECT_EQ(a.beats, b.beats);
   EXPECT_EQ(a.dram_fingerprint, b.dram_fingerprint);
   EXPECT_EQ(a.update_cycles, b.update_cycles);
+}
+
+/// The episode the fleet drives for lifetime cell \p c.
+update::lifetime_config lifetime_of(const fleet::fleet_cell& c) {
+  update::lifetime_config lc;
+  lc.seed = c.seed;
+  lc.auth = c.auth;
+  lc.backend = c.backend.empty()
+                   ? (c.auth == engine::auth_mode::area ? "aes-ecb" : "aes-ctr")
+                   : c.backend;
+  lc.inject = c.inject;
+  lc.trigger = c.inject_trigger;
+  lc.stalls =
+      c.inject == sim::fault_point::bus_stall ? static_cast<unsigned>(c.inject_trigger) : 0;
+  lc.offer_package = c.offer_package;
+  return lc;
+}
+
+TEST(LifetimeGolden, PinsEveryCellOfTheFaultByAuthMatrix) {
+  // Status, cut, beats, retries, both cycle counts and the DRAM image of
+  // each of the 24 cells (6 fault points x 4 auth schemes) of
+  // lifetime_matrix(1, 1), folded into one FNV-1a. perfbench's
+  // update_lifetime workload drives these episodes.
+  std::string list;
+  for (const fleet::fleet_cell& c : fleet::lifetime_matrix(1, 1)) {
+    const update::lifetime_result lr = update::run_lifetime(lifetime_of(c));
+    char line[160];
+    std::snprintf(line, sizeof line, "%s cut=%d beats=%llu retries=%u upd=%llu "
+                  "traffic=%llu dram=%016llx\n",
+                  std::string(update::update_status_name(lr.status)).c_str(),
+                  lr.cut ? 1 : 0, static_cast<unsigned long long>(lr.beats), lr.retries,
+                  static_cast<unsigned long long>(lr.update_cycles),
+                  static_cast<unsigned long long>(lr.traffic_cycles),
+                  static_cast<unsigned long long>(lr.dram_fingerprint));
+    list += c.label() + " " + line;
+  }
+  const std::span<const u8> text(reinterpret_cast<const u8*>(list.data()), list.size());
+  char fnv[17];
+  std::snprintf(fnv, sizeof fnv, "%016llx", static_cast<unsigned long long>(fnv1a(text)));
+  EXPECT_EQ(std::string(fnv), "67d40764ee7474ea") << list;
 }
 
 } // namespace
