@@ -26,7 +26,7 @@ sim::run_stats run_dma(const sim::workload& w, const bytes& img,
 
   sim::cache_config l1 = bench::default_soc().l1;
   sim::cache cache(l1, dma);
-  sim::cpu core(cache, l1.hit_latency);
+  sim::cpu core(cache);
   const auto rs = core.run(w);
   if (faults_out) *faults_out = dma.page_faults();
   return rs;

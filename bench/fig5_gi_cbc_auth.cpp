@@ -27,7 +27,7 @@ sim::run_stats run_gi(const sim::workload& w, const bytes& img,
 
   sim::cache_config l1 = bench::default_soc().l1;
   sim::cache cache(l1, gi);
-  sim::cpu core(cache, l1.hit_latency);
+  sim::cpu core(cache);
   return core.run(w);
 }
 

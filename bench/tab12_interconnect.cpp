@@ -27,7 +27,7 @@
 //     access must be an *accounted* denial — 0xFF bus-error fill on
 //     reads, dropped writes, per-rule/per-master attribution — and never
 //     a plaintext leak. A bare-engine byte proof checks the fill pattern
-//     and the any_master sentinel, and attack::run_engine_tamper_suite
+//     and the any_master sentinel, and attack::run_tamper_suite
 //     runs with the firewall attached to show the attack surface is
 //     unchanged.
 //
@@ -329,8 +329,8 @@ containment_result run_containment(const bytes& image) {
     if (!forged_filled || fw.sentinel_denials() == 0)
       r.fail("forged any_master transaction was not refused whole");
 
-    const attack::engine_tamper_report rep =
-        attack::run_engine_tamper_suite(eng, chip, 0x1000, 0x2000);
+    const attack::tamper_report rep =
+        attack::run_tamper_suite(eng, chip, 0x1000, 0x2000);
     r.tamper_clean = !rep.clean_faulted;
     if (!r.tamper_clean) r.fail("tamper suite false-faulted with firewall attached");
   }

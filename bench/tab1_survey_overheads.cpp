@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
         g.install_image(1 << 20, bytes(2u << 20, 0));
         sim::cache_config l1 = bench::default_soc().l1;
         sim::cache cache(l1, g);
-        sim::cpu core(cache, l1.hit_latency);
+        sim::cpu core(cache);
         const auto rs = core.run(w);
         if (hit_rate) {
           const u64 total = g.prefetch_hits() + g.prefetch_misses();

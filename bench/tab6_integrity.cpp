@@ -87,7 +87,7 @@ void cost_table(u64 seed) {
 
       sim::cache_config l1 = bench::default_soc().l1;
       sim::cache cache(l1, e);
-      sim::cpu core(cache, l1.hit_latency);
+      sim::cpu core(cache);
       const u64 bytes_before = ext.bytes_read();
       const auto rs = core.run(w);
 

@@ -124,7 +124,7 @@ std::optional<run_result> run_one(const char* backend, engine::auth_mode mode,
 struct tamper_row {
   std::string backend;
   engine::auth_mode mode = engine::auth_mode::none;
-  attack::engine_tamper_report rep;
+  attack::tamper_report rep;
 };
 
 tamper_row tamper_one(const char* backend, engine::auth_mode mode) {
@@ -147,7 +147,7 @@ tamper_row tamper_one(const char* backend, engine::auth_mode mode) {
     acfg.tag_base = kTagBase;
     (void)eng.attach_auth(ctx, acfg);
   }
-  row.rep = attack::run_engine_tamper_suite(eng, chip, 0x1000, 0x2000);
+  row.rep = attack::run_tamper_suite(eng, chip, 0x1000, 0x2000);
   return row;
 }
 

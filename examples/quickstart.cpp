@@ -31,7 +31,7 @@ int main() {
   for (std::size_t i = 0; i < 58; ++i) firmware[1024 + i] = static_cast<u8>(secret[i]);
 
   // --- 2. two SoCs: unprotected vs XOM-style pipelined AES EDU ------------
-  edu::soc_config cfg;           // 8 KiB 2-way L1, 32 B lines, 8 MiB DRAM
+  edu::soc_config cfg;           // 8 KiB 4-way L1, 32 B lines, 8 MiB DRAM
   cfg.l1.size = 8 * 1024;
   cfg.mem_size = 8u << 20;
 

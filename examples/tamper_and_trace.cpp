@@ -77,7 +77,7 @@ void demo_tamper() {
       acfg.tag_base = 6u << 20;
       (void)eng.attach_auth(ctx, acfg);
     }
-    const auto rep = attack::run_engine_tamper_suite(eng, chip, 0x1000, 0x2000);
+    const auto rep = attack::run_tamper_suite(eng, chip, 0x1000, 0x2000);
     auto cell = [](bool detected) { return detected ? "caught" : "LANDS"; };
     kt.add_row({std::string("auth_mode = ") + std::string(engine::auth_mode_name(mode)),
                 cell(rep.spoof_detected), cell(rep.splice_detected),

@@ -2,13 +2,11 @@
 
 #include "common/rng.hpp"
 #include "crypto/rsa.hpp"
-#include "engine/cipher_backend.hpp"
-#include "engine/keyslot_manager.hpp"
 #include "keymgmt/session.hpp"
-#include "sim/bus.hpp"
 #include "sim/fault_injector.hpp"
 #include "update/lifetime.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 namespace buscrypt::attack {
@@ -23,98 +21,29 @@ bytes pattern_line(std::size_t n, u8 seed) {
 
 } // namespace
 
-tamper_report run_tamper_suite(edu::integrity_edu& target, sim::dram& chip,
-                               addr_t line_a, addr_t line_b) {
-  constexpr std::size_t lb = edu::integrity_edu::line_bytes;
-  // Null at level none: no tags to relocate or roll back.
-  const engine::memory_authenticator* auth = target.authenticator();
-  if (line_a % lb != 0 || line_b % lb != 0 || line_a == line_b)
+tamper_report run_tamper_suite(sim::memory_port& target,
+                               engine::memory_authenticator* auth, sim::dram& chip,
+                               addr_t line_a, addr_t line_b, std::size_t line_bytes) {
+  const std::size_t lb = line_bytes;
+  if (lb == 0 || line_a % lb != 0 || line_b % lb != 0 || line_a == line_b)
     throw std::invalid_argument("tamper suite: need two distinct aligned lines");
+  if (auth != nullptr && (!auth->covers(line_a) || !auth->covers(line_b)))
+    throw std::invalid_argument("tamper suite: lines outside the authenticated window");
 
   tamper_report report;
   const bytes plain_a = pattern_line(lb, 0x11);
   const bytes plain_b = pattern_line(lb, 0x77);
   bytes buf(lb);
 
-  auto detected_by = [&](auto&& tamper_fn) {
-    // (Re)establish good state, apply the tamper, power-cycle the device
-    // (clearing the volatile tag cache — attackers pick their moment),
-    // fetch, diff the counter.
-    (void)target.write(line_a, plain_a);
-    (void)target.write(line_b, plain_b);
-    tamper_fn();
-    target.flush_tag_cache();
-    const u64 before = target.tamper_events();
-    (void)target.read(line_a, buf);
-    return target.tamper_events() > before;
-  };
-
-  // --- spoof: flip ciphertext bits on the chip -----------------------------
-  report.spoof_detected = detected_by([&] { chip.raw()[line_a + 3] ^= 0x40; });
-  report.spoof_corrupted_data = buf != plain_a;
-
-  // --- splice: move B's valid ciphertext AND tag over A's ------------------
-  report.splice_detected = detected_by([&] {
-    for (std::size_t i = 0; i < lb; ++i)
-      chip.raw()[line_a + i] = chip.raw()[line_b + i];
-    if (auth == nullptr) return;
-    const addr_t ta = auth->tag_addr(line_a);
-    const addr_t tb = auth->tag_addr(line_b);
-    for (std::size_t i = 0; i < auth->config().tag_bytes; ++i)
-      chip.raw()[ta + i] = chip.raw()[tb + i];
-  });
-
-  // --- replay: restore a stale (ciphertext, tag) snapshot ------------------
-  (void)target.write(line_a, plain_a);
-  bytes stale_ct(lb);
-  bytes stale_tag(auth != nullptr ? auth->config().tag_bytes : 0);
-  chip.read_bytes(line_a, stale_ct);
-  if (auth != nullptr) chip.read_bytes(auth->tag_addr(line_a), stale_tag);
-
-  const bytes plain_a2 = pattern_line(lb, 0xCC);
-  (void)target.write(line_a, plain_a2); // the value the CPU believes is current
-
-  chip.write_bytes(line_a, stale_ct); // the attacker's rollback
-  if (auth != nullptr) chip.write_bytes(auth->tag_addr(line_a), stale_tag);
-  target.flush_tag_cache();
-
-  const u64 before = target.tamper_events();
-  (void)target.read(line_a, buf);
-  report.replay_detected = target.tamper_events() > before;
-  report.replay_restored_stale = (buf == plain_a);
-
-  return report;
-}
-
-engine_tamper_report run_engine_tamper_suite(engine::bus_encryption_engine& target,
-                                             sim::dram& chip, addr_t line_a,
-                                             addr_t line_b) {
-  const auto ctx = target.context_at(line_a);
-  if (ctx == engine::bus_encryption_engine::no_context ||
-      ctx != target.context_at(line_b))
-    throw std::invalid_argument("engine tamper suite: lines must share a context");
-  const std::size_t lb = target.context_key(ctx).data_unit_size;
-  if (line_a % lb != 0 || line_b % lb != 0 || line_a == line_b)
-    throw std::invalid_argument("engine tamper suite: need two distinct aligned lines");
-  engine::memory_authenticator* auth = target.auth_of(ctx);
-  if (auth != nullptr && (!auth->covers(line_a) || !auth->covers(line_b)))
-    throw std::invalid_argument("engine tamper suite: lines outside the "
-                                "authenticated window");
-
-  engine_tamper_report report;
-  const bytes plain_a = pattern_line(lb, 0x11);
-  const bytes plain_b = pattern_line(lb, 0x77);
-  bytes buf(lb);
-
-  const auto faults = [&] { return target.stats().integrity_faults; };
+  const auto faults = [&] { return auth != nullptr ? auth->stats().faults : u64{0}; };
   // (Re)establish good state — a previous scenario may have left the tree
   // fail-stopped, so the operator re-seals before writing — apply the
   // tamper, power-cycle the volatile on-chip caches (attackers pick their
   // moment), fetch, diff the counter.
   const auto detected_by = [&](auto&& tamper_fn) {
     if (auth != nullptr) auth->seal_from_memory();
-    (void)target.write(line_a, std::span<const u8>(plain_a));
-    (void)target.write(line_b, std::span<const u8>(plain_b));
+    (void)target.write(line_a, plain_a);
+    (void)target.write(line_b, plain_b);
     tamper_fn();
     if (auth != nullptr) auth->drop_caches();
     const u64 before = faults();
@@ -127,6 +56,7 @@ engine_tamper_report run_engine_tamper_suite(engine::bus_encryption_engine& targ
 
   // --- spoof: flip ciphertext bits on the chip -----------------------------
   report.spoof_detected = detected_by([&] { chip.raw()[line_a + 3] ^= 0x40; });
+  report.spoof_corrupted_data = buf != plain_a;
 
   // --- splice: relocate B's line AND its authentication material -----------
   report.splice_detected = detected_by([&] {
@@ -158,7 +88,7 @@ engine_tamper_report run_engine_tamper_suite(engine::bus_encryption_engine& targ
 
   // --- replay: roll line A and its authentication material back ------------
   if (auth != nullptr) auth->seal_from_memory(); // recover from the splice run
-  (void)target.write(line_a, std::span<const u8>(plain_a));
+  (void)target.write(line_a, plain_a);
   bytes stale_ct(lb);
   chip.read_bytes(line_a, stale_ct);
   bytes stale_auth;      // mac tag / whole stored tree / area sideband
@@ -181,7 +111,7 @@ engine_tamper_report run_engine_tamper_suite(engine::bus_encryption_engine& targ
     }
 
   const bytes plain_a2 = pattern_line(lb, 0xCC);
-  (void)target.write(line_a, std::span<const u8>(plain_a2)); // the current value
+  (void)target.write(line_a, plain_a2); // the current value
 
   chip.write_bytes(line_a, stale_ct); // the attacker's rollback
   if (auth != nullptr && !stale_auth.empty()) {
@@ -194,90 +124,83 @@ engine_tamper_report run_engine_tamper_suite(engine::bus_encryption_engine& targ
   const u64 before = faults();
   (void)target.read(line_a, buf);
   report.replay_detected = faults() > before;
+  report.replay_restored_stale = buf == plain_a;
 
   return report;
 }
 
+tamper_report run_tamper_suite(edu::integrity_edu& target, sim::dram& chip,
+                               addr_t line_a, addr_t line_b) {
+  return run_tamper_suite(target, target.authenticator(), chip, line_a, line_b,
+                          edu::integrity_edu::line_bytes);
+}
+
+tamper_report run_tamper_suite(engine::bus_encryption_engine& target, sim::dram& chip,
+                               addr_t line_a, addr_t line_b) {
+  const auto ctx = target.context_at(line_a);
+  if (ctx == engine::bus_encryption_engine::no_context ||
+      ctx != target.context_at(line_b))
+    throw std::invalid_argument("tamper suite: lines must share a context");
+  return run_tamper_suite(target, target.auth_of(ctx), chip, line_a, line_b,
+                          target.context_key(ctx).data_unit_size);
+}
+
 // --- update-lifecycle replays -------------------------------------------------
-
-namespace {
-
-/// A self-contained crash-safe-update rig: DRAM, fault injector, engine,
-/// agent. One per replay so no state leaks between attacks.
-struct update_rig {
-  static constexpr std::size_t k_image = 8u << 10;
-  static constexpr std::size_t k_chunk = 512;
-
-  sim::dram chip;
-  sim::external_memory ext;
-  sim::fault_injector fi;
-  engine::keyslot_manager slots;
-  engine::bus_encryption_engine eng;
-  update::update_agent agent;
-
-  static update::update_config make_cfg(engine::auth_mode mode,
-                                        const std::string& backend, u64 seed) {
-    update::update_config c;
-    c.slot_base_a = 0;
-    c.slot_base_b = k_image;
-    c.slot_bytes = k_image;
-    c.staging_base = 2 * k_image;
-    c.auth = mode;
-    c.tag_base_a = 4 * k_image;
-    c.tag_base_b = 6 * k_image;
-    c.tag_base_staging = 8 * k_image;
-    c.backend = backend;
-    c.chunk_bytes = k_chunk;
-    c.device_key = update::backend_device_key(backend, seed);
-    return c;
-  }
-
-  update_rig(engine::auth_mode mode, const std::string& backend,
-             const crypto::rsa_keypair& keys, u64 seed)
-      : chip(128u << 10), ext(chip), fi(ext),
-        slots(engine::backend_registry::builtin(), 4), eng(fi, slots),
-        agent(eng, fi, keys.priv, make_cfg(mode, backend, seed)) {}
-};
-
-} // namespace
 
 update_tamper_report run_update_tamper_suite(engine::auth_mode mode,
                                              const std::string& backend, u64 seed) {
+  constexpr std::size_t k_image = 8u << 10;
+  constexpr std::size_t k_chunk = 512;
   update_tamper_report rep;
   rng r(seed ^ 0x7A3B3A11ULL);
   const crypto::rsa_keypair keys = crypto::rsa_generate(r, 256);
   keymgmt::insecure_channel net;
-  const bytes v1 = rng(seed ^ 0xF1EE7'1A6EULL).random_bytes(update_rig::k_image);
-  const bytes v2 = rng(seed ^ 0xF1EE7'1A6FULL).random_bytes(update_rig::k_image);
+  const bytes v1 = update::device_image(seed, 1, k_image);
+  const bytes v2 = update::device_image(seed, 2, k_image);
+  // One fresh device per replay, so no state leaks between attacks: it is
+  // provisioned with v1 and handed its own v2 package.
+  const auto device = [&] {
+    return update::update_device(mode, backend, seed, k_image, k_chunk, keys);
+  };
+  const auto provision = [&](update::update_device& dev) {
+    dev.agent.provision(v1, 1);
+    return update::make_update_package(v2, 2, keys.pub, net, r, k_chunk);
+  };
+  // Apply \p up with a power cut armed at \p point's \p trigger; a cut
+  // power-cycles the device and the grid comes back clean. The beats the
+  // injector had counted when the cut fired; none without a cut.
+  const auto cut_at = [](update::update_device& dev, const update::update_package& up,
+                         sim::fault_point point, u64 trigger) -> std::optional<u64> {
+    sim::fault_plan plan;
+    plan.point = point;
+    plan.trigger = trigger;
+    dev.fi.arm(plan);
+    try {
+      (void)dev.agent.apply(up);
+    } catch (const sim::power_cut&) {
+      const u64 beats = dev.fi.beats();
+      dev.agent.power_cycle();
+      dev.fi.disarm();
+      return beats;
+    }
+    return std::nullopt;
+  };
 
-  // A clean probe run proves the rig commits at all; two journal-cut
+  // A clean probe run proves the device commits at all; two journal-cut
   // probes then fix the beat counts at the `installing` and `installed`
   // records, so the interrupting replays can place their cuts inside a
   // chosen phase regardless of how much bus traffic the auth scheme adds
   // (the hash tree's writeback would skew any total-beat fraction).
   {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    if (rig.agent.apply(up).status != update::update_status::committed)
-      return rep; // the rig itself is broken — report nothing detected
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
+    if (dev.agent.apply(up).status != update::update_status::committed)
+      return rep; // the device itself is broken — report nothing detected
   }
-  const auto beats_at_journal = [&](u64 record_index) -> u64 {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    sim::fault_plan plan;
-    plan.point = sim::fault_point::journal;
-    plan.trigger = record_index;
-    rig.fi.arm(plan);
-    try {
-      (void)rig.agent.apply(up);
-    } catch (const sim::power_cut&) {
-      return rig.fi.beats();
-    }
-    return 0;
+  const auto beats_at_journal = [&](u64 record_index) {
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
+    return cut_at(dev, up, sim::fault_point::journal, record_index).value_or(0);
   };
   const u64 beats_installing = beats_at_journal(1); // end of the verify phase
   const u64 beats_installed = beats_at_journal(2);  // end of the install phase
@@ -286,94 +209,68 @@ update_tamper_report run_update_tamper_suite(engine::auth_mode mode,
 
   // --- downgrade: replay the stale v1 package after the v2 update -------------
   {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    (void)rig.agent.apply(up);
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
+    (void)dev.agent.apply(up);
     const update::update_package stale =
-        update::make_update_package(v1, 1, keys.pub, net, r, update_rig::k_chunk);
-    const update::update_report dr = rig.agent.apply(stale);
-    rep.downgrade_detected =
-        dr.status == update::update_status::downgrade_blocked &&
-        rig.agent.version() == 2 && rig.agent.active_image() == v2;
+        update::make_update_package(v1, 1, keys.pub, net, r, k_chunk);
+    const update::update_report dr = dev.agent.apply(stale);
+    rep.downgrade_detected = dr.status == update::update_status::downgrade_blocked &&
+                             dev.agent.version() == 2 && dev.agent.active_image() == v2;
   }
 
   // --- partial flash: cut mid-install, try to boot the half-programmed slot ---
   {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    sim::fault_plan plan;
-    plan.point = sim::fault_point::bus_beat;
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
     // Halfway through the slot-programming writes of phase 2.
-    plan.trigger = beats_installing + (beats_installed - beats_installing) / 2;
-    rig.fi.arm(plan);
-    bool cut = false;
-    try {
-      (void)rig.agent.apply(up);
-    } catch (const sim::power_cut&) {
-      cut = true;
-      rig.agent.power_cycle();
-      rig.fi.disarm();
-    }
+    const bool cut = cut_at(dev, up, sim::fault_point::bus_beat,
+                            beats_installing + (beats_installed - beats_installing) / 2)
+                         .has_value();
     // The attacker offers nothing: boot must roll back to the intact old
     // image, never expose the partial flash.
-    const update::update_report rr = rig.agent.recover(nullptr);
-    rep.partial_flash_detected =
-        cut && rr.status == update::update_status::rolled_back &&
-        rig.agent.version() == 1 && rig.agent.active_image() == v1;
+    const update::update_report rr = dev.agent.recover(nullptr);
+    rep.partial_flash_detected = cut &&
+                                 rr.status == update::update_status::rolled_back &&
+                                 dev.agent.version() == 1 &&
+                                 dev.agent.active_image() == v1;
   }
 
   // --- interrupted update: flip staged bits while dark, re-offer the package --
   {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    sim::fault_plan plan;
-    plan.point = sim::fault_point::bus_beat;
-    plan.trigger = beats_installing / 2; // inside staging/verify, pre-install
-    rig.fi.arm(plan);
-    bool cut = false;
-    try {
-      (void)rig.agent.apply(up);
-    } catch (const sim::power_cut&) {
-      cut = true;
-      rig.agent.power_cycle();
-      rig.fi.disarm();
-    }
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
+    // Inside staging/verify, pre-install.
+    const bool cut =
+        cut_at(dev, up, sim::fault_point::bus_beat, beats_installing / 2).has_value();
     // While the device is dark the attacker garbles part of the staged
     // image sitting in untrusted DRAM.
     for (std::size_t i = 0; i < 64; ++i)
-      rig.chip.raw()[rig.agent.config().staging_base + update_rig::k_image / 2 + i] ^=
+      dev.chip.raw()[dev.agent.config().staging_base + k_image / 2 + i] ^=
           static_cast<u8>(0x80 | i);
-    const update::update_report rr = rig.agent.recover(&up);
+    const update::update_report rr = dev.agent.recover(&up);
     // Safe outcomes only: the flips are caught and the update rolls back,
     // or a full restage overwrote them and exactly v2 committed.
-    const bytes now = rig.agent.active_image();
+    const bytes now = dev.agent.active_image();
     rep.interrupted_update_detected =
-        cut && ((rig.agent.version() == 1 && now == v1 &&
+        cut && ((dev.agent.version() == 1 && now == v1 &&
                  rr.status != update::update_status::resumed) ||
-                (rig.agent.version() == 2 && now == v2));
+                (dev.agent.version() == 2 && now == v2));
   }
 
   // --- journal tamper: rewrite a mid-chain record while dark ------------------
   {
-    update_rig rig(mode, backend, keys, seed);
-    rig.agent.provision(v1, 1);
-    const update::update_package up =
-        update::make_update_package(v2, 2, keys.pub, net, r, update_rig::k_chunk);
-    (void)rig.agent.apply(up);
-    rig.agent.power_cycle();
+    update::update_device dev = device();
+    const update::update_package up = provision(dev);
+    (void)dev.agent.apply(up);
+    dev.agent.power_cycle();
     // Flip one byte of the `staged` record (index 1 of 5): the MAC chain
     // breaks in the middle — unambiguous tampering, not a torn tail.
-    rig.agent.journal().raw()[update::update_journal::k_record_bytes + 5] ^= 0x01;
-    const update::update_report rr = rig.agent.recover(nullptr);
+    dev.agent.journal().raw()[update::update_journal::k_record_bytes + 5] ^= 0x01;
+    const update::update_report rr = dev.agent.recover(nullptr);
     rep.journal_tamper_detected =
         rr.status == update::update_status::journal_tampered &&
-        rig.agent.version() == 2 && rig.agent.active_image() == v2;
+        dev.agent.version() == 2 && dev.agent.active_image() == v2;
   }
 
   return rep;

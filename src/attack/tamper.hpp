@@ -8,8 +8,10 @@
 ///   splice — relocate a VALID (ciphertext, tag) pair to another address;
 ///   replay — restore a STALE (ciphertext, tag) pair at its own address.
 ///
-/// Run against edu::integrity_edu at each protection level to produce the
-/// detection matrix (bench/tab6_integrity).
+/// One suite runs them against any port guarded by an
+/// engine::memory_authenticator, or by none: the integrity EDU at each
+/// protection level (bench/tab6_integrity) and the keyslot engine under
+/// each auth scheme (tab9, tab12).
 
 #include "edu/integrity_edu.hpp"
 #include "engine/bus_encryption_engine.hpp"
@@ -19,47 +21,50 @@
 
 namespace buscrypt::attack {
 
-/// Which tampers the engine caught.
+/// What the suite saw on line A.
 struct tamper_report {
-  bool spoof_detected = false;
-  bool splice_detected = false;
-  bool replay_detected = false;
+  bool clean_faulted = false;         ///< the untampered round trip faulted or
+                                      ///< read back the wrong bytes
+  bool spoof_detected = false;        ///< flipped ciphertext bits caught
+  bool splice_detected = false;       ///< line B (+ auth material) over line A caught
+  bool replay_detected = false;       ///< stale (line, auth material) rollback caught
   bool spoof_corrupted_data = false;  ///< plaintext seen by the CPU changed
   bool replay_restored_stale = false; ///< CPU read the stale value verbatim
 };
 
-/// Execute the three tampers against \p target whose external memory chip
-/// is \p chip. \p line_a and \p line_b must be distinct line-aligned
-/// addresses inside the protected range.
+/// The trio against \p target, a port whose lines are guarded by \p auth
+/// (null: unauthenticated) and stored on the raw external part \p chip.
+/// Detection = \p auth's faults counter rose across the fetch. Before each
+/// scenario the operator re-seals \p auth (a previous one may have left a
+/// tree fail-stopped) and writes both lines; the attacker then tampers
+/// with line A and with the matching authentication material (mac tag
+/// bytes, tree leaf nodes, AREA widened-memory cells), and power-cycles
+/// the volatile on-chip caches before the fetch — the strongest Class-II
+/// position each scheme claims to resist. A clean round trip runs first.
+/// \throws std::invalid_argument unless \p line_a and \p line_b are
+///         distinct \p line_bytes-aligned addresses inside \p auth's window.
+[[nodiscard]] tamper_report run_tamper_suite(sim::memory_port& target,
+                                             engine::memory_authenticator* auth,
+                                             sim::dram& chip, addr_t line_a,
+                                             addr_t line_b, std::size_t line_bytes);
+
+/// The trio against the integrity EDU at its level, over its 32-byte lines.
 [[nodiscard]] tamper_report run_tamper_suite(edu::integrity_edu& target,
                                              sim::dram& chip, addr_t line_a,
                                              addr_t line_b);
 
-/// The same trio against the production keyslot engine, whatever
-/// auth scheme guards the lines' context (none, mac, area, hash_tree).
-/// Detection = the engine's integrity_faults counter moved on the fetch;
-/// the attacker also relocates/rolls back the matching authentication
-/// material (mac tag bytes, tree nodes, AREA widened-memory cells) and
-/// power-cycles the volatile caches before fetching — the strongest
-/// Class-II position each scheme claims to resist.
-struct engine_tamper_report {
-  bool clean_faulted = false;   ///< any false fault on the untampered run
-  bool spoof_detected = false;  ///< flipped ciphertext bits caught
-  bool splice_detected = false; ///< line B (+ auth material) over line A caught
-  bool replay_detected = false; ///< stale (line, auth material) rollback caught
-};
+/// The trio against the keyslot engine, over the data units of the context
+/// holding \p line_a and \p line_b, whatever auth scheme guards it (none,
+/// mac, area, hash_tree).
+/// \throws std::invalid_argument unless both lines share a context.
+[[nodiscard]] tamper_report run_tamper_suite(engine::bus_encryption_engine& target,
+                                             sim::dram& chip, addr_t line_a,
+                                             addr_t line_b);
 
-/// \p line_a and \p line_b must be distinct data-unit-aligned addresses in
-/// the same encryption context of \p target (inside the authenticated
-/// window when one is attached); \p chip is the raw external part.
-[[nodiscard]] engine_tamper_report
-run_engine_tamper_suite(engine::bus_encryption_engine& target, sim::dram& chip,
-                        addr_t line_a, addr_t line_b);
-
-/// The update-lifecycle replay classes (ISSUE: the IEEE-1735 lesson — the
+/// The update-lifecycle replay classes (the IEEE-1735 lesson: the
 /// *protocol*, not the cipher, is what attackers break). Each replay is
-/// driven against a fresh crash-safe update_agent rig under \p mode/\p
-/// backend and must end with the attack *detected*: the device refuses the
+/// driven against a fresh update::update_device under \p mode/\p backend
+/// and must end with the attack *detected*: the device refuses the
 /// attacker's outcome and still boots an exact, authorised image.
 ///
 ///   downgrade          — replay a stale (older-version) signed package;
@@ -80,9 +85,9 @@ struct update_tamper_report {
   }
 };
 
-/// Run the four update replays on a self-contained rig (engine + fault
-/// injector + update_agent). Deterministic in (\p mode, \p backend, \p
-/// seed). \p backend must be auth-compatible (AREA needs a block mode).
+/// Run the four update replays, each on its own device with 8 KiB images.
+/// Deterministic in (\p mode, \p backend, \p seed). \p backend must be
+/// auth-compatible (AREA needs a block mode).
 [[nodiscard]] update_tamper_report
 run_update_tamper_suite(engine::auth_mode mode, const std::string& backend,
                         u64 seed);

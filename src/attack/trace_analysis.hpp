@@ -30,7 +30,8 @@ struct trace_profile {
 
   [[nodiscard]] double write_fraction() const noexcept {
     const u64 total = read_beats + write_beats;
-    return total == 0 ? 0.0 : static_cast<double>(write_beats) / static_cast<double>(total);
+    return total == 0 ? 0.0
+                      : static_cast<double>(write_beats) / static_cast<double>(total);
   }
 };
 
@@ -42,7 +43,8 @@ struct trace_profile {
                                               std::size_t max_period = 2048);
 
 /// Distinct master ids observed in the trace, ascending.
-[[nodiscard]] std::vector<sim::master_id> masters_in_trace(const sim::recording_probe& probe);
+[[nodiscard]] std::vector<sim::master_id> masters_in_trace(
+    const sim::recording_probe& probe);
 
 /// Profile only the beats \p master drove — per-master attribution of an
 /// interleaved multi-master trace.

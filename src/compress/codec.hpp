@@ -19,7 +19,8 @@ struct codec_timing {
   double cycles_per_byte = 0.5;
 
   [[nodiscard]] cycles latency_for(std::size_t out_bytes) const noexcept {
-    return startup + static_cast<cycles>(static_cast<double>(out_bytes) * cycles_per_byte);
+    return startup +
+           static_cast<cycles>(static_cast<double>(out_bytes) * cycles_per_byte);
   }
 };
 

@@ -91,36 +91,23 @@ codepack_image codepack::compress_image(std::span<const u8> code) const {
 bytes codepack::decompress_group(const codepack_image& img, std::size_t group) const {
   if (group >= img.group_bit_offsets.size())
     throw std::out_of_range("codepack: group index out of range");
-  const std::size_t start = img.group_bit_offsets[group];
   const std::size_t group_base = group * img.group_bytes;
-  const std::size_t n =
-      std::min(img.group_bytes, img.original_size - group_base);
-
-  bit_reader br(img.payload);
-  br.seek_bit(start);
-  bytes out(n);
-  for (std::size_t off = 0; off < n; off += 4) {
-    const u16 hi = read_half(br, img.hi_dict);
-    const u16 lo = read_half(br, img.lo_dict);
-    store_le32(&out[off], (u32{hi} << 16) | lo);
-  }
+  bytes out(std::min(img.group_bytes, img.original_size - group_base));
+  decompress_chunk(img.payload, img.group_bit_offsets[group], out, img);
   return out;
 }
 
-bytes codepack::decompress_chunk(std::span<const u8> chunk, std::size_t bit_offset,
-                                 std::size_t out_bytes,
-                                 const codepack_image& dicts) const {
-  if (out_bytes % 4 != 0)
+void codepack::decompress_chunk(std::span<const u8> chunk, std::size_t bit_offset,
+                                std::span<u8> out, const codepack_image& dicts) const {
+  if (out.size() % 4 != 0)
     throw std::invalid_argument("codepack: chunk output must be whole words");
   bit_reader br(chunk);
   br.seek_bit(bit_offset);
-  bytes out(out_bytes);
-  for (std::size_t off = 0; off < out_bytes; off += 4) {
+  for (std::size_t off = 0; off < out.size(); off += 4) {
     const u16 hi = read_half(br, dicts.hi_dict);
     const u16 lo = read_half(br, dicts.lo_dict);
     store_le32(&out[off], (u32{hi} << 16) | lo);
   }
-  return out;
 }
 
 bytes codepack::decompress_all(const codepack_image& img) const {

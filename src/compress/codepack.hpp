@@ -54,15 +54,15 @@ class codepack {
   [[nodiscard]] codepack_image compress_image(std::span<const u8> code) const;
 
   /// Decompress a single group (cache-line fill path).
-  [[nodiscard]] bytes decompress_group(const codepack_image& img, std::size_t group) const;
+  [[nodiscard]] bytes decompress_group(const codepack_image& img,
+                                       std::size_t group) const;
 
-  /// Decompress a group directly from a fetched chunk of the payload —
-  /// the hardware fill path, which never sees the whole image. \p chunk
-  /// must contain the group's bits starting at \p bit_offset; dictionaries
-  /// are taken from \p dicts.
-  [[nodiscard]] bytes decompress_chunk(std::span<const u8> chunk, std::size_t bit_offset,
-                                       std::size_t out_bytes,
-                                       const codepack_image& dicts) const;
+  /// Decompress \p out.size() bytes (whole words) of a group directly from
+  /// a fetched chunk of the payload into \p out — the hardware fill path,
+  /// which never sees the whole image. \p chunk must contain the group's
+  /// bits starting at \p bit_offset; dictionaries are taken from \p dicts.
+  void decompress_chunk(std::span<const u8> chunk, std::size_t bit_offset,
+                        std::span<u8> out, const codepack_image& dicts) const;
 
   /// Decompress everything (image install path).
   [[nodiscard]] bytes decompress_all(const codepack_image& img) const;

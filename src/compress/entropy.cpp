@@ -49,7 +49,8 @@ double serial_correlation(std::span<const u8> data) {
   }
   const double nn = static_cast<double>(n);
   const double num = nn * sum_xy - sum_x * sum_y;
-  const double den = std::sqrt((nn * sum_x2 - sum_x * sum_x) * (nn * sum_y2 - sum_y * sum_y));
+  const double den =
+      std::sqrt((nn * sum_x2 - sum_x * sum_x) * (nn * sum_y2 - sum_y * sum_y));
   return den == 0.0 ? 0.0 : num / den;
 }
 

@@ -26,6 +26,7 @@ namespace buscrypt::compress {
 
 /// Number of \p block_size-aligned blocks that appear more than once —
 /// what an ECB ciphertext leaks about plaintext structure.
-[[nodiscard]] std::size_t repeated_blocks(std::span<const u8> data, std::size_t block_size);
+[[nodiscard]] std::size_t repeated_blocks(std::span<const u8> data,
+                                          std::size_t block_size);
 
 } // namespace buscrypt::compress

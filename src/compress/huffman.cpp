@@ -100,7 +100,7 @@ bytes huffman_codec::compress(std::span<const u8> in) const {
 
   bytes out(4 + 256);
   store_le32(out.data(), static_cast<u32>(in.size()));
-  for (int s = 0; s < 256; ++s) out[4 + static_cast<std::size_t>(s)] = lengths[static_cast<std::size_t>(s)];
+  for (std::size_t s = 0; s < 256; ++s) out[4 + s] = lengths[s];
 
   bit_writer bw;
   for (u8 b : in) bw.put(codes[b], lengths[b]);
@@ -113,7 +113,7 @@ bytes huffman_codec::decompress(std::span<const u8> in) const {
   if (in.size() < 4 + 256) throw std::invalid_argument("huffman: truncated header");
   const u32 original = load_le32(in.data());
   std::vector<u8> lengths(256);
-  for (int s = 0; s < 256; ++s) lengths[static_cast<std::size_t>(s)] = in[4 + static_cast<std::size_t>(s)];
+  for (std::size_t s = 0; s < 256; ++s) lengths[s] = in[4 + s];
 
   // Decode with a (length -> first code, symbol table) canonical walker.
   std::vector<int> order;

@@ -41,7 +41,7 @@ best_cipher::best_cipher(std::span<const u8> key) {
     const u32 j = ex.below(static_cast<u32>(i + 1));
     std::swap(sbox_[static_cast<std::size_t>(i)], sbox_[j]);
   }
-  for (int i = 0; i < 256; ++i) inv_sbox_[sbox_[static_cast<std::size_t>(i)]] = static_cast<u8>(i);
+  for (std::size_t i = 0; i < 256; ++i) inv_sbox_[sbox_[i]] = static_cast<u8>(i);
 
   // Poly-alphabetic offsets and per-round byte transpositions.
   for (int r = 0; r < k_rounds; ++r) {
@@ -64,7 +64,7 @@ best_cipher::best_cipher(std::span<const u8> key) {
 void best_cipher::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
   std::array<u8, 8> b{};
-  for (int i = 0; i < 8; ++i) b[static_cast<std::size_t>(i)] = in[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < 8; ++i) b[i] = in[i];
 
   for (int r = 0; r < k_rounds; ++r) {
     // Poly-alphabetic substitution: alphabet varies with position & round.
@@ -80,13 +80,13 @@ void best_cipher::encrypt_block(std::span<const u8> in, std::span<u8> out) const
       b[static_cast<std::size_t>(i)] =
           t[perm_[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]];
   }
-  for (int i = 0; i < 8; ++i) out[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < 8; ++i) out[i] = b[i];
 }
 
 void best_cipher::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
   std::array<u8, 8> b{};
-  for (int i = 0; i < 8; ++i) b[static_cast<std::size_t>(i)] = in[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < 8; ++i) b[i] = in[i];
 
   for (int r = k_rounds - 1; r >= 0; --r) {
     std::array<u8, 8> t = b;
@@ -99,7 +99,7 @@ void best_cipher::decrypt_block(std::span<const u8> in, std::span<u8> out) const
           sub - offsets_[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]);
     }
   }
-  for (int i = 0; i < 8; ++i) out[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < 8; ++i) out[i] = b[i];
 }
 
 } // namespace buscrypt::crypto

@@ -215,7 +215,8 @@ bignum bignum::shifted_left(std::size_t bits) const {
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
     out.limbs_[i + limb_shift] |= bit_shift == 0 ? limbs_[i] : (limbs_[i] << bit_shift);
     if (bit_shift != 0)
-      out.limbs_[i + limb_shift + 1] |= static_cast<u32>(u64{limbs_[i]} >> (32 - bit_shift));
+      out.limbs_[i + limb_shift + 1] |=
+          static_cast<u32>(u64{limbs_[i]} >> (32 - bit_shift));
   }
   out.trim();
   return out;
@@ -292,7 +293,8 @@ bignum::divmod_result bignum::divmod(const bignum& num, const bignum& den) {
       u.limbs_[i + j] = static_cast<u32>(diff);
       borrow = diff >> 32; // arithmetic shift: 0 or -1
     }
-    const i64 top_diff = static_cast<i64>(u.limbs_[j + n]) - static_cast<i64>(carry) + borrow;
+    const i64 top_diff =
+        static_cast<i64>(u.limbs_[j + n]) - static_cast<i64>(carry) + borrow;
     u.limbs_[j + n] = static_cast<u32>(top_diff);
 
     if (top_diff < 0) {

@@ -43,7 +43,9 @@ class bignum {
   [[nodiscard]] std::string to_hex() const;
 
   [[nodiscard]] bool is_zero() const noexcept { return limbs_.empty(); }
-  [[nodiscard]] bool is_odd() const noexcept { return !limbs_.empty() && (limbs_[0] & 1); }
+  [[nodiscard]] bool is_odd() const noexcept {
+    return !limbs_.empty() && (limbs_[0] & 1);
+  }
 
   /// Position of the most significant set bit + 1; 0 for zero.
   [[nodiscard]] std::size_t bit_length() const noexcept;
@@ -80,7 +82,8 @@ class bignum {
 
   /// base^exp mod m by left-to-right square and multiply: in Montgomery
   /// form when m is odd, with mulmod otherwise.
-  [[nodiscard]] static bignum powmod(const bignum& base, const bignum& exp, const bignum& m);
+  [[nodiscard]] static bignum powmod(const bignum& base, const bignum& exp,
+                                     const bignum& m);
 
   /// Greatest common divisor.
   [[nodiscard]] static bignum gcd(bignum a, bignum b);

@@ -63,7 +63,8 @@ class block_cipher {
   /// Precondition check for the bulk entry points.
   void check_blocks(std::span<const u8> in, std::span<const u8> out) const {
     if (in.size() != out.size() || in.size() % block_size() != 0)
-      throw std::invalid_argument("block_cipher: bulk spans must match and be block-aligned");
+      throw std::invalid_argument(
+          "block_cipher: bulk spans must match and be block-aligned");
   }
 };
 

@@ -29,7 +29,8 @@ constexpr std::array<std::array<u32, 64>, 8> make_sp() noexcept {
   std::array<std::array<u32, 64>, 8> sp{};
   for (int box = 0; box < 8; ++box)
     for (u32 six = 0; six < 64; ++six) {
-      const u64 placed = u64{k_sbox6[static_cast<std::size_t>(box)][six]} << (28 - 4 * box);
+      const u64 placed = u64{k_sbox6[static_cast<std::size_t>(box)][six]}
+                         << (28 - 4 * box);
       sp[static_cast<std::size_t>(box)][six] = static_cast<u32>(permute(placed, k_p, 32));
     }
   return sp;
@@ -87,8 +88,10 @@ constexpr u64 ip_as_u64(u64 x) noexcept {
   const halves h = ip_split(x);
   return (u64{h.l} << 32) | u64{h.r};
 }
-static_assert(ip_as_u64(0x0123456789ABCDEFULL) == permute(0x0123456789ABCDEFULL, k_ip, 64));
-static_assert(ip_as_u64(0xFEDCBA9876543210ULL) == permute(0xFEDCBA9876543210ULL, k_ip, 64));
+static_assert(ip_as_u64(0x0123456789ABCDEFULL) ==
+              permute(0x0123456789ABCDEFULL, k_ip, 64));
+static_assert(ip_as_u64(0xFEDCBA9876543210ULL) ==
+              permute(0xFEDCBA9876543210ULL, k_ip, 64));
 static_assert(fp_join(static_cast<u32>(permute(0x13570246ACE8BDF9ULL, k_ip, 64) >> 32),
                       static_cast<u32>(permute(0x13570246ACE8BDF9ULL, k_ip, 64))) ==
               0x13570246ACE8BDF9ULL);
@@ -127,8 +130,8 @@ u64 crypt_fast(u64 block, const des_schedule& s, bool decrypt) noexcept {
 // share the crossover because the wide path amortizes its transposes over
 // 16 and 48 rounds alike while both tiers scale with the round count.
 template <typename Scalar>
-void crypt_blocks_tiered(std::span<const bitslice::des_pass> passes, std::span<const u8> in,
-                         std::span<u8> out, Scalar&& scalar_one) {
+void crypt_blocks_tiered(std::span<const bitslice::des_pass> passes,
+                         std::span<const u8> in, std::span<u8> out, Scalar&& scalar_one) {
   std::size_t off = bitslice::wide_prefix(in.size() / 8) * 8;
   if (off != 0) bitslice::des_crypt_wide(passes, in.first(off), out.first(off));
   for (; off < in.size(); off += 8)
@@ -146,8 +149,12 @@ des::des(std::span<const u8> key) {
   sched_ = make_schedule(load_be64(key.data()));
 }
 
-u64 des::encrypt_u64(u64 block) const noexcept { return crypt_fast(block, sched_, false); }
-u64 des::decrypt_u64(u64 block) const noexcept { return crypt_fast(block, sched_, true); }
+u64 des::encrypt_u64(u64 block) const noexcept {
+  return crypt_fast(block, sched_, false);
+}
+u64 des::decrypt_u64(u64 block) const noexcept {
+  return crypt_fast(block, sched_, true);
+}
 
 void des::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
@@ -230,7 +237,8 @@ u32 feistel_reference(u32 r, u64 subkey) noexcept {
   return static_cast<u32>(permute(u64{sboxed}, k_p, 32));
 }
 
-u64 crypt_reference(u64 block, const std::array<u64, 16>& subkeys, bool decrypt) noexcept {
+u64 crypt_reference(u64 block, const std::array<u64, 16>& subkeys,
+                    bool decrypt) noexcept {
   const u64 permuted = permute(block, k_ip, 64);
   u32 l = static_cast<u32>(permuted >> 32);
   u32 r = static_cast<u32>(permuted);
@@ -285,13 +293,15 @@ triple_des_reference::triple_des_reference(std::span<const u8> key)
       k2_(subkey_bytes(key, 1)),
       k3_(subkey_bytes(key, key.size() == 24 ? 2 : 0)) {}
 
-void triple_des_reference::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
+void triple_des_reference::encrypt_block(std::span<const u8> in,
+                                         std::span<u8> out) const {
   check_block(in, out);
   const u64 x = load_be64(in.data());
   store_be64(out.data(), k3_.encrypt_u64(k2_.decrypt_u64(k1_.encrypt_u64(x))));
 }
 
-void triple_des_reference::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
+void triple_des_reference::decrypt_block(std::span<const u8> in,
+                                         std::span<u8> out) const {
   check_block(in, out);
   const u64 x = load_be64(in.data());
   store_be64(out.data(), k1_.decrypt_u64(k2_.encrypt_u64(k3_.decrypt_u64(x))));

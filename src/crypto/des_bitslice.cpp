@@ -61,13 +61,15 @@ const group_table& groups() {
 #endif
     (void)vl;
 #if defined(BUSCRYPT_DES_AVX512) && (defined(__x86_64__) || defined(__i386__))
-    if (__builtin_cpu_supports("avx512f")) t.kind[t.count++] = {512, &des_crypt_group_avx512};
+    if (__builtin_cpu_supports("avx512f"))
+      t.kind[t.count++] = {512, &des_crypt_group_avx512};
 #endif
 #if defined(BUSCRYPT_DES_AVX512VL) && (defined(__x86_64__) || defined(__i386__))
     if (vl) t.kind[t.count++] = {256, &des_crypt_group256_vl};
 #endif
 #if defined(BUSCRYPT_DES_AVX2) && (defined(__x86_64__) || defined(__i386__))
-    if (!vl && __builtin_cpu_supports("avx2")) t.kind[t.count++] = {256, &des_crypt_group_avx2};
+    if (!vl && __builtin_cpu_supports("avx2"))
+      t.kind[t.count++] = {256, &des_crypt_group_avx2};
 #endif
 #if defined(BUSCRYPT_DES_AVX512VL) && (defined(__x86_64__) || defined(__i386__))
     if (vl) t.kind[t.count++] = {128, &des_crypt_group128_vl};
@@ -98,7 +100,8 @@ std::size_t wide_prefix(std::size_t nblocks) noexcept {
   return taken;
 }
 
-void des_crypt_wide(std::span<const des_pass> passes, std::span<const u8> in, std::span<u8> out) {
+void des_crypt_wide(std::span<const des_pass> passes, std::span<const u8> in,
+                    std::span<u8> out) {
   assert(in.size() == out.size() && in.size() % 8 == 0 && !in.empty());
   assert(!passes.empty());
 

@@ -69,7 +69,8 @@ std::size_t wide_prefix(std::size_t nblocks) noexcept;
 /// costs the same whether or not all its lanes are populated — callers
 /// wanting the fast path for the tail should split at wide_prefix() and
 /// run the remainder scalar (see des::encrypt_blocks).
-void des_crypt_wide(std::span<const des_pass> passes, std::span<const u8> in, std::span<u8> out);
+void des_crypt_wide(std::span<const des_pass> passes, std::span<const u8> in,
+                    std::span<u8> out);
 
 } // namespace bitslice
 } // namespace buscrypt::crypto

@@ -106,23 +106,24 @@ template <typename V> inline constexpr bool k_has_ternlog = false;
 // Only instantiated when k_has_ternlog<V> holds; the trailing return keeps
 // the template parseable in TUs without the intrinsics.
 template <u8 Imm, typename V>
-inline V ternlog([[maybe_unused]] V a, [[maybe_unused]] V b, [[maybe_unused]] V c) noexcept {
+inline V ternlog([[maybe_unused]] V a, [[maybe_unused]] V b,
+                 [[maybe_unused]] V c) noexcept {
 #if defined(__AVX512VL__)
   if constexpr (sizeof(V) == 16)
     return reinterpret_cast<V>(_mm_ternarylogic_epi64(
-        reinterpret_cast<__m128i>(a), reinterpret_cast<__m128i>(b), reinterpret_cast<__m128i>(c),
-        Imm));
+        reinterpret_cast<__m128i>(a), reinterpret_cast<__m128i>(b),
+        reinterpret_cast<__m128i>(c), Imm));
   else if constexpr (sizeof(V) == 32)
     return reinterpret_cast<V>(_mm256_ternarylogic_epi64(
-        reinterpret_cast<__m256i>(a), reinterpret_cast<__m256i>(b), reinterpret_cast<__m256i>(c),
-        Imm));
+        reinterpret_cast<__m256i>(a), reinterpret_cast<__m256i>(b),
+        reinterpret_cast<__m256i>(c), Imm));
   else
 #endif
 #if defined(__AVX512F__)
     if constexpr (sizeof(V) == 64)
     return reinterpret_cast<V>(_mm512_ternarylogic_epi64(
-        reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(b), reinterpret_cast<__m512i>(c),
-        Imm));
+        reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(b),
+        reinterpret_cast<__m512i>(c), Imm));
 #endif
   return V{};
 }
@@ -136,7 +137,8 @@ inline constexpr u8 k_mux_imm = 0xCA;
 constexpr u8 leaf_imm(std::size_t box, std::size_t h, std::size_t j) noexcept {
   u8 imm = 0;
   for (std::size_t k = 0; k < 8; ++k)
-    if ((des_detail::k_sbox6[box][h * 8 + k] >> (3 - j)) & 1) imm |= static_cast<u8>(1u << k);
+    if ((des_detail::k_sbox6[box][h * 8 + k] >> (3 - j)) & 1)
+      imm |= static_cast<u8>(1u << k);
   return imm;
 }
 
@@ -252,14 +254,16 @@ inline void feistel_wide(V* l, const V* r, const std::array<u8, 8>& k) noexcept 
 // sequence. in/out may alias (the input is fully loaded before anything is
 // stored); unused lanes stay zero and cost the same as populated ones.
 template <typename V>
-void crypt_group(std::span<const des_pass> passes, std::span<const u8> in, std::span<u8> out) {
+void crypt_group(std::span<const des_pass> passes, std::span<const u8> in,
+                 std::span<u8> out) {
   using namespace des_detail;
   constexpr std::size_t words = words_of<V>;
   const std::size_t n = in.size() / 8;
 
   // Load up front, one 64-block transpose per lane word.
   u64 blk[words][64] = {};
-  for (std::size_t i = 0; i < n; ++i) blk[i / 64][i % 64] = group_load_be64(in.data() + i * 8);
+  for (std::size_t i = 0; i < n; ++i)
+    blk[i / 64][i % 64] = group_load_be64(in.data() + i * 8);
   for (std::size_t w = 0; w < words; ++w) transpose64(blk[w]);
 
   // IP as a lane renaming into the two 32-lane halves.
@@ -290,7 +294,8 @@ void crypt_group(std::span<const des_pass> passes, std::span<const u8> in, std::
     for (std::size_t w = 0; w < words; ++w) blk[w][j] = get_word(v, w);
   }
   for (std::size_t w = 0; w < words; ++w) transpose64(blk[w]);
-  for (std::size_t i = 0; i < n; ++i) group_store_be64(out.data() + i * 8, blk[i / 64][i % 64]);
+  for (std::size_t i = 0; i < n; ++i)
+    group_store_be64(out.data() + i * 8, blk[i / 64][i % 64]);
 }
 
 } // namespace

@@ -107,7 +107,8 @@ constexpr u8 sbox_at(int box, u32 six) noexcept {
 constexpr std::array<std::array<u8, 64>, 8> make_sbox6() noexcept {
   std::array<std::array<u8, 64>, 8> t{};
   for (int box = 0; box < 8; ++box)
-    for (u32 six = 0; six < 64; ++six) t[static_cast<std::size_t>(box)][six] = sbox_at(box, six);
+    for (u32 six = 0; six < 64; ++six)
+      t[static_cast<std::size_t>(box)][six] = sbox_at(box, six);
   return t;
 }
 constexpr std::array<std::array<u8, 64>, 8> k_sbox6 = make_sbox6();

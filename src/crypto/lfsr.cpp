@@ -14,7 +14,8 @@ u64 fold_state(std::span<const u8> key, std::span<const u8> iv) noexcept {
   for (std::size_t i = 0; i < key.size(); ++i)
     s ^= u64{key[i]} << ((i % 8) * 8);
   for (std::size_t i = 0; i < iv.size(); ++i)
-    s ^= u64{iv[i]} << ((i % 8) * 8) ^ rotl64(u64{iv[i]}, static_cast<unsigned>(i) % 63 + 1);
+    s ^= u64{iv[i]} << ((i % 8) * 8) ^
+         rotl64(u64{iv[i]}, static_cast<unsigned>(i) % 63 + 1);
   return s == 0 ? 0x1B59A4D3C2F1E807ULL : s;
 }
 

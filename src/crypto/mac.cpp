@@ -74,7 +74,8 @@ bytes cbc_mac(const block_cipher& c, std::span<const u8> data) {
   bytes state(bs, 0);
   bytes scratch(bs);
   for (std::size_t off = 0; off < data.size(); off += bs) {
-    for (std::size_t i = 0; i < bs; ++i) scratch[i] = static_cast<u8>(state[i] ^ data[off + i]);
+    for (std::size_t i = 0; i < bs; ++i)
+      scratch[i] = static_cast<u8>(state[i] ^ data[off + i]);
     c.encrypt_block(scratch, state);
   }
   return state;

@@ -193,58 +193,6 @@ void ctr_crypt_units(const block_cipher& c, u64 nonce, u64 first_counter,
   ctr_xor(c, nonce, first_counter, counter_stride, 0, unit_len, in, out);
 }
 
-void cfb_encrypt(const block_cipher& c, std::span<const u8> iv,
-                 std::span<const u8> in, std::span<u8> out) {
-  check_blocked(c, in, out);
-  const std::size_t bs = c.block_size();
-  if (iv.size() != bs) throw std::invalid_argument("cfb: iv size != block size");
-
-  bytes feedback(iv.begin(), iv.end());
-  bytes pad(bs);
-  for (std::size_t off = 0; off < in.size(); off += bs) {
-    c.encrypt_block(feedback, pad);
-    xor_bytes(out.subspan(off, bs), in.subspan(off, bs), pad);
-    feedback.assign(out.begin() + static_cast<std::ptrdiff_t>(off),
-                    out.begin() + static_cast<std::ptrdiff_t>(off + bs));
-  }
-}
-
-void cfb_decrypt(const block_cipher& c, std::span<const u8> iv,
-                 std::span<const u8> in, std::span<u8> out) {
-  check_blocked(c, in, out);
-  const std::size_t bs = c.block_size();
-  if (iv.size() != bs) throw std::invalid_argument("cfb: iv size != block size");
-
-  bytes feedback(iv.begin(), iv.end());
-  bytes pad(bs);
-  bytes ct(bs);
-  for (std::size_t off = 0; off < in.size(); off += bs) {
-    // Copy first: in/out may alias.
-    ct.assign(in.begin() + static_cast<std::ptrdiff_t>(off),
-              in.begin() + static_cast<std::ptrdiff_t>(off + bs));
-    c.encrypt_block(feedback, pad); // forward cipher only
-    xor_bytes(out.subspan(off, bs), ct, pad);
-    feedback = ct;
-  }
-}
-
-void ofb_crypt(const block_cipher& c, std::span<const u8> iv,
-               std::span<const u8> in, std::span<u8> out) {
-  if (in.size() != out.size())
-    throw std::invalid_argument("ofb: in/out size mismatch");
-  const std::size_t bs = c.block_size();
-  if (iv.size() != bs) throw std::invalid_argument("ofb: iv size != block size");
-
-  bytes state(iv.begin(), iv.end());
-  std::size_t off = 0;
-  while (off < in.size()) {
-    c.encrypt_block(state, state);
-    const std::size_t n = std::min(bs, in.size() - off);
-    xor_bytes(out.subspan(off, n), in.subspan(off, n), state);
-    off += n;
-  }
-}
-
 bytes pkcs7_pad(std::span<const u8> in, std::size_t block) {
   if (block == 0 || block > 255) throw std::invalid_argument("pkcs7: bad block size");
   const std::size_t pad = block - (in.size() % block);

@@ -98,20 +98,6 @@ void ctr_crypt_units(const block_cipher& c, u64 nonce, u64 first_counter,
                      u64 counter_stride, std::size_t unit_len, std::span<const u8> in,
                      std::span<u8> out);
 
-/// CFB (full-block feedback): c_i = E(c_{i-1}) ^ p_i. Self-synchronising;
-/// decryption uses only the forward cipher — relevant for engines that
-/// implement just the encrypt datapath in hardware.
-void cfb_encrypt(const block_cipher& c, std::span<const u8> iv,
-                 std::span<const u8> in, std::span<u8> out);
-void cfb_decrypt(const block_cipher& c, std::span<const u8> iv,
-                 std::span<const u8> in, std::span<u8> out);
-
-/// OFB: keystream o_i = E(o_{i-1}), data XORed. A stream mode whose
-/// keystream is data-independent (precomputable) but NOT seekable — the
-/// contrast to CTR that motivates address pads for bus encryption.
-void ofb_crypt(const block_cipher& c, std::span<const u8> iv,
-               std::span<const u8> in, std::span<u8> out);
-
 /// PKCS#7 padding helpers for byte streams that are not block-multiple
 /// (used by the Fig. 1 software-delivery protocol).
 [[nodiscard]] bytes pkcs7_pad(std::span<const u8> in, std::size_t block);

@@ -53,10 +53,12 @@ struct rsa_keypair {
 /// Wrap \p key (e.g. a 16-byte AES session key) under \p pub with
 /// randomized type-2 padding: 00 02 <nonzero random> 00 <key>.
 /// \throws std::invalid_argument when the key is too long for the modulus.
-[[nodiscard]] bytes rsa_wrap_key(const rsa_public_key& pub, std::span<const u8> key, rng& r);
+[[nodiscard]] bytes rsa_wrap_key(const rsa_public_key& pub, std::span<const u8> key,
+                                 rng& r);
 
 /// Unwrap a key wrapped by rsa_wrap_key.
 /// \throws std::invalid_argument on malformed padding.
-[[nodiscard]] bytes rsa_unwrap_key(const rsa_private_key& priv, std::span<const u8> wrapped);
+[[nodiscard]] bytes rsa_unwrap_key(const rsa_private_key& priv,
+                                   std::span<const u8> wrapped);
 
 } // namespace buscrypt::crypto

@@ -161,7 +161,7 @@ std::array<u8, sha256::digest_size> sha256::digest() noexcept {
   buf_len_ = 0;
 
   std::array<u8, digest_size> out{};
-  for (int i = 0; i < 8; ++i) store_be32(&out[static_cast<std::size_t>(4 * i)], h_[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < 8; ++i) store_be32(&out[4 * i], h_[i]);
   return out;
 }
 

@@ -39,7 +39,8 @@ class sha256 {
   [[nodiscard]] std::array<u8, digest_size> digest() noexcept;
 
   /// One-shot convenience.
-  [[nodiscard]] static std::array<u8, digest_size> hash(std::span<const u8> data) noexcept;
+  [[nodiscard]] static std::array<u8, digest_size> hash(
+      std::span<const u8> data) noexcept;
 
   /// The eight chaining words. After absorbing a whole number of blocks
   /// (and before digest()) they are the midstate of that prefix; this is

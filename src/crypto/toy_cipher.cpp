@@ -17,7 +17,8 @@ u64 mix64(u64 z) noexcept {
 
 byte_bus_cipher::byte_bus_cipher(std::span<const u8> key, unsigned addr_bits)
     : addr_bits_(addr_bits) {
-  if (key.size() != 8) throw std::invalid_argument("byte_bus_cipher: key must be 8 bytes");
+  if (key.size() != 8)
+    throw std::invalid_argument("byte_bus_cipher: key must be 8 bytes");
   if (addr_bits == 0 || addr_bits > 48)
     throw std::invalid_argument("byte_bus_cipher: addr_bits must be 1..48");
 
@@ -34,7 +35,7 @@ byte_bus_cipher::byte_bus_cipher(std::span<const u8> key, unsigned addr_bits)
     const auto j = static_cast<std::size_t>(next() % static_cast<u64>(i + 1));
     std::swap(sbox_[static_cast<std::size_t>(i)], sbox_[j]);
   }
-  for (int i = 0; i < 256; ++i) inv_sbox_[sbox_[static_cast<std::size_t>(i)]] = static_cast<u8>(i);
+  for (std::size_t i = 0; i < 256; ++i) inv_sbox_[sbox_[i]] = static_cast<u8>(i);
 
   for (unsigned i = 0; i < 64; ++i) addr_perm_[i] = static_cast<u8>(i);
   for (unsigned i = addr_bits_ - 1; i > 0; --i) {

@@ -62,39 +62,46 @@ void compress_edu::read_image(addr_t base, std::span<u8> plain_out) {
                      });
 }
 
+compress_edu::code_group compress_edu::group_at(addr_t offset) const noexcept {
+  const std::size_t g = static_cast<std::size_t>(offset) / image_.group_bytes;
+  const auto [phys_off, len] = group_extent_[g];
+  return {code_base_ + phys_off, len, image_.group_bit_offsets[g] % 8,
+          std::min<std::size_t>(image_.group_bytes,
+                                image_.original_size - g * image_.group_bytes)};
+}
+
+void compress_edu::decode_group(const code_group& grp, std::span<u8> chunk,
+                                std::span<u8> plain) const {
+  pad_.apply(grp.phys, chunk);
+  engine_.decompress_chunk(chunk, grp.bit, plain, image_);
+}
+
 cycles compress_edu::read_code(addr_t addr, std::span<u8> out) {
   cycles total = 0;
   // Groups are laid out from the code base: walk the request's offsets.
   sim::walk_granules(
       addr - code_base_, out.size(), image_.group_bytes,
       [&](addr_t group_base, std::size_t in_group, std::size_t n, std::size_t done) {
-        const std::size_t g = static_cast<std::size_t>(group_base) / image_.group_bytes;
-        const auto [phys_off, len] = group_extent_[g];
-        const addr_t phys = code_base_ + phys_off;
-
+        const code_group grp = group_at(group_base);
         // Fetch the *compressed* group: fewer bus beats than a raw line.
-        bytes chunk(len);
-        const cycles mem = lower_->read(phys, chunk);
-        pad_.apply(phys, chunk);
-        stats_.cipher_blocks += pad_.blocks_covering(phys, chunk.size());
-        const cycles pad_t =
-            pad_core.time_parallel(pad_.blocks_covering(phys, chunk.size()));
+        sim::stack_window chunk(grp.len);
+        const cycles mem = lower_->read(grp.phys, chunk.span());
+        const std::size_t nblocks = pad_.blocks_covering(grp.phys, grp.len);
+        stats_.cipher_blocks += nblocks;
         // The decompressor streams: it consumes beats as they arrive
         // (CodePack style), so only its drain beyond the transfer is exposed.
-        const cycles mem_and_pad = std::max(mem, pad_t) + xor_cycles;
+        const cycles mem_and_pad =
+            std::max(mem, pad_core.time_parallel(nblocks)) + xor_cycles;
 
         // Stream the decrypted chunk straight into the decompressor, exactly
         // as the hardware fill path would.
-        const std::size_t group_len =
-            std::min<std::size_t>(image_.group_bytes, image_.original_size - group_base);
-        const bytes group_plain = engine_.decompress_chunk(
-            chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
+        sim::stack_window plain(grp.plain_len);
+        decode_group(grp, chunk.span(), plain.span());
         const cycles spent =
-            std::max(mem_and_pad, decomp.latency_for(group_plain.size())) +
-            decomp.startup;
+            std::max(mem_and_pad, decomp.latency_for(grp.plain_len)) + decomp.startup;
         stats_.crypto_cycles += spent - mem;
 
-        for (std::size_t i = 0; i < n; ++i) out[done + i] = group_plain[in_group + i];
+        std::ranges::copy(plain.span().subspan(in_group, n), out.begin() + done);
         total += spent;
       });
   return total;
@@ -163,31 +170,24 @@ void compress_edu::submit(std::span<sim::mem_txn> batch) {
     sim::walk_granules(
         txn.addr - code_base_, txn.data.size(), image_.group_bytes,
         [&](addr_t group_base, std::size_t in_group, std::size_t n, std::size_t done) {
-          const std::size_t g = static_cast<std::size_t>(group_base) / image_.group_bytes;
-          const auto [phys_off, len] = group_extent_[g];
-          const addr_t phys = code_base_ + phys_off;
-
-          bytes& chunk = b.scratch(len);
-          const std::size_t li = b.queue(sim::txn_op::read, txn.master, phys, chunk);
-          const cycles pad_t = pad_core.time_parallel(pad_.blocks_covering(phys, len));
-          stats_.cipher_blocks += pad_.blocks_covering(phys, len);
+          const code_group grp = group_at(group_base);
+          bytes& chunk = b.scratch(grp.len);
+          const std::size_t li = b.queue(sim::txn_op::read, txn.master, grp.phys, chunk);
+          const std::size_t nblocks = pad_.blocks_covering(grp.phys, grp.len);
+          stats_.cipher_blocks += nblocks;
           stats_.crypto_cycles += xor_cycles;
-          b.add_par(li, pad_t, xor_cycles,
-                    [this, phys, &chunk] { pad_.apply(phys, chunk); });
-          const std::size_t group_len = std::min<std::size_t>(
-              image_.group_bytes, image_.original_size - group_base);
+          b.add_par(li, pad_core.time_parallel(nblocks), xor_cycles);
           const bool first_in_window = warm_window != b.flush_seq();
           warm_window = b.flush_seq();
-          const cycles decomp_t =
-              decomp.latency_for(group_len) + (first_in_window ? decomp.startup : 0);
+          const cycles decomp_t = decomp.latency_for(grp.plain_len) +
+                                  (first_in_window ? decomp.startup : 0);
           stats_.crypto_cycles += decomp_t;
           b.add_gated(li, sim::txn_batcher::no_lower, decomp_t,
-                      [this, g, &chunk, group_len, in_group,
-                       out = txn.data.subspan(done, n)] {
-                        const bytes plain = engine_.decompress_chunk(
-                            chunk, image_.group_bit_offsets[g] % 8, group_len, image_);
-                        std::copy_n(plain.begin() + static_cast<std::ptrdiff_t>(in_group),
-                                    out.size(), out.begin());
+                      [this, grp, &chunk, in_group, out = txn.data.subspan(done, n)] {
+                        sim::stack_window plain(grp.plain_len);
+                        decode_group(grp, chunk, plain.span());
+                        std::ranges::copy(plain.span().subspan(in_group, out.size()),
+                                          out.begin());
                       });
         });
   }

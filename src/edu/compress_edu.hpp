@@ -64,6 +64,20 @@ class compress_edu final : public edu {
  private:
   [[nodiscard]] bool in_code(addr_t addr, std::size_t len) const noexcept;
   [[nodiscard]] cycles read_code(addr_t addr, std::span<u8> out);
+  /// One code group: where its compressed bytes sit and how many, the bit
+  /// its code starts at in them, and its inflated length.
+  struct code_group {
+    addr_t phys;
+    std::size_t len;
+    std::size_t bit;
+    std::size_t plain_len;
+  };
+  /// The group holding code offset \p offset.
+  [[nodiscard]] code_group group_at(addr_t offset) const noexcept;
+  /// Decipher \p grp's fetched compressed bytes \p chunk in place and
+  /// inflate them into \p plain (plain_len bytes).
+  void decode_group(const code_group& grp, std::span<u8> chunk,
+                    std::span<u8> plain) const;
   [[nodiscard]] cycles pad_io(addr_t addr, std::span<u8> buf, bool is_write,
                               std::span<const u8> wdata);
 

@@ -22,8 +22,8 @@ struct engine_edu_config {
   /// Victim selection for the slot pool. Policies never change what the
   /// datapath produces — only hit/reprogram telemetry and timing.
   engine::slot_policy policy = engine::slot_policy::lru;
-  /// Authentication of the default context (mode none = PR 3 datapath,
-  /// cycle for cycle). The window/tag geometry is the caller's; an empty
+  /// Authentication of the default context (auth_mode::none attaches no
+  /// authenticator). The window/tag geometry is the caller's; an empty
   /// key derives from the device key.
   engine::auth_config auth{};
 };

@@ -16,11 +16,12 @@ gi_edu::gi_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
     throw std::invalid_argument("gi_edu: segment must be a block multiple");
 }
 
-bytes gi_edu::compute_tag(addr_t seg_base, std::span<const u8> plain) const {
+std::array<u8, 32> gi_edu::compute_tag(addr_t seg_base,
+                                       std::span<const u8> plain) const noexcept {
   // Keyed hash over (address || plaintext) so segments cannot be swapped.
   u8 head[8];
   store_be64(head, seg_base);
-  return mac_key_.tag(tag_bytes, head, plain);
+  return mac_key_.mac(head, plain);
 }
 
 cycles gi_edu::hash_time(std::size_t nbytes) const noexcept {
@@ -41,25 +42,34 @@ bool gi_edu::recently_verified(addr_t seg_base) const noexcept {
          verified_lru_.end();
 }
 
-gi_edu::segment_io gi_edu::load_segment(addr_t seg_base) {
-  segment_io io;
-  io.plain.resize(cfg_.segment_bytes);
-  const cycles mem = lower_->read(seg_base, io.plain);
-  crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ seg_base, 0, io.plain);
+std::pair<cycles, bool> gi_edu::charge_open(addr_t seg_base) {
+  // The verified-LRU decision is state, not data: advance it now, so a
+  // batch window's later opens see it in submission order.
+  const bool verify = cfg_.authenticate && !recently_verified(seg_base);
+  if (verify) touch_verified(seg_base);
   const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
+  const cycles crypt =
+      core.time_parallel(nblocks) + (verify ? hash_time(cfg_.segment_bytes) : 0);
   stats_.cipher_blocks += nblocks + 1;
-  const cycles crypt = core.time_parallel(nblocks);
+  stats_.crypto_cycles += crypt;
+  return {crypt, verify};
+}
 
-  io.spent = mem + crypt;
-  if (cfg_.authenticate && !recently_verified(seg_base)) {
-    const bytes tag = compute_tag(seg_base, io.plain);
-    const auto it = tags_.find(seg_base);
-    if (it == tags_.end() || !crypto::tag_equal(tag, it->second)) ++auth_failures_;
-    io.spent += hash_time(cfg_.segment_bytes);
-    touch_verified(seg_base);
-  }
-  stats_.crypto_cycles += io.spent - mem;
-  return io;
+void gi_edu::open_segment(addr_t seg_base, std::span<u8> seg, bool verify) {
+  crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ seg_base, 0, seg);
+  if (!verify) return;
+  const auto it = tags_.find(seg_base);
+  const auto t = compute_tag(seg_base, seg);
+  if (it == tags_.end() ||
+      !crypto::tag_equal(std::span(t).first<tag_bytes>(), it->second))
+    ++auth_failures_;
+}
+
+cycles gi_edu::load_segment(addr_t seg_base, std::span<u8> seg) {
+  const cycles mem = lower_->read(seg_base, seg);
+  const auto [crypt, verify] = charge_open(seg_base);
+  open_segment(seg_base, seg, verify);
+  return mem + crypt;
 }
 
 cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
@@ -70,7 +80,8 @@ cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
 
   cycles spent = core.time_chained(nblocks); // CBC encrypt is serial
   if (cfg_.authenticate) {
-    tags_[seg_base] = compute_tag(seg_base, plain);
+    const auto t = compute_tag(seg_base, plain);
+    std::copy_n(t.begin(), tag_bytes, tags_[seg_base].begin());
     spent += hash_time(cfg_.segment_bytes);
     touch_verified(seg_base);
   }
@@ -85,9 +96,9 @@ cycles gi_edu::read(addr_t addr, std::span<u8> out) {
   sim::walk_granules(
       addr, out.size(), cfg_.segment_bytes,
       [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
-        segment_io io = load_segment(base);
-        for (std::size_t i = 0; i < n; ++i) out[done + i] = io.plain[off + i];
-        total += io.spent;
+        sim::stack_window seg(cfg_.segment_bytes);
+        total += load_segment(base, seg.span());
+        std::ranges::copy(seg.span().subspan(off, n), out.begin() + done);
       });
   return total;
 }
@@ -95,7 +106,6 @@ cycles gi_edu::read(addr_t addr, std::span<u8> out) {
 void gi_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   sim::txn_batcher b(*lower_, pending_txn_cycles_, batch.size());
-  const std::size_t nblocks = core.blocks_for(cfg_.segment_bytes);
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     // Writes RMW whole segments (data-dependent ciphertext): scalar detour.
@@ -109,25 +119,12 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
         [&](addr_t base, std::size_t off, std::size_t n, std::size_t done) {
           bytes& buf = b.scratch(cfg_.segment_bytes);
           const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
-          // The verified-LRU decision is state, not data: advance it in
-          // submission order now so later ops in the window see it.
-          const bool verify = cfg_.authenticate && !recently_verified(base);
-          if (verify) touch_verified(base);
-          const cycles crypt = core.time_parallel(nblocks) +
-                               (verify ? hash_time(cfg_.segment_bytes) : 0);
-          stats_.cipher_blocks += nblocks + 1;
-          stats_.crypto_cycles += crypt;
+          const auto [crypt, verify] = charge_open(base);
           b.add_gated(li, sim::txn_batcher::no_lower, crypt,
                       [this, base, &buf, off, out = txn.data.subspan(done, n), verify] {
-                        crypto::cbc_decrypt_at(*cipher_, iv_tweak ^ base, 0, buf);
-                        if (verify) {
-                          const bytes tag = compute_tag(base, buf);
-                          const auto it = tags_.find(base);
-                          if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
-                            ++auth_failures_;
-                        }
-                        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                                    out.size(), out.begin());
+                        open_segment(base, buf, verify);
+                        std::ranges::copy(std::span(buf).subspan(off, out.size()),
+                                          out.begin());
                       });
         });
   }
@@ -149,10 +146,10 @@ cycles gi_edu::write(addr_t addr, std::span<const u8> in) {
         // Whole-segment read-modify-write: the CBC chain and the tag both
         // cover the full segment.
         ++stats_.rmw_ops;
-        segment_io io = load_segment(base);
-        total += io.spent;
-        for (std::size_t i = 0; i < n; ++i) io.plain[off + i] = in[done + i];
-        total += store_segment(base, io.plain);
+        sim::stack_window seg(cfg_.segment_bytes);
+        total += load_segment(base, seg.span());
+        std::ranges::copy(in.subspan(done, n), seg.span().begin() + off);
+        total += store_segment(base, seg.span());
       });
   return total;
 }

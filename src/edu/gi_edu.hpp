@@ -13,7 +13,9 @@
 #include "edu/edu.hpp"
 #include "edu/timing.hpp"
 
+#include <array>
 #include <unordered_map>
+#include <utility>
 
 namespace buscrypt::edu {
 
@@ -64,17 +66,24 @@ class gi_edu final : public edu {
   static constexpr double hash_cycles_per_byte = 1.0;
   static constexpr u64 iv_tweak = 0x61C0DEULL;
 
-  struct segment_io {
-    bytes plain;
-    cycles spent = 0;
-  };
+  using tag = std::array<u8, tag_bytes>;
 
-  /// Fetch + decrypt (+ verify) a whole segment.
-  segment_io load_segment(addr_t seg_base);
+  /// Fetch the whole segment at \p seg_base into \p seg (segment_bytes)
+  /// and open it there; the fetch plus the open's charge.
+  [[nodiscard]] cycles load_segment(addr_t seg_base, std::span<u8> seg);
+  /// Charge one open of the segment at \p seg_base: the parallel decipher
+  /// and, unless it was verified recently, the keyed hash (advancing the
+  /// recently-verified window). Returns its cycles and whether it verifies.
+  [[nodiscard]] std::pair<cycles, bool> charge_open(addr_t seg_base);
+  /// Decipher the fetched segment \p seg in place; when \p verify, check
+  /// its keyed hash and count a failure.
+  void open_segment(addr_t seg_base, std::span<u8> seg, bool verify);
   /// Encrypt + tag + write back a whole segment.
   [[nodiscard]] cycles store_segment(addr_t seg_base, std::span<const u8> plain);
 
-  [[nodiscard]] bytes compute_tag(addr_t seg_base, std::span<const u8> plain) const;
+  /// HMAC over (address || plaintext); its first tag_bytes are the tag.
+  [[nodiscard]] std::array<u8, 32> compute_tag(addr_t seg_base,
+                                               std::span<const u8> plain) const noexcept;
   [[nodiscard]] cycles hash_time(std::size_t nbytes) const noexcept;
   void touch_verified(addr_t seg_base);
   [[nodiscard]] bool recently_verified(addr_t seg_base) const noexcept;
@@ -82,7 +91,7 @@ class gi_edu final : public edu {
   const crypto::block_cipher* cipher_;
   crypto::hmac_sha256_key mac_key_; ///< keyed-hash key, absorbed once
   gi_edu_config cfg_;
-  std::unordered_map<addr_t, bytes> tags_; ///< tag store (modelled on-chip/side-band)
+  std::unordered_map<addr_t, tag> tags_; ///< tag store (modelled on-chip/side-band)
   std::vector<addr_t> verified_lru_;
   u64 auth_failures_ = 0;
 };

@@ -103,7 +103,10 @@ class integrity_edu final : public edu {
     if (auth_) auth_->drop_caches();
   }
 
-  /// The line MAC engine (tag layout, counters); null at level none.
+  /// The line MAC engine (tag layout, counters, reseal); null at level none.
+  [[nodiscard]] engine::memory_authenticator* authenticator() noexcept {
+    return auth_ ? &*auth_ : nullptr;
+  }
   [[nodiscard]] const engine::memory_authenticator* authenticator() const noexcept {
     return auth_ ? &*auth_ : nullptr;
   }

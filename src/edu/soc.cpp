@@ -45,7 +45,7 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
     // Fig. 7b: cache below the EDU, plain external path.
     l1_ = std::make_unique<sim::cache>(cfg.l1, ext_);
     edu_ = std::make_unique<cacheside_edu>(*l1_, *prf_);
-    cpu_ = std::make_unique<sim::cpu>(*edu_, cfg.l1.hit_latency);
+    cpu_ = std::make_unique<sim::cpu>(*edu_);
     return;
   }
 
@@ -151,10 +151,10 @@ secure_soc::secure_soc(engine_kind kind, const soc_config& cfg)
     half.size = cfg.l1.size / 2;
     l1_ = std::make_unique<sim::cache>(half, *edu_);  // data side
     l1i_ = std::make_unique<sim::cache>(half, *edu_); // instruction side
-    cpu_ = std::make_unique<sim::cpu>(*l1i_, *l1_, cfg.l1.hit_latency);
+    cpu_ = std::make_unique<sim::cpu>(*l1i_, *l1_);
   } else {
     l1_ = std::make_unique<sim::cache>(cfg.l1, *edu_);
-    cpu_ = std::make_unique<sim::cpu>(*l1_, cfg.l1.hit_latency);
+    cpu_ = std::make_unique<sim::cpu>(*l1_);
   }
 }
 
@@ -246,9 +246,9 @@ topology_run_stats secure_soc::run_topology(std::span<const master_desc> masters
 
   // Attach the topology's firewall to the engine for the run's duration
   // (rule tables checked before span_for). Keyslot engine only, and only
-  // when there is a table to enforce — a table-free topology must stay on
-  // the untouched PR 3 datapath, cycle for cycle. The guard detaches on
-  // every exit path: the firewall dies with this frame.
+  // when there is a table to enforce — a table-free topology runs with no
+  // firewall attached, so no request pays a rule check. The guard detaches
+  // on every exit path: the firewall dies with this frame.
   struct fw_guard {
     engine::bus_encryption_engine* eng = nullptr;
     ~fw_guard() {

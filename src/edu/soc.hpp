@@ -153,7 +153,7 @@ struct soc_config {
   /// keyslot_default_backend. The tab9 auth sweep uses this axis.
   std::string keyslot_backend;
   /// inline_keyslot only: authentication of [0, keyslot_auth_limit) on the
-  /// default context (none = PR 3 behaviour, cycle-identical). Tags/tree
+  /// default context (auth_mode::none attaches no authenticator). Tags/tree
   /// nodes live at keyslot_auth_tag_base, outside every workload's range.
   engine::auth_mode keyslot_auth = engine::auth_mode::none;
   addr_t keyslot_auth_limit = 1u << 19;
@@ -164,8 +164,8 @@ struct soc_config {
   engine::slot_policy keyslot_policy = engine::slot_policy::lru;
   unsigned keyslot_slots = 0;
   /// Interconnect shape for run_topology(masters): clusters, QoS classes
-  /// and firewall rule tables. The default (no clusters, no tables) is
-  /// the flat PR 3 bus, bit-for-bit.
+  /// and firewall rule tables. With no clusters every master sits on one
+  /// flat shared bus; with no tables no firewall is attached.
   sim::topology topology{};
 };
 

@@ -10,8 +10,8 @@
 namespace buscrypt::engine {
 
 bus_encryption_engine::bus_encryption_engine(sim::memory_port& lower,
-                                             keyslot_manager& slots, engine_config cfg)
-    : lower_(&lower), slots_(&slots), cfg_(cfg) {}
+                                             keyslot_manager& slots)
+    : lower_(&lower), slots_(&slots) {}
 
 bus_encryption_engine::context_id bus_encryption_engine::create_context(keyslot_key k) {
   const cipher_backend& backend = slots_->registry().at(k.backend);
@@ -231,10 +231,8 @@ bus_encryption_engine::lease_slot(const keyslot_key& k, bool charge_time, bool h
     lease.guard.reset(); // caller retires its window and retries
     return lease;
   }
-  // Fall back to a software one-shot cipher when the pool is pinned out.
-  if (!cfg_.allow_fallback)
-    throw std::runtime_error("bus_encryption_engine: keyslot pool exhausted and "
-                             "fallback disabled");
+  // Fall back to a software one-shot cipher when the pool is pinned out
+  // (the blk-crypto-fallback analogue).
   lease.software = slots_->registry().at(k.backend).make_keyed(k.key);
   lease.kc = lease.software.get();
   lease.fallback = true;

@@ -35,13 +35,6 @@
 
 namespace buscrypt::engine {
 
-struct engine_config {
-  /// When no slot is free, transform with a software one-shot cipher
-  /// instead of failing (the blk-crypto-fallback analogue). Disabling it
-  /// makes a pinned-out pool throw, which the tests exercise.
-  bool allow_fallback = true;
-};
-
 /// Per-engine counters.
 struct engine_stats {
   u64 reads = 0;
@@ -97,8 +90,7 @@ class bus_encryption_engine final : public sim::memory_port {
 
   /// \param lower the external path (bus + DRAM); referenced, not owned.
   /// \param slots shared keyslot pool; referenced, not owned.
-  bus_encryption_engine(sim::memory_port& lower, keyslot_manager& slots,
-                        engine_config cfg = {});
+  bus_encryption_engine(sim::memory_port& lower, keyslot_manager& slots);
 
   /// Register an encryption context. Validates the backend name, the key
   /// length, and that the data-unit size is a positive multiple of the
@@ -167,7 +159,8 @@ class bus_encryption_engine final : public sim::memory_port {
   /// tables sit at the master's bus interface, in front of the EDU, so a
   /// denied span never reaches span_for (reads get the fault_fill
   /// bus-error pattern, writes are dropped, fault_cycles charged).
-  /// Referenced, not owned; nullptr detaches (the PR 3 behaviour).
+  /// Referenced, not owned; nullptr detaches: with no firewall attached
+  /// every span goes straight to the domain map.
   void set_firewall(sim::bus_firewall* fw) noexcept { fw_ = fw; }
   [[nodiscard]] sim::bus_firewall* firewall() const noexcept { return fw_; }
 
@@ -227,10 +220,8 @@ class bus_encryption_engine final : public sim::memory_port {
   };
 
   /// With \p hw_only, a pinned-out pool returns a lease whose kc is null
-  /// instead of falling back or throwing — the batch path probes this way
-  /// so it can retire its window and retry before giving up.
-  /// \throws std::runtime_error when the pool is pinned, fallback is off
-  ///         and \p hw_only is false.
+  /// instead of falling back — the batch path probes this way so it can
+  /// retire its window and retry before giving up.
   [[nodiscard]] slot_lease lease_slot(const keyslot_key& k, bool charge_time,
                                       bool hw_only = false);
 
@@ -299,7 +290,6 @@ class bus_encryption_engine final : public sim::memory_port {
 
   sim::memory_port* lower_;
   keyslot_manager* slots_;
-  engine_config cfg_;
   std::vector<keyslot_key> contexts_;
   std::vector<bool> context_live_;
   std::vector<std::unique_ptr<memory_authenticator>> auths_; ///< by context id

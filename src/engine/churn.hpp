@@ -54,12 +54,13 @@ struct churn_config {
   /// in_flight < slots isolates pure eviction-policy behaviour.
   unsigned in_flight = 4;
   std::string backend = "aes-ctr"; ///< registry name for every context
-  std::size_t data_unit = 32;      ///< bytes transformed per operation
+  u64 seed = 0x5EC5EEDULL;         ///< draws + key material derivation
+  static constexpr std::size_t data_unit = 32; ///< bytes transformed per operation
   /// Stall charged per demand program and the software-path cycle
   /// multiplier, as the engine charges them.
-  cycles slot_program_cycles = bus_encryption_engine::slot_program_cycles;
-  cycles fallback_penalty = bus_encryption_engine::fallback_penalty;
-  u64 seed = 0x5EC5EEDULL;         ///< draws + key material derivation
+  static constexpr cycles slot_program_cycles =
+      bus_encryption_engine::slot_program_cycles;
+  static constexpr cycles fallback_penalty = bus_encryption_engine::fallback_penalty;
 
   /// "<policy>/p<slots>/s<skew> c<contexts> seed" — unique per axis point.
   [[nodiscard]] std::string label() const;

@@ -55,8 +55,9 @@
 
 namespace buscrypt::engine {
 
-/// Authentication scheme of one protected region. `none` is the PR 3
-/// behaviour: the engine's datapath is untouched, cycle for cycle.
+/// Authentication scheme of one protected region. Under `none` the engine
+/// attaches no authenticator: no tag, node or sideband traffic and no MAC
+/// cycles, only the cipher datapath.
 enum class auth_mode : u8 { none, mac, area, hash_tree };
 
 [[nodiscard]] constexpr std::string_view auth_mode_name(auth_mode m) noexcept {

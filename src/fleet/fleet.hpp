@@ -87,7 +87,7 @@ struct fleet_cell {
   engine::slot_policy policy = engine::slot_policy::lru;
   unsigned keyslot_slots = 0;
   u64 seed = 0x5EC5EEDULL; ///< key material + workload + image derivation
-  std::size_t batch_txns = 16; ///< batched drive only
+  static constexpr std::size_t batch_txns = 16; ///< batched drive only
   drive_mode drive = drive_mode::batched;
   // noc drive only (every other drive ignores all four): the interconnect
   // shape. The heterogeneous cast (CPU compute, DMA movers, peripheral

@@ -47,7 +47,8 @@ bytes secure_processor::receive(const software_package& pkg) const {
 engine::bus_encryption_engine::context_id
 secure_processor::install_software(const software_package& pkg,
                                    engine::bus_encryption_engine& eng, addr_t base,
-                                   std::string backend, std::size_t data_unit_size) const {
+                                   std::string backend,
+                                   std::size_t data_unit_size) const {
   const bytes image = receive(pkg);
   const auto ctx =
       eng.create_context({std::move(backend), last_key_, data_unit_size});

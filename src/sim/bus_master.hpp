@@ -76,23 +76,14 @@ class bus_master {
   [[nodiscard]] u64 wait_streak() const noexcept { return wait_streak_; }
 
   /// Stage up to \p n transactions into \p out (cleared first), tagged
-  /// with this master's id. Data spans point into the master's own lane
-  /// buffer and stay valid until the next stage() call; store payloads
-  /// use fill_store_pattern, so any interleaving of masters with disjoint
-  /// footprints leaves the same bytes a solo run would.
+  /// with this master's id (lower_window). Data spans point into the
+  /// master's own lane buffer and stay valid until the next stage() call;
+  /// store payloads use fill_store_pattern, so any interleaving of masters
+  /// with disjoint footprints leaves the same bytes a solo run would.
   std::size_t stage(std::size_t n, std::vector<mem_txn>& out) {
-    out.clear();
     const std::size_t count = std::min(n, remaining());
-    lanes_.resize(count * cfg_.chunk);
-    for (std::size_t i = 0; i < count; ++i) {
-      const port_op& op = ops_[next_ + i];
-      const std::span<u8> lane(lanes_.data() + i * cfg_.chunk, cfg_.chunk);
-      if (op.write) fill_store_pattern(op.addr, lane);
-      out.push_back({.op = op.write ? txn_op::write : txn_op::read,
-                     .master = cfg_.id,
-                     .addr = op.addr,
-                     .data = lane});
-    }
+    lower_window(std::span<const port_op>(ops_).subspan(next_, count), cfg_.chunk,
+                 cfg_.id, lanes_, out);
     next_ += count;
     return count;
   }

@@ -21,7 +21,7 @@ struct cache_config {
   std::size_t line_size = 32;   ///< bytes per line
   unsigned ways = 4;            ///< associativity
   bool write_back = true;       ///< false => write-through, store misses bypass
-  cycles hit_latency = 1;       ///< access time on a hit
+  static constexpr cycles hit_latency = 1; ///< access time on a hit
 };
 
 struct cache_stats {

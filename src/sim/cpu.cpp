@@ -31,9 +31,10 @@ run_stats cpu::run(const workload& w) {
         break;
       }
     }
-    const cycles stall = latency > hit_latency_ ? latency - hit_latency_ : 0;
-    rs.total_cycles += stall + access_tax_;
-    rs.stall_cycles += stall + access_tax_;
+    constexpr cycles hit = cache_config::hit_latency;
+    const cycles stall = latency > hit ? latency - hit : 0;
+    rs.total_cycles += stall;
+    rs.stall_cycles += stall;
   }
   return rs;
 }

@@ -41,22 +41,15 @@ struct run_stats {
 /// (a value derived from the address, so ciphertext downstream is real).
 class cpu {
  public:
-  /// \param l1 the first-level memory the core talks to (unified).
-  /// \param hit_latency cycles an L1 hit costs; hits are folded into the
-  ///        1-cycle issue slot, so only latency beyond this stalls.
-  explicit cpu(memory_port& l1, cycles hit_latency = 1)
-      : l1i_(&l1), l1d_(&l1), hit_latency_(hit_latency) {}
+  /// \param l1 the first-level memory the core talks to (unified). An L1
+  ///        hit (cache_config::hit_latency) folds into the 1-cycle issue
+  ///        slot, so only latency beyond it stalls.
+  explicit cpu(memory_port& l1) : l1i_(&l1), l1d_(&l1) {}
 
   /// Split (Harvard) form: instruction fetches go to \p l1i, data accesses
   /// to \p l1d. No coherence is modeled between them; workloads must not
   /// treat one address as both code and data (ours do not).
-  cpu(memory_port& l1i, memory_port& l1d, cycles hit_latency)
-      : l1i_(&l1i), l1d_(&l1d), hit_latency_(hit_latency) {}
-
-  /// Extra cycles charged on *every* L1 access — the Fig. 7b cache-side
-  /// EDU tax ("modifying the cache access time directly impacts the system
-  /// performance").
-  void set_access_tax(cycles t) noexcept { access_tax_ = t; }
+  cpu(memory_port& l1i, memory_port& l1d) : l1i_(&l1i), l1d_(&l1d) {}
 
   /// Execute a whole trace.
   [[nodiscard]] run_stats run(const workload& w);
@@ -64,8 +57,6 @@ class cpu {
  private:
   memory_port* l1i_;
   memory_port* l1d_;
-  cycles hit_latency_;
-  cycles access_tax_ = 0;
 };
 
 } // namespace buscrypt::sim

@@ -8,8 +8,7 @@ dram::dram(std::size_t size, dram_timing timing)
     : store_(size, 0), timing_(timing),
       open_rows_(timing.banks == 0 ? 1 : timing.banks, ~addr_t{0}) {
   if (size == 0) throw std::invalid_argument("dram: zero size");
-  if (timing_.bus_bytes == 0 || timing_.row_size == 0 || timing_.banks == 0)
-    throw std::invalid_argument("dram: invalid timing parameters");
+  if (timing_.banks == 0) throw std::invalid_argument("dram: invalid timing parameters");
 }
 
 void dram::check_range(addr_t addr, std::size_t len) const {

@@ -14,17 +14,19 @@
 
 namespace buscrypt::sim {
 
-/// Timing parameters in CPU cycles. Defaults approximate an embedded
-/// SDRAM behind a 100 MHz-class core: tens of cycles to first data, a few
-/// cycles per burst beat.
+/// Timing parameters in CPU cycles. The fixed ones approximate an
+/// embedded SDRAM behind a 100 MHz-class core: tens of cycles to first
+/// data, a few cycles per burst beat. Only the bank count is set per part.
 struct dram_timing {
-  cycles row_hit = 18;    ///< first-data latency, open-row hit
-  cycles row_miss = 46;   ///< first-data latency, row conflict (ACT+CAS)
-  cycles beat = 2;        ///< cycles per bus beat once bursting
-  unsigned bus_bytes = 8; ///< bytes transferred per beat
-  std::size_t row_size = 2048; ///< DRAM row (page) size in bytes
-  unsigned banks = 1;     ///< independent banks; rows interleave across them
+  static constexpr cycles row_hit = 18;  ///< first-data latency, open-row hit
+  static constexpr cycles row_miss = 46; ///< first-data latency, row conflict (ACT+CAS)
+  static constexpr cycles beat = 2;      ///< cycles per bus beat once bursting
+  static constexpr unsigned bus_bytes = 8;      ///< bytes transferred per beat
+  static constexpr std::size_t row_size = 2048; ///< DRAM row (page) size in bytes
+  unsigned banks = 1; ///< independent banks; rows interleave across them
 };
+static_assert(dram_timing::bus_bytes > 0 && dram_timing::row_size > 0,
+              "a beat moves bytes and a row holds them");
 
 /// Byte-addressable external memory with per-bank open-row timing.
 class dram {

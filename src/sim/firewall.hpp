@@ -3,12 +3,12 @@
 /// Per-master programmable bus firewalls, modeled on Cotret et al.'s FPGA
 /// hardware firewalls: each master's bus interface carries an ordered rule
 /// table `(base, len, perm, ctx)` that is consulted *before* the engine's
-/// protection-domain map. A master with no table has an open port (the
-/// PR 3 behaviour, bit-for-bit); a master with a table is whitelisted —
-/// the first rule containing the address decides, and an address no rule
-/// covers is denied. Denied reads are served the 0xFF bus-error fill by
-/// the engine, denied writes are dropped; either way the request never
-/// reaches the external bus.
+/// protection-domain map. A master with no table has an open port (its
+/// requests go straight to the domain map); a master with a table is
+/// whitelisted — the first rule containing the address decides, and an
+/// address no rule covers is denied. Denied reads are served the 0xFF
+/// bus-error fill by the engine, denied writes are dropped; either way the
+/// request never reaches the external bus.
 ///
 /// Tables are *live-reprogrammable*: program() swaps a table immediately
 /// (setup time), stage()/commit() is the under-traffic path — the

@@ -31,7 +31,7 @@
 /// are served weighted-round-robin by their reserved share (credits), and
 /// a class whose pending children have waited past its aging limit
 /// pre-empts the credit choice. With no class assigned (all
-/// qos_class::none) the arbitration is exactly the legacy policy path.
+/// qos_class::none) each node arbitrates by its policy alone.
 ///
 /// Firewalls: each master may carry an ordered rule table (firewall.hpp)
 /// checked by the engine *before* its protection-domain map. Tables are

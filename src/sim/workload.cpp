@@ -249,26 +249,30 @@ throughput_stats issue_scalar(memory_port& port, std::span<const port_op> ops,
   return ts;
 }
 
+void lower_window(std::span<const port_op> ops, std::size_t chunk, master_id master,
+                  bytes& lanes, std::vector<mem_txn>& out) {
+  out.clear();
+  lanes.resize(ops.size() * chunk);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::span<u8> lane(lanes.data() + i * chunk, chunk);
+    if (ops[i].write) fill_store_pattern(ops[i].addr, lane);
+    out.push_back({.op = ops[i].write ? txn_op::write : txn_op::read,
+                   .master = master,
+                   .addr = ops[i].addr,
+                   .data = lane});
+  }
+}
+
 throughput_stats issue_batched(memory_port& port, std::span<const port_op> ops,
                                std::size_t chunk, std::size_t batch_txns) {
   require(batch_txns >= 1, "issue_batched: batch_txns must be >= 1");
   throughput_stats ts;
-  bytes buf(chunk * batch_txns); // one backing lane per in-flight txn
+  bytes lanes; // one backing lane per in-flight txn
   std::vector<mem_txn> batch;
   batch.reserve(batch_txns);
   for (std::size_t base = 0; base < ops.size(); base += batch_txns) {
     const std::size_t n = std::min(batch_txns, ops.size() - base);
-    batch.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const port_op& op = ops[base + i];
-      const std::span<u8> lane(buf.data() + i * chunk, chunk);
-      if (op.write) {
-        fill_store_pattern(op.addr, lane);
-        batch.push_back(mem_txn::write_of(op.addr, lane));
-      } else {
-        batch.push_back(mem_txn::read_of(op.addr, lane));
-      }
-    }
+    lower_window(ops.subspan(base, n), chunk, cpu_master, lanes, batch);
     port.submit(batch);
     ts.total_cycles += port.drain();
     ts.ops += n;

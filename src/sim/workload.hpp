@@ -102,6 +102,13 @@ struct port_op {
 /// would.
 [[nodiscard]] std::vector<port_op> to_port_ops(const workload& w, std::size_t chunk);
 
+/// Lower \p ops into one window of \p master's transactions in \p out
+/// (cleared first): one \p chunk-byte lane of \p lanes per op, store lanes
+/// filled with fill_store_pattern. The data spans stay valid until
+/// \p lanes is next resized.
+void lower_window(std::span<const port_op> ops, std::size_t chunk, master_id master,
+                  bytes& lanes, std::vector<mem_txn>& out);
+
 /// What a driver run measured.
 struct throughput_stats {
   u64 ops = 0;

@@ -2,9 +2,6 @@
 
 #include "common/fnv.hpp"
 #include "engine/cipher_backend.hpp"
-#include "engine/keyslot_manager.hpp"
-#include "sim/bus.hpp"
-#include "sim/dram.hpp"
 
 #include <algorithm>
 
@@ -17,32 +14,43 @@ bytes backend_device_key(const std::string& backend, u64 seed) {
   return kr.random_bytes(len);
 }
 
+namespace {
+
+update_config device_config(engine::auth_mode auth, const std::string& backend, u64 seed,
+                            std::size_t s, std::size_t chunk_bytes) {
+  update_config c;
+  c.slot_base_a = 0;
+  c.slot_base_b = s;
+  c.slot_bytes = s;
+  c.staging_base = 2 * s;
+  c.auth = auth;
+  c.tag_base_a = static_cast<addr_t>(4 * s);
+  c.tag_base_b = static_cast<addr_t>(6 * s);
+  c.tag_base_staging = static_cast<addr_t>(8 * s);
+  c.backend = backend;
+  c.chunk_bytes = chunk_bytes;
+  c.device_key = backend_device_key(backend, seed);
+  return c;
+}
+
+} // namespace
+
+bytes device_image(u64 seed, u64 version, std::size_t n) {
+  return rng(seed ^ (0xF1EE7'1A6DULL + version)).random_bytes(n);
+}
+
+update_device::update_device(engine::auth_mode auth, const std::string& backend,
+                             u64 seed, std::size_t image_bytes, std::size_t chunk_bytes,
+                             const crypto::rsa_keypair& keys)
+    : chip(std::max<std::size_t>(12 * image_bytes, 64u << 10)), ext(chip), fi(ext),
+      slots(engine::backend_registry::builtin(), 4), eng(fi, slots),
+      agent(eng, fi, keys.priv,
+            device_config(auth, backend, seed, image_bytes, chunk_bytes)) {}
+
 lifetime_result run_lifetime(const lifetime_config& cfg) {
   lifetime_result lr;
   rng r(cfg.seed ^ 0x11FE71'3E5ULL);
-
-  // --- geometry: everything scales off the slot size ------------------------
   const std::size_t s = cfg.image_bytes; // slot == image (model firmware part)
-  update_config ucfg;
-  ucfg.slot_base_a = 0;
-  ucfg.slot_base_b = s;
-  ucfg.slot_bytes = s;
-  ucfg.staging_base = 2 * s;
-  ucfg.auth = cfg.auth;
-  ucfg.tag_base_a = static_cast<addr_t>(4 * s);
-  ucfg.tag_base_b = static_cast<addr_t>(6 * s);
-  ucfg.tag_base_staging = static_cast<addr_t>(8 * s);
-  ucfg.backend = cfg.backend;
-  ucfg.data_unit = cfg.data_unit;
-  ucfg.chunk_bytes = cfg.chunk_bytes;
-  ucfg.device_key = backend_device_key(cfg.backend, cfg.seed);
-
-  // --- boot: the SoC with the fault injector under the engine ---------------
-  sim::dram chip(12 * s < (64u << 10) ? (64u << 10) : 12 * s);
-  sim::external_memory ext(chip);
-  sim::fault_injector fi(ext);
-  engine::keyslot_manager slots(engine::backend_registry::builtin(), 4);
-  engine::bus_encryption_engine eng(fi, slots);
 
   // --- key install (Fig. 1 provisioning) ------------------------------------
   crypto::rsa_keypair local_keys;
@@ -51,10 +59,12 @@ lifetime_result run_lifetime(const lifetime_config& cfg) {
     local_keys = crypto::rsa_generate(r, 256);
     keys = &local_keys;
   }
-  update_agent agent(eng, fi, keys->priv, ucfg);
 
-  const bytes image_v1 = rng(cfg.seed ^ 0xF1EE7'1A6EULL).random_bytes(s);
-  const bytes image_v2 = rng(cfg.seed ^ 0xF1EE7'1A6FULL).random_bytes(s);
+  // --- boot: the SoC with the fault injector under the engine ---------------
+  update_device dev(cfg.auth, cfg.backend, cfg.seed, s, cfg.chunk_bytes, *keys);
+  update_agent& agent = dev.agent;
+  const bytes image_v1 = device_image(cfg.seed, 1, s);
+  const bytes image_v2 = device_image(cfg.seed, 2, s);
   agent.provision(image_v1, 1);
 
   // --- traffic: execute from the active slot for a while ---------------------
@@ -62,7 +72,7 @@ lifetime_result run_lifetime(const lifetime_config& cfg) {
   for (int i = 0; i < 8; ++i) {
     const addr_t at = agent.slot_base(agent.active_slot()) +
                       r.below(s / cfg.chunk_bytes) * cfg.chunk_bytes;
-    lr.traffic_cycles += eng.read(at, buf);
+    lr.traffic_cycles += dev.eng.read(at, buf);
   }
 
   // --- the update, under the armed fault -------------------------------------
@@ -74,23 +84,23 @@ lifetime_result run_lifetime(const lifetime_config& cfg) {
   plan.point = cfg.inject;
   plan.trigger = cfg.trigger;
   plan.seed = cfg.seed ^ 0xB1A57ULL;
-  plan.blast_base = ucfg.staging_base;
+  plan.blast_base = agent.config().staging_base;
   plan.blast_len = s;
   plan.stalls = cfg.stalls;
-  fi.arm(plan);
+  dev.fi.arm(plan);
 
   update_report rep;
   try {
     rep = agent.apply(up);
-    lr.beats = fi.beats();
+    lr.beats = dev.fi.beats();
   } catch (const sim::power_cut&) {
     lr.cut = true;
-    lr.beats = fi.beats();
+    lr.beats = dev.fi.beats();
     agent.power_cycle(); // volatile state gone; NVM + DRAM contents stay
-    fi.disarm();         // the grid comes back clean
+    dev.fi.disarm();     // the grid comes back clean
     rep = agent.recover(cfg.offer_package ? &up : nullptr);
   }
-  fi.disarm();
+  dev.fi.disarm();
 
   lr.status = rep.status;
   lr.retries = rep.retries;
@@ -113,7 +123,7 @@ lifetime_result run_lifetime(const lifetime_config& cfg) {
                          v_after == lr.version && agent.active_image() == now;
 
   // --- teardown ---------------------------------------------------------------
-  lr.dram_fingerprint = fnv1a(chip.raw());
+  lr.dram_fingerprint = fnv1a(dev.chip.raw());
   return lr;
 }
 

@@ -8,6 +8,9 @@
 /// holding *exactly* the old image or *exactly* the new one, never a torn
 /// mix, and never a downgrade.
 
+#include "engine/keyslot_manager.hpp"
+#include "sim/bus.hpp"
+#include "sim/dram.hpp"
 #include "sim/fault_injector.hpp"
 #include "update/update_agent.hpp"
 
@@ -25,7 +28,7 @@ struct lifetime_config {
   /// Geometry — small defaults keep a fleet cell cheap.
   std::size_t image_bytes = 8u << 10;
   std::size_t chunk_bytes = 512;
-  std::size_t data_unit = 32;
+  static constexpr std::size_t data_unit = 32; ///< update_config's default
   /// Whether the updater daemon re-offers the package after the power
   /// cycle (resume path) or not (rollback path).
   bool offer_package = true;
@@ -63,5 +66,31 @@ struct lifetime_result {
 /// A seeded device key of \p backend's default_key_len() —
 /// shared by the lifetime runner, the update tamper suite and the tests.
 [[nodiscard]] bytes backend_device_key(const std::string& backend, u64 seed);
+
+/// The seeded firmware image \p version (1 or 2) of \p n bytes that a
+/// device seeded \p seed is provisioned with (1) or updated to (2).
+[[nodiscard]] bytes device_image(u64 seed, u64 version, std::size_t n);
+
+/// The crash-safe update device every lifetime episode and every update
+/// replay runs on: DRAM of 12 images (at least 64 KiB), the fault injector
+/// between it and the keyslot engine (a 4-slot pool), and the update agent
+/// over A/B slots of one image each at 0 and image_bytes, staging at
+/// 2 x image_bytes and the three tag regions at 4, 6 and 8 x image_bytes,
+/// keyed by backend_device_key(\p backend, \p seed). Its parts refer to
+/// one another, so it is built in place and never copied or moved.
+struct update_device {
+  update_device(engine::auth_mode auth, const std::string& backend, u64 seed,
+                std::size_t image_bytes, std::size_t chunk_bytes,
+                const crypto::rsa_keypair& keys);
+  update_device(const update_device&) = delete;
+  update_device& operator=(const update_device&) = delete;
+
+  sim::dram chip;
+  sim::external_memory ext;
+  sim::fault_injector fi;
+  engine::keyslot_manager slots;
+  engine::bus_encryption_engine eng;
+  update_agent agent;
+};
 
 } // namespace buscrypt::update

@@ -103,38 +103,6 @@ TEST(Aes, Sp800_38A_Ctr) {
   EXPECT_EQ(back, pt);
 }
 
-TEST(Aes, Sp800_38A_Cfb128) {
-  const aes c(H(k_sp800_key));
-  const bytes iv = H("000102030405060708090a0b0c0d0e0f");
-  const bytes pt = H(k_sp800_pt);
-  bytes ct(pt.size());
-  cfb_encrypt(c, iv, pt, ct);
-  EXPECT_EQ(to_hex(ct),
-            "3b3fd92eb72dad20333449f8e83cfb4a"
-            "c8a64537a0b3a93fcde3cdad9f1ce58b"
-            "26751f67a3cbb140b1808cf187a4f4df"
-            "c04b05357c5d1c0eeac4c66f9ff7f2e6");
-  bytes back(pt.size());
-  cfb_decrypt(c, iv, ct, back);
-  EXPECT_EQ(back, pt);
-}
-
-TEST(Aes, Sp800_38A_Ofb) {
-  const aes c(H(k_sp800_key));
-  const bytes iv = H("000102030405060708090a0b0c0d0e0f");
-  const bytes pt = H(k_sp800_pt);
-  bytes ct(pt.size());
-  ofb_crypt(c, iv, pt, ct);
-  EXPECT_EQ(to_hex(ct),
-            "3b3fd92eb72dad20333449f8e83cfb4a"
-            "7789508d16918f03f53c52dac54ed825"
-            "9740051e9c5fecf64344f7a82260edcc"
-            "304c6528f659c77866a510d9c1d6ae5e");
-  bytes back(pt.size());
-  ofb_crypt(c, iv, ct, back);
-  EXPECT_EQ(back, pt);
-}
-
 // --- structure -------------------------------------------------------------
 
 TEST(Aes, RoundCounts) {

@@ -422,20 +422,24 @@ std::array<unsigned long long, 3> warm_request_allocs(edu::edu& e, addr_t at) {
 }
 
 TEST(AllocFree, WarmScalarRequestsOfEveryEngineAreHeapFree) {
-  // Covers and ciphertext copies are stack windows, so once a line's
-  // nonce, version, tag, page buffer, cache line or keyslot is in place a
-  // scalar request allocates nothing. Left out: GI-3DES-CBC+MAC, whose
-  // segment plaintext and tags are heap buffers, and Compress+OTP's
-  // read-only code region, whose compressed chunk and decompressed group
-  // are; Compress+OTP runs in its data region.
+  // Covers, ciphertext copies, GI segments and Compress+OTP's compressed
+  // chunks and inflated groups are stack windows, and GI's tags are inline
+  // digests, so once a line's nonce, version, tag, page buffer, cache line
+  // or keyslot is in place a scalar request allocates nothing.
+  // Compress+OTP's code region is read-only: it takes a line read there
+  // and its writes in its data region.
   constexpr addr_t data_base = 1u << 20;
   for (const edu::engine_kind kind : edu::all_engines()) {
-    if (kind == edu::engine_kind::gi_3des_cbc) continue;
     edu::secure_soc soc(kind, edu::soc_config{});
     soc.load_image(0, bytes(4096, 0)); // Compress+OTP's code region
     const bool data_only = kind == edu::engine_kind::compress_otp;
     const auto n = warm_request_allocs(soc.engine(), data_only ? data_base : 0x100);
     EXPECT_EQ(n, (std::array<unsigned long long, 3>{})) << soc.engine().name();
+    if (!data_only) continue;
+    bytes out(32);
+    auto code_read = [&] { (void)soc.engine().read(0x100, out); };
+    code_read();
+    EXPECT_EQ(allocs_of(code_read), 0u) << soc.engine().name() << " code-region read";
   }
   sim::dram mem{8u << 20};
   sim::external_memory ext{mem};

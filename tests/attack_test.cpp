@@ -256,7 +256,7 @@ TEST(EcbAnalysis, CbcResistsDictionary) {
   EXPECT_EQ(ecb_dictionary_attack(ct, img, 0, 512, 16), 0u);
 }
 
-// --- the engine-level tamper suite's own contract ---------------------------
+// --- the tamper suite's keyslot-engine front door ---------------------------
 
 TEST(EngineTamper, RejectsMalformedTargets) {
   sim::dram chip(8u << 20);
@@ -267,13 +267,13 @@ TEST(EngineTamper, RejectsMalformedTargets) {
   const auto ctx = eng.create_context({"aes-ctr", r.random_bytes(16), 32});
   eng.map_region(0, 1u << 20, ctx);
 
-  EXPECT_THROW((void)run_engine_tamper_suite(eng, chip, 0x1001, 0x2000),
+  EXPECT_THROW((void)run_tamper_suite(eng, chip, 0x1001, 0x2000),
                std::invalid_argument)
       << "misaligned line";
-  EXPECT_THROW((void)run_engine_tamper_suite(eng, chip, 0x1000, 0x1000),
+  EXPECT_THROW((void)run_tamper_suite(eng, chip, 0x1000, 0x1000),
                std::invalid_argument)
       << "identical lines";
-  EXPECT_THROW((void)run_engine_tamper_suite(eng, chip, 0x1000, 2u << 20),
+  EXPECT_THROW((void)run_tamper_suite(eng, chip, 0x1000, 2u << 20),
                std::invalid_argument)
       << "unmapped line has no context to attack";
 
@@ -284,7 +284,7 @@ TEST(EngineTamper, RejectsMalformedTargets) {
   acfg.limit = 64 * 1024;
   acfg.tag_base = 6u << 20;
   (void)eng.attach_auth(ctx, acfg);
-  EXPECT_THROW((void)run_engine_tamper_suite(eng, chip, 0x1000, 128 * 1024),
+  EXPECT_THROW((void)run_tamper_suite(eng, chip, 0x1000, 128 * 1024),
                std::invalid_argument)
       << "lines must fall inside the authenticated window";
 }

@@ -156,7 +156,7 @@ class TamperMatrix
 TEST_P(TamperMatrix, DetectsReplayRelocationSpoof) {
   const auto& [backend, mode] = GetParam();
   rig r(backend, mode);
-  const auto rep = attack::run_engine_tamper_suite(r.eng, r.chip, 0x1000, 0x2000);
+  const auto rep = attack::run_tamper_suite(r.eng, r.chip, 0x1000, 0x2000);
   EXPECT_FALSE(rep.clean_faulted) << "false fault on a clean round trip";
   EXPECT_TRUE(rep.spoof_detected);
   EXPECT_TRUE(rep.splice_detected);
@@ -180,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TamperMatrix, UnauthenticatedEngineCatchesNothing) {
   rig r("aes-ctr");
-  const auto rep = attack::run_engine_tamper_suite(r.eng, r.chip, 0x1000, 0x2000);
+  const auto rep = attack::run_tamper_suite(r.eng, r.chip, 0x1000, 0x2000);
   EXPECT_FALSE(rep.clean_faulted);
   EXPECT_FALSE(rep.spoof_detected);
   EXPECT_FALSE(rep.splice_detected);

@@ -40,7 +40,6 @@ cache_config small_cache() {
   cfg.size = 1024;
   cfg.line_size = 32;
   cfg.ways = 2;
-  cfg.hit_latency = 1;
   return cfg;
 }
 

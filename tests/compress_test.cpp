@@ -178,8 +178,11 @@ TEST(CodePack, ChunkDecodeMatchesGroupDecode) {
                                     : packed.payload.size() * 8;
     const bytes chunk(packed.payload.begin() + static_cast<std::ptrdiff_t>(start_bit / 8),
                       packed.payload.begin() + static_cast<std::ptrdiff_t>((end_bit + 7) / 8));
-    EXPECT_EQ(engine.decompress_chunk(chunk, start_bit % 8, 64, packed),
-              engine.decompress_group(packed, g));
+    bytes out(64);
+    engine.decompress_chunk(chunk, start_bit % 8, out, packed);
+    EXPECT_EQ(out, engine.decompress_group(packed, g));
+    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                           img.begin() + static_cast<std::ptrdiff_t>(g * 64)));
   }
 }
 

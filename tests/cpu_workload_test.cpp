@@ -88,7 +88,7 @@ TEST(Cpu, PerfectCacheGivesUnitCpi) {
   cfg.line_size = 32;
   cfg.ways = 4;
   cache l1(cfg, ext);
-  cpu core(l1, cfg.hit_latency);
+  cpu core(l1);
 
   // Tiny loop fully resident after first pass.
   const workload w = make_sequential_code(50'000, 1024, 0, 6);
@@ -105,32 +105,12 @@ TEST(Cpu, MissesInflateCpi) {
   cfg.line_size = 32;
   cfg.ways = 2;
   cache l1(cfg, ext);
-  cpu core(l1, cfg.hit_latency);
+  cpu core(l1);
 
   const workload w = make_jumpy_code(20'000, 1 << 20, 0.3, 7);
   const run_stats rs = core.run(w);
   EXPECT_GT(rs.cpi(), 2.0);
   EXPECT_GT(rs.stall_cycles, 0u);
-}
-
-TEST(Cpu, AccessTaxChargesEveryAccess) {
-  dram d(1 << 22);
-  external_memory ext(d);
-  cache_config cfg;
-  cfg.size = 64 * 1024;
-  cfg.line_size = 32;
-  cfg.ways = 4;
-  cache l1(cfg, ext);
-
-  const workload w = make_sequential_code(10'000, 1024, 0, 8);
-  cpu untaxed(l1, cfg.hit_latency);
-  (void)untaxed.run(w); // warm the cache so both runs see identical hits
-  const run_stats base = untaxed.run(w);
-
-  cpu taxed(l1, cfg.hit_latency);
-  taxed.set_access_tax(2);
-  const run_stats heavy = taxed.run(w);
-  EXPECT_EQ(heavy.total_cycles, base.total_cycles + 2 * 10'000u);
 }
 
 TEST(Cpu, SlowdownVsBaseline) {
@@ -148,7 +128,7 @@ TEST(Cpu, StoresChangeMemory) {
   cfg.line_size = 32;
   cfg.ways = 2;
   cache l1(cfg, ext);
-  cpu core(l1, cfg.hit_latency);
+  cpu core(l1);
 
   workload w;
   w.name = "one-store";

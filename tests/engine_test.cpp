@@ -373,24 +373,6 @@ TEST(BusEncryptionEngine, FallbackWhenPoolPinned) {
   EXPECT_EQ(eng.stats().fallbacks, 1u) << "released pool should serve from a slot again";
 }
 
-TEST(BusEncryptionEngine, FallbackDisabledThrows) {
-  sim::dram dram(1 << 16);
-  sim::external_memory ext(dram);
-  keyslot_manager slots(backend_registry::builtin(), 1);
-  engine_config cfg;
-  cfg.allow_fallback = false;
-  bus_encryption_engine eng(ext, slots, cfg);
-
-  const auto ctx = eng.create_context(make_key("aes-ctr", 0x51));
-  eng.map_region(0, 1 << 16, ctx);
-  const int pinned = slots.acquire(make_key("aes-ctr", 0x52));
-  ASSERT_NE(pinned, keyslot_manager::no_slot);
-
-  bytes buf(32, 1);
-  EXPECT_THROW((void)eng.write(0, buf), std::runtime_error);
-  slots.release(pinned);
-}
-
 TEST(BusEncryptionEngine, ContextValidation) {
   engine_rig rig;
   EXPECT_THROW((void)rig.eng.create_context({"rot13", bytes(16, 0), 32}),

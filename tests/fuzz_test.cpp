@@ -150,14 +150,6 @@ TEST_P(ModeCipherFuzz, AllModesRoundTrip) {
     crypto::cbc_decrypt(*c, iv, ct, back);
     ASSERT_EQ(back, pt) << c->name() << " CBC";
 
-    crypto::cfb_encrypt(*c, iv, pt, ct);
-    crypto::cfb_decrypt(*c, iv, ct, back);
-    ASSERT_EQ(back, pt) << c->name() << " CFB";
-
-    crypto::ofb_crypt(*c, iv, pt, ct);
-    crypto::ofb_crypt(*c, iv, ct, back);
-    ASSERT_EQ(back, pt) << c->name() << " OFB";
-
     crypto::ctr_crypt(*c, 5, 9, pt, ct);
     crypto::ctr_crypt(*c, 5, 9, ct, back);
     ASSERT_EQ(back, pt) << c->name() << " CTR";
@@ -171,15 +163,13 @@ TEST_P(ModeCipherFuzz, ModesProduceDistinctCiphertexts) {
   const bytes pt = r.random_bytes(bs * 8);
   const bytes iv = r.random_bytes(bs);
 
-  bytes ecb(pt.size()), cbc(pt.size()), cfb(pt.size()), ofb(pt.size());
+  bytes ecb(pt.size()), cbc(pt.size()), ctr(pt.size());
   crypto::ecb_encrypt(*c, pt, ecb);
   crypto::cbc_encrypt(*c, iv, pt, cbc);
-  crypto::cfb_encrypt(*c, iv, pt, cfb);
-  crypto::ofb_crypt(*c, iv, pt, ofb);
+  crypto::ctr_crypt(*c, 5, 9, pt, ctr);
   EXPECT_NE(ecb, cbc);
-  EXPECT_NE(cbc, cfb);
-  EXPECT_NE(cfb, ofb);
-  EXPECT_NE(ecb, ofb);
+  EXPECT_NE(cbc, ctr);
+  EXPECT_NE(ecb, ctr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCiphers, ModeCipherFuzz, ::testing::Values(0, 1, 2, 3, 4));

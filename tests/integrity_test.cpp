@@ -168,6 +168,7 @@ TEST(TamperSuite, NoProtectionMissesEverything) {
   rig rg;
   integrity_edu e = rg.make(integrity_level::none);
   const auto rep = attack::run_tamper_suite(e, rg.chip, 0x400, 0x800);
+  EXPECT_FALSE(rep.clean_faulted) << "false fault on a clean round trip";
   EXPECT_FALSE(rep.spoof_detected);
   EXPECT_FALSE(rep.splice_detected);
   EXPECT_FALSE(rep.replay_detected);
@@ -178,6 +179,7 @@ TEST(TamperSuite, MacCatchesSpoofAndSpliceButNotReplay) {
   rig rg;
   integrity_edu e = rg.make(integrity_level::mac);
   const auto rep = attack::run_tamper_suite(e, rg.chip, 0x400, 0x800);
+  EXPECT_FALSE(rep.clean_faulted) << "false fault on a clean round trip";
   EXPECT_TRUE(rep.spoof_detected);
   EXPECT_TRUE(rep.splice_detected);
   EXPECT_FALSE(rep.replay_detected);
@@ -188,6 +190,7 @@ TEST(TamperSuite, VersionedMacCatchesAllThree) {
   rig rg;
   integrity_edu e = rg.make(integrity_level::mac_versioned);
   const auto rep = attack::run_tamper_suite(e, rg.chip, 0x400, 0x800);
+  EXPECT_FALSE(rep.clean_faulted) << "false fault on a clean round trip";
   EXPECT_TRUE(rep.spoof_detected);
   EXPECT_TRUE(rep.splice_detected);
   EXPECT_TRUE(rep.replay_detected);

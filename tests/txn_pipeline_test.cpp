@@ -404,18 +404,15 @@ TEST(EngineBatchPath, TwoContextsOneSlotStaysFunctionallyExact) {
 }
 
 TEST(EngineBatchPath, SlotContentionRetiresWindowInsteadOfFallingBack) {
-  // One hardware slot, two contexts, software fallback OFF: scalar issue
-  // succeeds because each request releases its slot; the batch path must
-  // match by retiring its window on a pool miss — not throw, and not
-  // silently take a fallback the scalar path never used.
-  engine::engine_config cfg;
-  cfg.allow_fallback = false;
-
+  // One hardware slot, two contexts: scalar issue never falls back
+  // because each request releases its slot; the batch path must match by
+  // retiring its window on a pool miss — not silently take a software
+  // fallback the scalar path never used.
   fixed_latency_port ps(16 * 1024, 20), pb(16 * 1024, 20);
   engine::keyslot_manager ss(engine::backend_registry::builtin(), 1);
   engine::keyslot_manager sb(engine::backend_registry::builtin(), 1);
-  engine::bus_encryption_engine scalar_eng(ps, ss, cfg);
-  engine::bus_encryption_engine batch_eng(pb, sb, cfg);
+  engine::bus_encryption_engine scalar_eng(ps, ss);
+  engine::bus_encryption_engine batch_eng(pb, sb);
   for (engine::bus_encryption_engine* e : {&scalar_eng, &batch_eng}) {
     const auto c1 = e->create_context({"aes-ctr", bytes(16, 0x11), 32});
     const auto c2 = e->create_context({"aes-cbc", bytes(16, 0x22), 32});
@@ -440,6 +437,7 @@ TEST(EngineBatchPath, SlotContentionRetiresWindowInsteadOfFallingBack) {
   EXPECT_NO_THROW(batch_eng.submit(batch));
   EXPECT_GT(batch_eng.drain(), 0u);
 
+  EXPECT_EQ(scalar_eng.stats().fallbacks, 0u);
   EXPECT_EQ(batch_eng.stats().fallbacks, 0u);
   EXPECT_GT(batch_eng.stats().batch_native, 0u);
   EXPECT_EQ(ps.image_, pb.image_) << "contended batch diverged from scalar";
@@ -1317,7 +1315,8 @@ TEST(ScalarGoldenStamps, IntegrityMacVersioned) {
 
 /// Batch windows on \p kind's engine (secure_soc defaults) after
 /// install_golden_images(): code reads straddling segments and groups,
-/// repeats and a straddle past the code image's end; data writes of 3, 4,
+/// repeats and a straddle past the code image's end (on GI, a read of a
+/// segment never written, so one auth failure); data writes of 3, 4,
 /// 32 and 1024 bytes between reads of what they wrote; code writes (GI
 /// only: Compress+OTP's code is read-only); seeded code and data windows;
 /// then, on GI, a window reading a segment whose ciphertext was flipped.

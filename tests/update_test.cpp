@@ -392,8 +392,9 @@ update::lifetime_config lifetime_of(const fleet::fleet_cell& c) {
                    : c.backend;
   lc.inject = c.inject;
   lc.trigger = c.inject_trigger;
-  lc.stalls =
-      c.inject == sim::fault_point::bus_stall ? static_cast<unsigned>(c.inject_trigger) : 0;
+  lc.stalls = c.inject == sim::fault_point::bus_stall
+                  ? static_cast<unsigned>(c.inject_trigger)
+                  : 0;
   lc.offer_package = c.offer_package;
   return lc;
 }
